@@ -697,23 +697,22 @@ pub struct BenchLedger {
     digest: u64,
 }
 
-impl pmp_durable::Durable for BenchLedger {
-    fn namespace(&self) -> &'static str {
-        "bench.ledger"
-    }
-    fn snapshot_bytes(&self) -> Vec<u8> {
+impl pmp_durable::Store for BenchLedger {
+    const NAMESPACE: &'static str = "bench.ledger";
+    type Op = Vec<u8>;
+    fn encode_state(&self) -> Vec<u8> {
         pmp_wire::to_bytes(&(self.applied, self.digest))
     }
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), pmp_durable::DurableError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), pmp_durable::DurableError> {
         let (applied, digest) = pmp_wire::from_bytes(bytes)?;
         self.applied = applied;
         self.digest = digest;
         Ok(())
     }
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), pmp_durable::DurableError> {
+    fn apply(&mut self, payload: Vec<u8>) -> Result<(), pmp_durable::DurableError> {
         let mut h = pmp_telemetry::Fnv64::new();
         h.write_u64(self.digest);
-        h.write(payload);
+        h.write(&payload);
         self.digest = h.finish();
         self.applied += 1;
         Ok(())
@@ -731,8 +730,7 @@ pub fn wal_world(records: usize, payload_bytes: usize, batch: usize) -> (pmp_dur
     let mut ledger = BenchLedger::default();
     for i in 0..records {
         let payload: Vec<u8> = (0..payload_bytes).map(|b| (i + b) as u8).collect();
-        pmp_durable::Durable::apply_record(&mut ledger, &payload).expect("apply");
-        engine.append("bench.ledger", payload);
+        pmp_durable::Store::commit(&mut ledger, &mut engine, payload).expect("apply");
         if (i + 1) % batch.max(1) == 0 {
             engine.commit();
         }

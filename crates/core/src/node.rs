@@ -5,7 +5,7 @@
 use crate::wiring::{install_node_sys, NodeWiring};
 use pmp_crypto::{KeyPair, Principal};
 use pmp_discovery::Registrar;
-use pmp_durable::{Durable, DurableHub, RecoverReport};
+use pmp_durable::{Durable, DurableHub, RecoverReport, Store};
 use pmp_midas::{
     AdaptationService, BaseEvent, ExtensionBase, ExtensionPackage, ReceiverEvent, ReceiverPolicy,
     SignedExtension,
@@ -270,9 +270,9 @@ impl BaseStation {
         let name = name.into();
         let registrar = Registrar::new(node, format!("lookup:{name}"));
         let mut base = ExtensionBase::new(node, node);
-        base.attach_durable(durable.namespace(pmp_midas::durable::NAMESPACE));
+        base.attach_durable(durable.clone());
         let mut rpc = crate::rpc::RpcEngine::new();
-        rpc.attach(durable.namespace(crate::rpc::RPC_CALLS_NAMESPACE));
+        rpc.attach(durable.clone());
         BaseStation {
             node,
             registrar,
@@ -295,13 +295,10 @@ impl BaseStation {
     }
 
     /// Appends a movement record to the hall database, WAL-logging it
-    /// first so it survives a crash once the epoch commits.
+    /// so it survives a crash once the epoch commits.
     pub fn record_movement(&mut self, record: MovementRecord) {
-        self.durable.append(
-            pmp_store::durable::NAMESPACE,
-            MovementStore::wal_payload(&record),
-        );
-        self.store.append(record);
+        let applied = self.store.commit(&mut self.durable, record);
+        debug_assert!(applied.is_ok(), "movement records always apply");
     }
 
     /// Appends one span or journal event to the flight recorder,
@@ -321,11 +318,8 @@ impl BaseStation {
         if entries.is_empty() {
             return;
         }
-        self.durable
-            .append_weightless(pmp_trace::FLIGHT_NAMESPACE, pmp_wire::to_bytes(&entries));
-        for entry in entries {
-            self.flight.record(entry);
-        }
+        let applied = self.flight.commit(&mut self.durable, entries);
+        debug_assert!(applied.is_ok(), "flight batches always apply");
     }
 
     /// Snapshots the base's durable state (movement log + extension

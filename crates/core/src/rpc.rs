@@ -13,25 +13,26 @@
 //! * **At-most-once** — retransmission as above, plus a bounded
 //!   server-side dedup table (request id → cached reply, FIFO
 //!   eviction) that filters duplicates and replays the cached reply.
-//!   The table is persisted through [`pmp_durable::Durable`], so a
-//!   crash → restart never double-executes a call.
 //!
 //! Three pieces live here: [`RpcEngine`] (caller side, owned by a base
 //! station; durable under `"rpc.calls"`), [`RpcServer`] (server side,
-//! owned by a mobile node; dedup table durable under `"rpc.dedup"`),
-//! and [`backoff_delay`] (the pure retry schedule — simulated time
-//! only, never the wall clock, so both drivers compute the same
-//! schedule from the same inputs).
+//! owned by a mobile node), and [`backoff_delay`] (the pure retry
+//! schedule — simulated time only, never the wall clock, so both
+//! drivers compute the same schedule from the same inputs).
+//!
+//! The dedup table needs no durability: servers are mobile nodes,
+//! which have no storage engine and are never crashed. What survives a
+//! crash is the base's call table, so a restarted base resumes
+//! retrying with the same request ids and the servers' dedup tables
+//! keep filtering them.
 
-use pmp_durable::{Durable, DurableError, NamespaceHandle};
+use pmp_durable::{DurableError, DurableHub, Store};
 use pmp_net::SimRng;
 use pmp_wire::{Reader, Wire, WireError, Writer};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Durable namespace of the caller-side call table.
 pub const RPC_CALLS_NAMESPACE: &str = "rpc.calls";
-/// Durable namespace of the server-side dedup table.
-pub const RPC_DEDUP_NAMESPACE: &str = "rpc.dedup";
 /// Timer tag for retransmission timers armed by the engine.
 pub const RPC_RETRY_TAG: &str = "rpc.retry";
 
@@ -201,13 +202,24 @@ impl Wire for PendingCall {
 
 /// WAL operations of the caller-side call table.
 #[derive(Debug, Clone, PartialEq)]
-enum CallOp {
+pub enum CallOp {
     /// A new call was issued (attempt 1 sent).
-    Issue { req: u64, call: PendingCall },
+    Issue {
+        /// The request id.
+        req: u64,
+        /// The call as issued.
+        call: PendingCall,
+    },
     /// One retransmission happened.
-    Attempt { req: u64 },
+    Attempt {
+        /// The request id.
+        req: u64,
+    },
     /// The call resolved (reply, or budget exhausted).
-    Resolve { req: u64 },
+    Resolve {
+        /// The request id.
+        req: u64,
+    },
 }
 
 impl Wire for CallOp {
@@ -262,7 +274,7 @@ pub struct RpcEngine {
     resolved: VecDeque<u64>,
     /// Live timer token → request id (rebuilt after restart).
     timers: BTreeMap<u64, u64>,
-    handle: Option<NamespaceHandle>,
+    wal: Option<DurableHub>,
     /// Retry tuning. Operator state, not durable — the platform
     /// re-applies it when it rebuilds a base.
     cfg: RpcConfig,
@@ -279,9 +291,9 @@ impl RpcEngine {
         RpcEngine::default()
     }
 
-    /// Wires the engine to its WAL namespace.
-    pub fn attach(&mut self, handle: NamespaceHandle) {
-        self.handle = Some(handle);
+    /// Wires the engine to the storage engine it logs its call table to.
+    pub fn attach(&mut self, hub: DurableHub) {
+        self.wal = Some(hub);
     }
 
     /// Replaces the retry tuning.
@@ -295,43 +307,37 @@ impl RpcEngine {
         &self.cfg
     }
 
-    fn log(&self, op: &CallOp) {
-        if let Some(h) = &self.handle {
-            h.append(pmp_wire::to_bytes(op));
-        }
+    /// Applies `op` and logs it: the one way the call table changes.
+    fn commit_op(&mut self, op: CallOp) {
+        let mut wal = self.wal.take();
+        let applied = self.commit(&mut wal, op);
+        self.wal = wal;
+        debug_assert!(applied.is_ok(), "call-table ops always apply");
     }
 
     /// Records a freshly-issued call (the initial transmission is
     /// attempt 1; the caller sends it and arms the first timer).
     pub fn issue(&mut self, req: u64, call: PendingCall) {
-        self.log(&CallOp::Issue {
-            req,
-            call: call.clone(),
-        });
-        self.calls.insert(req, call);
+        self.commit_op(CallOp::Issue { req, call });
     }
 
     /// Records one retransmission; returns the new attempt count, or
     /// `None` if the call is no longer outstanding.
     pub fn note_attempt(&mut self, req: u64) -> Option<u32> {
-        let call = self.calls.get_mut(&req)?;
-        call.attempts += 1;
-        let attempts = call.attempts;
-        self.log(&CallOp::Attempt { req });
+        if !self.calls.contains_key(&req) {
+            return None;
+        }
+        self.commit_op(CallOp::Attempt { req });
         self.retries += 1;
-        Some(attempts)
+        self.calls.get(&req).map(|c| c.attempts)
     }
 
     /// Resolves `req` (first reply, or budget exhausted). Returns the
     /// call if it was outstanding; `None` means a duplicate or
     /// unknown id, which the caller must ignore.
     pub fn resolve(&mut self, req: u64) -> Option<PendingCall> {
-        let call = self.calls.remove(&req)?;
-        self.log(&CallOp::Resolve { req });
-        self.resolved.push_back(req);
-        if self.resolved.len() > RESOLVED_MEMORY {
-            self.resolved.pop_front();
-        }
+        let call = self.calls.get(&req)?.clone();
+        self.commit_op(CallOp::Resolve { req });
         Some(call)
     }
 
@@ -385,12 +391,11 @@ impl RpcEngine {
     }
 }
 
-impl Durable for RpcEngine {
-    fn namespace(&self) -> &'static str {
-        RPC_CALLS_NAMESPACE
-    }
+impl Store for RpcEngine {
+    const NAMESPACE: &'static str = RPC_CALLS_NAMESPACE;
+    type Op = CallOp;
 
-    fn snapshot_bytes(&self) -> Vec<u8> {
+    fn encode_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u32(self.calls.len() as u32);
         for (req, call) in &self.calls {
@@ -404,7 +409,7 @@ impl Durable for RpcEngine {
         w.into_bytes()
     }
 
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let mut r = Reader::new(bytes);
         let n = r.get_u32()?;
         let mut calls = BTreeMap::new();
@@ -413,18 +418,21 @@ impl Durable for RpcEngine {
             calls.insert(req, PendingCall::decode(&mut r)?);
         }
         let m = r.get_u32()?;
-        let mut resolved = VecDeque::with_capacity(m as usize);
+        // Eight bytes per id: a hostile count cannot allocate beyond
+        // what the input could hold.
+        let mut resolved = VecDeque::with_capacity((m as usize).min(r.remaining() / 8));
         for _ in 0..m {
             resolved.push_back(r.get_u64()?);
         }
+        r.finish()?;
         self.calls = calls;
         self.resolved = resolved;
         self.timers.clear();
         Ok(())
     }
 
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        match pmp_wire::from_bytes::<CallOp>(payload)? {
+    fn apply(&mut self, op: CallOp) -> Result<(), DurableError> {
+        match op {
             CallOp::Issue { req, call } => {
                 self.calls.insert(req, call);
             }
@@ -446,38 +454,12 @@ impl Durable for RpcEngine {
     }
 }
 
-/// WAL operation of the server-side dedup table (insert-only; FIFO
-/// eviction is derived from capacity, not logged).
-#[derive(Debug, Clone, PartialEq)]
-struct DedupInsert {
-    req: u64,
-    ok: bool,
-    value: String,
-}
-
-impl Wire for DedupInsert {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.req);
-        w.put_bool(self.ok);
-        w.put_str(&self.value);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(DedupInsert {
-            req: r.get_u64()?,
-            ok: r.get_bool()?,
-            value: r.get_str()?,
-        })
-    }
-}
-
 /// Bounded request-id → cached-reply table (server side).
 ///
 /// At-most-once execution hinges on this table: an arriving duplicate
 /// whose id is present is answered from the cache without touching the
 /// service object. Capacity-bounded with FIFO eviction — the soak
-/// memory oracle asserts `len() <= cap()` forever — and durable, so a
-/// node that moves its state through a crash/restart still refuses to
-/// re-execute calls it already ran.
+/// memory oracle asserts `len() <= cap()` forever.
 #[derive(Debug)]
 pub struct DedupTable {
     cap: usize,
@@ -538,48 +520,6 @@ impl DedupTable {
     }
 }
 
-impl Durable for DedupTable {
-    fn namespace(&self) -> &'static str {
-        RPC_DEDUP_NAMESPACE
-    }
-
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        // FIFO order *is* state: eviction depends on it.
-        let mut w = Writer::new();
-        w.put_u32(self.order.len() as u32);
-        for req in &self.order {
-            let (ok, value) = &self.replies[req];
-            w.put_u64(*req);
-            w.put_bool(*ok);
-            w.put_str(value);
-        }
-        w.into_bytes()
-    }
-
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
-        let mut r = Reader::new(bytes);
-        let n = r.get_u32()?;
-        let mut order = VecDeque::with_capacity(n as usize);
-        let mut replies = BTreeMap::new();
-        for _ in 0..n {
-            let req = r.get_u64()?;
-            let ok = r.get_bool()?;
-            let value = r.get_str()?;
-            order.push_back(req);
-            replies.insert(req, (ok, value));
-        }
-        self.order = order;
-        self.replies = replies;
-        Ok(())
-    }
-
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        let op = pmp_wire::from_bytes::<DedupInsert>(payload)?;
-        self.insert(op.req, op.ok, op.value);
-        Ok(())
-    }
-}
-
 /// Server-side RPC state of one mobile node: the dedup table plus an
 /// execution ledger the duplicate-execution oracle reads.
 #[derive(Debug)]
@@ -615,17 +555,6 @@ impl RpcServer {
         e.1 += 1;
     }
 
-    /// WAL payload for a cached reply (the host appends it through the
-    /// node's durable hub when one exists).
-    #[must_use]
-    pub fn dedup_record(req: u64, ok: bool, value: &str) -> Vec<u8> {
-        pmp_wire::to_bytes(&DedupInsert {
-            req,
-            ok,
-            value: value.to_string(),
-        })
-    }
-
     /// Times `req` was executed.
     #[must_use]
     pub fn executions(&self, req: u64) -> u32 {
@@ -656,7 +585,7 @@ impl RpcServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmp_durable::DurableHub;
+    use pmp_durable::{Durable, DurableHub};
 
     #[test]
     fn semantics_roundtrip_on_the_wire() {
@@ -705,28 +634,10 @@ mod tests {
     }
 
     #[test]
-    fn dedup_table_survives_crash_recover() {
-        let hub = DurableHub::new();
-        let mut t = DedupTable::new(8);
-        let h = hub.namespace(RPC_DEDUP_NAMESPACE);
-        for req in 1..=4u64 {
-            t.insert(req, true, format!("r{req}"));
-            h.append(RpcServer::dedup_record(req, true, &format!("r{req}")));
-        }
-        hub.commit();
-        let digest = t.state_digest();
-        hub.crash();
-        let mut restored = DedupTable::new(8);
-        hub.recover(&mut [&mut restored]);
-        assert_eq!(restored.state_digest(), digest);
-        assert_eq!(restored.lookup(3).unwrap().1, "r3");
-    }
-
-    #[test]
     fn engine_walks_through_issue_attempt_resolve() {
         let hub = DurableHub::new();
         let mut e = RpcEngine::new();
-        e.attach(hub.namespace(RPC_CALLS_NAMESPACE));
+        e.attach(hub.clone());
         let call = PendingCall {
             target: 3,
             sem: InvocationSemantics::AtMostOnce,
@@ -757,6 +668,33 @@ mod tests {
     }
 
     #[test]
+    fn hostile_resolved_count_is_an_error_not_an_allocation() {
+        // No calls, then a claim of u32::MAX resolved ids backed by two.
+        // Sizing the FIFO from the claim would ask for 32 GiB and abort.
+        let mut w = Writer::new();
+        w.put_u32(0);
+        w.put_u32(u32::MAX);
+        w.put_u64(1);
+        w.put_u64(2);
+        let mut e = RpcEngine::new();
+        assert!(matches!(
+            e.restore_snapshot(&w.into_bytes()),
+            Err(DurableError::Wire(_))
+        ));
+        assert_eq!(e.resolved_len(), 0, "a failed restore changes nothing");
+    }
+
+    #[test]
+    fn snapshot_with_trailing_bytes_is_rejected() {
+        let mut bytes = RpcEngine::new().snapshot_bytes();
+        bytes.push(0);
+        assert!(matches!(
+            RpcEngine::new().restore_snapshot(&bytes),
+            Err(DurableError::Wire(WireError::TrailingBytes { .. }))
+        ));
+    }
+
+    #[test]
     fn server_ledger_counts_duplicates() {
         let mut s = RpcServer::new(4);
         s.note_execution(1, InvocationSemantics::AtMostOnce);
@@ -772,57 +710,25 @@ mod tests {
 #[cfg(feature = "proptest")]
 mod props {
     use super::*;
-    use pmp_durable::DurableHub;
     use proptest::prelude::*;
 
-    /// One step of an adversarial delivery schedule.
-    #[derive(Debug, Clone)]
-    enum Event {
-        /// A (possibly duplicate) copy of call `idx` arrives.
-        Arrive(usize),
-        /// The node crashes and recovers from its WAL.
-        CrashRecover,
-    }
-
-    fn event() -> impl Strategy<Value = Event> {
-        prop_oneof![
-            4 => (0usize..8).prop_map(Event::Arrive),
-            1 => Just(Event::CrashRecover),
-        ]
-    }
-
     proptest! {
-        /// Under arbitrary retry/loss/crash interleavings — duplicate
-        /// arrivals in any order, crash/recover at any point — an
-        /// at-most-once request is executed at most once, as long as
-        /// the dedup table has capacity for the distinct ids in flight.
+        /// Under arbitrary retry/loss interleavings — duplicate
+        /// arrivals of any call in any order — an at-most-once request
+        /// is executed at most once, as long as the dedup table has
+        /// capacity for the distinct ids in flight.
         #[test]
-        fn dedup_never_reexecutes(events in proptest::collection::vec(event(), 1..64)) {
-            let hub = DurableHub::new();
+        fn dedup_never_reexecutes(arrivals in proptest::collection::vec(0usize..8, 1..64)) {
             let mut server = RpcServer::new(16);
-            let h = hub.namespace(RPC_DEDUP_NAMESPACE);
             let mut executions = [0u32; 8];
-            for ev in events {
-                match ev {
-                    Event::Arrive(idx) => {
-                        let req = 100 + idx as u64;
-                        if server.dedup.lookup(req).is_none() {
-                            executions[idx] += 1;
-                            server.note_execution(req, InvocationSemantics::AtMostOnce);
-                            server.dedup.insert(req, true, format!("v{idx}"));
-                            h.append(RpcServer::dedup_record(req, true, &format!("v{idx}")));
-                            hub.commit();
-                        } else {
-                            server.dedup.hits += 1;
-                        }
-                    }
-                    Event::CrashRecover => {
-                        hub.crash();
-                        let mut fresh = DedupTable::new(16);
-                        hub.recover(&mut [&mut fresh]);
-                        prop_assert_eq!(fresh.state_digest(), server.dedup.state_digest());
-                        server.dedup = fresh;
-                    }
+            for idx in arrivals {
+                let req = 100 + idx as u64;
+                if server.dedup.lookup(req).is_none() {
+                    executions[idx] += 1;
+                    server.note_execution(req, InvocationSemantics::AtMostOnce);
+                    server.dedup.insert(req, true, format!("v{idx}"));
+                } else {
+                    server.dedup.hits += 1;
                 }
             }
             for n in executions {

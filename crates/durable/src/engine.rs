@@ -582,7 +582,7 @@ impl DurableEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DurableError;
+    use crate::{DurableError, Store};
 
     /// A toy durable state: an append-only list of u64 values.
     #[derive(Debug, Default, PartialEq, Eq)]
@@ -590,26 +590,24 @@ mod tests {
         values: Vec<u64>,
     }
 
-    impl Durable for Ledger {
-        fn namespace(&self) -> &'static str {
-            "test.ledger"
-        }
-        fn snapshot_bytes(&self) -> Vec<u8> {
+    impl Store for Ledger {
+        const NAMESPACE: &'static str = "test.ledger";
+        type Op = u64;
+        fn encode_state(&self) -> Vec<u8> {
             pmp_wire::to_bytes(&self.values)
         }
-        fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+        fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
             self.values = pmp_wire::from_bytes(bytes)?;
             Ok(())
         }
-        fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-            self.values.push(pmp_wire::from_bytes(payload)?);
+        fn apply(&mut self, v: u64) -> Result<(), DurableError> {
+            self.values.push(v);
             Ok(())
         }
     }
 
     fn append_value(engine: &mut DurableEngine, ledger: &mut Ledger, v: u64) {
-        ledger.values.push(v);
-        engine.append("test.ledger", pmp_wire::to_bytes(&v));
+        ledger.commit(engine, v).unwrap();
     }
 
     #[test]

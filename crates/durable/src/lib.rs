@@ -20,17 +20,20 @@
 //!   snapshot + compaction, and a recovery path that truncates torn
 //!   tails and reports corruption instead of panicking.
 //!
-//! State plugs in through the [`Durable`] trait: anything that can
-//! snapshot itself to bytes and apply namespaced log records can be
-//! made crash-safe. `pmp-store`'s movement table, `pmp-midas`'s
-//! extension base, and `pmp-tuplespace`'s tuple bag all implement it.
+//! State plugs in through the [`Store`] trait: a namespace, a
+//! canonical snapshot, and one typed op whose [`Store::apply`] is the
+//! only way the state changes. The live path calls [`Store::commit`]
+//! (apply, then append the op's bytes) and replay decodes the same
+//! bytes into the same `apply`. Every store is also a [`Durable`], the
+//! object-safe surface the engine works through. `pmp-store`'s movement
+//! table, `pmp-midas`'s extension base, `pmp-trace`'s flight recorder
+//! and `pmp-core`'s RPC call table implement it.
 //!
-//! Components share one engine through a [`DurableHub`]; each keeps a
-//! cheap [`NamespaceHandle`] for its own append stream. Appends buffer
-//! in memory; the platform calls [`DurableHub::commit`] at epoch
-//! barriers (group commit), which keeps the write path off the
-//! parallel driver's worker threads and the event journal
-//! deterministic across drivers.
+//! Components share one engine through a [`DurableHub`] and commit
+//! into it as a [`Wal`]. Appends buffer in memory; the platform calls
+//! [`DurableHub::commit`] at epoch barriers (group commit), which keeps
+//! the write path off the parallel driver's worker threads and the
+//! event journal deterministic across drivers.
 
 pub mod crc;
 pub mod disk;
@@ -42,7 +45,7 @@ pub use engine::{Anomaly, CommitTap, DurableEngine, EngineConfig, RecoverReport}
 pub use record::{FrameError, WalRecord};
 
 use pmp_telemetry::{sync, Fnv64, Sink};
-use pmp_wire::WireError;
+use pmp_wire::{Wire, WireError};
 use std::sync::Arc;
 
 /// Error from restoring or applying durable state.
@@ -71,16 +74,13 @@ impl std::fmt::Display for DurableError {
 
 impl std::error::Error for DurableError {}
 
-/// State that can be made crash-safe by the engine.
+/// State that can be made crash-safe by the engine: the object-safe
+/// surface [`DurableEngine::checkpoint`], [`DurableEngine::recover`],
+/// [`DurableHub`] and stream mirrors work through.
 ///
-/// Implementations must keep `snapshot_bytes` **canonical**: equal
-/// logical state produces identical bytes (sort maps, fix iteration
-/// order). Crash-recovery tests compare [`Durable::state_digest`]
-/// across a crash/restart boundary, which only works if the encoding
-/// is a pure function of the state.
+/// Implemented for every [`Store`]; implement [`Store`], not this.
 pub trait Durable {
-    /// The namespace this state owns, e.g. `"midas.base"`. Must be
-    /// unique within a hub.
+    /// The namespace this state owns (see [`Store::NAMESPACE`]).
     fn namespace(&self) -> &'static str;
 
     /// Canonical serialisation of the full current state.
@@ -93,8 +93,8 @@ pub trait Durable {
     /// [`DurableError`] when the bytes do not decode.
     fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError>;
 
-    /// Applies one logged operation (a payload this state previously
-    /// appended through its [`NamespaceHandle`]).
+    /// Applies one logged operation: decodes it and runs the same
+    /// [`Store::apply`] the live path committed it through.
     ///
     /// # Errors
     ///
@@ -111,6 +111,114 @@ pub trait Durable {
         h.write_u64(bytes.len() as u64);
         h.write(&bytes);
         h.finish()
+    }
+}
+
+/// A durable store with one typed transition.
+///
+/// The live path decides what should change, builds the op, and calls
+/// [`Store::commit`], which applies it and appends its bytes. WAL replay
+/// decodes the same bytes and calls the same [`Store::apply`], so
+/// replay rebuilds exactly the live state: there is no second copy of
+/// any transition to drift.
+///
+/// `encode_state` must be **canonical**: equal logical state produces
+/// identical bytes (sort maps, fix iteration order). Crash-recovery
+/// tests compare [`Durable::state_digest`] across a crash/restart
+/// boundary, which only works if the encoding is a pure function of
+/// the state.
+pub trait Store {
+    /// The namespace this state owns, e.g. `"midas.base"`. Must be
+    /// unique within a hub.
+    const NAMESPACE: &'static str;
+
+    /// Whether this store's records skip the snapshot cadence (see
+    /// [`DurableEngine::append_weightless`]).
+    const WEIGHTLESS: bool = false;
+
+    /// One logged transition.
+    type Op: Wire;
+
+    /// Canonical serialisation of the full current state.
+    fn encode_state(&self) -> Vec<u8>;
+
+    /// Replaces the state with a previously-encoded one.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError`] when the bytes do not decode.
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError>;
+
+    /// The store's only state transition, shared by the live path and
+    /// WAL replay. A rejected op must leave the state unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::Invalid`] when `op` violates an invariant.
+    fn apply(&mut self, op: Self::Op) -> Result<(), DurableError>;
+
+    /// Encodes `op`, applies it, and appends the bytes to `wal` only if
+    /// [`Store::apply`] accepted it.
+    ///
+    /// # Errors
+    ///
+    /// The error from [`Store::apply`]; nothing is appended then.
+    fn commit(&mut self, wal: &mut impl Wal, op: Self::Op) -> Result<(), DurableError> {
+        let payload = pmp_wire::to_bytes(&op);
+        self.apply(op)?;
+        wal.append_op(Self::NAMESPACE, payload, Self::WEIGHTLESS);
+        Ok(())
+    }
+}
+
+impl<S: Store> Durable for S {
+    fn namespace(&self) -> &'static str {
+        S::NAMESPACE
+    }
+
+    fn snapshot_bytes(&self) -> Vec<u8> {
+        self.encode_state()
+    }
+
+    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+        self.restore_state(bytes)
+    }
+
+    fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
+        self.apply(pmp_wire::from_bytes(payload)?)
+    }
+}
+
+/// Where [`Store::commit`] appends: a log that buffers records until
+/// the next group commit.
+pub trait Wal {
+    /// Buffers `payload` under `ns`. A `weightless` record does not
+    /// advance the snapshot cadence.
+    fn append_op(&mut self, ns: &'static str, payload: Vec<u8>, weightless: bool);
+}
+
+impl Wal for DurableEngine {
+    fn append_op(&mut self, ns: &'static str, payload: Vec<u8>, weightless: bool) {
+        if weightless {
+            self.append_weightless(ns, payload);
+        } else {
+            self.append(ns, payload);
+        }
+    }
+}
+
+impl Wal for DurableHub {
+    fn append_op(&mut self, ns: &'static str, payload: Vec<u8>, weightless: bool) {
+        self.inner.lock().append_op(ns, payload, weightless);
+    }
+}
+
+/// A store with no log attached still applies its ops.
+impl<W: Wal> Wal for Option<W> {
+    fn append_op(&mut self, ns: &'static str, payload: Vec<u8>, weightless: bool) {
+        if let Some(wal) = self {
+            wal.append_op(ns, payload, weightless);
+        }
     }
 }
 
@@ -163,26 +271,6 @@ impl DurableHub {
         self.inner.lock().wal_tail(since_seq)
     }
 
-    /// An append handle bound to one namespace.
-    #[must_use]
-    pub fn namespace(&self, ns: &'static str) -> NamespaceHandle {
-        NamespaceHandle {
-            hub: self.clone(),
-            ns,
-        }
-    }
-
-    /// Buffers a record under `ns`; returns its sequence number.
-    pub fn append(&self, ns: &str, payload: Vec<u8>) -> u64 {
-        self.inner.lock().append(ns, payload)
-    }
-
-    /// Buffers a record that does not advance the snapshot cadence
-    /// (see [`DurableEngine::append_weightless`]).
-    pub fn append_weightless(&self, ns: &str, payload: Vec<u8>) -> u64 {
-        self.inner.lock().append_weightless(ns, payload)
-    }
-
     /// Group-commits the buffered batch; returns the batch size.
     pub fn commit(&self) -> usize {
         self.inner.lock().commit()
@@ -210,27 +298,6 @@ impl DurableHub {
     }
 }
 
-/// A [`DurableHub`] bound to one namespace: the write handle a
-/// component keeps to log its own operations.
-#[derive(Clone, Debug)]
-pub struct NamespaceHandle {
-    hub: DurableHub,
-    ns: &'static str,
-}
-
-impl NamespaceHandle {
-    /// The namespace this handle writes to.
-    #[must_use]
-    pub fn namespace(&self) -> &'static str {
-        self.ns
-    }
-
-    /// Buffers one operation payload; returns its sequence number.
-    pub fn append(&self, payload: Vec<u8>) -> u64 {
-        self.hub.append(self.ns, payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,33 +307,33 @@ mod tests {
         total: u64,
     }
 
-    impl Durable for Counter {
-        fn namespace(&self) -> &'static str {
-            "test.counter"
-        }
-        fn snapshot_bytes(&self) -> Vec<u8> {
+    impl Store for Counter {
+        const NAMESPACE: &'static str = "test.counter";
+        type Op = u64;
+        fn encode_state(&self) -> Vec<u8> {
             pmp_wire::to_bytes(&self.total)
         }
-        fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+        fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
             self.total = pmp_wire::from_bytes(bytes)?;
             Ok(())
         }
-        fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-            let n: u64 = pmp_wire::from_bytes(payload)?;
-            self.total += n;
+        fn apply(&mut self, n: u64) -> Result<(), DurableError> {
+            self.total = self
+                .total
+                .checked_add(n)
+                .ok_or(DurableError::Invalid("counter overflow"))?;
             Ok(())
         }
     }
 
     #[test]
-    fn hub_round_trip_through_a_namespace_handle() {
-        let hub = DurableHub::new();
-        let handle = hub.namespace("test.counter");
+    fn hub_round_trip_through_commit() {
+        let mut hub = DurableHub::new();
         let mut live = Counter::default();
         for n in [5u64, 7] {
-            live.total += n;
-            handle.append(pmp_wire::to_bytes(&n));
+            live.commit(&mut hub, n).unwrap();
         }
+        assert_eq!(live.total, 12);
         assert_eq!(hub.commit(), 2);
         hub.crash();
 
@@ -287,11 +354,27 @@ mod tests {
     }
 
     #[test]
+    fn rejected_ops_are_not_appended() {
+        let mut hub = DurableHub::new();
+        let mut live = Counter { total: u64::MAX };
+        assert!(live.commit(&mut hub, 1).is_err());
+        assert_eq!(live.total, u64::MAX);
+        assert_eq!(hub.commit(), 0, "nothing logged for a rejected op");
+    }
+
+    #[test]
+    fn detached_stores_still_apply() {
+        let mut live = Counter::default();
+        live.commit(&mut None::<DurableHub>, 3).unwrap();
+        assert_eq!(live.total, 3);
+    }
+
+    #[test]
     fn hub_clones_share_one_engine() {
         let hub = DurableHub::new();
-        let clone = hub.clone();
-        hub.append("test.counter", pmp_wire::to_bytes(&1u64));
-        assert_eq!(clone.commit(), 1);
+        let mut clone = hub.clone();
+        Counter::default().commit(&mut clone, 1).unwrap();
+        assert_eq!(hub.commit(), 1);
     }
 
     // Property tests need the external `proptest` crate; the offline

@@ -7,7 +7,7 @@ use crate::durable::BaseWalOp;
 use crate::package::SignedExtension;
 use crate::proto::{MidasMsg, CHANNEL};
 use pmp_discovery::{DiscoveryClient, DiscoveryEvent, ServiceQuery};
-use pmp_durable::NamespaceHandle;
+use pmp_durable::{DurableHub, Store};
 use pmp_net::{Incoming, NetPort, NodeId};
 use pmp_telemetry::{Fnv64, Shared, Sink, Subsystem};
 use pmp_trace::{TraceCtx, Traced, Tracer};
@@ -128,7 +128,7 @@ pub struct ExtensionBase {
     /// digest exchange repairs the miss.
     stream_revs: BTreeMap<u32, u64>,
     telemetry: Option<Sink>,
-    durable: Option<NamespaceHandle>,
+    durable: Option<DurableHub>,
     tracer: Option<Tracer>,
     /// Root context of the publish that last put each extension in the
     /// catalog, so every later ship of it (catalog delivery, dependency
@@ -174,17 +174,20 @@ impl ExtensionBase {
         self.tracer = Some(tracer);
     }
 
-    /// Logs every catalog and lease-table mutation to `handle`'s WAL
-    /// namespace, making the base crash-recoverable (see
-    /// [`crate::durable`]).
-    pub fn attach_durable(&mut self, handle: NamespaceHandle) {
-        self.durable = Some(handle);
+    /// Logs every catalog and lease-table mutation to `hub`, making
+    /// the base crash-recoverable (see [`crate::durable`]).
+    pub fn attach_durable(&mut self, hub: DurableHub) {
+        self.durable = Some(hub);
     }
 
-    fn log(&self, op: &BaseWalOp) {
-        if let Some(d) = &self.durable {
-            d.append(pmp_wire::to_bytes(op));
-        }
+    /// Applies `op` and logs it (see [`Store::commit`]): the one way
+    /// the base's durable state changes. The live path decides, this
+    /// commits, and WAL replay runs the same transition.
+    fn commit_op(&mut self, op: BaseWalOp) {
+        let mut wal = self.durable.take();
+        let applied = self.commit(&mut wal, op);
+        self.durable = wal;
+        debug_assert!(applied.is_ok(), "the live path commits only valid ops");
     }
 
     /// Mirrors base activity into `shared` (`midas.base.*` counters,
@@ -282,36 +285,40 @@ impl ExtensionBase {
         self.roam_cap = cap.max(1);
     }
 
-    /// Admits a roaming record: assigns its FIFO sequence, logs it, and
-    /// evicts the oldest entries while over capacity.
-    pub(crate) fn roam_insert(&mut self, name: &str, mut entry: RoamEntry) {
-        entry.seq = self.roam_seq;
-        self.roam_seq += 1;
-        self.log(&BaseWalOp::RoamState {
-            name: name.to_string(),
-            from: entry.from,
-            grants: entry.grants.clone(),
-            exts: entry.exts.clone(),
-            seq: entry.seq,
+    /// Admits a roaming record under the next FIFO sequence, then
+    /// evicts the oldest entries while over capacity. Evictions are
+    /// committed as explicit drops, so replay never re-runs capacity
+    /// policy.
+    fn roam_insert(
+        &mut self,
+        name: String,
+        from: u32,
+        grants: BTreeMap<String, u64>,
+        exts: Vec<SignedExtension>,
+    ) {
+        self.commit_op(BaseWalOp::RoamState {
+            name,
+            from,
+            grants,
+            exts,
+            seq: self.roam_seq,
         });
-        self.roaming_cache.insert(name.to_string(), entry);
         while self.roaming_cache.len() > self.roam_cap {
             let oldest = self
                 .roaming_cache
                 .iter()
                 .min_by_key(|(_, e)| e.seq)
                 .map(|(n, _)| n.clone());
-            let Some(n) = oldest else { break };
-            self.roaming_cache.remove(&n);
-            self.log(&BaseWalOp::RoamDrop { name: n });
+            let Some(name) = oldest else { break };
+            self.commit_op(BaseWalOp::RoamDrop { name });
             self.count("midas.base.roam_evicted");
         }
     }
 
     /// Drops a roaming record (the node was adopted or re-registered).
     fn roam_drop(&mut self, name: &str) {
-        if self.roaming_cache.remove(name).is_some() {
-            self.log(&BaseWalOp::RoamDrop {
+        if self.roaming_cache.contains_key(name) {
+            self.commit_op(BaseWalOp::RoamDrop {
                 name: name.to_string(),
             });
         }
@@ -415,8 +422,7 @@ impl ExtensionBase {
             let Ok(pkg) = ext.open() else { continue };
             let id = pkg.meta.id;
             if self.catalog.get(&id).is_none() && !self.foreign.contains_key(&id) {
-                self.log(&BaseWalOp::ForeignPut { ext: ext.clone() });
-                self.foreign.insert(id, ext.clone());
+                self.commit_op(BaseWalOp::ForeignPut { ext: ext.clone() });
             }
         }
         // Rebind the migrated grants. A grant is adopted when this base
@@ -432,7 +438,7 @@ impl ExtensionBase {
         // since) simply lapse. BTreeMap order keeps the wire payload
         // byte-stable.
         let federated = self.replicas.iter().any(|r| r.0 == entry.from);
-        let mut grants = HashMap::new();
+        let mut grants = BTreeMap::new();
         let mut rebinds = Vec::new();
         for (id, old) in &entry.grants {
             let servable = self.catalog.get(id).is_some()
@@ -474,19 +480,11 @@ impl ExtensionBase {
             self.send(sim, node, &msg, ctx);
             delivered += 1;
         }
-        self.log(&BaseWalOp::NodeAdapted {
+        self.commit_op(BaseWalOp::NodeAdapted {
             name: name.to_string(),
             node: node.0,
-            grants: grants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            grants,
         });
-        self.adapted.insert(
-            name.to_string(),
-            AdaptedNode {
-                node,
-                grants,
-                present: true,
-            },
-        );
         (rebound, delivered)
     }
 
@@ -518,6 +516,14 @@ impl ExtensionBase {
         std::mem::take(&mut self.events)
     }
 
+    /// The name of the adapted node at network id `node`, if any.
+    fn adapted_name(&self, node: NodeId) -> Option<String> {
+        self.adapted
+            .iter()
+            .find(|(_, a)| a.node == node)
+            .map(|(name, _)| name.clone())
+    }
+
     fn fresh_grant(&mut self) -> u64 {
         let g = self.next_grant;
         self.next_grant += 1;
@@ -539,7 +545,7 @@ impl ExtensionBase {
 
     fn deliver_catalog(&mut self, sim: &mut dyn NetPort, node: NodeId, node_name: &str) -> usize {
         let order = self.catalog.delivery_order();
-        let mut grants = HashMap::new();
+        let mut grants = BTreeMap::new();
         let mut count = 0;
         for id in order {
             if let Some(ext) = self.catalog.get(&id).cloned() {
@@ -555,19 +561,11 @@ impl ExtensionBase {
                 count += 1;
             }
         }
-        self.log(&BaseWalOp::NodeAdapted {
+        self.commit_op(BaseWalOp::NodeAdapted {
             name: node_name.to_string(),
             node: node.0,
-            grants: grants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            grants,
         });
-        self.adapted.insert(
-            node_name.to_string(),
-            AdaptedNode {
-                node,
-                grants,
-                present: true,
-            },
-        );
         count
     }
 
@@ -596,12 +594,7 @@ impl ExtensionBase {
         } else {
             self.publish_ctx.insert(id.clone(), ctx);
         }
-        self.catalog.put(ext.clone());
-        // A catalog entry supersedes any foreign copy of the same
-        // package; the WAL replay of `CatalogPut` applies the same
-        // removal, so live state and recovery stay digest-identical.
-        self.foreign.remove(&id);
-        self.log(&BaseWalOp::CatalogPut { ext: ext.clone() });
+        self.commit_op(BaseWalOp::CatalogPut { ext: ext.clone() });
         let mut targets: Vec<(String, NodeId)> = self
             .adapted
             .iter()
@@ -620,10 +613,7 @@ impl ExtensionBase {
             };
             let ship = self.note_ship(sim, &id, node);
             self.send(sim, node, &msg, ship);
-            if let Some(a) = self.adapted.get_mut(&name) {
-                a.grants.insert(id.clone(), grant);
-            }
-            self.log(&BaseWalOp::GrantSet {
+            self.commit_op(BaseWalOp::GrantSet {
                 name,
                 ext_id: id.clone(),
                 grant,
@@ -633,11 +623,7 @@ impl ExtensionBase {
 
     /// Removes an extension from the catalog and revokes it everywhere.
     pub fn revoke_extension(&mut self, sim: &mut dyn NetPort, ext_id: &str, reason: &str) {
-        self.catalog.remove(ext_id);
         self.publish_ctx.remove(ext_id);
-        self.log(&BaseWalOp::Revoked {
-            ext_id: ext_id.to_string(),
-        });
         let mut targets: Vec<NodeId> = self
             .adapted
             .values()
@@ -646,6 +632,9 @@ impl ExtensionBase {
             .collect();
         // Node order: revocation sends must not follow hash order.
         targets.sort_by_key(|n| n.0);
+        self.commit_op(BaseWalOp::Revoked {
+            ext_id: ext_id.to_string(),
+        });
         for node in targets {
             let msg = MidasMsg::Revoke {
                 ext_id: ext_id.to_string(),
@@ -653,9 +642,6 @@ impl ExtensionBase {
             };
             self.send(sim, node, &msg, TraceCtx::NIL);
             self.count("midas.base.revocations");
-        }
-        for a in self.adapted.values_mut() {
-            a.grants.remove(ext_id);
         }
     }
 
@@ -758,42 +744,38 @@ impl ExtensionBase {
                 .collect();
             departed.sort();
             for name in departed {
-                let handoff = self.adapted.get_mut(&name).map(|a| {
-                    a.present = false;
-                    // Sorted map: the grants travel inside the handoff
-                    // payload, so their order is byte-observable.
-                    a.grants
-                        .iter()
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect::<BTreeMap<String, u64>>()
-                });
-                if let Some(grants) = handoff {
-                    // Migratable handoff: the leases *and* the signed
-                    // packages behind them, so the adopting base can
-                    // take over without re-delivering anything.
-                    let mut exts = Vec::new();
-                    for id in grants.keys() {
-                        let ext = self
-                            .catalog
-                            .get(id)
-                            .cloned()
-                            .or_else(|| self.foreign.get(id).cloned());
-                        if let Some(ext) = ext {
-                            exts.push(ext);
-                        }
-                    }
-                    let neighbors = self.neighbors.clone();
-                    for nb in neighbors {
-                        let msg = MidasMsg::HandoffState {
-                            node_name: name.clone(),
-                            grants: grants.clone(),
-                            exts: exts.clone(),
-                        };
-                        self.send(sim, nb, &msg, TraceCtx::NIL);
-                        self.count("midas.base.handoffs_sent");
+                let Some(a) = self.adapted.get(&name) else {
+                    continue;
+                };
+                // Sorted map: the grants travel inside the handoff
+                // payload, so their order is byte-observable.
+                let grants: BTreeMap<String, u64> =
+                    a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                // Migratable handoff: the leases *and* the signed
+                // packages behind them, so the adopting base can take
+                // over without re-delivering anything.
+                let mut exts = Vec::new();
+                for id in grants.keys() {
+                    let ext = self
+                        .catalog
+                        .get(id)
+                        .cloned()
+                        .or_else(|| self.foreign.get(id).cloned());
+                    if let Some(ext) = ext {
+                        exts.push(ext);
                     }
                 }
-                self.log(&BaseWalOp::Presence {
+                let neighbors = self.neighbors.clone();
+                for nb in neighbors {
+                    let msg = MidasMsg::HandoffState {
+                        node_name: name.clone(),
+                        grants: grants.clone(),
+                        exts: exts.clone(),
+                    };
+                    self.send(sim, nb, &msg, TraceCtx::NIL);
+                    self.count("midas.base.handoffs_sent");
+                }
+                self.commit_op(BaseWalOp::Presence {
                     name: name.clone(),
                     present: false,
                 });
@@ -818,9 +800,7 @@ impl ExtensionBase {
             if before.is_some_and(|v| v >= pkg.meta.version) {
                 continue;
             }
-            self.catalog.put(ext.clone());
-            self.log(&BaseWalOp::CatalogPut { ext });
-            self.foreign.remove(&id);
+            self.commit_op(BaseWalOp::CatalogPut { ext });
             self.count("midas.base.replicated");
             merged = true;
         }
@@ -843,10 +823,7 @@ impl ExtensionBase {
                         continue;
                     };
                     let grant = self.fresh_grant();
-                    if let Some(a) = self.adapted.get_mut(&name) {
-                        a.grants.insert(id.clone(), grant);
-                    }
-                    self.log(&BaseWalOp::GrantSet {
+                    self.commit_op(BaseWalOp::GrantSet {
                         name: name.clone(),
                         ext_id: id.clone(),
                         grant,
@@ -875,16 +852,8 @@ impl ExtensionBase {
                     // The receiver dropped this grant on purpose
                     // (implicit dep released, upgrade, revocation):
                     // stop renewing it.
-                    let dropped = self
-                        .adapted
-                        .iter_mut()
-                        .find(|(_, a)| a.node == from)
-                        .map(|(name, a)| {
-                            a.grants.retain(|_, g| *g != grant);
-                            name.clone()
-                        });
-                    if let Some(name) = dropped {
-                        self.log(&BaseWalOp::GrantDropped { name, grant });
+                    if let Some(name) = self.adapted_name(from) {
+                        self.commit_op(BaseWalOp::GrantDropped { name, grant });
                     }
                     return;
                 }
@@ -910,10 +879,7 @@ impl ExtensionBase {
                             .or_else(|| self.foreign.get(&id).cloned());
                         if let Some(ext) = ext {
                             let fresh = self.fresh_grant();
-                            if let Some(a) = self.adapted.get_mut(&name) {
-                                a.grants.insert(id.clone(), fresh);
-                            }
-                            self.log(&BaseWalOp::GrantSet {
+                            self.commit_op(BaseWalOp::GrantSet {
                                 name,
                                 ext_id: id.clone(),
                                 grant: fresh,
@@ -929,12 +895,7 @@ impl ExtensionBase {
                     }
                     return;
                 }
-                let node_name = self
-                    .adapted
-                    .iter()
-                    .find(|(_, a)| a.node == from)
-                    .map(|(n, _)| n.clone())
-                    .unwrap_or_else(|| from.to_string());
+                let node_name = self.adapted_name(from).unwrap_or_else(|| from.to_string());
                 self.events.push(BaseEvent::InstallAck {
                     node_name,
                     ext_id,
@@ -947,16 +908,8 @@ impl ExtensionBase {
                 for id in self.catalog.closure_of(&ext_id) {
                     if let Some(ext) = self.catalog.get(&id).cloned() {
                         let grant = self.fresh_grant();
-                        let holder = self
-                            .adapted
-                            .iter_mut()
-                            .find(|(_, a)| a.node == from)
-                            .map(|(name, a)| {
-                                a.grants.insert(id.clone(), grant);
-                                name.clone()
-                            });
-                        if let Some(name) = holder {
-                            self.log(&BaseWalOp::GrantSet {
+                        if let Some(name) = self.adapted_name(from) {
+                            self.commit_op(BaseWalOp::GrantSet {
                                 name,
                                 ext_id: id.clone(),
                                 grant,
@@ -972,28 +925,6 @@ impl ExtensionBase {
                     }
                 }
             }
-            MidasMsg::RoamingHandoff { node_name, ext_ids } => {
-                // Legacy handoff: ids only, no grants to migrate.
-                // Grant 0 never matches a live lease, so adoption falls
-                // back to the unknown-grant redelivery path.
-                if self.adapted.get(&node_name).is_some_and(|a| a.present) {
-                    return;
-                }
-                let grants: BTreeMap<String, u64> =
-                    ext_ids.iter().map(|id| (id.clone(), 0)).collect();
-                self.roam_insert(
-                    &node_name,
-                    RoamEntry {
-                        from: from.0,
-                        grants,
-                        exts: Vec::new(),
-                        seq: 0,
-                    },
-                );
-                self.count("midas.base.handoffs_received");
-                self.events
-                    .push(BaseEvent::HandoffReceived { node_name, ext_ids });
-            }
             MidasMsg::HandoffState {
                 node_name,
                 grants,
@@ -1004,15 +935,7 @@ impl ExtensionBase {
                     return;
                 }
                 let ext_ids: Vec<String> = grants.keys().cloned().collect();
-                self.roam_insert(
-                    &node_name,
-                    RoamEntry {
-                        from: from.0,
-                        grants,
-                        exts,
-                        seq: 0,
-                    },
-                );
+                self.roam_insert(node_name.clone(), from.0, grants, exts);
                 self.count("midas.base.handoffs_received");
                 self.events
                     .push(BaseEvent::HandoffReceived { node_name, ext_ids });
@@ -1081,15 +1004,7 @@ impl ExtensionBase {
                     if unchanged {
                         continue;
                     }
-                    self.roam_insert(
-                        &name,
-                        RoamEntry {
-                            from: from.0,
-                            grants,
-                            exts,
-                            seq: 0,
-                        },
-                    );
+                    self.roam_insert(name, from.0, grants, exts);
                 }
             }
             // Receiver-bound messages are ignored by the base.

@@ -2,10 +2,11 @@
 //!
 //! The base's durable state is the extension catalog, the lease table
 //! (which node holds which grant for which extension), and the roaming
-//! cache. Every mutation point in [`ExtensionBase`] logs one
-//! [`BaseWalOp`] through its attached namespace handle; replaying the
-//! ops in sequence order reproduces the state exactly, and snapshots
-//! capture it wholesale in canonical (sorted) form.
+//! cache. Every mutation point in [`ExtensionBase`] decides on one
+//! [`BaseWalOp`] and commits it; [`Store::apply`] is the only code that
+//! changes the state, so replaying the ops in sequence order reproduces
+//! it exactly. Snapshots capture it wholesale in canonical (sorted)
+//! form.
 //!
 //! What is deliberately *not* durable: scan timers, pending lookups,
 //! undelivered [`crate::BaseEvent`]s, and the discovery client — all
@@ -16,7 +17,7 @@
 use crate::base::{AdaptedNode, ExtensionBase, RoamEntry};
 use crate::catalog::Catalog;
 use crate::package::SignedExtension;
-use pmp_durable::{Durable, DurableError};
+use pmp_durable::{DurableError, Store};
 use pmp_net::NodeId;
 use pmp_wire::{wire_struct, Reader, Wire, WireError, Writer};
 use std::collections::BTreeMap;
@@ -69,15 +70,7 @@ pub enum BaseWalOp {
         /// Whether the node is in the base's area.
         present: bool,
     },
-    /// A neighbour handed us a roaming node's extension list.
-    /// Legacy op, superseded by [`BaseWalOp::RoamState`]; replaying it
-    /// builds a grant-less record (adoption falls back to redelivery).
-    Roamed {
-        /// The roaming node's name.
-        name: String,
-        /// Extensions it held at the neighbour.
-        ext_ids: Vec<String>,
-    },
+    // Wire tag 6 is reserved: it was the retired grant-less `Roamed` op.
     /// A roaming record was admitted or refreshed (handoff or lease
     /// sync), with the migratable grants and packages.
     RoamState {
@@ -144,11 +137,6 @@ impl Wire for BaseWalOp {
                 w.put_str(name);
                 w.put_bool(*present);
             }
-            BaseWalOp::Roamed { name, ext_ids } => {
-                w.put_u8(6);
-                w.put_str(name);
-                ext_ids.encode(w);
-            }
             BaseWalOp::RoamState {
                 name,
                 from,
@@ -199,10 +187,6 @@ impl Wire for BaseWalOp {
             5 => BaseWalOp::Presence {
                 name: r.get_str()?,
                 present: r.get_bool()?,
-            },
-            6 => BaseWalOp::Roamed {
-                name: r.get_str()?,
-                ext_ids: Vec::decode(r)?,
             },
             7 => BaseWalOp::RoamState {
                 name: r.get_str()?,
@@ -289,16 +273,15 @@ impl ExtensionBase {
     }
 
     fn bump_grant(&mut self, grant: u64) {
-        self.next_grant = self.next_grant.max(grant + 1);
+        self.next_grant = self.next_grant.max(grant.saturating_add(1));
     }
 }
 
-impl Durable for ExtensionBase {
-    fn namespace(&self) -> &'static str {
-        NAMESPACE
-    }
+impl Store for ExtensionBase {
+    const NAMESPACE: &'static str = NAMESPACE;
+    type Op = BaseWalOp;
 
-    fn snapshot_bytes(&self) -> Vec<u8> {
+    fn encode_state(&self) -> Vec<u8> {
         let catalog: BTreeMap<String, SignedExtension> = self
             .catalog
             .ids()
@@ -344,7 +327,7 @@ impl Durable for ExtensionBase {
         pmp_wire::to_bytes(&snap)
     }
 
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let snap: BaseSnapshot = pmp_wire::from_bytes(bytes)?;
         self.catalog = Catalog::new();
         for ext in snap.catalog.into_values() {
@@ -385,14 +368,11 @@ impl Durable for ExtensionBase {
         Ok(())
     }
 
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        match pmp_wire::from_bytes::<BaseWalOp>(payload)? {
+    fn apply(&mut self, op: BaseWalOp) -> Result<(), DurableError> {
+        match op {
             BaseWalOp::CatalogPut { ext } => {
-                // Mirror the live transition exactly: a catalog insert
-                // supersedes any foreign copy of the same package (the
-                // replica-merge path removes it, and recovery must not
-                // resurrect it — found by the chaos `durable-digest`
-                // oracle, kernel pinned in `tests/repros/seed-181.repro`).
+                // A catalog entry supersedes any foreign copy of the
+                // same package (chaos kernel `tests/repros/seed-181.repro`).
                 if let Ok(pkg) = ext.open() {
                     self.foreign.remove(&pkg.meta.id);
                 }
@@ -444,21 +424,6 @@ impl Durable for ExtensionBase {
                     .ok_or(DurableError::Invalid("presence for unknown node"))?;
                 a.present = present;
             }
-            BaseWalOp::Roamed { name, ext_ids } => {
-                // Legacy record: no migratable grants (grant 0 never
-                // matches a live lease → redelivery fallback).
-                let seq = self.roam_seq;
-                self.roam_seq += 1;
-                self.roaming_cache.insert(
-                    name,
-                    RoamEntry {
-                        from: 0,
-                        grants: ext_ids.into_iter().map(|id| (id, 0)).collect(),
-                        exts: Vec::new(),
-                        seq,
-                    },
-                );
-            }
             BaseWalOp::RoamState {
                 name,
                 from,
@@ -466,9 +431,9 @@ impl Durable for ExtensionBase {
                 exts,
                 seq,
             } => {
-                // Literal replay: evictions were logged explicitly, so
-                // capacity policy never re-runs here.
-                self.roam_seq = self.roam_seq.max(seq + 1);
+                // Evictions are ops of their own, so capacity policy
+                // never runs here.
+                self.roam_seq = self.roam_seq.max(seq.saturating_add(1));
                 self.roaming_cache.insert(
                     name,
                     RoamEntry {
@@ -497,6 +462,7 @@ mod tests {
     use super::*;
     use crate::package::{ExtensionMeta, ExtensionPackage};
     use pmp_crypto::KeyPair;
+    use pmp_durable::Durable;
     use pmp_prose::{Aspect, PortableAspect, PortableClass};
 
     fn ext(id: &str, version: u32) -> SignedExtension {
@@ -549,9 +515,12 @@ mod tests {
                 name: "robot:1:1".into(),
                 present: false,
             },
-            BaseWalOp::Roamed {
+            BaseWalOp::RoamState {
                 name: "robot:2:2".into(),
-                ext_ids: vec!["mon".into()],
+                from: 8,
+                grants: [("mon".to_string(), 0u64)].into(),
+                exts: vec![],
+                seq: 2,
             },
             BaseWalOp::RoamState {
                 name: "robot:3:3".into(),
@@ -579,15 +548,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_carries_the_offset() {
-        assert_eq!(
-            pmp_wire::from_bytes::<BaseWalOp>(&[99]),
-            Err(WireError::InvalidTag {
-                type_name: "BaseWalOp",
-                tag: 99,
-                offset: 0,
-            })
-        );
+    fn unknown_and_reserved_tags_carry_the_offset() {
+        for tag in [6, 99] {
+            assert_eq!(
+                pmp_wire::from_bytes::<BaseWalOp>(&[tag]),
+                Err(WireError::InvalidTag {
+                    type_name: "BaseWalOp",
+                    tag,
+                    offset: 0,
+                })
+            );
+        }
     }
 
     #[test]

@@ -63,19 +63,12 @@ pub enum MidasMsg {
         /// The missing dependency id.
         ext_id: String,
     },
+    // Wire tag 6 is reserved: it was the retired ids-only `RoamingHandoff`.
     /// Base → base: a node this base had adapted left towards your
-    /// area (the paper's "simple roaming algorithm"). Legacy form:
-    /// carries only extension ids, so the target must re-deliver
-    /// everything. Superseded by [`MidasMsg::HandoffState`].
-    RoamingHandoff {
-        /// The roaming node's advertised name.
-        node_name: String,
-        /// Extensions it held here.
-        ext_ids: Vec<String>,
-    },
-    /// Base → base: full roaming handoff — the departing node's lease
-    /// grants *and* the signed packages behind them, so the adopting
-    /// base can take over the leases with zero re-`Deliver` messages.
+    /// area (the paper's "simple roaming algorithm"). Carries the
+    /// departing node's lease grants *and* the signed packages behind
+    /// them, so the adopting base can take over the leases with zero
+    /// re-`Deliver` messages.
     HandoffState {
         /// The roaming node's advertised name.
         node_name: String,
@@ -196,11 +189,6 @@ impl Wire for MidasMsg {
                 w.put_u8(5);
                 w.put_str(ext_id);
             }
-            MidasMsg::RoamingHandoff { node_name, ext_ids } => {
-                w.put_u8(6);
-                w.put_str(node_name);
-                ext_ids.encode(w);
-            }
             MidasMsg::HandoffState {
                 node_name,
                 grants,
@@ -278,10 +266,6 @@ impl Wire for MidasMsg {
             },
             5 => MidasMsg::RequestDep {
                 ext_id: r.get_str()?,
-            },
-            6 => MidasMsg::RoamingHandoff {
-                node_name: r.get_str()?,
-                ext_ids: Vec::<String>::decode(r)?,
             },
             7 => MidasMsg::HandoffState {
                 node_name: r.get_str()?,
@@ -379,10 +363,6 @@ mod tests {
             MidasMsg::RequestDep {
                 ext_id: "session".into(),
             },
-            MidasMsg::RoamingHandoff {
-                node_name: "robot:1:1".into(),
-                ext_ids: vec!["m".into()],
-            },
             MidasMsg::HandoffState {
                 node_name: "robot:1:1".into(),
                 grants: [("m".to_string(), 4u64)].into(),
@@ -420,5 +400,17 @@ mod tests {
             let bytes = pmp_wire::to_bytes(&m);
             assert_eq!(pmp_wire::from_bytes::<MidasMsg>(&bytes).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn reserved_tag_is_rejected_with_its_offset() {
+        assert_eq!(
+            pmp_wire::from_bytes::<MidasMsg>(&[6]),
+            Err(WireError::InvalidTag {
+                type_name: "MidasMsg",
+                tag: 6,
+                offset: 0,
+            })
+        );
     }
 }

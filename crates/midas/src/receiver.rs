@@ -402,7 +402,6 @@ impl AdaptationService {
             // Base-bound messages are ignored by the receiver.
             MidasMsg::Ack { .. }
             | MidasMsg::RequestDep { .. }
-            | MidasMsg::RoamingHandoff { .. }
             | MidasMsg::HandoffState { .. }
             | MidasMsg::MovementExport { .. }
             | MidasMsg::CatalogDigest { .. }

@@ -1,38 +1,36 @@
 //! Crash-safety for the movement database.
 //!
 //! The movement store is append-only, so its durable form is simple:
-//! each WAL record is one wire-encoded [`MovementRecord`], and a
-//! snapshot is the full table in insertion order. Replaying appends
-//! through [`MovementStore::append`] rebuilds the per-robot index as a
+//! the op is one [`MovementRecord`], and a snapshot is the full table
+//! in insertion order. Applying an op appends through
+//! [`MovementStore::append`], which rebuilds the per-robot index as a
 //! side effect — no index state needs logging.
 
 use crate::movement::{MovementRecord, MovementStore};
-use pmp_durable::{Durable, DurableError};
+use pmp_durable::{DurableError, Store};
 
 /// The WAL namespace owned by the movement store.
 pub const NAMESPACE: &str = "store.movements";
 
 impl MovementStore {
-    /// The wire payload to log for one appended record (pair with
-    /// [`MovementStore::append`] at the call site).
+    /// The WAL payload [`Store::commit`] logs for one record.
     #[must_use]
     pub fn wal_payload(record: &MovementRecord) -> Vec<u8> {
         pmp_wire::to_bytes(record)
     }
 }
 
-impl Durable for MovementStore {
-    fn namespace(&self) -> &'static str {
-        NAMESPACE
-    }
+impl Store for MovementStore {
+    const NAMESPACE: &'static str = NAMESPACE;
+    type Op = MovementRecord;
 
-    fn snapshot_bytes(&self) -> Vec<u8> {
+    fn encode_state(&self) -> Vec<u8> {
         let records: Vec<MovementRecord> =
             self.table().iter().map(|(_, _, r)| r.clone()).collect();
         pmp_wire::to_bytes(&records)
     }
 
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let records: Vec<MovementRecord> = pmp_wire::from_bytes(bytes)?;
         *self = MovementStore::new();
         for r in records {
@@ -41,8 +39,7 @@ impl Durable for MovementStore {
         Ok(())
     }
 
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        let record: MovementRecord = pmp_wire::from_bytes(payload)?;
+    fn apply(&mut self, record: MovementRecord) -> Result<(), DurableError> {
         self.append(record);
         Ok(())
     }
@@ -51,6 +48,7 @@ impl Durable for MovementStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_durable::Durable;
 
     fn rec(robot: &str, arg: i64, at: u64) -> MovementRecord {
         MovementRecord {
@@ -76,20 +74,6 @@ mod tests {
         assert_eq!(restored.by_robot("r1").len(), 2);
         assert_eq!(restored.robots(), ["r1", "r2"]);
         assert_eq!(restored.state_digest(), live.state_digest());
-    }
-
-    #[test]
-    fn wal_replay_matches_direct_appends() {
-        let mut live = MovementStore::new();
-        let mut replayed = MovementStore::new();
-        for (robot, arg, at) in [("r1", 1, 5), ("r2", 2, 6), ("r1", 3, 7)] {
-            let r = rec(robot, arg, at);
-            replayed
-                .apply_record(&MovementStore::wal_payload(&r))
-                .unwrap();
-            live.append(r);
-        }
-        assert_eq!(replayed.state_digest(), live.state_digest());
     }
 
     #[test]

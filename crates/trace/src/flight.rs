@@ -1,7 +1,7 @@
 //! The bounded per-node flight recorder.
 
 use crate::span::FlightEntry;
-use pmp_durable::{Durable, DurableError};
+use pmp_durable::{DurableError, Store};
 use pmp_telemetry::Fnv64;
 use pmp_wire::Wire;
 use std::collections::VecDeque;
@@ -94,13 +94,17 @@ impl FlightRecorder {
     }
 }
 
-/// Canonical snapshot form: `(cap, dropped, entries)`.
-impl Durable for FlightRecorder {
-    fn namespace(&self) -> &'static str {
-        FLIGHT_NAMESPACE
-    }
+/// Canonical snapshot form: `(cap, dropped, entries)`. The op is a
+/// *batch* of entries — one record per node per epoch barrier,
+/// mirroring the engine's group-commit discipline (see
+/// `BaseStation::note_flight_batch`) — and it is weightless, so trace
+/// chatter never forces an extra snapshot.
+impl Store for FlightRecorder {
+    const NAMESPACE: &'static str = FLIGHT_NAMESPACE;
+    const WEIGHTLESS: bool = true;
+    type Op = Vec<FlightEntry>;
 
-    fn snapshot_bytes(&self) -> Vec<u8> {
+    fn encode_state(&self) -> Vec<u8> {
         let mut w = pmp_wire::Writer::new();
         w.put_varu64(self.cap as u64);
         w.put_u64(self.dropped);
@@ -111,7 +115,7 @@ impl Durable for FlightRecorder {
         w.into_bytes()
     }
 
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let mut r = pmp_wire::Reader::new(bytes);
         let parse = (|| -> Result<(usize, u64, VecDeque<FlightEntry>), pmp_wire::WireError> {
             let cap = r.get_varu64()? as usize;
@@ -131,11 +135,8 @@ impl Durable for FlightRecorder {
         Ok(())
     }
 
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        // WAL records carry a *batch* of entries — one record per node
-        // per epoch barrier, mirroring the engine's group-commit
-        // discipline (see `BaseStation::note_flight_batch`).
-        for entry in pmp_wire::from_bytes::<Vec<FlightEntry>>(payload)? {
+    fn apply(&mut self, batch: Vec<FlightEntry>) -> Result<(), DurableError> {
+        for entry in batch {
             self.record(entry);
         }
         Ok(())
@@ -145,6 +146,7 @@ impl Durable for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_durable::Durable;
 
     fn ev(i: u64) -> FlightEntry {
         FlightEntry::Event {
@@ -188,15 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn wal_replay_reaches_the_same_ring() {
-        let mut live = FlightRecorder::new(3);
-        let mut replayed = FlightRecorder::new(3);
-        let batch: Vec<FlightEntry> = (0..5).map(ev).collect();
-        for e in &batch {
-            live.record(e.clone());
-        }
-        replayed.apply_record(&pmp_wire::to_bytes(&batch)).unwrap();
-        assert_eq!(live, replayed);
-        assert!(replayed.apply_record(&[0xff, 0xff]).is_err());
+    fn garbage_payload_is_an_error_not_a_panic() {
+        let mut f = FlightRecorder::new(3);
+        assert!(f.apply_record(&[0xff, 0xff]).is_err());
+        assert!(f.is_empty());
     }
 }

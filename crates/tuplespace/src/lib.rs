@@ -16,7 +16,6 @@
 //! distribution through a space.
 
 pub mod client;
-pub mod durable;
 pub mod proto;
 pub mod space;
 pub mod tuple;

@@ -1,9 +1,7 @@
 //! The space server: the bag of tuples plus subscriptions.
 
-use crate::durable::SpaceWalOp;
 use crate::proto::{SpaceMsg, CHANNEL};
 use crate::tuple::{Pattern, Tuple};
-use pmp_durable::NamespaceHandle;
 use pmp_net::{Incoming, NodeId, Simulator};
 use pmp_trace::{TraceCtx, Traced};
 
@@ -19,9 +17,8 @@ struct Subscription {
 #[derive(Debug)]
 pub struct TupleSpace {
     node: NodeId,
-    pub(crate) tuples: Vec<Tuple>,
+    tuples: Vec<Tuple>,
     subs: Vec<Subscription>,
-    durable: Option<NamespaceHandle>,
 }
 
 impl TupleSpace {
@@ -31,20 +28,6 @@ impl TupleSpace {
             node,
             tuples: Vec::new(),
             subs: Vec::new(),
-            durable: None,
-        }
-    }
-
-    /// Logs every deposit and withdrawal to `handle`'s WAL namespace,
-    /// making the bag of tuples crash-recoverable (subscriptions are
-    /// session state and are not logged — clients re-subscribe).
-    pub fn attach_durable(&mut self, handle: NamespaceHandle) {
-        self.durable = Some(handle);
-    }
-
-    fn log(&self, op: &SpaceWalOp) {
-        if let Some(d) = &self.durable {
-            d.append(pmp_wire::to_bytes(op));
         }
     }
 
@@ -76,9 +59,6 @@ impl TupleSpace {
                 sim.send(self.node, s.owner, CHANNEL, ctx.wrap(&msg));
             }
         }
-        self.log(&SpaceWalOp::Out {
-            tuple: tuple.clone(),
-        });
         self.tuples.push(tuple);
     }
 
@@ -112,10 +92,7 @@ impl TupleSpace {
                 sim.send(self.node, *from, CHANNEL, ctx.wrap(&reply));
             }
             SpaceMsg::In { pattern, req } => {
-                let tuple = self.find(&pattern).map(|i| {
-                    self.log(&SpaceWalOp::Take { index: i as u64 });
-                    self.tuples.remove(i)
-                });
+                let tuple = self.find(&pattern).map(|i| self.tuples.remove(i));
                 let reply = SpaceMsg::Result { req, tuple };
                 sim.send(self.node, *from, CHANNEL, ctx.wrap(&reply));
             }
