@@ -1,7 +1,7 @@
 //! # pmp-bench — fixtures for reproducing the paper's measurements
 //!
-//! Shared setups used by both the criterion benches (`benches/`) and
-//! the printable harness (`src/bin/harness.rs`). Each experiment Eⁿ is
+//! Shared setups used by the printable harness (`src/bin/harness.rs`)
+//! and the performance ledger (`perfledger/`). Each experiment Eⁿ is
 //! indexed in `DESIGN.md` and recorded against the paper's numbers in
 //! `EXPERIMENTS.md`.
 

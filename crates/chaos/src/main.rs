@@ -196,7 +196,7 @@ fn main() {
                     "repro"
                 };
                 let file = format!("{dir}/seed-{seed}.{ext}");
-                match std::fs::write(&file, repro::save_with_flight(&min, &flight)) {
+                match std::fs::write(&file, repro::save(&min, &flight)) {
                     Ok(()) => println!("  wrote {file}"),
                     Err(e) => println!("  could not write {file}: {e}"),
                 }

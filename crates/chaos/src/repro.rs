@@ -1,92 +1,62 @@
 //! The `.repro` format: a committed, replayable failure.
 //!
 //! A repro file is a magic line followed by the pmp-wire encoding of
-//! the (usually minimized) [`Scenario`]. The format is deliberately
-//! dumb: no compression, no metadata, no versioned envelope beyond the
-//! magic — the scenario encoding *is* the contract, and the decode-fuzz
-//! suite pins its error behaviour. `tests/chaos_repros.rs` replays
-//! every committed file under both drivers on every CI run.
-//!
-//! Two versions exist. `v1` is scenario-only. `v2` appends the
-//! per-node flight-recorder dumps captured at the moment the oracle
-//! fired, so a repro carries not just *how to reproduce* the failure
-//! but *what each node saw* leading up to it. [`load`] accepts both;
-//! [`load_full`] additionally surfaces the flight dumps (empty for a
-//! `v1` file).
+//! the (usually minimized) [`Scenario`] and of the per-node
+//! flight-recorder dumps captured at the moment the oracle fired (empty
+//! when none were captured), so a repro carries not just *how to
+//! reproduce* the failure but *what each node saw* leading up to it.
+//! The format is deliberately dumb: no compression, no metadata, no
+//! versioned envelope beyond the magic — the encoding *is* the
+//! contract, and the decode-fuzz suite pins its error behaviour.
+//! `tests/chaos_repros.rs` replays every committed file under both
+//! drivers on every CI run.
 
 use crate::script::Scenario;
 use pmp_trace::FlightEntry;
-use pmp_wire::{to_bytes, Reader, Wire, Writer};
+use pmp_wire::{Reader, Wire, Writer};
 
 /// Per-node flight dumps as captured by the executor: `(sim node id,
 /// ring contents oldest-first)`, bases first, then mobiles.
 pub type FlightDump = Vec<(u32, Vec<FlightEntry>)>;
 
-/// First bytes of a scenario-only repro file (includes a trailing
-/// newline so the file starts with a readable line).
-pub const MAGIC: &[u8] = b"pmp-chaos-repro v1\n";
+/// First bytes of a repro file (includes a trailing newline so the
+/// file starts with a readable line).
+pub const MAGIC: &[u8] = b"pmp-chaos-repro v2\n";
 
-/// First bytes of a repro file that also carries flight dumps.
-pub const MAGIC_V2: &[u8] = b"pmp-chaos-repro v2\n";
-
-/// Serializes a scenario into `v1` repro bytes (no flight dumps).
+/// Serializes a scenario plus its flight-recorder dumps into repro
+/// bytes.
 #[must_use]
-pub fn save(sc: &Scenario) -> Vec<u8> {
-    let mut out = Vec::from(MAGIC);
-    out.extend_from_slice(&to_bytes(sc));
-    out
-}
-
-/// Serializes a scenario plus the flight-recorder dumps into `v2`
-/// repro bytes.
-#[must_use]
-pub fn save_with_flight(sc: &Scenario, flight: &FlightDump) -> Vec<u8> {
+pub fn save(sc: &Scenario, flight: &FlightDump) -> Vec<u8> {
     let mut w = Writer::new();
     sc.encode(&mut w);
     flight.encode(&mut w);
-    let mut out = Vec::from(MAGIC_V2);
+    let mut out = Vec::from(MAGIC);
     out.extend_from_slice(&w.into_bytes());
     out
 }
 
-/// Parses repro bytes back into a scenario, accepting both versions.
-/// Rejects a missing magic, a decode failure, and trailing garbage —
-/// a repro that does not parse exactly is a repro that cannot be
-/// trusted.
+/// Parses repro bytes back into a scenario. Rejects a missing magic, a
+/// decode failure, and trailing garbage — a repro that does not parse
+/// exactly is a repro that cannot be trusted.
 pub fn load(bytes: &[u8]) -> Result<Scenario, String> {
     load_full(bytes).map(|(sc, _)| sc)
 }
 
-/// Parses repro bytes back into a scenario plus its flight dumps
-/// (empty for a `v1` file). Same strictness as [`load`].
+/// Parses repro bytes back into a scenario plus its flight dumps. Same
+/// strictness as [`load`].
 pub fn load_full(bytes: &[u8]) -> Result<(Scenario, FlightDump), String> {
-    let (body, v2) = if let Some(body) = bytes.strip_prefix(MAGIC_V2) {
-        (body, true)
-    } else if let Some(body) = bytes.strip_prefix(MAGIC) {
-        (body, false)
-    } else {
-        return Err("not a pmp-chaos repro (bad magic)".to_string());
-    };
+    let body = bytes
+        .strip_prefix(MAGIC)
+        .ok_or_else(|| "not a pmp-chaos repro (bad magic)".to_string())?;
     let mut r = Reader::new(body);
     let sc = Scenario::decode(&mut r).map_err(|e| format!("repro body did not decode: {e}"))?;
-    let flight = if v2 {
-        FlightDump::decode(&mut r).map_err(|e| format!("repro flight did not decode: {e}"))?
-    } else {
-        FlightDump::new()
-    };
+    let flight =
+        FlightDump::decode(&mut r).map_err(|e| format!("repro flight did not decode: {e}"))?;
     r.finish()
         .map_err(|e| format!("repro has trailing bytes: {e}"))?;
     // Re-encode equality is the stronger self-check that the file is
     // canonical.
-    let canonical = if v2 {
-        let mut w = Writer::new();
-        sc.encode(&mut w);
-        flight.encode(&mut w);
-        w.into_bytes()
-    } else {
-        to_bytes(&sc)
-    };
-    if canonical != body {
+    if save(&sc, &flight) != bytes {
         return Err("repro body is not in canonical encoding".to_string());
     }
     Ok((sc, flight))
@@ -99,21 +69,31 @@ mod tests {
 
     #[test]
     fn save_load_roundtrips() {
-        let sc = generate(5, &GenConfig::default());
-        let bytes = save(&sc);
-        assert_eq!(load(&bytes).unwrap(), sc);
+        let sc = generate(9, &GenConfig::default());
+        for flight in [FlightDump::new(), sample_flight()] {
+            let bytes = save(&sc, &flight);
+            assert!(bytes.starts_with(MAGIC));
+            assert_eq!(load_full(&bytes).unwrap(), (sc.clone(), flight));
+            // `load` hands back the scenario alone.
+            assert_eq!(load(&bytes).unwrap(), sc);
+        }
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = load(b"something else").unwrap_err();
-        assert!(err.contains("bad magic"), "{err}");
+        // The retired scenario-only `v1` format included.
+        let mut v1 = b"pmp-chaos-repro v1\n".to_vec();
+        v1.extend_from_slice(&pmp_wire::to_bytes(&generate(5, &GenConfig::default())));
+        for bytes in [b"something else".to_vec(), v1] {
+            let err = load(&bytes).unwrap_err();
+            assert!(err.contains("bad magic"), "{err}");
+        }
     }
 
     #[test]
     fn truncated_body_is_rejected() {
         let sc = generate(5, &GenConfig::default());
-        let bytes = save(&sc);
+        let bytes = save(&sc, &FlightDump::new());
         let err = load(&bytes[..bytes.len() - 3]).unwrap_err();
         assert!(err.contains("did not decode"), "{err}");
     }
@@ -121,9 +101,11 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let sc = generate(5, &GenConfig::default());
-        let mut bytes = save(&sc);
-        bytes.push(0);
-        assert!(load(&bytes).is_err());
+        for flight in [FlightDump::new(), sample_flight()] {
+            let mut bytes = save(&sc, &flight);
+            bytes.push(0);
+            assert!(load(&bytes).is_err());
+        }
     }
 
     fn sample_flight() -> FlightDump {
@@ -150,34 +132,5 @@ mod tests {
             ),
             (3, Vec::new()),
         ]
-    }
-
-    #[test]
-    fn v2_roundtrips_scenario_and_flight() {
-        let sc = generate(9, &GenConfig::default());
-        let flight = sample_flight();
-        let bytes = save_with_flight(&sc, &flight);
-        assert!(bytes.starts_with(MAGIC_V2));
-        let (sc2, flight2) = load_full(&bytes).unwrap();
-        assert_eq!(sc2, sc);
-        assert_eq!(flight2, flight);
-        // Version-agnostic load still hands back the scenario alone.
-        assert_eq!(load(&bytes).unwrap(), sc);
-    }
-
-    #[test]
-    fn v1_still_loads_with_empty_flight() {
-        let sc = generate(5, &GenConfig::default());
-        let (sc2, flight) = load_full(&save(&sc)).unwrap();
-        assert_eq!(sc2, sc);
-        assert!(flight.is_empty());
-    }
-
-    #[test]
-    fn v2_trailing_garbage_is_rejected() {
-        let sc = generate(5, &GenConfig::default());
-        let mut bytes = save_with_flight(&sc, &sample_flight());
-        bytes.push(0);
-        assert!(load_full(&bytes).is_err());
     }
 }

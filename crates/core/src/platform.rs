@@ -138,11 +138,6 @@ pub struct Platform {
     /// commit tap pushes each committed batch here under the engine
     /// lock; the platform drains them into the hubs at barriers.
     stream_taps: Vec<Arc<Mutex<Vec<WalRecord>>>>,
-    /// Internal catalog-stream forwarders for replicated bases:
-    /// `(source base, replica base, cursor on source hub)`. Deltas that
-    /// decode as catalog puts are forwarded over the simulated network
-    /// as [`pmp_midas::MidasMsg::StreamDelta`].
-    fed_stream_subs: Vec<(usize, usize, SubscriberId)>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -189,7 +184,6 @@ impl Platform {
             fed_parents: Vec::new(),
             streams: Vec::new(),
             stream_taps: Vec::new(),
-            fed_stream_subs: Vec::new(),
         }
     }
 
@@ -633,11 +627,14 @@ impl Platform {
         }
     }
 
-    /// Makes two bases replicas of each other: on top of the neighbour
-    /// handoff path, each base anti-entropies its catalog
-    /// (digest → pull → push over the WAL'd catalog ops) and mirrors
-    /// its lease table into the other's roaming cache, so either side
-    /// can adopt the other's nodes without re-delivery.
+    /// Makes two bases replicas of each other over a wired backhaul
+    /// segment: each base pushes every catalog put it commits to the
+    /// other as a `CatalogPush`, the scan-tick digest → pull → push
+    /// exchange repairs what a partition or crash lost, and each
+    /// mirrors its lease table into the other's roaming cache, so
+    /// either side can adopt the other's nodes without re-delivery.
+    /// Handoffs need [`Platform::link_bases`] as well (both come with
+    /// [`Platform::federate_bases`]).
     pub fn replicate_bases(&mut self, a: BaseId, b: BaseId) {
         let (na, nb) = (self.bases[a.0].node, self.bases[b.0].node);
         self.bases[a.0].base.add_replica(nb);
@@ -646,15 +643,6 @@ impl Platform {
         let pair = (a.0.min(b.0), a.0.max(b.0));
         if !self.fed_replicas.contains(&pair) {
             self.fed_replicas.push(pair);
-            // Anti-entropy rides the stream: each side's catalog
-            // namespace gets a live internal cursor whose deltas are
-            // forwarded to the other base at every barrier. The timer
-            // digest → pull → push exchange stays as the resync anchor
-            // for anything the stream loses to partitions or crashes.
-            let sa = self.streams[a.0].subscribe_live(pmp_midas::durable::NAMESPACE);
-            self.fed_stream_subs.push((a.0, b.0, sa));
-            let sb = self.streams[b.0].subscribe_live(pmp_midas::durable::NAMESPACE);
-            self.fed_stream_subs.push((b.0, a.0, sb));
         }
     }
 
@@ -905,15 +893,13 @@ impl Platform {
             }
         }
         let Platform {
-            sim,
             bases,
             streams,
             stream_taps,
-            fed_stream_subs,
             telemetry,
             ..
         } = self;
-        publish_and_forward(sim, bases, streams, stream_taps, fed_stream_subs, telemetry);
+        publish_commits(bases, streams, stream_taps, telemetry);
         flush_cell_events(&self.telemetry, &self.base_cells, &self.node_cells);
     }
 
@@ -982,7 +968,6 @@ impl Platform {
             collector,
             streams,
             stream_taps,
-            fed_stream_subs,
             ..
         } = self;
 
@@ -1079,9 +1064,9 @@ impl Platform {
             }
         }
         // Publish the freshly committed batches to each base's fan-out
-        // hub and forward catalog deltas to replicas — on this thread,
-        // in rank order, so streams are identical under either driver.
-        publish_and_forward(sim, bases, streams, stream_taps, fed_stream_subs, telemetry);
+        // hub — on this thread, in rank order, so streams are identical
+        // under either driver.
+        publish_commits(bases, streams, stream_taps, telemetry);
         // Journal events: same (time, rank, seq) merge.
         flush_cell_events(telemetry, base_cells, node_cells);
     }
@@ -1179,18 +1164,13 @@ impl Platform {
     }
 }
 
-/// Barrier-time stream step, always on the merge thread: drain each
+/// Barrier-time stream step, always on the merge thread: drains each
 /// live base's commit-tap buffer into its fan-out hub (assigning revs,
-/// encoding each delta once), then walk the federation forwarders and
-/// ship freshly published catalog puts to replica bases as
-/// [`pmp_midas::MidasMsg::StreamDelta`] over the simulated network —
-/// subject to the same loss, partitions, and crashes as any traffic.
-fn publish_and_forward(
-    sim: &mut Simulator,
-    bases: &mut [BaseStation],
+/// encoding each delta once).
+fn publish_commits(
+    bases: &[BaseStation],
     streams: &mut [StreamHub],
     stream_taps: &[Arc<Mutex<Vec<WalRecord>>>],
-    fed_stream_subs: &[(usize, usize, SubscriberId)],
     telemetry: &pmp_telemetry::Shared,
 ) {
     for (i, station) in bases.iter().enumerate() {
@@ -1205,37 +1185,6 @@ fn publish_and_forward(
         }
         telemetry.add("stream.delta.encoded", batch.len() as u64);
         streams[i].publish_batch(&batch);
-    }
-    for &(src, dst, sub) in fed_stream_subs {
-        if bases[src].crashed {
-            continue;
-        }
-        let events = streams[src].drain(sub, &BaseSource {
-            station: &bases[src],
-        });
-        let (from, to) = (bases[src].node, bases[dst].node);
-        for ev in events {
-            // Forwarders never replay snapshots over the wire: after a
-            // source restart the cursor's forced resync is swallowed
-            // here and the digest exchange re-anchors the replica.
-            let StreamEvent::Delta { rev, bytes } = ev else {
-                continue;
-            };
-            let Ok(op) = pmp_wire::from_bytes::<pmp_midas::durable::BaseWalOp>(&bytes) else {
-                continue;
-            };
-            // Only this base's own catalog puts travel: forwarding
-            // foreign or lease bookkeeping ops would echo replicated
-            // state back and forth.
-            if matches!(op, pmp_midas::durable::BaseWalOp::CatalogPut { .. }) {
-                telemetry.inc("stream.fed.forwarded");
-                let msg = pmp_midas::MidasMsg::StreamDelta {
-                    rev,
-                    delta: bytes.to_vec(),
-                };
-                sim.send(from, to, pmp_midas::CHANNEL, pmp_trace::TraceCtx::NIL.wrap(&msg));
-            }
-        }
     }
 }
 

@@ -118,15 +118,10 @@ pub struct ExtensionBase {
     /// own catalog: needed for renewal-failure redelivery and onward
     /// handoffs, but never delivered to newcomers.
     pub(crate) foreign: BTreeMap<String, SignedExtension>,
-    /// Peer bases receiving catalog anti-entropy and lease-table sync.
+    /// Peer bases receiving catalog pushes, digests and lease-table sync.
     replicas: Vec<NodeId>,
     /// Digest of the last lease table pushed to replicas.
     last_lease_sync: u64,
-    /// Last stream rev seen per sender network id — advisory gap
-    /// tracking for [`MidasMsg::StreamDelta`]; application itself is
-    /// version-gated, so a gap only bumps a counter while the scan-tick
-    /// digest exchange repairs the miss.
-    stream_revs: BTreeMap<u32, u64>,
     telemetry: Option<Sink>,
     durable: Option<DurableHub>,
     tracer: Option<Tracer>,
@@ -160,7 +155,6 @@ impl ExtensionBase {
             foreign: BTreeMap::new(),
             replicas: Vec::new(),
             last_lease_sync: 0,
-            stream_revs: BTreeMap::new(),
             telemetry: None,
             durable: None,
             tracer: None,
@@ -257,11 +251,14 @@ impl ExtensionBase {
         &self.neighbors
     }
 
-    /// Registers a replica peer: this base pushes catalog anti-entropy
-    /// digests and lease-table syncs to it. Opt-in and directional —
-    /// call on both bases for symmetric replication. Unlike neighbours
-    /// (handoff-only), replicas converge toward the same catalog, so
-    /// only federate bases meant to serve the same policy.
+    /// Registers a replica peer: every catalog put this base commits is
+    /// pushed to it as a [`MidasMsg::CatalogPush`] (unless the put came
+    /// from that peer), a catalog digest each scan repairs whatever a
+    /// partition or crash lost, and lease-table syncs shadow this
+    /// base's nodes there. Opt-in and directional — call on both bases
+    /// for symmetric replication. Unlike neighbours (handoff-only),
+    /// replicas converge toward the same catalog, so only federate
+    /// bases meant to serve the same policy.
     pub fn add_replica(&mut self, base: NodeId) {
         if !self.replicas.contains(&base) {
             self.replicas.push(base);
@@ -370,9 +367,10 @@ impl ExtensionBase {
         entries
     }
 
-    /// Pushes replication traffic to every replica peer: a catalog
-    /// digest each scan (cheap; matching digests end the exchange) and
-    /// the lease table only when it changed since the last push.
+    /// Pushes scan-tick replication traffic to every replica peer: a
+    /// catalog digest (the repair path for pushes a partition or crash
+    /// lost; matching digests end the exchange) and the lease table
+    /// only when it changed since the last push.
     fn sync_replicas(&mut self, sim: &mut dyn NetPort) {
         if self.replicas.is_empty() {
             return;
@@ -594,7 +592,7 @@ impl ExtensionBase {
         } else {
             self.publish_ctx.insert(id.clone(), ctx);
         }
-        self.commit_op(BaseWalOp::CatalogPut { ext: ext.clone() });
+        self.put_catalog(sim, ext.clone(), None);
         let mut targets: Vec<(String, NodeId)> = self
             .adapted
             .iter()
@@ -784,10 +782,27 @@ impl ExtensionBase {
         }
     }
 
-    /// Merges replicated catalog entries (version-gated) and delivers
-    /// anything new to nodes already present — the shared apply path of
-    /// [`MidasMsg::CatalogPush`] and [`MidasMsg::StreamDelta`].
-    fn merge_replicated(&mut self, sim: &mut dyn NetPort, exts: Vec<SignedExtension>) {
+    /// Commits `ext` to the catalog and pushes it to every replica but
+    /// `from`, the one it came from. Forwarding stops at the first base
+    /// that already holds the version; the scan-tick digest exchange
+    /// repairs whatever a partition or crash drops on the way.
+    fn put_catalog(&mut self, sim: &mut dyn NetPort, ext: SignedExtension, from: Option<NodeId>) {
+        self.commit_op(BaseWalOp::CatalogPut { ext: ext.clone() });
+        let msg = MidasMsg::CatalogPush { exts: vec![ext] };
+        for r in self.replicas.iter().filter(|r| Some(**r) != from) {
+            self.send(sim, *r, &msg, TraceCtx::NIL);
+        }
+    }
+
+    /// Merges catalog entries pushed by `from` (version-gated), passes
+    /// each one on to the other replicas, and delivers anything new to
+    /// nodes already present.
+    fn merge_replicated(
+        &mut self,
+        sim: &mut dyn NetPort,
+        from: NodeId,
+        exts: Vec<SignedExtension>,
+    ) {
         let mut merged = false;
         for ext in exts {
             let Ok(pkg) = ext.open() else { continue };
@@ -800,7 +815,7 @@ impl ExtensionBase {
             if before.is_some_and(|v| v >= pkg.meta.version) {
                 continue;
             }
-            self.commit_op(BaseWalOp::CatalogPut { ext });
+            self.put_catalog(sim, ext, Some(from));
             self.count("midas.base.replicated");
             merged = true;
         }
@@ -904,17 +919,20 @@ impl ExtensionBase {
                 });
             }
             MidasMsg::RequestDep { ext_id } => {
-                // Deliver the dependency closure of the requested id.
+                // Deliver the dependency closure of the requested id to
+                // nodes this base adapted only: a grant shipped to a
+                // stranger is logged nowhere, so replay could reissue it.
+                let Some(name) = self.adapted_name(from) else {
+                    return;
+                };
                 for id in self.catalog.closure_of(&ext_id) {
                     if let Some(ext) = self.catalog.get(&id).cloned() {
                         let grant = self.fresh_grant();
-                        if let Some(name) = self.adapted_name(from) {
-                            self.commit_op(BaseWalOp::GrantSet {
-                                name,
-                                ext_id: id.clone(),
-                                grant,
-                            });
-                        }
+                        self.commit_op(BaseWalOp::GrantSet {
+                            name: name.clone(),
+                            ext_id: id.clone(),
+                            grant,
+                        });
                         let msg = MidasMsg::Deliver {
                             ext,
                             lease_ns: self.lease_ns,
@@ -965,29 +983,7 @@ impl ExtensionBase {
                 }
             }
             MidasMsg::CatalogPush { exts } => {
-                self.merge_replicated(sim, exts);
-            }
-            MidasMsg::StreamDelta { rev, delta } => {
-                // Steady-state anti-entropy riding the rev stream: the
-                // delta is the sender's own catalog WAL record, applied
-                // through the same version-gated merge as a pull-based
-                // CatalogPush. Rev tracking is advisory — a gap means a
-                // lost or reordered delivery, repaired by the next
-                // digest exchange, so it only bumps a counter here.
-                let last = self.stream_revs.get(&from.0).copied().unwrap_or(0);
-                if rev != last + 1 {
-                    self.count("midas.base.stream_gaps");
-                }
-                if rev > last {
-                    self.stream_revs.insert(from.0, rev);
-                }
-                let Ok(op) = pmp_wire::from_bytes::<BaseWalOp>(&delta) else {
-                    return;
-                };
-                if let BaseWalOp::CatalogPut { ext } = op {
-                    self.count("midas.base.stream_applied");
-                    self.merge_replicated(sim, vec![ext]);
-                }
+                self.merge_replicated(sim, from, exts);
             }
             MidasMsg::LeaseSync { entries } => {
                 // Shadow lease table: nodes a replica is serving become

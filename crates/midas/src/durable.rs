@@ -594,6 +594,52 @@ mod tests {
         assert_eq!(restored.roaming_cache, replayed.roaming_cache);
     }
 
+    /// A `RequestDep` from a node the base never adapted is ignored: a
+    /// `Deliver` to it would carry a grant no op logs, so WAL replay
+    /// would rebuild a lower `next_grant` and could reissue that id.
+    #[test]
+    fn a_strangers_dependency_request_ships_no_grant() {
+        use crate::proto::{MidasMsg, CHANNEL};
+        use pmp_durable::DurableHub;
+        use pmp_net::{Incoming, Position, Simulator};
+        use pmp_trace::{TraceCtx, Traced};
+
+        let mut sim = Simulator::new(7);
+        let node = sim.add_node("base", Position::new(0.0, 0.0), 60.0);
+        let stranger = sim.add_node("stranger", Position::new(5.0, 0.0), 60.0);
+        let hub = DurableHub::new();
+        let mut live = ExtensionBase::new(node, node);
+        live.attach_durable(hub.clone());
+        live.update_extension(&mut sim, ext("mon", 1));
+        let ask = MidasMsg::RequestDep {
+            ext_id: "mon".into(),
+        };
+        sim.send(stranger, node, CHANNEL, TraceCtx::NIL.wrap(&ask));
+        while sim.step().is_some() {
+            for inc in sim.drain_inbox(node) {
+                live.handle(&mut sim, &inc);
+            }
+        }
+        let delivers = sim
+            .drain_inbox(stranger)
+            .iter()
+            .filter(|inc| match inc {
+                Incoming::Message { payload, .. } => matches!(
+                    pmp_wire::from_bytes::<Traced<MidasMsg>>(payload).map(|e| e.msg),
+                    Ok(MidasMsg::Deliver { .. })
+                ),
+                Incoming::Timer { .. } => false,
+            })
+            .count();
+        assert_eq!(delivers, 0, "no grant for a node the base never adapted");
+
+        hub.commit();
+        let mut recovered = ExtensionBase::new(node, node);
+        hub.recover(&mut [&mut recovered]);
+        assert_eq!(recovered.next_grant, live.next_grant);
+        assert_eq!(recovered.state_digest(), live.state_digest());
+    }
+
     #[test]
     fn orphan_grant_ops_error_instead_of_panicking() {
         let mut base = fresh_base();

@@ -110,7 +110,9 @@ pub enum MidasMsg {
         /// Sorted `(id, version)` pairs the sender already holds.
         have: Vec<(String, u32)>,
     },
-    /// Base → replica: catalog entries the peer lacks (or holds older
+    /// Base → replica: catalog entries the peer may lack — each put
+    /// as the sender commits it, or the answer to a
+    /// [`MidasMsg::CatalogPull`] (what the puller lacks or holds older
     /// versions of).
     CatalogPush {
         /// The missing/newer signed packages.
@@ -124,19 +126,7 @@ pub enum MidasMsg {
         /// sorted by name.
         entries: Vec<(String, u32, BTreeMap<String, u64>)>,
     },
-    /// Base → replica: one committed catalog WAL record riding the
-    /// rev-stream (pmp-stream) — steady-state anti-entropy without
-    /// waiting for the scan-tick digest exchange. The delta bytes are
-    /// the sender's `BaseWalOp` payload verbatim; application is
-    /// version-gated, so loss or reordering costs nothing but latency
-    /// (the digest → pull → push exchange remains the convergence
-    /// anchor).
-    StreamDelta {
-        /// The sender's per-namespace stream revision of this record.
-        rev: u64,
-        /// The encoded `BaseWalOp` exactly as the sender logged it.
-        delta: Vec<u8>,
-    },
+    // Wire tag 14 is reserved: it was the retired stream-forwarded `StreamDelta`.
 }
 
 impl Wire for MidasMsg {
@@ -230,11 +220,6 @@ impl Wire for MidasMsg {
                 w.put_u8(13);
                 entries.encode(w);
             }
-            MidasMsg::StreamDelta { rev, delta } => {
-                w.put_u8(14);
-                w.put_u64(*rev);
-                w.put_bytes(delta);
-            }
         }
     }
 
@@ -292,10 +277,6 @@ impl Wire for MidasMsg {
             },
             13 => MidasMsg::LeaseSync {
                 entries: Vec::<(String, u32, BTreeMap<String, u64>)>::decode(r)?,
-            },
-            14 => MidasMsg::StreamDelta {
-                rev: r.get_u64()?,
-                delta: r.get_bytes()?,
             },
             tag => {
                 return Err(r.bad_tag("MidasMsg", tag))
@@ -391,10 +372,6 @@ mod tests {
                     [("m".to_string(), 4u64)].into(),
                 )],
             },
-            MidasMsg::StreamDelta {
-                rev: 12,
-                delta: vec![0, 9, 9],
-            },
         ];
         for m in msgs {
             let bytes = pmp_wire::to_bytes(&m);
@@ -404,13 +381,15 @@ mod tests {
 
     #[test]
     fn reserved_tag_is_rejected_with_its_offset() {
-        assert_eq!(
-            pmp_wire::from_bytes::<MidasMsg>(&[6]),
-            Err(WireError::InvalidTag {
-                type_name: "MidasMsg",
-                tag: 6,
-                offset: 0,
-            })
-        );
+        for tag in [6, 14] {
+            assert_eq!(
+                pmp_wire::from_bytes::<MidasMsg>(&[tag]),
+                Err(WireError::InvalidTag {
+                    type_name: "MidasMsg",
+                    tag,
+                    offset: 0,
+                })
+            );
+        }
     }
 }

@@ -407,8 +407,7 @@ impl AdaptationService {
             | MidasMsg::CatalogDigest { .. }
             | MidasMsg::CatalogPull { .. }
             | MidasMsg::CatalogPush { .. }
-            | MidasMsg::LeaseSync { .. }
-            | MidasMsg::StreamDelta { .. } => {}
+            | MidasMsg::LeaseSync { .. } => {}
         }
     }
 

@@ -5,8 +5,8 @@
 use pmp_crypto::{KeyPair, Principal};
 use pmp_discovery::Registrar;
 use pmp_midas::{
-    AdaptationService, BaseEvent, ExtensionBase, ExtensionMeta, ExtensionPackage, ReceiverEvent,
-    ReceiverPolicy, SignedExtension,
+    AdaptationService, BaseEvent, ExtensionBase, ExtensionMeta, ExtensionPackage, MidasMsg,
+    ReceiverEvent, ReceiverPolicy, SignedExtension,
 };
 use pmp_net::prelude::*;
 use pmp_prose::{Aspect, Crosscut, PortableAspect, PortableClass, PortableMethod, Prose};
@@ -718,25 +718,32 @@ fn missing_dependency_is_requested_and_resolved() {
     assert!(pos("hall-a/session") < pos("hall-a/access-control"));
 }
 
-/// Catalog anti-entropy and lease-table sync between replica bases:
-/// hall A's catalog entry reaches hall B via digest → pull → push, and
-/// hall B shadows hall A's lease table so it could adopt hall A's
-/// robots without redelivery.
-#[test]
-fn replicas_converge_catalogs_and_shadow_lease_tables() {
-    let mut w = world();
-    let base_b = w.sim.add_node("base:hall-b", Position::new(500.0, 25.0), 60.0);
-    w.sim.add_wired_link(w.base_node, base_b);
-    let mut nb_base = ExtensionBase::new(base_b, base_b);
-    nb_base.start(&mut w.sim);
-    w.base.add_replica(base_b);
-    nb_base.add_replica(w.base_node);
+/// A replica base on its own node, wired to the world's base.
+struct Peer {
+    node: NodeId,
+    base: ExtensionBase,
+}
 
-    let pkg = package("hall-a/monitoring", 1, vec![], false, monitoring_aspect("MonAE"));
-    let sealed = w.seal(&pkg);
-    w.base.catalog.put(sealed);
+fn peer(w: &mut World, name: &str, x: f64) -> Peer {
+    let node = w.sim.add_node(name, Position::new(x, 25.0), 60.0);
+    w.sim.add_wired_link(w.base_node, node);
+    let mut base = ExtensionBase::new(node, node);
+    base.start(&mut w.sim);
+    Peer { node, base }
+}
 
-    let until = w.sim.now().plus(6_000_000_000);
+/// Pumps the world and its peer bases for `ns`, returning every MIDAS
+/// message a base received as `(from, to, message)`.
+fn pump_federation(w: &mut World, peers: &mut [Peer], ns: u64) -> Vec<(NodeId, NodeId, MidasMsg)> {
+    let mut seen = Vec::new();
+    let mut note = |to: NodeId, inc: &Incoming| {
+        if let Incoming::Message { from, payload, .. } = inc {
+            if let Ok(env) = pmp_wire::from_bytes::<pmp_trace::Traced<MidasMsg>>(payload) {
+                seen.push((*from, to, env.msg));
+            }
+        }
+    };
+    let until = w.sim.now().plus(ns);
     loop {
         match w.sim.peek_next() {
             Some(t) if t <= until => {
@@ -745,37 +752,159 @@ fn replicas_converge_catalogs_and_shadow_lease_tables() {
             _ => break,
         }
         for inc in w.sim.drain_inbox(w.base_node) {
+            note(w.base_node, &inc);
             w.registrar.handle(&mut w.sim, &inc);
             w.base_events.extend(w.base.handle(&mut w.sim, &inc));
         }
-        for inc in w.sim.drain_inbox(base_b) {
-            nb_base.handle(&mut w.sim, &inc);
+        for p in peers.iter_mut() {
+            for inc in w.sim.drain_inbox(p.node) {
+                note(p.node, &inc);
+                p.base.handle(&mut w.sim, &inc);
+            }
         }
         for inc in w.sim.drain_inbox(w.robot_node) {
-            w.receiver_events.extend(w.receiver.handle(
-                &mut w.sim,
-                &mut w.vm,
-                &w.prose,
-                &inc,
-            ));
+            w.receiver_events
+                .extend(w.receiver.handle(&mut w.sim, &mut w.vm, &w.prose, &inc));
         }
     }
+    seen
+}
 
-    // Anti-entropy replicated the catalog entry.
-    assert_eq!(nb_base.catalog.ids(), ["hall-a/monitoring"]);
-    assert_eq!(nb_base.catalog_digest(), w.base.catalog_digest());
+/// `(from, to)` of every `CatalogPush` in `seen`.
+fn pushes(seen: &[(NodeId, NodeId, MidasMsg)]) -> Vec<(NodeId, NodeId)> {
+    seen.iter()
+        .filter(|(_, _, m)| matches!(m, MidasMsg::CatalogPush { .. }))
+        .map(|(from, to, _)| (*from, *to))
+        .collect()
+}
+
+fn catalog_version(base: &ExtensionBase, id: &str) -> Option<u32> {
+    base.catalog.get(id).map(|e| e.open().unwrap().meta.version)
+}
+
+/// Catalog anti-entropy and lease-table sync between replica bases:
+/// an entry put into hall A's catalog without a publish reaches hall B
+/// via the scan-tick digest → pull → push repair, and hall B shadows
+/// hall A's lease table so it could adopt hall A's robots without
+/// redelivery.
+#[test]
+fn replicas_converge_catalogs_and_shadow_lease_tables() {
+    let mut w = world();
+    let mut b = peer(&mut w, "base:hall-b", 500.0);
+    w.base.add_replica(b.node);
+    b.base.add_replica(w.base_node);
+
+    let pkg = package(
+        "hall-a/monitoring",
+        1,
+        vec![],
+        false,
+        monitoring_aspect("MonAE"),
+    );
+    let sealed = w.seal(&pkg);
+    w.base.catalog.put(sealed);
+    let seen = pump_federation(&mut w, std::slice::from_mut(&mut b), 6_000_000_000);
+
+    // The digest exchange repaired the catalog entry.
+    assert!(seen
+        .iter()
+        .any(|(_, _, m)| matches!(m, MidasMsg::CatalogPull { .. })));
+    assert_eq!(b.base.catalog.ids(), ["hall-a/monitoring"]);
+    assert_eq!(b.base.catalog_digest(), w.base.catalog_digest());
     // The lease table was shadowed: hall B can adopt robot:1:1 with
     // the exact grants hall A issued.
-    let shadow = nb_base
+    let shadow = b
+        .base
         .roaming_cache
         .get("robot:1:1")
         .expect("lease sync shadowed the adapted robot");
     assert_eq!(shadow.from, w.base_node.0);
     assert_eq!(
-        shadow.grants.iter().map(|(k, v)| (k.clone(), *v)).collect::<Vec<_>>(),
+        shadow
+            .grants
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect::<Vec<_>>(),
         w.receiver.grants(),
         "shadow grants match the robot's live grants"
     );
+}
+
+/// A publish reaches the replica as it commits, not at the next scan:
+/// one `CatalogPush` per publish, and the replica sends nothing back to
+/// the base it came from.
+#[test]
+fn each_publish_is_pushed_once_to_the_replica_before_the_next_scan() {
+    let mut w = world();
+    let mut b = peer(&mut w, "base:hall-b", 500.0);
+    w.base.add_replica(b.node);
+    b.base.add_replica(w.base_node);
+    let (a, b_node) = (w.base_node, b.node);
+
+    for version in [1, 2] {
+        // Publish between scan ticks (they fall on whole seconds); the
+        // push needs a few ms of backhaul.
+        pump_federation(&mut w, std::slice::from_mut(&mut b), 500_000_000);
+        let pkg = package(
+            "hall-a/monitoring",
+            version,
+            vec![],
+            false,
+            monitoring_aspect("MonP"),
+        );
+        let sealed = w.seal(&pkg);
+        w.base.update_extension(&mut w.sim, sealed);
+        let seen = pump_federation(&mut w, std::slice::from_mut(&mut b), 100_000_000);
+
+        assert_eq!(catalog_version(&b.base, "hall-a/monitoring"), Some(version));
+        assert_eq!(
+            pushes(&seen),
+            [(a, b_node)],
+            "v{version}: one push, no echo"
+        );
+        assert!(
+            !seen
+                .iter()
+                .any(|(_, _, m)| matches!(m, MidasMsg::CatalogDigest { .. })),
+            "v{version}: converged before any scan tick"
+        );
+    }
+}
+
+/// Replication is transitive along a replica chain A–B–C (A and C are
+/// not replicas of each other): B passes A's publish on to C before the
+/// next scan, and no push travels back toward the origin.
+#[test]
+fn a_replica_chain_converges_before_the_next_scan() {
+    let mut w = world();
+    let mut peers = [
+        peer(&mut w, "base:hall-b", 500.0),
+        peer(&mut w, "base:hall-c", 1000.0),
+    ];
+    let (a, b, c) = (w.base_node, peers[0].node, peers[1].node);
+    w.sim.add_wired_link(b, c);
+    w.base.add_replica(b);
+    peers[0].base.add_replica(a);
+    peers[0].base.add_replica(c);
+    peers[1].base.add_replica(b);
+
+    pump_federation(&mut w, &mut peers, 500_000_000);
+    let pkg = package(
+        "hall-a/monitoring",
+        1,
+        vec![],
+        false,
+        monitoring_aspect("MonC"),
+    );
+    let sealed = w.seal(&pkg);
+    w.base.update_extension(&mut w.sim, sealed);
+    let seen = pump_federation(&mut w, &mut peers, 100_000_000);
+
+    assert_eq!(pushes(&seen), [(a, b), (b, c)]);
+    for p in &peers {
+        assert_eq!(catalog_version(&p.base, "hall-a/monitoring"), Some(1));
+        assert_eq!(p.base.catalog_digest(), w.base.catalog_digest());
+    }
 }
 
 /// The roaming table is bounded: at capacity the oldest record is

@@ -55,18 +55,12 @@ fn every_committed_repro_replays_green() {
 fn repro_files_are_canonical_bytes() {
     // `save(load(f)) == f`: the corpus stays byte-stable, so a repro
     // diff in review always means a semantic change to the scenario.
-    // A file with flight dumps canonicalizes as `v2`; one without, as
-    // `v1` — an empty-flight `v2` file is not canonical.
     for path in repro_files() {
         let bytes = std::fs::read(&path).unwrap();
         let (sc, flight) = repro::load_full(&bytes).unwrap();
-        let canonical = if flight.is_empty() {
-            repro::save(&sc)
-        } else {
-            repro::save_with_flight(&sc, &flight)
-        };
         assert_eq!(
-            canonical, bytes,
+            repro::save(&sc, &flight),
+            bytes,
             "{}: not in canonical serialized form",
             path.display()
         );

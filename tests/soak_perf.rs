@@ -80,6 +80,7 @@ fn stripping_the_regression_turns_the_repro_green() {
 #[test]
 fn red_repro_bytes_are_roundtrip_stable() {
     let sc = load_red();
-    let reencoded = repro::load(&repro::save(&sc)).expect("re-encoded repro must parse");
+    let reencoded =
+        repro::load(&repro::save(&sc, &Vec::new())).expect("re-encoded repro must parse");
     assert_eq!(sc, reencoded);
 }
