@@ -12,6 +12,7 @@
 //! recovery would read back — so torn-tail, bit-flip, and lost-segment
 //! scenarios exercise the same code paths as genuine media faults.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A named-file byte store with committed/pending separation.
@@ -30,19 +31,28 @@ impl SimDisk {
     }
 
     /// Appends bytes to a file's pending overlay. The bytes are not
-    /// durable until the next [`SimDisk::sync`].
-    pub fn append(&mut self, file: &str, bytes: &[u8]) {
-        self.pending
-            .entry(file.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
+    /// durable until the next [`SimDisk::sync`]. An owned buffer for a
+    /// file with nothing pending becomes the overlay without a copy.
+    pub fn append(&mut self, file: &str, bytes: impl Into<Vec<u8>>) {
+        let bytes = bytes.into();
+        match self.pending.get_mut(file) {
+            Some(pending) => pending.extend_from_slice(&bytes),
+            None => {
+                self.pending.insert(file.to_string(), bytes);
+            }
+        }
     }
 
     /// The simulated `fsync`: folds every pending overlay into the
-    /// committed image.
+    /// committed image. A new file's overlay moves in whole.
     pub fn sync(&mut self) {
         for (file, bytes) in std::mem::take(&mut self.pending) {
-            self.committed.entry(file).or_default().extend(bytes);
+            match self.committed.entry(file) {
+                Entry::Occupied(mut committed) => committed.get_mut().extend_from_slice(&bytes),
+                Entry::Vacant(slot) => {
+                    slot.insert(bytes);
+                }
+            }
         }
         self.syncs += 1;
     }
@@ -185,7 +195,7 @@ mod tests {
     #[test]
     fn faults_mutate_the_committed_image() {
         let mut d = SimDisk::new();
-        d.append("f", &[0xff; 8]);
+        d.append("f", [0xff; 8]);
         d.sync();
         assert!(d.inject_torn_tail("f", 3));
         assert_eq!(d.len("f"), 5);

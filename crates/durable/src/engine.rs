@@ -18,7 +18,8 @@
 //! all log segments (fully covered by the snapshot, since checkpoint
 //! flushes the buffer first) and older snapshots. Recovery cost is
 //! thereby bounded by the write volume since the last checkpoint, not
-//! by history length.
+//! by history length. A snapshot too large for one frame could not be
+//! read back, so it is not written and nothing is deleted.
 //!
 //! # Recovery
 //!
@@ -38,10 +39,10 @@
 //! byte-identical between the serial and parallel drivers.
 
 use crate::disk::SimDisk;
-use crate::record::{decode_framed, decode_record, encode_framed, encode_record_into, WalRecord};
+use crate::record::{decode_framed, decode_record, encode_framed_into, WalRecord, MAX_FRAME_BODY};
 use crate::Durable;
 use pmp_telemetry::{Sink, Subsystem};
-use pmp_wire::wire_struct;
+use pmp_wire::{wire_struct, Writer};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -78,6 +79,29 @@ wire_struct!(SnapshotFile {
     next_seq: u64,
     namespaces: BTreeMap<String, Vec<u8>>,
 });
+
+impl SnapshotFile {
+    /// Frames the file into one buffer of exactly the frame's length
+    /// (so the disk image holds no spare capacity). Returns the bytes
+    /// and the body length.
+    fn framed(&self) -> (Vec<u8>, usize) {
+        let entries: usize = self
+            .namespaces
+            .iter()
+            .map(|(ns, blob)| varint_len(ns.len()) + ns.len() + varint_len(blob.len()) + blob.len())
+            .sum();
+        let frame_len = 4 + 8 + varint_len(self.namespaces.len()) + entries + 4;
+        let mut w = Writer::with_capacity(frame_len);
+        let body_len = encode_framed_into(self, &mut w);
+        debug_assert_eq!(w.len(), frame_len);
+        (w.into_bytes(), body_len)
+    }
+}
+
+/// Bytes in the LEB128 varint encoding of `n`.
+fn varint_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
 
 /// Something recovery found wrong with the committed image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,7 +315,8 @@ impl DurableEngine {
         let mut seg_start = 0;
         for rec in &batch {
             let frame_start = w.mark();
-            encode_record_into(rec, &mut w);
+            let body_len = encode_framed_into(rec, &mut w);
+            debug_assert!(body_len <= MAX_FRAME_BODY);
             let frame_len = w.mark() - frame_start;
             if self.segment_len > 0 && self.segment_len + frame_len > self.cfg.segment_bytes {
                 // Flush the frames accumulated for the closing segment,
@@ -372,21 +397,33 @@ impl DurableEngine {
     /// Writes a snapshot of every given state and compacts the log:
     /// all segments (now fully covered) and older snapshots are
     /// deleted. Flushes any buffered records first.
+    ///
+    /// Each state is encoded once, and the snapshot file is framed into
+    /// one buffer that moves onto the disk whole. A snapshot whose body
+    /// exceeds [`MAX_FRAME_BODY`] could not be recovered, so it is not
+    /// written: the log and the older snapshot stay, the
+    /// `durable.snapshot.oversize` counter rises, and the checkpoint
+    /// cadence restarts.
     pub fn checkpoint(&mut self, states: &[&dyn Durable]) {
         self.commit();
-        let mut namespaces = BTreeMap::new();
-        for state in states {
-            namespaces.insert(state.namespace().to_string(), state.snapshot_bytes());
-        }
         let snap = SnapshotFile {
             next_seq: self.next_seq,
-            namespaces,
+            namespaces: states
+                .iter()
+                .map(|state| (state.namespace().to_string(), state.snapshot_bytes()))
+                .collect(),
         };
-        let mut framed = Vec::new();
-        encode_framed(&pmp_wire::to_bytes(&snap), &mut framed);
+        let (framed, body_len) = snap.framed();
+        if body_len > MAX_FRAME_BODY {
+            self.since_snapshot = 0;
+            if let Some(sink) = &self.sink {
+                sink.inc("durable.snapshot.oversize");
+            }
+            return;
+        }
         let snap_name = snapshot_file(self.next_seq);
         let snap_bytes = framed.len();
-        self.disk.append(&snap_name, &framed);
+        self.disk.append(&snap_name, framed);
 
         let old_segments = self.segments();
         let dropped_bytes: usize = old_segments.iter().map(|s| self.disk.len(s)).sum();
@@ -608,6 +645,32 @@ mod tests {
 
     fn append_value(engine: &mut DurableEngine, ledger: &mut Ledger, v: u64) {
         ledger.commit(engine, v).unwrap();
+    }
+
+    /// A counter whose snapshot carries `ballast` bytes, to push a
+    /// snapshot past [`MAX_FRAME_BODY`].
+    #[derive(Debug, Default)]
+    struct Heavy {
+        total: u64,
+        ballast: usize,
+    }
+
+    impl Store for Heavy {
+        const NAMESPACE: &'static str = "test.heavy";
+        type Op = u64;
+        fn encode_state(&self) -> Vec<u8> {
+            pmp_wire::to_bytes(&(self.total, vec![0u8; self.ballast]))
+        }
+        fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+            let (total, ballast): (u64, Vec<u8>) = pmp_wire::from_bytes(bytes)?;
+            self.total = total;
+            self.ballast = ballast.len();
+            Ok(())
+        }
+        fn apply(&mut self, v: u64) -> Result<(), DurableError> {
+            self.total += v;
+            Ok(())
+        }
     }
 
     #[test]
@@ -954,6 +1017,78 @@ mod tests {
         assert!(segs.len() >= 3);
         assert!(engine.disk_mut().inject_remove(&segs[1]));
         assert_eq!(engine.wal_tail(1), None);
+    }
+
+    /// A checkpoint used to write a snapshot `recover` rejects as
+    /// `BadLength` and then delete the log it replaced, so every record
+    /// before it was lost.
+    #[test]
+    fn an_oversize_snapshot_keeps_the_log_and_the_older_snapshot() {
+        use pmp_telemetry::{Shared, Sink};
+        let shared = Shared::new();
+        let mut engine = DurableEngine::new(EngineConfig {
+            segment_bytes: 8192,
+            snapshot_every: 2,
+        });
+        engine.attach_sink(Sink::direct(&shared));
+        let mut live = Heavy::default();
+        live.commit(&mut engine, 1).unwrap();
+        engine.checkpoint(&[&live]); // small: written
+        for v in [2, 3] {
+            live.commit(&mut engine, v).unwrap();
+        }
+        engine.commit();
+        assert!(engine.should_checkpoint());
+        let snapshots = engine.disk().files_with_prefix("snap/");
+        let segments = engine.segments();
+
+        live.ballast = MAX_FRAME_BODY;
+        engine.checkpoint(&[&live]);
+        assert_eq!(shared.counter_value("durable.snapshot.oversize"), 1);
+        assert_eq!(shared.counter_value("durable.snapshot.count"), 1);
+        assert_eq!(engine.disk().files_with_prefix("snap/"), snapshots);
+        assert_eq!(engine.segments(), segments, "the log is kept");
+        assert!(!engine.should_checkpoint(), "the cadence restarts");
+
+        live.commit(&mut engine, 10).unwrap();
+        engine.commit();
+        engine.crash();
+        let mut restored = Heavy::default();
+        let report = engine.recover(&mut [&mut restored]);
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.snapshot_seq, Some(2));
+        assert_eq!(report.replayed, 3);
+        assert_eq!(restored.total, 16);
+    }
+
+    #[test]
+    fn the_snapshot_frame_is_the_two_pass_frame_in_an_exact_buffer() {
+        use crate::record::encode_framed;
+        let mut namespaces = BTreeMap::new();
+        for (ns, len) in [("a", 0usize), ("store.movements", 200), ("z", 70_000)] {
+            namespaces.insert(ns.to_string(), (0..len).map(|i| i as u8).collect());
+        }
+        let snap = SnapshotFile {
+            next_seq: 77,
+            namespaces,
+        };
+        let (framed, body_len) = snap.framed();
+        let mut two_pass = Vec::new();
+        encode_framed(&pmp_wire::to_bytes(&snap), &mut two_pass);
+        assert_eq!(framed, two_pass);
+        assert_eq!(body_len, framed.len() - 8);
+        assert_eq!(framed.capacity(), framed.len());
+        let (body, _) = decode_framed(&framed, 0).unwrap().unwrap();
+        assert_eq!(pmp_wire::from_bytes::<SnapshotFile>(body).unwrap(), snap);
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoder() {
+        for n in [0usize, 1, 127, 128, 16_383, 16_384, 1 << 21, usize::MAX] {
+            let mut w = Writer::new();
+            w.put_varu64(n as u64);
+            assert_eq!(varint_len(n), w.len(), "{n}");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! Layout:
 //!
-//! * [`crc`] — CRC-32 (IEEE) over every frame, no external crate.
+//! * [`crc`] — CRC-32 (IEEE, slicing-by-8) over every frame, no
+//!   external crate.
 //! * [`disk`] — [`SimDisk`], an in-memory disk with an explicit
 //!   committed/pending boundary (the simulated `fsync`) and fault
 //!   injection on the committed image.
@@ -381,7 +382,7 @@ mod tests {
     // default build gates them behind the (empty) `proptest` feature.
     #[cfg(feature = "proptest")]
     mod props {
-        use crate::record::{decode_record, encode_record, FrameError, WalRecord};
+        use crate::record::{decode_record, framed_record, FrameError, WalRecord};
         use proptest::prelude::*;
 
         proptest! {
@@ -398,8 +399,7 @@ mod tests {
                 flip_bit in 0u8..8,
             ) {
                 let rec = WalRecord { seq, ns, payload };
-                let mut buf = Vec::new();
-                encode_record(&rec, &mut buf);
+                let mut buf = framed_record(&rec);
                 let i = flip_pos.index(buf.len());
                 buf[i] ^= 1 << flip_bit;
 
@@ -429,8 +429,7 @@ mod tests {
                 payload in proptest::collection::vec(any::<u8>(), 0..128),
             ) {
                 let rec = WalRecord { seq, ns, payload };
-                let mut buf = Vec::new();
-                encode_record(&rec, &mut buf);
+                let buf = framed_record(&rec);
                 let (back, next) = decode_record(&buf, 0).unwrap().unwrap();
                 prop_assert_eq!(back, rec);
                 prop_assert_eq!(next, buf.len());
@@ -453,8 +452,7 @@ mod tests {
                 cut in any::<proptest::sample::Index>(),
             ) {
                 let rec = WalRecord { seq, ns: "ns".into(), payload };
-                let mut buf = Vec::new();
-                encode_record(&rec, &mut buf);
+                let mut buf = framed_record(&rec);
                 let keep = cut.index(buf.len()); // strictly less than full
                 buf.truncate(keep);
                 if keep == 0 {

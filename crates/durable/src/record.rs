@@ -18,7 +18,7 @@
 //! snapshot files reuse the same framing around a snapshot body.
 
 use crate::crc::Crc32;
-use pmp_wire::{wire_struct, WireError};
+use pmp_wire::{wire_struct, Wire, WireError, Writer};
 
 /// Upper bound on a single frame body. Far above any real record, low
 /// enough that a corrupt length prefix cannot demand a huge allocation.
@@ -130,18 +130,6 @@ impl FrameError {
     }
 }
 
-/// Appends a frame wrapping `body` to `out`.
-pub fn encode_framed(body: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(body.len() <= MAX_FRAME_BODY);
-    let len = (body.len() as u32).to_le_bytes();
-    let mut h = Crc32::new();
-    h.update(&len);
-    h.update(body);
-    out.extend_from_slice(&len);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-}
-
 /// Reads the frame starting at `offset`, returning its body slice and
 /// the offset of the next frame. `Ok(None)` at the exact end of input.
 ///
@@ -186,26 +174,25 @@ pub fn decode_framed(bytes: &[u8], offset: usize) -> Result<Option<(&[u8], usize
     Ok(Some((&rest[4..total - 4], offset + total)))
 }
 
-/// Appends a framed [`WalRecord`] to `out`.
-pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
-    encode_framed(&pmp_wire::to_bytes(rec), out);
-}
-
-/// Appends a framed [`WalRecord`] directly into `w` — the
-/// allocation-free encode path. The length prefix is reserved and
-/// patched in place instead of encoding the body into an intermediate
-/// `Vec` first; byte-for-byte identical to [`encode_record`].
-pub fn encode_record_into(rec: &WalRecord, w: &mut pmp_wire::Writer) {
-    use pmp_wire::Wire;
+/// Appends one frame whose body is the wire encoding of `value` to
+/// `w`: the framing routine for WAL records and snapshot files alike.
+/// The length prefix is reserved and patched in place, so the body is
+/// encoded once, straight into the frame, and checksummed in one pass.
+///
+/// Returns the body length. A frame whose body exceeds
+/// [`MAX_FRAME_BODY`] is written but can never be read back
+/// ([`FrameError::BadLength`]); a caller that must not lose data
+/// checks the length before relying on the frame.
+pub fn encode_framed_into<T: Wire + ?Sized>(value: &T, w: &mut Writer) -> usize {
     let frame_start = w.mark();
     let slot = w.reserve_u32();
-    rec.encode(w);
+    value.encode(w);
     let body_len = w.mark() - slot - 4;
-    debug_assert!(body_len <= MAX_FRAME_BODY);
     w.patch_u32(slot, body_len as u32);
     let mut h = Crc32::new();
     h.update(w.bytes_from(frame_start));
     w.put_u32(h.finish());
+    body_len
 }
 
 /// Reads the framed [`WalRecord`] starting at `offset`; `Ok(None)` at
@@ -226,6 +213,28 @@ pub fn decode_record(bytes: &[u8], offset: usize) -> Result<Option<(WalRecord, u
     }
 }
 
+/// Two-pass framing: encode the body into a buffer of its own, then
+/// copy it into the frame. The reference [`encode_framed_into`] must
+/// match.
+#[cfg(test)]
+pub(crate) fn encode_framed(body: &[u8], out: &mut Vec<u8>) {
+    let len = (body.len() as u32).to_le_bytes();
+    let mut h = Crc32::new();
+    h.update(&len);
+    h.update(body);
+    out.extend_from_slice(&len);
+    out.extend_from_slice(body);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+}
+
+/// One framed [`WalRecord`], as the engine writes it.
+#[cfg(test)]
+pub(crate) fn framed_record(rec: &WalRecord) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_framed_into(rec, &mut w);
+    w.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,12 +247,18 @@ mod tests {
         }
     }
 
+    /// Frames `seqs` back to back, as one commit does.
+    fn segment(seqs: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+        let mut w = Writer::new();
+        for seq in seqs {
+            encode_framed_into(&sample(seq), &mut w);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn record_roundtrip_across_a_segment() {
-        let mut buf = Vec::new();
-        for seq in 1..=5 {
-            encode_record(&sample(seq), &mut buf);
-        }
+        let buf = segment(1..=5);
         let mut offset = 0;
         let mut seen = Vec::new();
         while let Some((rec, next)) = decode_record(&buf, offset).unwrap() {
@@ -256,10 +271,8 @@ mod tests {
 
     #[test]
     fn truncation_reports_torn_at_the_frame_start() {
-        let mut buf = Vec::new();
-        encode_record(&sample(1), &mut buf);
-        let start = buf.len();
-        encode_record(&sample(2), &mut buf);
+        let mut buf = segment(1..=2);
+        let start = framed_record(&sample(1)).len();
         buf.truncate(buf.len() - 3);
         let (_, next) = decode_record(&buf, 0).unwrap().unwrap();
         let err = decode_record(&buf, next).unwrap_err();
@@ -269,10 +282,8 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_caught_with_the_right_offset() {
-        let mut buf = Vec::new();
-        encode_record(&sample(1), &mut buf);
-        let start = buf.len();
-        encode_record(&sample(2), &mut buf);
+        let buf = segment(1..=2);
+        let start = framed_record(&sample(1)).len();
         for i in start..buf.len() {
             let mut copy = buf.clone();
             copy[i] ^= 0x10;
@@ -306,13 +317,21 @@ mod tests {
     }
 
     #[test]
-    fn into_writer_framing_is_byte_identical_to_the_vec_path() {
-        let mut w = pmp_wire::Writer::new();
-        let mut vecs = Vec::new();
+    fn one_pass_framing_is_byte_identical_to_the_two_pass_path() {
+        let mut two_pass = Vec::new();
         for seq in 1..=4 {
-            encode_record_into(&sample(seq), &mut w);
-            encode_record(&sample(seq), &mut vecs);
+            encode_framed(&pmp_wire::to_bytes(&sample(seq)), &mut two_pass);
         }
-        assert_eq!(w.as_bytes(), &vecs[..]);
+        assert_eq!(segment(1..=4), two_pass);
+    }
+
+    #[test]
+    fn the_returned_length_is_the_body_length() {
+        let rec = sample(9);
+        let mut w = Writer::new();
+        w.put_u8(0xaa); // frames append after whatever precedes them
+        let body_len = encode_framed_into(&rec, &mut w);
+        assert_eq!(body_len, pmp_wire::to_bytes(&rec).len());
+        assert_eq!(w.len(), 1 + 4 + body_len + 4);
     }
 }

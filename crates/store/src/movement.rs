@@ -66,12 +66,26 @@ impl MovementStore {
         &self.table
     }
 
-    /// Appends a record; returns its id.
+    /// An empty store with room for `rows` records.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        Self {
+            table: Table::with_capacity(rows),
+            by_robot: HashMap::new(),
+        }
+    }
+
+    /// Appends a record; returns its id. The robot's name is cloned
+    /// only the first time the robot appears.
     pub fn append(&mut self, record: MovementRecord) -> RecordId {
-        let robot = record.robot.clone();
         let at = record.issued_at;
+        if let Some(ids) = self.by_robot.get_mut(&record.robot) {
+            let id = self.table.append(at, record);
+            ids.push(id);
+            return id;
+        }
+        let robot = record.robot.clone();
         let id = self.table.append(at, record);
-        self.by_robot.entry(robot).or_default().push(id);
+        self.by_robot.insert(robot, vec![id]);
         id
     }
 

@@ -42,6 +42,13 @@ impl<T> Table<T> {
         Self { rows: Vec::new() }
     }
 
+    /// Creates an empty table with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        Self {
+            rows: Vec::with_capacity(rows),
+        }
+    }
+
     /// Appends a row with timestamp `at` (nanoseconds); returns its id.
     ///
     /// Timestamps are expected to be non-decreasing (rows arrive in

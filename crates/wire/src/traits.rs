@@ -36,6 +36,39 @@ pub trait Wire {
     fn decode(r: &mut Reader) -> Result<Self, WireError>
     where
         Self: Sized;
+
+    /// Appends the elements of a `Vec<Self>` after its count prefix.
+    /// The default encodes one element at a time; a type whose run
+    /// encoding is its memory image (`u8`) copies the run whole.
+    fn encode_run(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(w);
+        }
+    }
+
+    /// Decodes the `len` elements of a `Vec<Self>` after its count
+    /// prefix. An override must return the same value, or the same
+    /// [`WireError`], as the default per-element loop, and leave the
+    /// reader where the loop would.
+    ///
+    /// # Errors
+    ///
+    /// The first element's [`WireError`].
+    fn decode_run(r: &mut Reader, len: usize) -> Result<Vec<Self>, WireError>
+    where
+        Self: Sized,
+    {
+        // One byte is the minimum encoding per element; a hostile count
+        // can never force allocation beyond the remaining input.
+        let mut out = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 macro_rules! wire_int {
@@ -51,7 +84,32 @@ macro_rules! wire_int {
     };
 }
 
-wire_int!(u8, put_u8, get_u8);
+impl Wire for u8 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self);
+    }
+    fn decode(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_u8()
+    }
+    fn encode_run(items: &[u8], w: &mut Writer) {
+        w.put_raw(items);
+    }
+    fn decode_run(r: &mut Reader, len: usize) -> Result<Vec<u8>, WireError> {
+        let have = r.remaining();
+        if have < len {
+            // Fail where the per-byte loop fails: after consuming the
+            // rest of the input, one byte short.
+            r.get_raw(have)?;
+            return Err(WireError::UnexpectedEof {
+                offset: r.pos(),
+                needed: 1,
+                have: 0,
+            });
+        }
+        Ok(r.get_raw(len)?.to_vec())
+    }
+}
+
 wire_int!(u16, put_u16, get_u16);
 wire_int!(u32, put_u32, get_u32);
 wire_int!(u64, put_u64, get_u64);
@@ -102,25 +160,18 @@ impl Wire for String {
     }
 }
 
-/// Generic sequence encoding: count prefix, then the elements. For
-/// `Vec<u8>` this is byte-identical to [`Writer::put_bytes`] because a
-/// `u8` element encodes as one raw byte.
+/// Generic sequence encoding: count prefix, then the elements through
+/// [`Wire::encode_run`]/[`Wire::decode_run`]. For `Vec<u8>` this is
+/// byte-identical to [`Writer::put_bytes`] because a `u8` element
+/// encodes as one raw byte, and the run moves as one copy.
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_varu64(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_run(self, w);
     }
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         let len = r.get_len()?;
-        // One byte is the minimum encoding per element; a hostile count
-        // can never force allocation beyond the remaining input.
-        let mut out = Vec::with_capacity(len.min(r.remaining()));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_run(r, len)
     }
 }
 
@@ -246,6 +297,106 @@ mod tests {
         };
         let bytes = crate::to_bytes(&s);
         assert_eq!(crate::from_bytes::<Sample>(&bytes).unwrap(), s);
+    }
+
+    /// The reference the bulk `u8` run must match: a byte with only
+    /// `encode`/`decode`, so its runs take the default per-element
+    /// loop.
+    #[derive(Debug, PartialEq, Clone, Copy)]
+    struct LoopByte(u8);
+
+    impl Wire for LoopByte {
+        fn encode(&self, w: &mut Writer) {
+            w.put_u8(self.0);
+        }
+        fn decode(r: &mut Reader) -> Result<Self, WireError> {
+            r.get_u8().map(LoopByte)
+        }
+    }
+
+    #[derive(Debug, PartialEq, Clone)]
+    struct Blob {
+        id: u32,
+        payload: Vec<u8>,
+        tail: String,
+    }
+    wire_struct!(Blob {
+        id: u32,
+        payload: Vec<u8>,
+        tail: String
+    });
+
+    #[derive(Debug, PartialEq, Clone)]
+    struct LoopBlob {
+        id: u32,
+        payload: Vec<LoopByte>,
+        tail: String,
+    }
+    wire_struct!(LoopBlob {
+        id: u32,
+        payload: Vec<LoopByte>,
+        tail: String
+    });
+
+    /// Decodes `bytes` as `T`, returning the result and where the
+    /// reader stopped.
+    fn decode_at<T: Wire>(bytes: &[u8]) -> (Result<T, WireError>, usize) {
+        let mut r = Reader::new(bytes);
+        let v = T::decode(&mut r);
+        (v, r.pos())
+    }
+
+    /// Both codecs agree on `bytes` and on every prefix of it: the
+    /// same value, or the same error at the same reader position.
+    fn same_decodes<T: Wire + std::fmt::Debug, L: Wire + std::fmt::Debug>(
+        bytes: &[u8],
+        same: impl Fn(&T, &L) -> bool,
+    ) {
+        for cut in 0..=bytes.len() {
+            let (bulk, bulk_pos) = decode_at::<T>(&bytes[..cut]);
+            let (looped, loop_pos) = decode_at::<L>(&bytes[..cut]);
+            match (&bulk, &looped) {
+                (Ok(b), Ok(l)) => assert!(same(b, l), "cut {cut}: {b:?} vs {l:?}"),
+                (Err(b), Err(l)) => assert_eq!(b, l, "cut {cut}"),
+                _ => panic!("cut {cut}: {bulk:?} vs {looped:?}"),
+            }
+            assert_eq!(bulk_pos, loop_pos, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn byte_runs_match_the_per_element_codec() {
+        for len in [0usize, 1, 7, 127, 128, 300] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let looped: Vec<LoopByte> = bytes.iter().copied().map(LoopByte).collect();
+            let encoded = crate::to_bytes(&bytes);
+            assert_eq!(encoded, crate::to_bytes(&looped), "len {len}");
+            same_decodes::<Vec<u8>, Vec<LoopByte>>(&encoded, |b, l| {
+                b.iter().copied().map(LoopByte).eq(l.iter().copied())
+            });
+
+            let blob = Blob {
+                id: len as u32,
+                payload: bytes,
+                tail: "end".into(),
+            };
+            let loop_blob = LoopBlob {
+                id: blob.id,
+                payload: looped,
+                tail: blob.tail.clone(),
+            };
+            let encoded = crate::to_bytes(&blob);
+            assert_eq!(encoded, crate::to_bytes(&loop_blob), "len {len}");
+            same_decodes::<Blob, LoopBlob>(&encoded, |b, l| {
+                b.id == l.id
+                    && b.tail == l.tail
+                    && b.payload
+                        .iter()
+                        .copied()
+                        .map(LoopByte)
+                        .eq(l.payload.iter().copied())
+            });
+        }
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! seeded splitmix op sequences through `commit` and requires three
 //! digests to agree: the live state, `recover` from the WAL alone, and
 //! `recover` from a checkpoint taken at a random step plus the WAL tail
-//! after it. The generators also emit ops the store must reject (a
-//! grant for an unknown node, say); a rejected op must leave the state
-//! unchanged and never reach the log.
+//! after it. The generators (`store_ops`) also emit ops the store must
+//! reject (a grant for an unknown node, say); a rejected op must leave
+//! the state unchanged and never reach the log.
 
-use pmp_core::rpc::{CallOp, InvocationSemantics, PendingCall, RpcEngine};
+mod store_ops;
+
+use pmp_core::rpc::RpcEngine;
 use pmp_durable::{Durable, DurableEngine, EngineConfig, Store, Wal};
-use pmp_midas::durable::BaseWalOp;
-use pmp_midas::{ExtensionBase, ExtensionMeta, ExtensionPackage, SignedExtension};
+use pmp_midas::ExtensionBase;
 use pmp_net::{NodeId, SimRng};
-use pmp_prose::{Aspect, PortableAspect, PortableClass};
-use pmp_store::{MovementRecord, MovementStore};
-use pmp_trace::{FlightEntry, FlightRecorder, SpanRecord};
-use std::collections::BTreeMap;
+use pmp_store::MovementStore;
+use pmp_trace::FlightRecorder;
 
 const SEEDS: u64 = 256;
 const MAX_STEPS: u64 = 48;
@@ -42,10 +41,6 @@ fn engine() -> DurableEngine {
         segment_bytes: 512,
         snapshot_every: 0,
     })
-}
-
-fn pick<'a, T>(rng: &mut SimRng, xs: &'a [T]) -> &'a T {
-    &xs[rng.range_u64(xs.len() as u64) as usize]
 }
 
 /// Runs [`SEEDS`] op sequences against `fresh()` stores and checks
@@ -126,165 +121,26 @@ fn replay_matches_live<S: Store>(fresh: impl Fn() -> S, mut op: impl FnMut(&mut 
     );
 }
 
-fn signed(id: &str, version: u32) -> SignedExtension {
-    let aspect = Aspect::script(
-        id.to_string(),
-        PortableClass {
-            name: format!("C{id}"),
-            fields: vec![],
-            methods: vec![],
-        },
-        vec![],
-    );
-    let pkg = ExtensionPackage {
-        meta: ExtensionMeta {
-            id: id.into(),
-            version,
-            description: String::new(),
-            requires: vec![],
-            permissions: vec![],
-            implicit: false,
-        },
-        aspect: PortableAspect::try_from(&aspect).unwrap(),
-    };
-    SignedExtension::seal(
-        "authority",
-        &pmp_crypto::KeyPair::from_seed(b"replay"),
-        &pkg,
-    )
-}
-
-const EXT_IDS: [&str; 3] = ["mon", "acl", "ctx"];
-const NODES: [&str; 3] = ["robot:1:1", "robot:2:2", "robot:3:3"];
-
-fn grants(rng: &mut SimRng) -> BTreeMap<String, u64> {
-    (0..rng.range_u64(3))
-        .map(|_| (pick(rng, &EXT_IDS).to_string(), 1 + rng.range_u64(40)))
-        .collect()
-}
-
 #[test]
 fn extension_base_replay_matches_live() {
-    // Sealing is the expensive part: build the package pool once.
-    let pool: Vec<SignedExtension> = EXT_IDS
-        .iter()
-        .flat_map(|id| (1..=2).map(move |v| signed(id, v)))
-        .collect();
     replay_matches_live(
         || ExtensionBase::new(NodeId(1), NodeId(1)),
-        |rng| {
-            let name = pick(rng, &NODES).to_string();
-            let ext_id = pick(rng, &EXT_IDS).to_string();
-            match rng.range_u64(9) {
-                0 => BaseWalOp::CatalogPut {
-                    ext: pick(rng, &pool).clone(),
-                },
-                1 => BaseWalOp::Revoked { ext_id },
-                2 => BaseWalOp::NodeAdapted {
-                    name,
-                    node: rng.range_u64(8) as u32,
-                    grants: grants(rng),
-                },
-                3 => BaseWalOp::GrantSet {
-                    name,
-                    ext_id,
-                    grant: 1 + rng.range_u64(40),
-                },
-                4 => BaseWalOp::GrantDropped {
-                    name,
-                    grant: 1 + rng.range_u64(40),
-                },
-                5 => BaseWalOp::Presence {
-                    name,
-                    present: rng.chance(0.5),
-                },
-                6 => BaseWalOp::RoamState {
-                    name,
-                    from: rng.range_u64(4) as u32,
-                    grants: grants(rng),
-                    exts: (0..rng.range_u64(3))
-                        .map(|_| pick(rng, &pool).clone())
-                        .collect(),
-                    seq: rng.range_u64(32),
-                },
-                7 => BaseWalOp::RoamDrop { name },
-                _ => BaseWalOp::ForeignPut {
-                    ext: pick(rng, &pool).clone(),
-                },
-            }
-        },
+        store_ops::base_ops(),
     );
 }
 
 #[test]
 fn rpc_call_table_replay_matches_live() {
-    replay_matches_live(RpcEngine::new, |rng| {
-        let req = rng.range_u64(6);
-        match rng.range_u64(3) {
-            0 => CallOp::Issue {
-                req,
-                call: PendingCall {
-                    target: rng.range_u64(4) as u32,
-                    sem: if rng.chance(0.5) {
-                        InvocationSemantics::AtMostOnce
-                    } else {
-                        InvocationSemantics::AtLeastOnce
-                    },
-                    caller: "operator".into(),
-                    class: "DrawingService".into(),
-                    method: "moveTo".into(),
-                    args: vec![rng.range_u64(100) as i64, -(rng.range_u64(100) as i64)],
-                    attempts: 1,
-                    issued_at: rng.range_u64(1_000_000),
-                },
-            },
-            1 => CallOp::Attempt { req },
-            _ => CallOp::Resolve { req },
-        }
-    });
+    replay_matches_live(RpcEngine::new, store_ops::rpc_op);
 }
 
 #[test]
 fn movement_store_replay_matches_live() {
-    replay_matches_live(MovementStore::new, |rng| MovementRecord {
-        robot: pick(rng, &NODES).to_string(),
-        device: "motor:x".into(),
-        command: "Motor.rotate".into(),
-        args: vec![rng.range_u64(360) as i64 - 180],
-        issued_at: rng.range_u64(1_000_000),
-        duration_ns: rng.range_u64(1_000),
-    });
+    replay_matches_live(MovementStore::new, store_ops::movement_op);
 }
 
 #[test]
 fn flight_recorder_replay_matches_live() {
     // A small ring, so batches evict and the drop counter moves.
-    replay_matches_live(
-        || FlightRecorder::new(4),
-        |rng| {
-            (0..rng.range_u64(4))
-                .map(|i| {
-                    let at = rng.range_u64(1_000_000);
-                    if rng.chance(0.5) {
-                        FlightEntry::Event {
-                            at,
-                            name: "midas.ship".into(),
-                            detail: format!("e{i}"),
-                        }
-                    } else {
-                        FlightEntry::Span(SpanRecord {
-                            trace_id: 1,
-                            span_id: (1 << 32) | i,
-                            parent_id: 0,
-                            node: 1,
-                            start: at,
-                            end: at,
-                            name: "midas.verify".into(),
-                            detail: String::new(),
-                        })
-                    }
-                })
-                .collect()
-        },
-    );
+    replay_matches_live(|| FlightRecorder::new(4), store_ops::flight_op);
 }
