@@ -396,7 +396,7 @@ pub fn distribution_run(n: usize) -> DistributionResult {
     DistributionResult {
         nodes: n,
         time_to_all_adapted_s: p.now().as_secs_f64(),
-        messages: p.sim.trace.stats.sent,
+        messages: p.sim.stats().sent,
     }
 }
 
@@ -486,7 +486,7 @@ pub fn driver_scaling_run(
 ) -> DriverScalingResult {
     let (mut p, ids) = distribution_world(n);
     p.set_driver(driver);
-    p.sim.trace.set_logging(true);
+    p.sim.deliveries.set_logging(true);
     let step = SEC / 10;
     let started = std::time::Instant::now();
     let mut elapsed = 0u64;

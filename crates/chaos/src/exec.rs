@@ -160,7 +160,7 @@ fn build(sc: &Scenario, driver: DriverKind) -> World {
             threads: PARALLEL_THREADS,
         })),
     }
-    p.sim.trace.set_logging(true);
+    p.sim.deliveries.set_logging(true);
     p.set_tracing(true);
 
     let halls = usize::from(t.halls.max(1));

@@ -913,8 +913,9 @@ impl Platform {
         self.sim.now()
     }
 
-    /// Stable 64-bit digest of the network trace (enable
-    /// `sim.trace.set_logging(true)` first for per-delivery coverage).
+    /// Stable 64-bit digest of the simulator's delivery log: its
+    /// counters, plus every delivery once
+    /// `sim.deliveries.set_logging(true)` is on.
     #[must_use]
     pub fn trace_digest(&self) -> u64 {
         self.sim.trace_digest()

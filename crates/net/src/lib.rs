@@ -28,30 +28,30 @@
 //! ```
 
 pub mod clock;
+pub mod delivery;
 pub mod geo;
 pub mod link;
 pub mod node;
 pub mod port;
 pub mod rng;
 pub mod sim;
-pub mod trace;
 
 pub use clock::{ClockHandle, SimTime};
+pub use delivery::{Delivery, DeliveryLog, NetStats};
 pub use geo::{Area, AreaId, Position};
 pub use link::LinkModel;
 pub use node::{Incoming, NodeId, SimNode};
 pub use port::{NetCmd, NetPort, PortBuf};
 pub use rng::SimRng;
 pub use sim::{Epoch, Simulator, TimedIncoming};
-pub use trace::{NetStats, Trace, TraceEntry};
 
 /// Common imports for simulator users.
 pub mod prelude {
     pub use crate::clock::{ClockHandle, SimTime};
+    pub use crate::delivery::NetStats;
     pub use crate::geo::{Area, AreaId, Position};
     pub use crate::link::LinkModel;
     pub use crate::node::{Incoming, NodeId};
     pub use crate::port::{NetCmd, NetPort, PortBuf};
     pub use crate::sim::{Epoch, Simulator, TimedIncoming};
-    pub use crate::trace::NetStats;
 }

@@ -2,17 +2,19 @@
 //!
 //! Protocol components (discovery, MIDAS, the host wiring) talk to the
 //! world through the narrow [`NetPort`] surface: read the clock, send,
-//! broadcast, arm a timer. Two implementations exist:
+//! broadcast, arm a timer. Two implementations exist, and both feed one
+//! scheduler: the simulator has one routine per effect (unicast,
+//! broadcast, timer) that takes the effect's issue time.
 //!
-//! * [`Simulator`](crate::Simulator) — the direct path: effects apply
-//!   immediately against the global event queue (legacy serial loop,
-//!   component unit tests, out-of-band operations such as publishing an
-//!   extension between pump calls);
+//! * [`Simulator`](crate::Simulator) — the direct path: effects are
+//!   issued now and scheduled immediately. It carries out-of-band
+//!   platform calls (RPC issue, publish, revoke, register, start) and
+//!   component tests driven by [`Simulator::step`](crate::Simulator::step);
 //! * [`PortBuf`] — the sharded path: effects are buffered as
 //!   [`NetCmd`]s while a node computes inside an epoch, then merged
 //!   into the scheduler in a deterministic `(time, source, seq)` order
-//!   at the epoch barrier, so a parallel run inserts exactly the same
-//!   events as a serial one.
+//!   at the epoch barrier, each at its own issue time, so a parallel run
+//!   inserts exactly the same events as a serial one.
 //!
 //! `&mut Simulator` coerces implicitly to `&mut dyn NetPort`, so call
 //! sites that own a simulator keep working unchanged.

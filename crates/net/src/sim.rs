@@ -2,12 +2,13 @@
 //! connectivity, and the event queue.
 
 use crate::clock::{ClockHandle, SimTime};
+use crate::delivery::{DeliveryLog, NetStats};
 use crate::geo::{Area, AreaId, Position};
 use crate::link::LinkModel;
 use crate::node::{Incoming, NodeId, SimNode};
 use crate::port::{NetCmd, NetPort};
 use crate::rng::SimRng;
-use crate::trace::{Trace, TraceEntry};
+use pmp_telemetry::Shared;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -88,10 +89,14 @@ impl Ord for QueueEntry {
 
 /// The deterministic wireless-world simulator.
 ///
-/// Protocol logic lives outside: components call [`Simulator::send`] /
-/// [`Simulator::broadcast`] / [`Simulator::set_timer`], then a driver
-/// loop calls [`Simulator::step`] and hands each node's drained inbox to
-/// its handlers. Determinism: all randomness (loss, jitter) comes from a
+/// Protocol logic lives outside. Effects enter through two doors that
+/// share one scheduler: direct calls ([`Simulator::send`] /
+/// [`Simulator::broadcast`] / [`Simulator::set_timer`], issued now) and
+/// buffered [`NetCmd`]s merged at an epoch barrier
+/// ([`Simulator::apply_cmds`], issued at each command's `at`). Events
+/// leave through [`Simulator::step`] (into node inboxes) or
+/// [`Simulator::drain_epoch`] (into per-node batches), which route them
+/// the same way. Determinism: all randomness (loss, jitter) comes from a
 /// seeded RNG, and simultaneous events fire in submission order.
 ///
 /// # Examples
@@ -127,8 +132,9 @@ pub struct Simulator {
     /// nodes never overtakes an earlier one (single-channel radio
     /// between one pair behaves like a FIFO link).
     fifo: std::collections::HashMap<(NodeId, NodeId), SimTime>,
-    /// Delivery statistics and optional log.
-    pub trace: Trace,
+    /// Delivery counters (in the telemetry registry) and the optional
+    /// delivery log.
+    pub deliveries: DeliveryLog,
 }
 
 impl Simulator {
@@ -152,7 +158,7 @@ impl Simulator {
             partitions: HashSet::new(),
             wired: HashSet::new(),
             fifo: std::collections::HashMap::new(),
-            trace: Trace::default(),
+            deliveries: DeliveryLog::new(&Shared::new()),
         }
     }
 
@@ -174,13 +180,20 @@ impl Simulator {
         self.clock.clone()
     }
 
-    /// Mirrors delivery statistics into `shared` (counters `net.sim.*`
-    /// and `net.channel.<name>.bytes`, deliveries as journal events)
-    /// and stamps the shared journal with this simulator's clock.
-    pub fn attach_telemetry(&mut self, shared: &pmp_telemetry::Shared) {
+    /// Keeps the delivery counters in `shared` from now on (counters
+    /// `net.sim.*` and `net.channel.<name>.bytes`, deliveries as
+    /// `net.deliver` journal events) and stamps its journal with this
+    /// simulator's clock. Until then they live in a registry of the
+    /// simulator's own, so attach before any traffic.
+    pub fn attach_telemetry(&mut self, shared: &Shared) {
         let clock = self.clock();
         shared.set_clock(Arc::new(move || clock.now().0));
-        self.trace.attach_telemetry(shared);
+        self.deliveries.attach(shared);
+    }
+
+    /// The delivery counters, read from the registry.
+    pub fn stats(&self) -> NetStats {
+        self.deliveries.stats()
     }
 
     // ------------------------------------------------------------------
@@ -307,7 +320,11 @@ impl Simulator {
     // Communication
     // ------------------------------------------------------------------
 
-    fn connected(&self, from: NodeId, to: NodeId) -> bool {
+    /// Whether a copy from `from` can reach `to`: loopback needs only an
+    /// online node; otherwise both must be online and unpartitioned, and
+    /// `to` within the sender's radio range or — when `wire` is set —
+    /// joined to it by a wired backhaul segment.
+    fn reaches(&self, from: NodeId, to: NodeId, wire: bool) -> bool {
         if from == to {
             // Loopback: components on one node always reach each other.
             return self.node(from).online;
@@ -317,86 +334,23 @@ impl Simulator {
         }
         let f = self.node(from);
         let t = self.node(to);
-        if !(f.online && t.online) {
-            return false;
-        }
-        // Wired backhaul: range does not apply.
-        if self.wired.contains(&(from, to)) {
-            return true;
-        }
-        f.pos.distance(t.pos) <= f.radio_range
+        f.online
+            && t.online
+            && ((wire && self.wired.contains(&(from, to)))
+                || f.pos.distance(t.pos) <= f.radio_range)
     }
 
     /// Sends a unicast message. Returns `true` if the copy was queued
     /// (in range and not lost); the receiver must *still* be in range at
     /// delivery time.
     pub fn send(&mut self, from: NodeId, to: NodeId, channel: &str, payload: Vec<u8>) -> bool {
-        self.trace.record_sent();
-        if !self.connected(from, to) {
-            self.trace.record_drop_range();
-            return false;
-        }
-        let now = self.now();
-        // Wired segments are reliable and jitter-free, and sample no
-        // RNG — backhaul traffic cannot shift the radio's loss stream.
-        let sampled = if self.wired.contains(&(from, to)) {
-            Some(self.link.sample_wired(now, payload.len()))
-        } else {
-            self.link.sample(now, payload.len(), &mut self.rng)
-        };
-        match sampled {
-            None => {
-                self.trace.record_drop_loss();
-                false
-            }
-            Some(at) => {
-                let at = self.fifo_clamp(from, to, at);
-                self.push(
-                    at,
-                    Pending::Deliver {
-                        to,
-                        from,
-                        channel: Arc::from(channel),
-                        payload,
-                        sent_at: now,
-                    },
-                );
-                true
-            }
-        }
+        self.schedule_send(self.now(), from, to, channel, payload)
     }
 
-    /// Broadcasts to every node currently in range; returns the number
-    /// of copies queued.
+    /// Broadcasts to every node currently in radio range; returns the
+    /// number of copies queued.
     pub fn broadcast(&mut self, from: NodeId, channel: &str, payload: Vec<u8>) -> usize {
-        self.trace.record_broadcast();
-        let targets: Vec<NodeId> = self
-            .node_ids()
-            .into_iter()
-            .filter(|&to| self.connected(from, to))
-            .collect();
-        let mut queued = 0;
-        let now = self.now();
-        for to in targets {
-            match self.link.sample(now, payload.len(), &mut self.rng) {
-                None => self.trace.record_drop_loss(),
-                Some(at) => {
-                    let at = self.fifo_clamp(from, to, at);
-                    self.push(
-                        at,
-                        Pending::Deliver {
-                            to,
-                            from,
-                            channel: Arc::from(channel),
-                            payload: payload.clone(),
-                            sent_at: now,
-                        },
-                    );
-                    queued += 1;
-                }
-            }
-        }
-        queued
+        self.schedule_broadcast(self.now(), from, channel, payload)
     }
 
     /// Sets a one-shot timer on a node; the token identifies the firing
@@ -404,21 +358,115 @@ impl Simulator {
     pub fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &str) -> u64 {
         let token = self.next_timer_token;
         self.next_timer_token += 1;
-        let at = self.now().plus(delay_ns);
-        self.push(
-            at,
-            Pending::TimerFire {
-                node,
-                token,
-                tag: Arc::from(tag),
-            },
-        );
+        self.schedule_timer(self.now(), node, token, delay_ns, tag);
         token
     }
 
     /// Drains a node's inbox.
     pub fn drain_inbox(&mut self, id: NodeId) -> Vec<Incoming> {
         self.node_mut(id).inbox.drain(..).collect()
+    }
+
+    /// Schedules a unicast issued at `at`: over the wired backhaul when
+    /// the pair has a segment, else over the radio if `to` is in range.
+    fn schedule_send(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        channel: &str,
+        payload: Vec<u8>,
+    ) -> bool {
+        self.deliveries.record_sent();
+        if !self.reaches(from, to, true) {
+            self.deliveries.record_drop_range();
+            return false;
+        }
+        let wired = self.wired.contains(&(from, to));
+        self.schedule_copy(at, from, to, wired, Arc::from(channel), payload)
+    }
+
+    /// Schedules a broadcast issued at `at`: one radio copy per node in
+    /// radio reach (wired segments carry no broadcasts).
+    fn schedule_broadcast(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        channel: &str,
+        payload: Vec<u8>,
+    ) -> usize {
+        self.deliveries.record_broadcast();
+        let targets: Vec<NodeId> = self
+            .node_ids()
+            .into_iter()
+            .filter(|&to| self.reaches(from, to, false))
+            .collect();
+        let channel: Arc<str> = Arc::from(channel);
+        let mut queued = 0;
+        for to in targets {
+            if self.schedule_copy(at, from, to, false, channel.clone(), payload.clone()) {
+                queued += 1;
+            }
+        }
+        queued
+    }
+
+    /// Queues one copy issued at `at`. A wired copy takes the backhaul's
+    /// fixed latency and draws no RNG, so backhaul traffic cannot shift
+    /// the radio's loss stream; a radio copy samples loss and jitter.
+    /// Returns `false` if the copy was lost.
+    fn schedule_copy(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        wired: bool,
+        channel: Arc<str>,
+        payload: Vec<u8>,
+    ) -> bool {
+        let sampled = if wired {
+            Some(self.link.sample_wired(at, payload.len()))
+        } else {
+            self.link.sample(at, payload.len(), &mut self.rng)
+        };
+        let Some(deliver_at) = sampled else {
+            self.deliveries.record_drop_loss();
+            return false;
+        };
+        let deliver_at = self.fifo_clamp(from, to, deliver_at);
+        debug_assert!(
+            deliver_at >= self.now(),
+            "lookahead violated: delivery {deliver_at:?} before now {:?}",
+            self.now()
+        );
+        self.push(
+            deliver_at,
+            Pending::Deliver {
+                to,
+                from,
+                channel,
+                payload,
+                sent_at: at,
+            },
+        );
+        true
+    }
+
+    /// Schedules a timer armed at `at` under a token the caller holds.
+    fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64, delay_ns: u64, tag: &str) {
+        // A sub-lookahead delay armed inside a drained window could
+        // point behind the clock; clamp to "now" so it stays monotonic
+        // (documented divergence — every real timer in the platform is
+        // orders of magnitude above the lookahead).
+        let fire_at = at.plus(delay_ns).max(self.now());
+        self.push(
+            fire_at,
+            Pending::TimerFire {
+                node,
+                token,
+                tag: Arc::from(tag),
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -441,14 +489,57 @@ impl Simulator {
         self.queue.peek().map(|Reverse(e)| e.at)
     }
 
+    /// Pops the next event, advances the clock to it and routes it. A
+    /// move applies here. A delivery whose receiver is still in reach,
+    /// or a timer firing, is counted and returned with its destination;
+    /// a delivery whose receiver left reach in flight is counted as a
+    /// range drop. Returns `None` for anything not handed to a node.
+    fn pop_event(&mut self) -> Option<(NodeId, Incoming)> {
+        let Reverse(QueueEntry { at, pending, .. }) = self.queue.pop()?;
+        self.clock.set(at);
+        match pending {
+            Pending::Deliver {
+                to,
+                from,
+                channel,
+                payload,
+                sent_at,
+            } => {
+                if !self.reaches(from, to, true) {
+                    self.deliveries.record_drop_range();
+                    return None;
+                }
+                self.deliveries
+                    .record_delivery(at, from, to, &channel, payload.len());
+                Some((
+                    to,
+                    Incoming::Message {
+                        from,
+                        channel,
+                        payload,
+                        sent_at,
+                    },
+                ))
+            }
+            Pending::TimerFire { node, token, tag } => {
+                self.deliveries.record_timer();
+                Some((node, Incoming::Timer { token, tag }))
+            }
+            Pending::Move { node, pos } => {
+                self.node_mut(node).pos = pos;
+                None
+            }
+        }
+    }
+
     /// Advances to the next event, processes *all* events at that
     /// instant, and returns the new time. Returns `None` when idle.
     pub fn step(&mut self) -> Option<SimTime> {
         let at = self.peek_next()?;
-        self.clock.set(at);
         while self.peek_next() == Some(at) {
-            let Reverse(entry) = self.queue.pop().expect("peeked");
-            self.process(entry.pending);
+            if let Some((node, incoming)) = self.pop_event() {
+                self.node_mut(node).inbox.push_back(incoming);
+            }
         }
         Some(at)
     }
@@ -474,47 +565,6 @@ impl Simulator {
         self.run_until(until);
     }
 
-    fn process(&mut self, pending: Pending) {
-        match pending {
-            Pending::Deliver {
-                to,
-                from,
-                channel,
-                payload,
-                sent_at,
-            } => {
-                // Mobility check at delivery time: the receiver may have
-                // left the sender's range while the message was in flight.
-                if !self.connected(from, to) {
-                    self.trace.record_drop_range();
-                    return;
-                }
-                self.trace.record_delivery(TraceEntry {
-                    at: self.now(),
-                    from,
-                    to,
-                    channel: channel.to_string(),
-                    bytes: payload.len(),
-                });
-                self.node_mut(to).inbox.push_back(Incoming::Message {
-                    from,
-                    channel,
-                    payload,
-                    sent_at,
-                });
-            }
-            Pending::TimerFire { node, token, tag } => {
-                self.trace.record_timer();
-                self.node_mut(node)
-                    .inbox
-                    .push_back(Incoming::Timer { token, tag });
-            }
-            Pending::Move { node, pos } => {
-                self.node_mut(node).pos = pos;
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Sharded execution: epoch extraction and command merge
     // ------------------------------------------------------------------
@@ -533,10 +583,10 @@ impl Simulator {
     /// partitioned by destination node. Returns `None` when the next
     /// event lies beyond `until` (or the queue is idle).
     ///
-    /// Scheduler-side effects stay here and stay serial: moves are
-    /// applied inline, deliveries are connectivity-checked and traced at
-    /// their own timestamps, and the global clock advances through the
-    /// window. Node-side dispatch is the driver's job.
+    /// Scheduler-side effects stay here and stay serial: events are
+    /// routed exactly as [`Simulator::step`] routes them, at their own
+    /// timestamps, and the global clock advances through the window.
+    /// Node-side dispatch is the driver's job.
     pub fn drain_epoch(&mut self, until: SimTime) -> Option<Epoch> {
         let start = self.peek_next()?;
         if start > until {
@@ -549,158 +599,55 @@ impl Simulator {
             if at >= end {
                 break;
             }
-            self.clock.set(at);
-            let Reverse(entry) = self.queue.pop().expect("peeked");
-            match entry.pending {
-                Pending::Deliver {
-                    to,
-                    from,
-                    channel,
-                    payload,
-                    sent_at,
-                } => {
-                    if !self.connected(from, to) {
-                        self.trace.record_drop_range();
-                        continue;
-                    }
-                    self.trace.record_delivery(TraceEntry {
-                        at,
-                        from,
-                        to,
-                        channel: channel.to_string(),
-                        bytes: payload.len(),
-                    });
-                    batches[to.0 as usize].push(TimedIncoming {
-                        at,
-                        incoming: Incoming::Message {
-                            from,
-                            channel,
-                            payload,
-                            sent_at,
-                        },
-                    });
-                }
-                Pending::TimerFire { node, token, tag } => {
-                    self.trace.record_timer();
-                    batches[node.0 as usize].push(TimedIncoming {
-                        at,
-                        incoming: Incoming::Timer { token, tag },
-                    });
-                }
-                Pending::Move { node, pos } => {
-                    self.nodes[node.0 as usize].pos = pos;
-                }
+            if let Some((node, incoming)) = self.pop_event() {
+                batches[node.0 as usize].push(TimedIncoming { at, incoming });
             }
         }
         Some(Epoch { start, end, batches })
     }
 
-    /// Replays buffered node effects against the scheduler. The caller
-    /// passes commands in deterministic `(time, source rank, seq)`
-    /// order; loss and jitter are sampled *here*, so the RNG stream
-    /// depends only on that order — never on how many threads computed
-    /// the epoch.
+    /// Replays buffered node effects against the scheduler, each at its
+    /// issue time, through the same routines as the direct calls. The
+    /// caller passes commands in deterministic `(time, source rank,
+    /// seq)` order; loss and jitter are sampled *here*, so the RNG
+    /// stream depends only on that order — never on how many threads
+    /// computed the epoch.
     pub fn apply_cmds(&mut self, cmds: impl IntoIterator<Item = NetCmd>) {
         for cmd in cmds {
-            self.apply_cmd(cmd);
-        }
-    }
-
-    fn apply_cmd(&mut self, cmd: NetCmd) {
-        let now = self.now();
-        match cmd {
-            NetCmd::Send {
-                at,
-                from,
-                to,
-                channel,
-                payload,
-            } => {
-                self.trace.record_sent();
-                if !self.connected(from, to) {
-                    self.trace.record_drop_range();
-                    return;
+            match cmd {
+                NetCmd::Send {
+                    at,
+                    from,
+                    to,
+                    channel,
+                    payload,
+                } => {
+                    self.schedule_send(at, from, to, &channel, payload);
                 }
-                match self.link.sample(at, payload.len(), &mut self.rng) {
-                    None => self.trace.record_drop_loss(),
-                    Some(deliver_at) => {
-                        let deliver_at = self.fifo_clamp(from, to, deliver_at);
-                        debug_assert!(
-                            deliver_at >= now,
-                            "lookahead violated: delivery {deliver_at:?} before now {now:?}"
-                        );
-                        self.push(
-                            deliver_at,
-                            Pending::Deliver {
-                                to,
-                                from,
-                                channel: Arc::from(channel.as_str()),
-                                payload,
-                                sent_at: at,
-                            },
-                        );
-                    }
+                NetCmd::Broadcast {
+                    at,
+                    from,
+                    channel,
+                    payload,
+                } => {
+                    self.schedule_broadcast(at, from, &channel, payload);
                 }
-            }
-            NetCmd::Broadcast {
-                at,
-                from,
-                channel,
-                payload,
-            } => {
-                self.trace.record_broadcast();
-                let targets: Vec<NodeId> = self
-                    .node_ids()
-                    .into_iter()
-                    .filter(|&to| self.connected(from, to))
-                    .collect();
-                for to in targets {
-                    match self.link.sample(at, payload.len(), &mut self.rng) {
-                        None => self.trace.record_drop_loss(),
-                        Some(deliver_at) => {
-                            let deliver_at = self.fifo_clamp(from, to, deliver_at);
-                            self.push(
-                                deliver_at,
-                                Pending::Deliver {
-                                    to,
-                                    from,
-                                    channel: Arc::from(channel.as_str()),
-                                    payload: payload.clone(),
-                                    sent_at: at,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            NetCmd::Timer {
-                at,
-                node,
-                token,
-                delay_ns,
-                tag,
-            } => {
-                // A sub-lookahead delay could point inside the drained
-                // window; clamp to "now" so the clock stays monotonic
-                // (documented divergence — every real timer in the
-                // platform is orders of magnitude above the lookahead).
-                let fire_at = at.plus(delay_ns).max(now);
-                self.push(
-                    fire_at,
-                    Pending::TimerFire {
-                        node,
-                        token,
-                        tag: Arc::from(tag.as_str()),
-                    },
-                );
+                NetCmd::Timer {
+                    at,
+                    node,
+                    token,
+                    delay_ns,
+                    tag,
+                } => self.schedule_timer(at, node, token, delay_ns, &tag),
             }
         }
     }
 
-    /// Stable 64-bit digest of the delivery trace (counters plus the
-    /// per-delivery log when logging is enabled). See [`Trace::digest`].
+    /// Stable 64-bit digest of the delivery log: the six counters plus
+    /// every delivery when logging is enabled. See
+    /// [`DeliveryLog::digest`].
     pub fn trace_digest(&self) -> u64 {
-        self.trace.digest()
+        self.deliveries.digest()
     }
 }
 
@@ -748,7 +695,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(sim.trace.stats.delivered, 1);
+        assert_eq!(sim.stats().delivered, 1);
     }
 
     #[test]
@@ -756,7 +703,7 @@ mod tests {
         let (mut sim, a, b) = world();
         sim.move_node(b, Position::new(1000.0, 0.0));
         assert!(!sim.send(a, b, "c", vec![]));
-        assert_eq!(sim.trace.stats.dropped_range, 1);
+        assert_eq!(sim.stats().dropped_range, 1);
     }
 
     #[test]
@@ -769,7 +716,7 @@ mod tests {
         sim.move_node(b, Position::new(1000.0, 0.0));
         sim.step();
         assert!(sim.drain_inbox(b).is_empty());
-        assert_eq!(sim.trace.stats.dropped_range, 1);
+        assert_eq!(sim.stats().dropped_range, 1);
     }
 
     #[test]
@@ -780,10 +727,20 @@ mod tests {
         assert!(!sim.send(a, b, "c", vec![1]), "radio: out of range");
         sim.add_wired_link(a, b);
         assert!(sim.is_wired(a, b) && sim.is_wired(b, a));
-        // Reliable despite a 100%-loss radio, and despite the distance.
+        // Reliable despite a 100%-loss radio, and despite the distance,
+        // through either entry point.
         assert!(sim.send(a, b, "c", vec![2]));
+        let at = sim.now();
+        sim.apply_cmds([NetCmd::Send {
+            at,
+            from: a,
+            to: b,
+            channel: "c".into(),
+            payload: vec![3],
+        }]);
         sim.run_for(5_000_000);
-        assert_eq!(sim.drain_inbox(b).len(), 1);
+        assert_eq!(sim.drain_inbox(b).len(), 2);
+        assert_eq!(sim.stats().dropped_loss, 0);
     }
 
     #[test]
@@ -827,12 +784,25 @@ mod tests {
         let base = sim.add_node("base", Position::new(0.0, 0.0), 30.0);
         let near = sim.add_node("near", Position::new(10.0, 0.0), 30.0);
         let far = sim.add_node("far", Position::new(100.0, 0.0), 30.0);
+        // A wired peer out of radio range: the backhaul carries no
+        // broadcasts.
+        let wired = sim.add_node("wired", Position::new(1000.0, 0.0), 30.0);
+        sim.add_wired_link(base, wired);
         let queued = sim.broadcast(base, "ann", b"hi".to_vec());
         assert_eq!(queued, 2, "near node plus loopback copy");
-        sim.step();
-        assert_eq!(sim.drain_inbox(near).len(), 1);
-        assert_eq!(sim.drain_inbox(base).len(), 1, "loopback multicast");
+        // The same broadcast through the epoch barrier.
+        let at = sim.now();
+        sim.apply_cmds([NetCmd::Broadcast {
+            at,
+            from: base,
+            channel: "ann".into(),
+            payload: b"hi".to_vec(),
+        }]);
+        sim.run_for(1_000);
+        assert_eq!(sim.drain_inbox(near).len(), 2);
+        assert_eq!(sim.drain_inbox(base).len(), 2, "loopback multicast");
         assert!(sim.drain_inbox(far).is_empty());
+        assert!(sim.drain_inbox(wired).is_empty());
     }
 
     #[test]
@@ -858,7 +828,7 @@ mod tests {
             })
             .collect();
         assert_eq!(tags, ["early", "late"]);
-        assert_eq!(sim.trace.stats.timers, 2);
+        assert_eq!(sim.stats().timers, 2);
     }
 
     #[test]
@@ -943,7 +913,7 @@ mod tests {
                 sim.send(a, b, "c", vec![0; 16]);
             }
             sim.run_for(1_000_000_000);
-            (sim.trace.stats.delivered, sim.trace.stats.dropped_loss)
+            (sim.stats().delivered, sim.stats().dropped_loss)
         };
         assert_eq!(run(5), run(5));
         // Loss actually happens at 30%.

@@ -1,11 +1,11 @@
 //! A stable 64-bit FNV-1a hasher for determinism digests.
 //!
 //! The cross-driver determinism proof (DESIGN.md §10) compares compact
-//! fingerprints of the network trace and the event journal between the
-//! serial and parallel engines. `std`'s `DefaultHasher` is explicitly
-//! unstable across releases, so digests use FNV-1a with fixed framing:
-//! every variable-length field is prefixed with its length, making the
-//! encoding injective.
+//! fingerprints of the network delivery log and the event journal
+//! between the serial and parallel engines. `std`'s `DefaultHasher` is
+//! explicitly unstable across releases, so digests use FNV-1a with fixed
+//! framing: every variable-length field is prefixed with its length,
+//! making the encoding injective.
 
 /// An incremental FNV-1a 64-bit hasher.
 #[derive(Debug, Clone)]

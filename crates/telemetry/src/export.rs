@@ -7,7 +7,6 @@
 //! strings use the minimal escape set (`\"`, `\\`, control characters
 //! as `\n`/`\r`/`\t`/`\u00XX`).
 
-use crate::journal::EventKind;
 use crate::{Registry, Telemetry};
 use std::fmt::Write;
 
@@ -124,27 +123,15 @@ pub fn to_json_lines(t: &Telemetry) -> String {
         );
     }
     for e in t.journal.events() {
-        let kind = match e.kind {
-            EventKind::SpanBegin => "span_begin",
-            EventKind::SpanEnd { .. } => "span_end",
-            EventKind::Point => "event",
-        };
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{{\"type\":\"{kind}\",\"seq\":{},\"at\":{},\"subsystem\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"",
+            "{{\"type\":\"event\",\"seq\":{},\"at\":{},\"subsystem\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"}}",
             e.seq,
             e.at,
             e.subsystem.name(),
             json_escape(&e.name),
             json_escape(&e.detail)
         );
-        if e.span_id != 0 {
-            let _ = write!(out, ",\"span\":{}", e.span_id);
-        }
-        if let EventKind::SpanEnd { dur } = e.kind {
-            let _ = write!(out, ",\"dur\":{dur}");
-        }
-        out.push_str("}\n");
     }
     out
 }
@@ -290,33 +277,17 @@ mod tests {
         assert_eq!(t.to_json_lines(), "");
     }
 
-    #[test]
-    fn span_end_line_has_duration() {
-        let mut t = Telemetry::new();
-        let span = t.journal.span_begin(Subsystem::Prose, "prose.weave");
-        t.journal.span_end(span, "aspect=a1");
-        let text = t.to_json_lines();
-        let end_line = text.lines().last().unwrap();
-        let f = parse_line(end_line);
-        assert_eq!(f["type"], "span_end");
-        assert_eq!(f["dur"], "0");
-        assert_eq!(f["detail"], "aspect=a1");
-    }
-
-    // -- Span trees + dynamic gauge names (satellite: coverage) --
+    // -- Dynamic gauge names (satellite: coverage) --
 
     /// Builds the same telemetry twice; used for byte-equality checks.
-    fn span_tree_telemetry() -> Telemetry {
+    fn sample_telemetry() -> Telemetry {
         let mut t = Telemetry::new();
-        // A nested "tree" of spans: outer weave, inner verify, plus an
-        // interleaved sibling — exactly the shape exporters must keep
-        // matchable.
-        let outer = t.journal.span_begin(Subsystem::Prose, "prose.weave");
-        let inner = t.journal.span_begin(Subsystem::Midas, "midas.verify");
-        t.journal.span_end(inner, "ext/monitoring");
-        let sibling = t.journal.span_begin(Subsystem::Midas, "midas.analyze");
-        t.journal.span_end(sibling, "");
-        t.journal.span_end(outer, "aspect=a1");
+        // Point events from several layers, one with an empty detail.
+        t.journal
+            .event(Subsystem::Prose, "prose.weave", "aspect=a1");
+        t.journal
+            .event(Subsystem::Midas, "midas.verify", "ext/monitoring");
+        t.journal.event(Subsystem::Midas, "midas.analyze", "");
         // Dynamic instance-embedded gauge names, as the simulator mints
         // per-channel (`net.channel.<name>.*`) metrics lazily.
         for ch in ["midas", "rpc", "tuplespace"] {
@@ -329,40 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_span_trees_with_matching_ids() {
-        let t = span_tree_telemetry();
-        let text = t.to_json_lines();
-        let events: Vec<BTreeMap<String, String>> = text
-            .lines()
-            .map(parse_line)
-            .filter(|f| f["type"].starts_with("span_"))
-            .collect();
-        assert_eq!(events.len(), 6, "three begin/end pairs");
-        // Every end's span id resolves to exactly one earlier begin of
-        // the same name — the tree reconstructs from the export alone.
-        for end in events.iter().filter(|f| f["type"] == "span_end") {
-            let matching: Vec<_> = events
-                .iter()
-                .filter(|b| {
-                    b["type"] == "span_begin"
-                        && b["span"] == end["span"]
-                        && b["name"] == end["name"]
-                })
-                .collect();
-            assert_eq!(matching.len(), 1, "unpaired span_end: {end:?}");
-        }
-        // The interleaved sibling does not steal the inner pair's id.
-        let verify_ids: Vec<&String> = events
-            .iter()
-            .filter(|f| f["name"] == "midas.verify")
-            .map(|f| &f["span"])
-            .collect();
-        assert_eq!(verify_ids[0], verify_ids[1]);
-    }
-
-    #[test]
     fn jsonl_round_trips_dynamic_channel_gauges() {
-        let t = span_tree_telemetry();
+        let t = sample_telemetry();
         let text = t.to_json_lines();
         let fields: Vec<BTreeMap<String, String>> =
             text.lines().map(parse_line).collect();
@@ -383,12 +322,12 @@ mod tests {
 
     #[test]
     fn identical_runs_export_identical_bytes() {
-        let a = span_tree_telemetry().to_json_lines();
-        let b = span_tree_telemetry().to_json_lines();
+        let a = sample_telemetry().to_json_lines();
+        let b = sample_telemetry().to_json_lines();
         assert_eq!(a, b, "canonical output: same state, same bytes");
         assert_eq!(
-            render_table(&span_tree_telemetry().registry),
-            render_table(&span_tree_telemetry().registry)
+            render_table(&sample_telemetry().registry),
+            render_table(&sample_telemetry().registry)
         );
     }
 }

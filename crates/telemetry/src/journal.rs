@@ -1,11 +1,12 @@
 //! The structured event journal: a ring buffer of sim-time-stamped
-//! events with per-subsystem enable flags and explicit spans.
+//! point events with per-subsystem enable flags.
 //!
-//! Components call [`Journal::event`] for point events and
-//! [`Journal::span_begin`]/[`Journal::span_end`] around multi-step work
-//! (a weave, an extension verification). Disabled subsystems cost one
-//! mask test; the ring drops the oldest events once full and counts
-//! what it dropped, so a long scenario can run with a small cap.
+//! Components call [`Journal::event`] (or [`Journal::event_at`]) for
+//! each event. Causal, multi-step work (a weave, an extension
+//! verification) is traced as spans by `pmp-trace`, not here. Disabled
+//! subsystems cost one mask test; the ring drops the oldest events once
+//! full and counts what it dropped, so a long scenario can run with a
+//! small cap.
 
 use crate::Clock;
 use std::collections::VecDeque;
@@ -65,21 +66,7 @@ impl Subsystem {
     }
 }
 
-/// What kind of journal entry an [`Event`] is.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A span opened (`span_begin`).
-    SpanBegin,
-    /// A span closed; `dur` is sim-time elapsed since its begin.
-    SpanEnd {
-        /// Nanoseconds between begin and end.
-        dur: u64,
-    },
-    /// A point event.
-    Point,
-}
-
-/// One journal entry.
+/// One journal entry: a point event.
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Monotonic sequence number (survives ring-buffer eviction).
@@ -88,31 +75,10 @@ pub struct Event {
     pub at: u64,
     /// Originating layer.
     pub subsystem: Subsystem,
-    /// Entry kind.
-    pub kind: EventKind,
-    /// Span id shared by a `span_begin`/`span_end` pair (0 for point
-    /// events), so exporters and consumers can match the two halves
-    /// even with other spans interleaved.
-    pub span_id: u64,
     /// Event name, dot-scoped like metrics (`"midas.verify"`).
     pub name: String,
     /// Free-form detail (extension id, node, byte count, …).
     pub detail: String,
-}
-
-/// An open span returned by [`Journal::span_begin`]; close it with
-/// [`Journal::span_end`] to record the duration.
-#[derive(Debug)]
-#[must_use = "close the span with Journal::span_end"]
-pub struct SpanToken {
-    subsystem: Subsystem,
-    name: String,
-    start: u64,
-    span_id: u64,
-    /// Whether the begin event actually entered the journal; the end
-    /// event is emitted iff it did, so a subsystem toggled between
-    /// begin and end can never produce an unpaired half.
-    journaled: bool,
 }
 
 /// The ring-buffered event journal.
@@ -122,7 +88,6 @@ pub struct Journal {
     buf: VecDeque<Event>,
     mask: u32,
     seq: u64,
-    next_span: u64,
     dropped: u64,
     clock: Option<Clock>,
 }
@@ -148,7 +113,6 @@ impl Journal {
             buf: VecDeque::new(),
             mask: u32::MAX,
             seq: 0,
-            next_span: 0,
             dropped: 0,
             clock: None,
         }
@@ -186,7 +150,7 @@ impl Journal {
             return;
         }
         let at = self.now();
-        self.push(at, sub, EventKind::Point, 0, name.into(), detail.into());
+        self.push(at, sub, name.into(), detail.into());
     }
 
     /// Appends a point event stamped with an explicit time instead of
@@ -204,68 +168,10 @@ impl Journal {
         if !self.is_enabled(sub) {
             return;
         }
-        self.push(at, sub, EventKind::Point, 0, name.into(), detail.into());
+        self.push(at, sub, name.into(), detail.into());
     }
 
-    /// Opens a span. The begin event is journaled (subject to the
-    /// enable mask); the token always measures, so `span_end` returns a
-    /// duration even for disabled subsystems. Each pair shares a fresh
-    /// span id (never 0), carried on both events.
-    pub fn span_begin(&mut self, sub: Subsystem, name: impl Into<String>) -> SpanToken {
-        let name = name.into();
-        let start = self.now();
-        self.next_span += 1;
-        let span_id = self.next_span;
-        let journaled = self.is_enabled(sub);
-        if journaled {
-            self.push(
-                start,
-                sub,
-                EventKind::SpanBegin,
-                span_id,
-                name.clone(),
-                String::new(),
-            );
-        }
-        SpanToken {
-            subsystem: sub,
-            name,
-            start,
-            span_id,
-            journaled,
-        }
-    }
-
-    /// Closes a span, journaling the end event; returns the sim-time
-    /// duration. The end event is emitted iff the matching begin was
-    /// (not merely "iff the subsystem is enabled *now*"): toggling a
-    /// subsystem mid-span can therefore never leave an unmatched
-    /// `span_end` — or an unmatched `span_begin` — in the journal.
-    pub fn span_end(&mut self, token: SpanToken, detail: impl Into<String>) -> u64 {
-        let now = self.now();
-        let dur = now.saturating_sub(token.start);
-        if token.journaled {
-            self.push(
-                now,
-                token.subsystem,
-                EventKind::SpanEnd { dur },
-                token.span_id,
-                token.name,
-                detail.into(),
-            );
-        }
-        dur
-    }
-
-    fn push(
-        &mut self,
-        at: u64,
-        sub: Subsystem,
-        kind: EventKind,
-        span_id: u64,
-        name: String,
-        detail: String,
-    ) {
+    fn push(&mut self, at: u64, sub: Subsystem, name: String, detail: String) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -274,8 +180,6 @@ impl Journal {
             seq: self.seq,
             at,
             subsystem: sub,
-            kind,
-            span_id,
             name,
             detail,
         });
@@ -313,11 +217,10 @@ impl Journal {
 
     /// Stable 64-bit FNV-1a digest over the journal's observable state:
     /// total/dropped counts plus every retained event's `(seq, at,
-    /// subsystem, kind, name, detail)`. Two runs are journal-identical
-    /// iff their digests match (module hash collisions). Histogram
-    /// *values* never enter the journal, so wall-clock-measured
-    /// durations recorded via the registry don't perturb the digest —
-    /// span durations do, but those are sim-time and deterministic.
+    /// subsystem, name, detail)`. Two runs are journal-identical iff
+    /// their digests match (module hash collisions). Histogram *values*
+    /// never enter the journal, so wall-clock-measured durations
+    /// recorded via the registry don't perturb the digest.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut h = crate::digest::Fnv64::new();
@@ -326,16 +229,10 @@ impl Journal {
         for e in &self.buf {
             h.write_u64(e.seq);
             h.write_u64(e.at);
-            h.write_u64(e.span_id);
+            // Span id 0 and point-kind tag 2 of the former layout: digests stay put.
+            h.write_u64(0);
             h.write_str(e.subsystem.name());
-            match &e.kind {
-                EventKind::SpanBegin => h.write_u64(0),
-                EventKind::SpanEnd { dur } => {
-                    h.write_u64(1);
-                    h.write_u64(*dur);
-                }
-                EventKind::Point => h.write_u64(2),
-            }
+            h.write_u64(2);
             h.write_str(&e.name);
             h.write_str(&e.detail);
         }
@@ -347,7 +244,6 @@ impl Journal {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.seq = 0;
-        self.next_span = 0;
         self.dropped = 0;
     }
 }
@@ -355,7 +251,6 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn point_events_are_sequenced() {
@@ -396,76 +291,6 @@ mod tests {
         j.set_enabled(Subsystem::Net, true);
         j.event(Subsystem::Net, "back", "");
         assert_eq!(j.len(), 2);
-    }
-
-    #[test]
-    fn spans_measure_with_clock() {
-        let t = Arc::new(std::sync::atomic::AtomicU64::new(100));
-        let t2 = t.clone();
-        let mut j = Journal::new(8);
-        j.set_clock(Arc::new(move || {
-            t2.load(std::sync::atomic::Ordering::Relaxed)
-        }));
-        let span = j.span_begin(Subsystem::Midas, "midas.verify");
-        t.store(350, std::sync::atomic::Ordering::Relaxed);
-        let dur = j.span_end(span, "ext/monitoring");
-        assert_eq!(dur, 250);
-        let kinds: Vec<EventKind> = j.events().map(|e| e.kind.clone()).collect();
-        assert_eq!(kinds, vec![EventKind::SpanBegin, EventKind::SpanEnd { dur: 250 }]);
-    }
-
-    #[test]
-    fn span_on_disabled_subsystem_still_measures() {
-        let mut j = Journal::new(8);
-        j.set_enabled(Subsystem::Midas, false);
-        let span = j.span_begin(Subsystem::Midas, "midas.verify");
-        let dur = j.span_end(span, "");
-        assert_eq!(dur, 0);
-        assert!(j.is_empty());
-    }
-
-    // -- Span pairing (satellite: masked begins never leak an end) --
-
-    #[test]
-    fn begin_and_end_share_a_span_id() {
-        let mut j = Journal::new(8);
-        let a = j.span_begin(Subsystem::Midas, "midas.verify");
-        let b = j.span_begin(Subsystem::Prose, "prose.weave");
-        j.span_end(b, "");
-        j.span_end(a, "");
-        let ids: Vec<(u64, EventKind)> =
-            j.events().map(|e| (e.span_id, e.kind.clone())).collect();
-        assert_eq!(ids[0].0, 1, "first pair gets span id 1");
-        assert_eq!(ids[1].0, 2);
-        assert_eq!(ids[2].0, 2, "interleaved end matches its begin");
-        assert_eq!(ids[3].0, 1);
-        assert!(ids.iter().all(|(id, _)| *id != 0), "span events never id 0");
-        j.event(Subsystem::Core, "point", "");
-        assert_eq!(j.events().last().unwrap().span_id, 0, "points carry 0");
-    }
-
-    #[test]
-    fn masked_begin_suppresses_the_end() {
-        // Disabled at begin, re-enabled before end: previously the end
-        // was emitted with no begin; now the pair is dropped whole.
-        let mut j = Journal::new(8);
-        j.set_enabled(Subsystem::Midas, false);
-        let span = j.span_begin(Subsystem::Midas, "midas.verify");
-        j.set_enabled(Subsystem::Midas, true);
-        j.span_end(span, "late enable");
-        assert!(j.is_empty(), "no unmatched span_end");
-    }
-
-    #[test]
-    fn journaled_begin_forces_the_end() {
-        // Enabled at begin, disabled before end: the end still lands,
-        // so the begin is never left dangling either.
-        let mut j = Journal::new(8);
-        let span = j.span_begin(Subsystem::Midas, "midas.verify");
-        j.set_enabled(Subsystem::Midas, false);
-        j.span_end(span, "");
-        let kinds: Vec<EventKind> = j.events().map(|e| e.kind.clone()).collect();
-        assert_eq!(kinds, vec![EventKind::SpanBegin, EventKind::SpanEnd { dur: 0 }]);
     }
 
     #[test]

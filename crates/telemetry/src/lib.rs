@@ -9,9 +9,9 @@
 //!   histograms (p50/p90/p99 readout). Updates are plain `u64`/array
 //!   bumps behind `&mut`: cheap enough for the single-threaded VM
 //!   interpreter hot path, no atomics.
-//! * [`Journal`] — a structured event log (`span_begin`/`span_end`/
-//!   `event`) stamped with sim-time from an injected clock, with a
-//!   ring-buffer cap and per-[`Subsystem`] enable flags.
+//! * [`Journal`] — a structured log of point events stamped with
+//!   sim-time from an injected clock, with a ring-buffer cap and
+//!   per-[`Subsystem`] enable flags. Causal spans live in `pmp-trace`.
 //! * [`export`] — deterministic text-table and JSON-lines renderers
 //!   (canonical formatting: same state, same bytes, like `pmp-wire`).
 //! * [`sync`] — tiny `std::sync` wrappers with a `parking_lot`-style
@@ -24,7 +24,9 @@
 //!
 //! Single-owner components (the VM) embed a [`Telemetry`] directly and
 //! bump pre-registered ids; multi-party components (the simulator, the
-//! MIDAS base/receiver pair) share one via [`Shared`].
+//! MIDAS base/receiver pair) share one via [`Shared`]. Either way the
+//! registry is the only store of a component's counters: typed views
+//! such as `VmStats` and `NetStats` are read back from it.
 
 pub mod digest;
 pub mod export;
@@ -34,7 +36,7 @@ pub mod sink;
 pub mod sync;
 
 pub use digest::Fnv64;
-pub use journal::{Event, EventKind, Journal, SpanToken, Subsystem};
+pub use journal::{Event, Journal, Subsystem};
 pub use registry::{CounterId, GaugeId, Histogram, HistogramId, Registry, MISSES_COUNTER};
 pub use sink::{PendingEvent, Sink};
 

@@ -2,7 +2,7 @@
 //! observably indistinguishable from the serial one (DESIGN.md §10).
 //!
 //! Each scenario runs twice — once per driver — and every observable is
-//! compared: the network trace digest (per-delivery byte sequence), the
+//! compared: the delivery-log digest (per-delivery byte sequence), the
 //! journal digest (platform + every node VM), hall-database contents,
 //! installed-extension ids, billing settlements, RPC outcomes, and the
 //! robot's canvas. A single diverging RNG draw, reordered delivery, or
@@ -60,7 +60,7 @@ fn run_production(driver: Box<dyn Driver>) -> Fingerprint {
     let name = driver.name();
     let mut w = ProductionHalls::build(11);
     w.platform.set_driver(driver);
-    w.platform.sim.trace.set_logging(true);
+    w.platform.sim.deliveries.set_logging(true);
 
     w.platform.pump(6 * SEC);
     let draw = w.platform.rpc(
@@ -138,7 +138,7 @@ fn run_failures(driver: Box<dyn Driver>) -> Fingerprint {
     let name = driver.name();
     let mut p = Platform::with_link(91, LinkModel::lossy(0.20));
     p.set_driver(driver);
-    p.sim.trace.set_logging(true);
+    p.sim.deliveries.set_logging(true);
     p.add_area("hall", Position::new(0.0, 0.0), Position::new(60.0, 60.0));
     let base = p.add_base("hall", Position::new(30.0, 30.0), 80.0);
     let sealed = p
@@ -164,7 +164,7 @@ fn run_failures(driver: Box<dyn Driver>) -> Fingerprint {
         format!("lossy {installed_lossy:?}"),
         format!("outage {installed_outage:?}"),
         format!("recovered {installed_recovered:?}"),
-        format!("drops {}", p.sim.trace.stats.dropped_loss),
+        format!("drops {}", p.sim.stats().dropped_loss),
     ];
     fingerprint(name, &p, obs)
 }
@@ -222,7 +222,7 @@ fn run_outcome_order(driver: Box<dyn Driver>) -> (Fingerprint, Vec<(u64, u64)>) 
     let name = driver.name();
     let mut p = Platform::with_link(55, LinkModel::lossy(0.20));
     p.set_driver(driver);
-    p.sim.trace.set_logging(true);
+    p.sim.deliveries.set_logging(true);
     p.add_area("hall", Position::new(0.0, 0.0), Position::new(60.0, 60.0));
     let base = p.add_base("hall", Position::new(30.0, 30.0), 80.0);
     let policy = p.trusting_policy(&[base], Permissions::all());

@@ -100,25 +100,16 @@ fn adaptation_succeeds_over_a_lossy_radio() {
         "installed despite 20% loss: {:?}",
         w.receiver.installed_ids()
     );
-    assert!(
-        w.sim.trace.stats.dropped_loss > 0,
-        "the link really was lossy ({} drops)",
-        w.sim.trace.stats.dropped_loss
-    );
+    let dropped = w.sim.stats().dropped_loss;
+    assert!(dropped > 0, "the link really was lossy ({dropped} drops)");
     // And it stays alive: renewals are also lossy but redundant.
     pump(&mut w, 30 * SEC);
     assert!(w.receiver.is_installed("ext/billing"));
 
-    // The telemetry mirror saw the same lossy world as the legacy
-    // counters, and the install survived at least one rejection-free
-    // delivery pipeline.
-    let stats = w.sim.trace.stats;
-    assert_eq!(
-        w.telemetry.counter_value("net.sim.dropped_loss"),
-        stats.dropped_loss
-    );
-    assert_eq!(w.telemetry.counter_value("net.sim.delivered"), stats.delivered);
+    // The install survived at least one rejection-free delivery
+    // pipeline, and the midas traffic landed in the attached registry.
     assert!(w.telemetry.counter_value("midas.receiver.installed") >= 1);
+    assert!(w.telemetry.counter_value("net.channel.midas.bytes") > 0);
     println!("{}", w.telemetry.render_table());
 }
 

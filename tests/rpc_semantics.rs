@@ -10,7 +10,7 @@
 //! * **at-least-once** — every request executes at least once under
 //!   bounded loss (the backoff schedule out-lasts the loss streaks
 //!   these seeds produce);
-//! * **both drivers** — byte-identical network traces, journals, and
+//! * **both drivers** — byte-identical delivery logs, journals, and
 //!   outcome streams, because retry timers, backoff, and dedup are all
 //!   functions of simulated time and the link RNG, never of the
 //!   scheduler.
@@ -56,7 +56,7 @@ fn run_cell(
 ) -> CellReport {
     let (mut p, base, robot) = build_world(seed, loss);
     p.set_driver(driver);
-    p.sim.trace.set_logging(true);
+    p.sim.deliveries.set_logging(true);
     p.pump(3 * SEC);
 
     let mut reqs = Vec::new();
