@@ -514,6 +514,8 @@ impl AdaptationService {
 
     /// Pass 4 of the gate: interference of the newly woven aspect with
     /// the ones already active, computed on the live dispatch tables.
+    /// Pairs are kept by aspect id, so a pair of residents that share
+    /// the newcomer's name is not blamed on it.
     /// Advisory by default (journal + counter); when the policy makes
     /// interference fatal, the newcomer is unwoven again and the
     /// offending report returned.
@@ -528,12 +530,7 @@ impl AdaptationService {
             return Ok(());
         }
         let t = std::time::Instant::now();
-        let name = &pkg.aspect.name;
-        let reports: Vec<_> = prose
-            .interference_report(vm)
-            .into_iter()
-            .filter(|r| r.aspect_a == *name || r.aspect_b == *name)
-            .collect();
+        let reports = prose.interference_with(vm, aspect_id);
         self.record_ns("midas.analyze.interference_ns", t);
         if reports.is_empty() {
             return Ok(());
@@ -697,7 +694,7 @@ impl AdaptationService {
             Ok(aspect_id) => {
                 // 6. Pass 4 of the gate — interference against the
                 //    aspects already active, read off the live
-                //    dispatch tables the weave just rebuilt.
+                //    dispatch tables the weave just updated.
                 if let Err((pass, detail)) =
                     self.check_interference(vm, prose, &pkg, aspect_id)
                 {

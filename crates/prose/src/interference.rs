@@ -19,9 +19,10 @@
 //! to rejection (`reject_on_interference`), in which case the receiver
 //! unweaves the newcomer again.
 
-use crate::runtime::{AdviceRef, State};
+use crate::handle::AspectId;
+use crate::runtime::{AdviceRef, Site, State};
+use pmp_vm::hooks::FieldId;
 use pmp_vm::vm::Vm;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What kind of interference was detected.
@@ -59,18 +60,24 @@ pub struct Interference {
     pub detail: String,
 }
 
-/// Emits one record per unordered pair of distinct aspects advising
-/// `site`. For field-set sites every pair interferes; elsewhere only
-/// equal-priority pairs do.
+/// Emits one record per unordered pair of distinct aspects advising a
+/// site, keeping only the pairs that include `only` when it is given.
+/// For field-set sites every pair interferes; elsewhere only
+/// equal-priority pairs do. The site's text is built for its first pair.
 fn pairs(
     out: &mut Vec<Interference>,
     advisers: &[AdviceRef],
-    site: &str,
+    describe: impl Fn() -> String,
     kind: InterferenceKind,
+    only: Option<AspectId>,
 ) {
+    let mut text = None;
     for (i, a) in advisers.iter().enumerate() {
         for b in &advisers[i + 1..] {
             if a.aspect.id == b.aspect.id {
+                continue;
+            }
+            if only.is_some_and(|id| a.aspect.id != id && b.aspect.id != id) {
                 continue;
             }
             let conflict = match kind {
@@ -80,6 +87,7 @@ fn pairs(
             if !conflict {
                 continue;
             }
+            let site: &String = text.get_or_insert_with(&describe);
             let detail = match kind {
                 InterferenceKind::SharedFieldWrite => format!(
                     "aspects {:?} and {:?} both advise writes of {site}; the last-woven value wins",
@@ -94,56 +102,66 @@ fn pairs(
                 kind,
                 aspect_a: a.aspect.name.clone(),
                 aspect_b: b.aspect.name.clone(),
-                site: site.to_string(),
+                site: site.clone(),
                 detail,
             });
         }
     }
 }
 
-/// Walks the dispatch tables and reports every interference.
-pub(crate) fn report(state: &State, vm: &Vm) -> Vec<Interference> {
-    let mut out = Vec::new();
-
-    // Field names resolve through the VM's field table.
-    let field_names: BTreeMap<u32, String> = vm
-        .fields()
-        .map(|(fid, class, field, _)| (fid.0, format!("{class}.{field}")))
-        .collect();
-    let field_site = |fid: u32| {
-        field_names
-            .get(&fid)
-            .cloned()
-            .unwrap_or_else(|| format!("field#{fid}"))
+/// Walks the dispatch tables in site order and reports every
+/// interference, or, with `only`, the pairs that include that aspect,
+/// visiting only the sites it was added at.
+pub(crate) fn report(state: &State, vm: &Vm, only: Option<AspectId>) -> Vec<Interference> {
+    let mut sites: Vec<Site> = match only {
+        Some(id) => state
+            .woven
+            .get(&id.0)
+            .map(|w| w.sites.clone())
+            .unwrap_or_default(),
+        None => (state.field_set.keys().map(|f| Site::Set(*f)))
+            .chain(state.field_get.keys().map(|f| Site::Get(*f)))
+            .chain(state.entry.keys().map(|m| Site::Entry(*m)))
+            .chain(state.exit.keys().map(|m| Site::Exit(*m)))
+            .collect(),
     };
+    // The tables are hash maps: sort so the report's order is the sites'.
+    sites.sort_unstable();
+    sites.dedup();
 
-    // Deterministic iteration: sort sites before pairing.
-    let mut field_sets: Vec<_> = state.field_set.iter().collect();
-    field_sets.sort_by_key(|(fid, _)| fid.0);
-    for (fid, advisers) in field_sets {
-        pairs(
-            &mut out,
-            advisers,
-            &field_site(fid.0),
-            InterferenceKind::SharedFieldWrite,
-        );
-    }
-
-    let mut field_gets: Vec<_> = state.field_get.iter().collect();
-    field_gets.sort_by_key(|(fid, _)| fid.0);
-    for (fid, advisers) in field_gets {
-        let site = format!("get {}", field_site(fid.0));
-        pairs(&mut out, advisers, &site, InterferenceKind::AmbiguousOrder);
-    }
-
-    for (label, table) in [("entry", &state.entry), ("exit", &state.exit)] {
-        let mut sites: Vec<_> = table.iter().collect();
-        sites.sort_by_key(|(mid, _)| mid.0);
-        for (mid, advisers) in sites {
-            let site = format!("{label} {}", vm.method_sig(*mid));
-            pairs(&mut out, advisers, &site, InterferenceKind::AmbiguousOrder);
+    let field = |fid: FieldId| match vm.field_info(fid) {
+        Some((class, field)) => format!("{class}.{field}"),
+        None => format!("field#{}", fid.0),
+    };
+    let mut out = Vec::new();
+    for site in sites {
+        use InterferenceKind::{AmbiguousOrder, SharedFieldWrite};
+        match site {
+            Site::Set(fid) => {
+                if let Some(list) = state.field_set.get(&fid) {
+                    pairs(&mut out, list, || field(fid), SharedFieldWrite, only);
+                }
+            }
+            Site::Get(fid) => {
+                if let Some(list) = state.field_get.get(&fid) {
+                    let site = || format!("get {}", field(fid));
+                    pairs(&mut out, list, site, AmbiguousOrder, only);
+                }
+            }
+            Site::Entry(mid) => {
+                if let Some(list) = state.entry.get(&mid) {
+                    let site = || format!("entry {}", vm.method_sig(mid));
+                    pairs(&mut out, list, site, AmbiguousOrder, only);
+                }
+            }
+            Site::Exit(mid) => {
+                if let Some(list) = state.exit.get(&mid) {
+                    let site = || format!("exit {}", vm.method_sig(mid));
+                    pairs(&mut out, list, site, AmbiguousOrder, only);
+                }
+            }
+            Site::Throw | Site::Catch => {}
         }
     }
-
     out
 }

@@ -1,7 +1,7 @@
 //! The AOP runtime: dispatch tables consulted by the VM's hooks, and
 //! the machinery that executes advice inside the aspect sandbox.
 
-use crate::advice::{AdviceCtx, JoinPoint, NativeAdviceFn};
+use crate::advice::{AdviceBody, AdviceCtx, JoinPoint, NativeAdviceFn};
 use crate::aspect::Aspect;
 use crate::crosscut::Crosscut;
 use crate::handle::AspectId;
@@ -16,7 +16,9 @@ use pmp_vm::types::MethodSig;
 use pmp_vm::value::{ObjId, Value};
 use pmp_vm::vm::Vm;
 use pmp_vm::{VmError, VmException};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// What happens when advice itself fails.
@@ -62,11 +64,7 @@ pub(crate) enum AdviceExec {
 }
 
 /// Resolves a script advice method against `vm` for the fast path.
-pub(crate) fn resolve_script(
-    vm: &Vm,
-    class: Option<&str>,
-    method: &str,
-) -> Option<(MethodId, u64)> {
+fn resolve_script(vm: &Vm, class: Option<&str>, method: &str) -> Option<(MethodId, u64)> {
     let mid = vm.method_id(class?, method)?;
     Some((mid, vm.param_load_mask(mid)))
 }
@@ -78,10 +76,24 @@ pub(crate) struct AdviceRef {
     pub(crate) priority: i32,
 }
 
+/// One join point an aspect was added at: the key of one dispatch-table
+/// entry. The variant order is the interference report's site order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Site {
+    Set(FieldId),
+    Get(FieldId),
+    Entry(MethodId),
+    Exit(MethodId),
+    Throw,
+    Catch,
+}
+
 pub(crate) struct Woven {
     pub(crate) rt: Arc<AspectRt>,
     pub(crate) aspect: Aspect,
-    pub(crate) join_points: usize,
+    /// Every site the aspect was added at, one per table entry: a site
+    /// two of its bindings match appears twice.
+    pub(crate) sites: Vec<Site>,
 }
 
 #[derive(Default)]
@@ -94,10 +106,206 @@ pub(crate) struct State {
     pub(crate) field_set: HashMap<FieldId, Vec<AdviceRef>>,
     pub(crate) throw: Vec<(NamePat, AdviceRef)>,
     pub(crate) catch: Vec<(NamePat, AdviceRef)>,
+    /// High-water marks of the VM's dense method and field ids: every
+    /// woven aspect has been matched against the join points below them.
+    methods_seen: usize,
+    fields_seen: usize,
     /// Aspect classes this runtime registered in the VM.
     pub(crate) registered_classes: HashSet<String>,
     /// Faults recorded under [`ErrorPolicy::Isolate`].
     pub(crate) faults: Vec<String>,
+}
+
+impl State {
+    /// Matches every woven aspect, in id order, against the methods and
+    /// fields registered since the last call (class-load-time weaving),
+    /// then advances the high-water marks. Every weave, unweave,
+    /// failed-init rollback and refresh starts here, so the tables
+    /// cover every join point before an aspect is added or removed.
+    pub(crate) fn catch_up(&mut self, vm: &Vm) {
+        let seen = (self.methods_seen, self.fields_seen);
+        let now = (vm.method_count(), vm.field_count());
+        if seen == now {
+            return;
+        }
+        let ids: Vec<u64> = self.woven.keys().copied().collect();
+        for id in ids {
+            self.add(vm, id, Some(seen));
+        }
+        (self.methods_seen, self.fields_seen) = now;
+    }
+
+    /// Weaves a newcomer into the tables: catches the others up, then
+    /// matches the newcomer against every join point.
+    pub(crate) fn install(&mut self, vm: &Vm, woven: Woven) {
+        self.catch_up(vm);
+        let id = woven.rt.id.0;
+        self.woven.insert(id, woven);
+        self.add(vm, id, None);
+    }
+
+    /// Adds aspect `id`'s entries at the methods and fields whose dense
+    /// ids are at least `since`, or — for a newcomer (`None`) — at every
+    /// method and field plus its exception entries, which match by class
+    /// name at dispatch time. A site's hook turns on with its first
+    /// entry.
+    fn add(&mut self, vm: &Vm, id: u64, since: Option<(usize, usize)>) {
+        let State {
+            woven,
+            entry,
+            exit,
+            field_get,
+            field_set,
+            throw,
+            catch,
+            ..
+        } = self;
+        let w = woven.get_mut(&id).expect("only woven aspects gain entries");
+        let (methods_from, fields_from) = since.unwrap_or_default();
+        let hooks = vm.hooks();
+        for b in &w.aspect.bindings {
+            // Resolved on the first match: a catch-up usually has none.
+            let mut made = None;
+            let mut aref = || {
+                made.get_or_insert_with(|| AdviceRef {
+                    aspect: w.rt.clone(),
+                    exec: advice_exec(vm, &w.rt, &b.advice),
+                    priority: b.priority,
+                })
+                .clone()
+            };
+            match &b.crosscut {
+                Crosscut::MethodEntry(p) | Crosscut::MethodExit(p) => {
+                    let (table, flag, site): (_, _, fn(MethodId) -> Site) =
+                        if matches!(b.crosscut, Crosscut::MethodEntry(_)) {
+                            (&mut *entry, HOOK_ENTRY, Site::Entry)
+                        } else {
+                            (&mut *exit, HOOK_EXIT, Site::Exit)
+                        };
+                    for (mid, sig) in vm.methods().skip(methods_from) {
+                        if p.matches(sig) {
+                            let list = table.entry(mid).or_default();
+                            if insert_ordered(list, aref(), |r| r.priority) {
+                                hooks.activate_method(mid, flag);
+                            }
+                            w.sites.push(site(mid));
+                        }
+                    }
+                }
+                Crosscut::FieldGet(p) | Crosscut::FieldSet(p) => {
+                    let (table, flag, site): (_, _, fn(FieldId) -> Site) =
+                        if matches!(b.crosscut, Crosscut::FieldGet(_)) {
+                            (&mut *field_get, HOOK_GET, Site::Get)
+                        } else {
+                            (&mut *field_set, HOOK_SET, Site::Set)
+                        };
+                    for (fid, class, field, _ty) in vm.fields() {
+                        if fid.0 as usize >= fields_from && p.matches(class, field) {
+                            let list = table.entry(fid).or_default();
+                            if insert_ordered(list, aref(), |r| r.priority) {
+                                hooks.activate_field(fid, flag);
+                            }
+                            w.sites.push(site(fid));
+                        }
+                    }
+                }
+                Crosscut::ExceptionThrow(p) | Crosscut::ExceptionCatch(p) if since.is_none() => {
+                    let (list, flag, site) = if matches!(b.crosscut, Crosscut::ExceptionThrow(_)) {
+                        (&mut *throw, HOOK_THROW, Site::Throw)
+                    } else {
+                        (&mut *catch, HOOK_CATCH, Site::Catch)
+                    };
+                    if insert_ordered(list, (p.clone(), aref()), |(_, r)| r.priority) {
+                        hooks.activate_exception(flag);
+                    }
+                    w.sites.push(site);
+                }
+                Crosscut::ExceptionThrow(_) | Crosscut::ExceptionCatch(_) => {}
+            }
+        }
+    }
+
+    /// Removes aspect `id`'s entries from `sites`, the sites it was added
+    /// at. A site's hook turns off with its last entry.
+    pub(crate) fn remove(&mut self, vm: &Vm, id: AspectId, sites: &[Site]) {
+        let hooks = vm.hooks();
+        for site in sites {
+            match *site {
+                Site::Set(fid) => {
+                    if remove_entries(&mut self.field_set, fid, id) {
+                        hooks.deactivate_field(fid, HOOK_SET);
+                    }
+                }
+                Site::Get(fid) => {
+                    if remove_entries(&mut self.field_get, fid, id) {
+                        hooks.deactivate_field(fid, HOOK_GET);
+                    }
+                }
+                Site::Entry(mid) => {
+                    if remove_entries(&mut self.entry, mid, id) {
+                        hooks.deactivate_method(mid, HOOK_ENTRY);
+                    }
+                }
+                Site::Exit(mid) => {
+                    if remove_entries(&mut self.exit, mid, id) {
+                        hooks.deactivate_method(mid, HOOK_EXIT);
+                    }
+                }
+                Site::Throw => {
+                    self.throw.retain(|(_, r)| r.aspect.id != id);
+                    if self.throw.is_empty() {
+                        hooks.deactivate_exception(HOOK_THROW);
+                    }
+                }
+                Site::Catch => {
+                    self.catch.retain(|(_, r)| r.aspect.id != id);
+                    if self.catch.is_empty() {
+                        hooks.deactivate_exception(HOOK_CATCH);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Inserts `entry` after every entry of priority ≤ its own and reports
+/// whether it is the site's first. Aspect ids only grow, catch-ups visit
+/// aspects in id order, and an aspect's bindings are added in order, so
+/// every site stays ordered by priority, then aspect id, then binding.
+fn insert_ordered<T>(list: &mut Vec<T>, entry: T, priority: fn(&T) -> i32) -> bool {
+    let p = priority(&entry);
+    let at = list.partition_point(|e| priority(e) <= p);
+    list.insert(at, entry);
+    list.len() == 1
+}
+
+/// Drops aspect `id`'s entries at `key`, removing the site when that
+/// empties it; `true` if it did.
+fn remove_entries<K: Eq + Hash>(
+    table: &mut HashMap<K, Vec<AdviceRef>>,
+    key: K,
+    id: AspectId,
+) -> bool {
+    let Entry::Occupied(mut site) = table.entry(key) else {
+        return false;
+    };
+    site.get_mut().retain(|r| r.aspect.id != id);
+    if site.get().is_empty() {
+        site.remove();
+        return true;
+    }
+    false
+}
+
+/// How one binding's advice runs, with script advice pre-resolved.
+pub(crate) fn advice_exec(vm: &Vm, rt: &AspectRt, body: &AdviceBody) -> AdviceExec {
+    match body {
+        AdviceBody::Native(f) => AdviceExec::Native(f.clone()),
+        AdviceBody::Script { method } => AdviceExec::Script {
+            method: method.clone(),
+            resolved: resolve_script(vm, rt.class.as_deref(), method),
+        },
+    }
 }
 
 /// The PROSE runtime — installed into a [`Vm`] as its hook
@@ -121,126 +329,6 @@ impl std::fmt::Debug for ProseRuntime {
 impl ProseRuntime {
     pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Rebuilds the dispatch tables and hook flags from the currently
-    /// woven aspects. Called after weave/unweave/refresh; also activates
-    /// the right hook flags in `vm`.
-    pub(crate) fn rebuild(&self, vm: &Vm) {
-        let mut s = self.state.lock();
-        s.entry.clear();
-        s.exit.clear();
-        s.field_get.clear();
-        s.field_set.clear();
-        s.throw.clear();
-        s.catch.clear();
-
-        // Collect matches per woven aspect in id order (deterministic).
-        let ids: Vec<u64> = s.woven.keys().copied().collect();
-        for id in ids {
-            let (bindings, rt) = {
-                let w = &s.woven[&id];
-                (w.aspect.bindings.clone(), w.rt.clone())
-            };
-            let mut join_points = 0usize;
-            for b in &bindings {
-                let exec = match &b.advice {
-                    crate::advice::AdviceBody::Native(f) => AdviceExec::Native(f.clone()),
-                    crate::advice::AdviceBody::Script { method } => AdviceExec::Script {
-                        method: method.clone(),
-                        resolved: resolve_script(vm, rt.class.as_deref(), method),
-                    },
-                };
-                let aref = AdviceRef {
-                    aspect: rt.clone(),
-                    exec,
-                    priority: b.priority,
-                };
-                match &b.crosscut {
-                    Crosscut::MethodEntry(p) => {
-                        for (mid, sig) in vm.methods() {
-                            if p.matches(sig) {
-                                s.entry.entry(mid).or_default().push(aref.clone());
-                                join_points += 1;
-                            }
-                        }
-                    }
-                    Crosscut::MethodExit(p) => {
-                        for (mid, sig) in vm.methods() {
-                            if p.matches(sig) {
-                                s.exit.entry(mid).or_default().push(aref.clone());
-                                join_points += 1;
-                            }
-                        }
-                    }
-                    Crosscut::FieldGet(p) => {
-                        for (fid, class, field, _ty) in vm.fields() {
-                            if p.matches(class, field) {
-                                s.field_get.entry(fid).or_default().push(aref.clone());
-                                join_points += 1;
-                            }
-                        }
-                    }
-                    Crosscut::FieldSet(p) => {
-                        for (fid, class, field, _ty) in vm.fields() {
-                            if p.matches(class, field) {
-                                s.field_set.entry(fid).or_default().push(aref.clone());
-                                join_points += 1;
-                            }
-                        }
-                    }
-                    Crosscut::ExceptionThrow(p) => {
-                        s.throw.push((p.clone(), aref.clone()));
-                        join_points += 1;
-                    }
-                    Crosscut::ExceptionCatch(p) => {
-                        s.catch.push((p.clone(), aref.clone()));
-                        join_points += 1;
-                    }
-                }
-            }
-            if let Some(w) = s.woven.get_mut(&id) {
-                w.join_points = join_points;
-            }
-        }
-
-        // Sort advice lists by priority (dispatch iterates ascending for
-        // entry-like events and descending for exit-like ones).
-        for list in s.entry.values_mut() {
-            list.sort_by_key(|r| r.priority);
-        }
-        for list in s.exit.values_mut() {
-            list.sort_by_key(|r| r.priority);
-        }
-        for list in s.field_get.values_mut() {
-            list.sort_by_key(|r| r.priority);
-        }
-        for list in s.field_set.values_mut() {
-            list.sort_by_key(|r| r.priority);
-        }
-        s.throw.sort_by_key(|(_, r)| r.priority);
-        s.catch.sort_by_key(|(_, r)| r.priority);
-
-        // Re-derive hook flags from the tables.
-        vm.hooks().clear_all();
-        for mid in s.entry.keys() {
-            vm.hooks().activate_method(*mid, HOOK_ENTRY);
-        }
-        for mid in s.exit.keys() {
-            vm.hooks().activate_method(*mid, HOOK_EXIT);
-        }
-        for fid in s.field_get.keys() {
-            vm.hooks().activate_field(*fid, HOOK_GET);
-        }
-        for fid in s.field_set.keys() {
-            vm.hooks().activate_field(*fid, HOOK_SET);
-        }
-        if !s.throw.is_empty() {
-            vm.hooks().activate_exception(HOOK_THROW);
-        }
-        if !s.catch.is_empty() {
-            vm.hooks().activate_exception(HOOK_CATCH);
-        }
     }
 
     /// Runs one advice inside the aspect sandbox, applying its error
@@ -604,5 +692,362 @@ impl Dispatcher for ProseRuntime {
             self.run_advice(vm, r, jp)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aspect::{PortableClass, PortableMethod};
+    use crate::weaver::{Prose, WeaveOptions};
+    use pmp_vm::builder::MethodBuilder;
+    use pmp_vm::class::ClassDef;
+    use pmp_vm::hooks::{HOOK_CATCH, HOOK_THROW};
+    use pmp_vm::op::{Const, Op};
+    use pmp_vm::types::TypeSig;
+    use pmp_vm::vm::VmConfig;
+
+    /// What the in-place updates must leave behind.
+    #[derive(Default)]
+    struct Reference {
+        entry: HashMap<MethodId, Vec<AdviceRef>>,
+        exit: HashMap<MethodId, Vec<AdviceRef>>,
+        field_get: HashMap<FieldId, Vec<AdviceRef>>,
+        field_set: HashMap<FieldId, Vec<AdviceRef>>,
+        throw: Vec<(NamePat, AdviceRef)>,
+        catch: Vec<(NamePat, AdviceRef)>,
+        join_points: BTreeMap<u64, usize>,
+        method_flags: Vec<u8>,
+        field_flags: Vec<u8>,
+        exception_flags: u8,
+    }
+
+    /// The reference: every woven aspect matched from scratch against
+    /// every join point, in id order, each list then stably sorted by
+    /// priority, and every hook flag derived from the tables.
+    fn rebuild(s: &State, vm: &Vm) -> Reference {
+        let mut r = Reference::default();
+        for (id, w) in &s.woven {
+            let mut join_points = 0usize;
+            for b in &w.aspect.bindings {
+                let aref = AdviceRef {
+                    aspect: w.rt.clone(),
+                    exec: advice_exec(vm, &w.rt, &b.advice),
+                    priority: b.priority,
+                };
+                match &b.crosscut {
+                    Crosscut::MethodEntry(p) | Crosscut::MethodExit(p) => {
+                        let table = if matches!(b.crosscut, Crosscut::MethodEntry(_)) {
+                            &mut r.entry
+                        } else {
+                            &mut r.exit
+                        };
+                        for (mid, sig) in vm.methods() {
+                            if p.matches(sig) {
+                                table.entry(mid).or_default().push(aref.clone());
+                                join_points += 1;
+                            }
+                        }
+                    }
+                    Crosscut::FieldGet(p) | Crosscut::FieldSet(p) => {
+                        let table = if matches!(b.crosscut, Crosscut::FieldGet(_)) {
+                            &mut r.field_get
+                        } else {
+                            &mut r.field_set
+                        };
+                        for (fid, class, field, _ty) in vm.fields() {
+                            if p.matches(class, field) {
+                                table.entry(fid).or_default().push(aref.clone());
+                                join_points += 1;
+                            }
+                        }
+                    }
+                    Crosscut::ExceptionThrow(p) => {
+                        r.throw.push((p.clone(), aref.clone()));
+                        join_points += 1;
+                    }
+                    Crosscut::ExceptionCatch(p) => {
+                        r.catch.push((p.clone(), aref.clone()));
+                        join_points += 1;
+                    }
+                }
+            }
+            r.join_points.insert(*id, join_points);
+        }
+        for list in (r.entry.values_mut()).chain(r.exit.values_mut()) {
+            list.sort_by_key(|r| r.priority);
+        }
+        for list in (r.field_get.values_mut()).chain(r.field_set.values_mut()) {
+            list.sort_by_key(|r| r.priority);
+        }
+        r.throw.sort_by_key(|(_, r)| r.priority);
+        r.catch.sort_by_key(|(_, r)| r.priority);
+
+        r.method_flags = vec![0; vm.method_count()];
+        for (table, flag) in [(&r.entry, HOOK_ENTRY), (&r.exit, HOOK_EXIT)] {
+            for mid in table.keys() {
+                r.method_flags[mid.0 as usize] |= flag;
+            }
+        }
+        r.field_flags = vec![0; vm.field_count()];
+        for (table, flag) in [(&r.field_get, HOOK_GET), (&r.field_set, HOOK_SET)] {
+            for fid in table.keys() {
+                r.field_flags[fid.0 as usize] |= flag;
+            }
+        }
+        for (list, flag) in [(&r.throw, HOOK_THROW), (&r.catch, HOOK_CATCH)] {
+            if !list.is_empty() {
+                r.exception_flags |= flag;
+            }
+        }
+        r
+    }
+
+    /// One entry as dispatch sees it: aspect, priority, and the advice
+    /// that runs (a native closure by address, a script method with its
+    /// pre-resolved id and mask).
+    fn entry_key(r: &AdviceRef) -> (u64, i32, String) {
+        let exec = match &r.exec {
+            AdviceExec::Native(f) => format!("native@{:p}", Arc::as_ptr(f).cast::<()>()),
+            AdviceExec::Script { method, resolved } => format!("{method}@{resolved:?}"),
+        };
+        (r.aspect.id.0, r.priority, exec)
+    }
+
+    type Keys = Vec<(u64, i32, String)>;
+
+    fn table_keys<K: Copy + Ord>(t: &HashMap<K, Vec<AdviceRef>>) -> BTreeMap<K, Keys> {
+        t.iter()
+            .map(|(k, list)| (*k, list.iter().map(entry_key).collect()))
+            .collect()
+    }
+
+    fn list_keys(l: &[(NamePat, AdviceRef)]) -> Vec<(String, (u64, i32, String))> {
+        l.iter()
+            .map(|(p, r)| (p.to_string(), entry_key(r)))
+            .collect()
+    }
+
+    fn assert_equals_rebuild(prose: &Prose, vm: &Vm, step: &str) {
+        let s = prose.rt.state.lock();
+        let r = rebuild(&s, vm);
+        assert_eq!(table_keys(&s.entry), table_keys(&r.entry), "{step}: entry");
+        assert_eq!(table_keys(&s.exit), table_keys(&r.exit), "{step}: exit");
+        assert_eq!(
+            table_keys(&s.field_get),
+            table_keys(&r.field_get),
+            "{step}: get"
+        );
+        assert_eq!(
+            table_keys(&s.field_set),
+            table_keys(&r.field_set),
+            "{step}: set"
+        );
+        assert_eq!(list_keys(&s.throw), list_keys(&r.throw), "{step}: throw");
+        assert_eq!(list_keys(&s.catch), list_keys(&r.catch), "{step}: catch");
+        let join_points: BTreeMap<u64, usize> =
+            s.woven.iter().map(|(id, w)| (*id, w.sites.len())).collect();
+        assert_eq!(join_points, r.join_points, "{step}: join points");
+        let hooks = vm.hooks();
+        let method_flags: Vec<u8> = (0..vm.method_count())
+            .map(|i| hooks.method_flags(MethodId(i as u32)))
+            .collect();
+        assert_eq!(method_flags, r.method_flags, "{step}: method flags");
+        let field_flags: Vec<u8> = (0..vm.field_count())
+            .map(|i| hooks.field_flags(FieldId(i as u32)))
+            .collect();
+        assert_eq!(field_flags, r.field_flags, "{step}: field flags");
+        assert_eq!(
+            hooks.exception_flags(),
+            r.exception_flags,
+            "{step}: exception flags"
+        );
+    }
+
+    /// splitmix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Crosscuts of all six kinds over the application classes `C<n>`
+    /// and the script aspect classes `Asp<k>`.
+    const CROSSCUTS: &[&str] = &[
+        "before * *.*(..)",
+        "before * C*.m1(..)",
+        "before void *.*(int)",
+        "after * *.a*(..)",
+        "after int C*.*(..)",
+        "get C*.f0",
+        "get *.*",
+        "set *.f1",
+        "set Asp*.s",
+        "throw Err*",
+        "throw *",
+        "catch *",
+        "catch Boom",
+    ];
+    /// Few priorities, so equal-priority neighbours are common.
+    const PRIORITIES: &[i32] = &[-1, 0, 0, 1];
+
+    /// One to three bindings; often two of them on one crosscut.
+    fn bindings(rng: &mut Rng) -> Vec<(Crosscut, i32)> {
+        let n = 1 + rng.below(3);
+        let mut out: Vec<(Crosscut, i32)> = Vec::new();
+        for i in 0..n {
+            let src = if i > 0 && rng.below(3) == 0 {
+                out[0].0.to_string()
+            } else {
+                CROSSCUTS[rng.below(CROSSCUTS.len())].to_string()
+            };
+            let cut = Crosscut::parse(&src).expect("test crosscut parses");
+            out.push((cut, PRIORITIES[rng.below(PRIORITIES.len())]));
+        }
+        out
+    }
+
+    fn register_app_class(vm: &mut Vm, n: usize) {
+        vm.register_class(
+            ClassDef::build(format!("C{n}"))
+                .field("f0", TypeSig::Int)
+                .field("f1", TypeSig::Int)
+                .method("m0", [TypeSig::Int], TypeSig::Void, |b| {
+                    b.op(Op::Ret);
+                })
+                .method("m1", [], TypeSig::Int, |b| {
+                    b.op(Op::Const(Const::Int(1))).op(Op::RetVal);
+                })
+                .done(),
+        )
+        .expect("fresh class name");
+    }
+
+    fn advice_method(name: &str) -> PortableMethod {
+        let mut body = MethodBuilder::new();
+        body.op(Op::Ret);
+        PortableMethod {
+            name: name.into(),
+            params: ["any", "str", "any", "any", "any"]
+                .map(String::from)
+                .to_vec(),
+            ret: "any".into(),
+            body: body.build(),
+        }
+    }
+
+    /// A script aspect over class `class`, whose advice methods `a0`..`a2`
+    /// serve bindings 0..2; with `failing_init`, its `init` throws.
+    fn script_aspect(
+        name: &str,
+        class: &str,
+        cuts: Vec<(Crosscut, i32)>,
+        failing_init: bool,
+    ) -> Aspect {
+        let mut methods: Vec<PortableMethod> =
+            (0..3).map(|i| advice_method(&format!("a{i}"))).collect();
+        if failing_init {
+            let mut body = MethodBuilder::new();
+            body.op(Op::Const(Const::Str("boom".into())))
+                .op(Op::Throw("Boom".into()));
+            methods.push(PortableMethod {
+                name: "init".into(),
+                params: vec![],
+                ret: "void".into(),
+                body: body.build(),
+            });
+        }
+        let class = PortableClass {
+            name: class.into(),
+            fields: vec![("s".into(), "int".into())],
+            methods,
+        };
+        let bindings = cuts
+            .into_iter()
+            .enumerate()
+            .map(|(i, (cut, priority))| (cut, format!("a{i}"), priority))
+            .collect();
+        Aspect::script(name, class, bindings)
+    }
+
+    fn native_aspect(name: &str, cuts: Vec<(Crosscut, i32)>) -> Aspect {
+        let mut aspect = Aspect::build(name).done().expect("no bindings yet");
+        for (crosscut, priority) in cuts {
+            aspect.bindings.push(crate::aspect::Binding {
+                crosscut,
+                advice: AdviceBody::Native(Arc::new(|_| Ok(()))),
+                priority,
+            });
+        }
+        aspect
+    }
+
+    /// Each step may first register an application class, then weaves a
+    /// native or script aspect, unweaves one, refreshes, weaves a script
+    /// aspect whose `init` throws, or unweaves everything; after every
+    /// step the tables, join-point counts and hook flags must equal the
+    /// reference.
+    #[test]
+    fn in_place_updates_equal_the_rebuild_reference() {
+        for seed in 0..256u64 {
+            let mut rng = Rng(seed);
+            let mut vm = Vm::new(VmConfig::default());
+            register_app_class(&mut vm, 0);
+            let prose = Prose::attach(&mut vm);
+            let mut classes = 1;
+            let mut woven: Vec<AspectId> = Vec::new();
+            for step in 0..24 {
+                let mut what = String::new();
+                if rng.below(3) == 0 {
+                    register_app_class(&mut vm, classes);
+                    what.push_str(&format!("register C{classes}, then "));
+                    classes += 1;
+                }
+                let name = format!("x{}", rng.below(4));
+                match rng.below(16) {
+                    0..=5 => {
+                        let aspect = native_aspect(&name, bindings(&mut rng));
+                        let id = prose.weave(&mut vm, aspect, WeaveOptions::default());
+                        woven.push(id.expect("native weave"));
+                        what.push_str("weave native");
+                    }
+                    6..=9 => {
+                        let class = format!("Asp{}", rng.below(4));
+                        let aspect = script_aspect(&name, &class, bindings(&mut rng), false);
+                        let id = prose.weave(&mut vm, aspect, WeaveOptions::default());
+                        woven.push(id.expect("script weave"));
+                        what.push_str(&format!("weave script {class}"));
+                    }
+                    10..=12 if !woven.is_empty() => {
+                        let id = woven.remove(rng.below(woven.len()));
+                        prose.unweave(&mut vm, id, "test").expect("woven");
+                        what.push_str(&format!("unweave {id}"));
+                    }
+                    13 => {
+                        prose.refresh(&mut vm);
+                        what.push_str("refresh");
+                    }
+                    14 => {
+                        let class = format!("Bad{}", rng.below(2));
+                        let aspect = script_aspect(&name, &class, bindings(&mut rng), true);
+                        let failed = prose.weave(&mut vm, aspect, WeaveOptions::default());
+                        assert!(failed.is_err(), "seed {seed}: init must fail");
+                        what.push_str(&format!("weave {class} with failing init"));
+                    }
+                    _ => {
+                        prose.unweave_all(&mut vm, "test");
+                        woven.clear();
+                        what.push_str("unweave all");
+                    }
+                }
+                assert_equals_rebuild(&prose, &vm, &format!("seed {seed} step {step} ({what})"));
+            }
+        }
     }
 }

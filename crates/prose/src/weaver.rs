@@ -5,7 +5,7 @@ use crate::advice::{AdviceBody, JoinPoint};
 use crate::aspect::{Aspect, AspectImpl};
 use crate::error::ProseError;
 use crate::handle::{AspectId, AspectInfo};
-use crate::runtime::{AdviceExec, AdviceRef, AspectRt, ErrorPolicy, ProseRuntime, Woven};
+use crate::runtime::{advice_exec, AdviceRef, AspectRt, ErrorPolicy, ProseRuntime, Woven};
 use pmp_telemetry::Subsystem;
 use pmp_vm::perm::Permissions;
 use pmp_vm::value::Value;
@@ -89,7 +89,7 @@ impl WeaveOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Prose {
-    rt: Arc<ProseRuntime>,
+    pub(crate) rt: Arc<ProseRuntime>,
 }
 
 impl Prose {
@@ -184,23 +184,6 @@ impl Prose {
             let mut s = self.rt.state.lock();
             let id = AspectId(s.next_id);
             s.next_id += 1;
-            let rt = Arc::new(AspectRt {
-                id,
-                name: aspect.name.clone(),
-                perms: opts.perms,
-                fuel: opts.fuel,
-                policy: opts.policy,
-                instance: instance.clone(),
-                class: class_name.clone(),
-            });
-            s.woven.insert(
-                id.0,
-                Woven {
-                    rt,
-                    aspect,
-                    join_points: 0,
-                },
-            );
             id
         };
 
@@ -209,19 +192,35 @@ impl Prose {
             if let Some(init_mid) = vm.method_id(class, "init") {
                 if vm.method_sig(init_mid).params.is_empty() {
                     let scope = vm.begin_advice(opts.perms, opts.fuel);
-                    let r = vm.invoke(init_mid, instance, vec![]);
+                    let r = vm.invoke(init_mid, instance.clone(), vec![]);
                     vm.end_advice(scope);
                     if let Err(e) = r {
-                        // Failed init: roll the weave back.
-                        self.rt.state.lock().woven.remove(&id.0);
-                        self.rt.rebuild(vm);
+                        // Failed init: the aspect is never added, but the
+                        // others still advise the class it registered.
+                        self.rt.state.lock().catch_up(vm);
                         return Err(ProseError::Vm(e));
                     }
                 }
             }
         }
 
-        self.rt.rebuild(vm);
+        let rt = Arc::new(AspectRt {
+            id,
+            name: aspect.name.clone(),
+            perms: opts.perms,
+            fuel: opts.fuel,
+            policy: opts.policy,
+            instance,
+            class: class_name,
+        });
+        self.rt.state.lock().install(
+            vm,
+            Woven {
+                rt,
+                aspect,
+                sites: Vec::new(),
+            },
+        );
         Ok(id)
     }
 
@@ -250,20 +249,9 @@ impl Prose {
         // Shutdown notification (paper §3.2) — best-effort: a failing
         // shutdown handler cannot block revocation.
         if let Some(body) = &woven.aspect.shutdown {
-            let exec = match body {
-                AdviceBody::Native(f) => AdviceExec::Native(f.clone()),
-                AdviceBody::Script { method } => AdviceExec::Script {
-                    method: method.clone(),
-                    resolved: crate::runtime::resolve_script(
-                        vm,
-                        woven.rt.class.as_deref(),
-                        method,
-                    ),
-                },
-            };
             let aref = AdviceRef {
                 aspect: woven.rt.clone(),
-                exec,
+                exec: advice_exec(vm, &woven.rt, body),
                 priority: 0,
             };
             let jp = JoinPoint::Shutdown {
@@ -277,7 +265,9 @@ impl Prose {
                     .push(format!("aspect {} shutdown: {e}", woven.rt.name));
             }
         }
-        self.rt.rebuild(vm);
+        let mut s = self.rt.state.lock();
+        s.catch_up(vm);
+        s.remove(vm, id, &woven.sites);
         Ok(())
     }
 
@@ -293,11 +283,12 @@ impl Prose {
         }
     }
 
-    /// Re-matches every woven aspect against the VM's current classes.
-    /// Call after registering new application classes so existing
-    /// aspects extend them too (class-load-time weaving).
+    /// Matches every woven aspect against the classes registered since
+    /// the last weave, unweave or refresh. Call after registering new
+    /// application classes so existing aspects extend them too
+    /// (class-load-time weaving).
     pub fn refresh(&self, vm: &mut Vm) {
-        self.rt.rebuild(vm);
+        self.rt.state.lock().catch_up(vm);
     }
 
     /// Snapshot of the woven aspects.
@@ -308,7 +299,7 @@ impl Prose {
             .map(|w| AspectInfo {
                 id: w.rt.id,
                 name: w.rt.name.clone(),
-                join_points: w.join_points,
+                join_points: w.sites.len(),
             })
             .collect()
     }
@@ -319,7 +310,7 @@ impl Prose {
         s.woven.get(&id.0).map(|w| AspectInfo {
             id: w.rt.id,
             name: w.rt.name.clone(),
-            join_points: w.join_points,
+            join_points: w.sites.len(),
         })
     }
 
@@ -332,10 +323,26 @@ impl Prose {
     /// active aspects writing the same field, or advising the same
     /// join point with equal priority. Run after a weave (or
     /// [`Prose::refresh`]) — the tables, not the patterns, are the
-    /// ground truth of what fires where.
+    /// ground truth of what fires where. Reports every pair, sites in
+    /// id order (field writes, field reads, method entries, method
+    /// exits); [`Prose::interference_with`] is the same pass for one
+    /// aspect.
     pub fn interference_report(&self, vm: &Vm) -> Vec<crate::interference::Interference> {
         let s = self.rt.state.lock();
-        crate::interference::report(&s, vm)
+        crate::interference::report(&s, vm, None)
+    }
+
+    /// The pairs of [`Prose::interference_report`] that include aspect
+    /// `id`, in the same order, found by walking only the sites `id`
+    /// advises: the admission check for a newcomer, whose cost does not
+    /// grow with the aspects already woven.
+    pub fn interference_with(
+        &self,
+        vm: &Vm,
+        id: AspectId,
+    ) -> Vec<crate::interference::Interference> {
+        let s = self.rt.state.lock();
+        crate::interference::report(&s, vm, Some(id))
     }
 
     /// Records one weave/unweave operation into the VM's telemetry:

@@ -148,17 +148,6 @@ impl HookRegistry {
     pub fn deactivate_exception(&self, flags: u8) {
         self.exceptions.fetch_and(!flags, Ordering::Relaxed);
     }
-
-    /// Clears every flag (used when unweaving all aspects).
-    pub fn clear_all(&self) {
-        for f in &self.methods {
-            f.store(0, Ordering::Relaxed);
-        }
-        for f in &self.fields {
-            f.store(0, Ordering::Relaxed);
-        }
-        self.exceptions.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Outcome of a method body, as seen by exit advice. Exit advice may
@@ -291,19 +280,5 @@ mod tests {
         reg.activate_exception(HOOK_THROW | HOOK_CATCH);
         reg.deactivate_exception(HOOK_THROW);
         assert_eq!(reg.exception_flags(), HOOK_CATCH);
-    }
-
-    #[test]
-    fn clear_all_resets() {
-        let mut reg = HookRegistry::new();
-        reg.ensure_method(MethodId(0));
-        reg.ensure_field(FieldId(0));
-        reg.activate_method(MethodId(0), HOOK_ENTRY);
-        reg.activate_field(FieldId(0), HOOK_GET);
-        reg.activate_exception(HOOK_THROW);
-        reg.clear_all();
-        assert_eq!(reg.method_flags(MethodId(0)), 0);
-        assert_eq!(reg.field_flags(FieldId(0)), 0);
-        assert_eq!(reg.exception_flags(), 0);
     }
 }

@@ -570,6 +570,18 @@ impl Vm {
         self.classes.len()
     }
 
+    /// Number of declared methods: every [`MethodId`] is below it, and
+    /// a newly registered method takes the next one.
+    pub fn method_count(&self) -> usize {
+        self.methods.len()
+    }
+
+    /// Number of declared fields: every [`FieldId`] is below it, and a
+    /// newly registered field takes the next one.
+    pub fn field_count(&self) -> usize {
+        self.field_count as usize
+    }
+
     /// Returns `true` if `sub` is `sup` or a transitive subclass of it.
     pub fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
         let mut cur = Some(sub);

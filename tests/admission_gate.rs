@@ -408,3 +408,49 @@ fn interference_rejection_unweaves_the_newcomer() {
         "{rejected:?}"
     );
 }
+
+#[test]
+fn interference_between_residents_is_not_blamed_on_a_same_named_newcomer() {
+    let mut w = world();
+    let twin = |id: &str, class: &str| {
+        package(
+            id,
+            vec![],
+            script_aspect("twin", class, "before * Motor.*(..)", vec![Op::Ret]),
+        )
+    };
+    w.offer(&twin("hall-a/twin-a", "TwinA1"));
+    w.offer(&twin("hall-a/twin-b", "TwinB1"));
+    w.offer(&package(
+        "hall-a/field-c",
+        vec![],
+        script_aspect("field-c", "FieldC1", "set Motor.position", vec![Op::Ret]),
+    ));
+    w.pump(5 * SEC);
+    for id in ["hall-a/twin-a", "hall-a/twin-b", "hall-a/field-c"] {
+        assert!(w.receiver.is_installed(id), "{id}");
+    }
+
+    // The two residents interfere with each other at Motor.rotate; the
+    // upgrade shares their aspect name but advises only the field.
+    w.receiver.policy.analysis.reject_on_interference = true;
+    let mut upgrade = package(
+        "hall-a/field-c",
+        vec![],
+        script_aspect("twin", "FieldC2", "set Motor.position", vec![Op::Ret]),
+    );
+    upgrade.meta.version = 2;
+    let sealed = SignedExtension::seal("authority:hall-a", &w.authority, &upgrade);
+    w.base.update_extension(&mut w.sim, sealed);
+    w.pump(5 * SEC);
+
+    assert_eq!(w.rejection_reason("hall-a/field-c"), None);
+    assert!(w.receiver.is_installed("hall-a/field-c"));
+    assert!(
+        w.receiver_events.iter().any(|e| matches!(
+            e,
+            ReceiverEvent::Installed { ext_id, version: 2, .. } if ext_id == "hall-a/field-c"
+        )),
+        "the upgrade must have been woven"
+    );
+}

@@ -26,7 +26,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crates whose state feeds trace/journal/WAL digests.
-const CRATES: &[&str] = &["core", "midas", "discovery", "tuplespace", "trace", "vm"];
+const CRATES: &[&str] = &[
+    "core",
+    "midas",
+    "discovery",
+    "prose",
+    "tuplespace",
+    "trace",
+    "vm",
+];
 
 /// Forbidden-token needles (matched as substrings of non-comment code
 /// lines).
