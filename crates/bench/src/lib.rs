@@ -1,9 +1,10 @@
 //! # pmp-bench — fixtures for reproducing the paper's measurements
 //!
-//! Shared setups used by the printable harness (`src/bin/harness.rs`)
-//! and the performance ledger (`perfledger/`). Each experiment Eⁿ is
-//! indexed in `DESIGN.md` and recorded against the paper's numbers in
-//! `EXPERIMENTS.md`.
+//! Shared setups for the performance ledger (`perfledger/`), which
+//! times every wall-clock figure, and for the harness
+//! (`src/bin/harness.rs`), which prints only deterministic results.
+//! Each experiment Eⁿ is indexed in `DESIGN.md` and recorded against
+//! the paper's numbers in `EXPERIMENTS.md`.
 
 use pmp_core::{MobId, Platform};
 use pmp_net::Position;
@@ -14,8 +15,6 @@ use pmp_vm::class::ClassDef;
 use pmp_vm::op::Op;
 use pmp_vm::prelude::*;
 use std::sync::Arc;
-
-pub use pmp_spec::PROGRAM_NAMES;
 
 const SEC: u64 = 1_000_000_000;
 
@@ -381,11 +380,11 @@ pub fn distribution_world(n: usize) -> (Platform, Vec<MobId>) {
 /// Measures time-to-adapted for `n` devices joining one hall at once.
 pub fn distribution_run(n: usize) -> DistributionResult {
     let (mut p, ids) = distribution_world(n);
-    let mut elapsed = 0u64;
+    let mut pumped = 0u64;
     let step = SEC / 10;
-    while elapsed < 120 * SEC {
+    while pumped < 120 * SEC {
         p.pump(step);
-        elapsed += step;
+        pumped += step;
         if ids
             .iter()
             .all(|id| p.node(*id).receiver.is_installed("ext/billing"))
@@ -455,18 +454,16 @@ pub fn revocation_run(lease_ns: u64) -> RevocationResult {
 }
 
 // ---------------------------------------------------------------------
-// E12 — driver scaling (wall-clock, digest-checked)
+// E12 — driver invariance (digest-checked)
 // ---------------------------------------------------------------------
 
 /// Result of one E12 run: the E6 distribution workload executed under
-/// a chosen [`pmp_core::Driver`], with wall-clock cost and the two
-/// determinism digests (DESIGN.md §10).
+/// a chosen [`pmp_core::Driver`], with the two determinism digests
+/// (DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverScalingResult {
     /// Number of receiver nodes.
     pub nodes: usize,
-    /// Wall-clock milliseconds spent pumping (world build excluded).
-    pub wall_ms: f64,
     /// [`Platform::trace_digest`] after the run.
     pub trace_digest: u64,
     /// [`Platform::journal_digest`] after the run.
@@ -478,8 +475,8 @@ pub struct DriverScalingResult {
 /// Runs the E6 distribution workload under `driver`: `n` devices adapt
 /// at once — the busy epochs fan the crypto-verify, admission-analysis
 /// and weave work across all `n` cells — then a fixed 5 s settle tail
-/// keeps the steady-state renewal traffic in the measurement. The seed
-/// and schedule are identical across drivers, so digests must match.
+/// adds the steady-state renewal traffic. The seed and schedule are
+/// identical across drivers, so digests must match.
 pub fn driver_scaling_run(
     n: usize,
     driver: Box<dyn pmp_core::Driver>,
@@ -488,40 +485,34 @@ pub fn driver_scaling_run(
     p.set_driver(driver);
     p.sim.deliveries.set_logging(true);
     let step = SEC / 10;
-    let started = std::time::Instant::now();
-    let mut elapsed = 0u64;
+    let mut pumped = 0u64;
     let mut adapted_at: Option<u64> = None;
-    while elapsed < 120 * SEC {
+    while pumped < 120 * SEC {
         p.pump(step);
-        elapsed += step;
+        pumped += step;
         if adapted_at.is_none()
             && ids
                 .iter()
                 .all(|id| p.node(*id).receiver.is_installed("ext/billing"))
         {
-            adapted_at = Some(elapsed);
+            adapted_at = Some(pumped);
         }
         // A fixed settle tail after full adaptation: renewals and lease
         // sweeps keep every cell mildly busy, and a *fixed* endpoint
         // keeps the event stream identical across drivers.
         if let Some(at) = adapted_at {
-            if elapsed >= at + 5 * SEC {
+            if pumped >= at + 5 * SEC {
                 break;
             }
         }
     }
     DriverScalingResult {
         nodes: n,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
         trace_digest: p.trace_digest(),
         journal_digest: p.journal_digest(),
         all_adapted: adapted_at.is_some(),
     }
 }
-
-// ---------------------------------------------------------------------
-// E6b — per-node message cost (derived from distribution runs)
-// ---------------------------------------------------------------------
 
 // ---------------------------------------------------------------------
 // E17 — federated base fabric (directory lookups + roaming handoff)
@@ -684,243 +675,6 @@ pub fn fed_handoff_run() -> FedHandoffResult {
 }
 
 // ---------------------------------------------------------------------
-// E13 — durability (WAL throughput, group commit, recovery)
-// ---------------------------------------------------------------------
-
-/// A throwaway durable state for WAL benchmarks: folds every replayed
-/// payload into an FNV accumulator so replay cost includes apply work
-/// but no allocation-heavy model.
-#[derive(Debug, Default)]
-pub struct BenchLedger {
-    /// Number of records applied.
-    pub applied: u64,
-    digest: u64,
-}
-
-impl pmp_durable::Store for BenchLedger {
-    const NAMESPACE: &'static str = "bench.ledger";
-    type Op = Vec<u8>;
-    fn encode_state(&self) -> Vec<u8> {
-        pmp_wire::to_bytes(&(self.applied, self.digest))
-    }
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), pmp_durable::DurableError> {
-        let (applied, digest) = pmp_wire::from_bytes(bytes)?;
-        self.applied = applied;
-        self.digest = digest;
-        Ok(())
-    }
-    fn apply(&mut self, payload: Vec<u8>) -> Result<(), pmp_durable::DurableError> {
-        let mut h = pmp_telemetry::Fnv64::new();
-        h.write_u64(self.digest);
-        h.write(&payload);
-        self.digest = h.finish();
-        self.applied += 1;
-        Ok(())
-    }
-}
-
-/// Builds a committed WAL of `records` payloads of `payload_bytes`
-/// each, group-committed every `batch` appends. Returns the engine and
-/// the in-memory state that produced it.
-pub fn wal_world(records: usize, payload_bytes: usize, batch: usize) -> (pmp_durable::DurableEngine, BenchLedger) {
-    let mut engine = pmp_durable::DurableEngine::new(pmp_durable::EngineConfig {
-        segment_bytes: 64 * 1024,
-        snapshot_every: 0,
-    });
-    let mut ledger = BenchLedger::default();
-    for i in 0..records {
-        let payload: Vec<u8> = (0..payload_bytes).map(|b| (i + b) as u8).collect();
-        pmp_durable::Store::commit(&mut ledger, &mut engine, payload).expect("apply");
-        if (i + 1) % batch.max(1) == 0 {
-            engine.commit();
-        }
-    }
-    engine.commit();
-    (engine, ledger)
-}
-
-/// One E13a/E13b measurement: appending + group-committing a fixed
-/// write load at a given batch size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WalAppendResult {
-    /// Records per commit batch.
-    pub batch: usize,
-    /// Simulated fsyncs issued.
-    pub syncs: u64,
-    /// Wall-clock milliseconds for the whole load.
-    pub wall_ms: f64,
-    /// Appended records per wall-clock second.
-    pub records_per_s: f64,
-    /// Framed megabytes per wall-clock second.
-    pub mb_per_s: f64,
-}
-
-/// Appends `records` × `payload_bytes` at `batch`-sized group commits
-/// and reports throughput (E13a at one batch size; sweep `batch` for
-/// E13b).
-pub fn wal_append_run(records: usize, payload_bytes: usize, batch: usize) -> WalAppendResult {
-    let started = std::time::Instant::now();
-    let (engine, _) = wal_world(records, payload_bytes, batch);
-    let wall = started.elapsed().as_secs_f64();
-    WalAppendResult {
-        batch,
-        syncs: engine.disk().syncs(),
-        wall_ms: wall * 1e3,
-        records_per_s: records as f64 / wall,
-        mb_per_s: engine.disk().committed_bytes() as f64 / (1024.0 * 1024.0) / wall,
-    }
-}
-
-/// One E13c measurement: full recovery (snapshot scan + WAL replay)
-/// over a log of `records` records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryResult {
-    /// Records in the committed log.
-    pub records: usize,
-    /// Wall-clock milliseconds for [`pmp_durable::DurableEngine::recover`].
-    pub recover_ms: f64,
-    /// Records actually replayed.
-    pub replayed: u64,
-    /// Whether the image read back clean and the replayed state matched
-    /// the writer's.
-    pub verified: bool,
-}
-
-/// Crashes a `records`-long committed WAL and measures recovery.
-pub fn recovery_run(records: usize) -> RecoveryResult {
-    let (mut engine, ledger) = wal_world(records, 48, 32);
-    use pmp_durable::Durable;
-    engine.crash();
-    let mut restored = BenchLedger::default();
-    let started = std::time::Instant::now();
-    let report = engine.recover(&mut [&mut restored]);
-    let wall = started.elapsed().as_secs_f64();
-    RecoveryResult {
-        records,
-        recover_ms: wall * 1e3,
-        replayed: report.replayed,
-        verified: report.is_clean()
-            && restored.applied == ledger.applied
-            && restored.snapshot_bytes() == ledger.snapshot_bytes(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// E15 — tracing overhead (identical workloads, tracer off vs on)
-// ---------------------------------------------------------------------
-
-/// Result of one E15 workload leg.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceOverheadResult {
-    /// Wall-clock milliseconds for the workload.
-    pub wall_ms: f64,
-    /// Spans retained by the platform collector at the end — zero when
-    /// tracing is off, the proof that the traced leg actually traced.
-    pub spans_retained: usize,
-    /// Network trace digest: both legs must produce the same value,
-    /// since envelopes carry their 16 context bytes either way and the
-    /// link model therefore samples identically.
-    pub trace_digest: u64,
-}
-
-/// E15a — the E2 hot path under platform tracing: ns per woven
-/// `DrawingService.moveTo` dispatch on the adapted hall-A robot, with
-/// platform tracing off vs on. By design the dispatch path carries no
-/// tracing instrumentation — interception spans are detected from the
-/// existing dispatch counter at epoch barriers — so this row pins that
-/// claim: enabling tracing must not move per-dispatch cost.
-pub fn dispatch_overhead_ns(tracing: bool) -> f64 {
-    let mut w = pmp_core::scenario::ProductionHalls::build(97);
-    w.platform.set_tracing(tracing);
-    w.platform.pump(6 * SEC);
-    let node = w.platform.node_mut(w.robot);
-    // RPC dispatch sets the session caller before invoking the
-    // service; the access-control advice reads it. Same here.
-    *node.wiring.caller.lock() = "operator:1".to_string();
-    let svc = node.services["DrawingService"].clone();
-    // `position` reads through the same woven session/access-control
-    // advice as `moveTo` but leaves the canvas and outbox untouched,
-    // so per-call cost stays flat across the 16 samples.
-    measure_ns(5_000, || {
-        node.vm
-            .call("DrawingService", "position", svc.clone(), vec![])
-            .expect("woven dispatch");
-    })
-}
-
-/// E15c — the worst-case traced-operation stress row: every operation
-/// is a remote `moveTo` that mints its own `rpc.call` root span, so
-/// the full per-span cost (mint, barrier drain, flight-ring mirror,
-/// WAL append, collector absorb) lands on a ~20 µs baseline op. This
-/// is the *ceiling* of tracing cost, not a typical workload: spans
-/// ride the same WAL with the same durability as movement records.
-pub fn traced_rpc_overhead_run(calls: usize, tracing: bool) -> TraceOverheadResult {
-    let mut w = pmp_core::scenario::ProductionHalls::build(97);
-    w.platform.set_tracing(tracing);
-    w.platform.pump(6 * SEC);
-    let t0 = std::time::Instant::now();
-    for i in 0..calls {
-        w.platform.rpc(
-            w.base_a,
-            w.robot,
-            "operator:1",
-            "DrawingService",
-            "moveTo",
-            vec![(i % 20) as i64, 3],
-        );
-        w.platform.pump(SEC / 20);
-    }
-    TraceOverheadResult {
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        spans_retained: w.platform.collector_stats().0,
-        trace_digest: w.platform.trace_digest(),
-    }
-}
-
-/// E15b — the E6 distribution workload with a *traced* publish: one
-/// hall base publishes billing through the traced path, `n` devices
-/// adapt, and the wall clock covers the whole time-to-all-adapted
-/// loop (ship/verify/weave spans mint and drain when tracing is on).
-pub fn distribution_overhead_run(n: usize, tracing: bool) -> TraceOverheadResult {
-    let mut p = Platform::new(1000 + n as u64);
-    p.set_tracing(tracing);
-    p.add_area("hall", Position::new(0.0, 0.0), Position::new(100.0, 100.0));
-    let base = p.add_base("hall", Position::new(50.0, 50.0), 150.0);
-    p.publish_extension(base, &pmp_extensions::billing::package("* Motor.*(..)", 1, 1));
-
-    let cap = Permissions::none().with(Permission::Net);
-    let policy = p.trusting_policy(&[base], cap);
-    let mut ids: Vec<MobId> = Vec::with_capacity(n);
-    for i in 0..n {
-        let angle = (i as f64) * std::f64::consts::TAU / (n as f64);
-        let pos = Position::new(50.0 + 30.0 * angle.cos(), 50.0 + 30.0 * angle.sin());
-        ids.push(
-            p.add_device(&format!("pda:{i}"), pos, 150.0, policy.clone())
-                .expect("device"),
-        );
-    }
-
-    let t0 = std::time::Instant::now();
-    let mut elapsed = 0u64;
-    let step = SEC / 10;
-    while elapsed < 120 * SEC {
-        p.pump(step);
-        elapsed += step;
-        if ids
-            .iter()
-            .all(|id| p.node(*id).receiver.is_installed("ext/billing"))
-        {
-            break;
-        }
-    }
-    TraceOverheadResult {
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        spans_retained: p.collector_stats().0,
-        trace_digest: p.trace_digest(),
-    }
-}
-
-// ---------------------------------------------------------------------
 // E16 — weave-time optimization of shipped advice
 // ---------------------------------------------------------------------
 
@@ -1048,7 +802,7 @@ pub fn ping_vm_shipped(optimize: bool) -> (Vm, Value) {
 /// Result of one stream fan-out load run (DESIGN.md §16, EXPERIMENTS.md
 /// E18): one base, `subscribers` cursors on its movement namespace, a
 /// fixed RPC traffic schedule, every cursor drained after every burst.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamFanoutResult {
     /// Synthetic subscribers attached to the base.
     pub subscribers: usize,
@@ -1066,16 +820,6 @@ pub struct StreamFanoutResult {
     pub deliveries: u64,
     /// Bytes handed to subscribers across all deliveries.
     pub delivered_bytes: u64,
-    /// Wall-clock seconds spent in the drain (fan-out) loops only.
-    pub fanout_wall_s: f64,
-    /// Sustained deliveries per wall-clock second of fan-out.
-    pub updates_per_s: f64,
-    /// Encoding cost amortized over deliveries:
-    /// `encoded_bytes / deliveries`.
-    pub amortized_bytes_per_update: f64,
-    /// 99th-percentile wall-clock nanoseconds of one subscriber's
-    /// drain call, over ≤2048 sampled cursors per burst.
-    pub p99_drain_ns: u64,
 }
 
 /// Runs the E18 load: a production-halls world, `subscribers` live
@@ -1097,9 +841,6 @@ pub fn stream_fanout_run(subscribers: usize, rounds: usize) -> StreamFanoutResul
 
     let mut deliveries = 0u64;
     let mut delivered_bytes = 0u64;
-    let mut fanout_wall = 0f64;
-    let mut samples: Vec<u64> = Vec::new();
-    let sample_every = (subscribers / 2_048).max(1);
     for round in 0..rounds {
         let x = (round % 12) as i64;
         w.platform.rpc(
@@ -1111,60 +852,23 @@ pub fn stream_fanout_run(subscribers: usize, rounds: usize) -> StreamFanoutResul
             vec![x, 0, x + 8, 4],
         );
         w.platform.pump(SEC);
-        let t0 = std::time::Instant::now();
-        for (i, &sub) in subs.iter().enumerate() {
-            let sampled = i % sample_every == 0;
-            let s0 = if sampled {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
+        for &sub in &subs {
             for ev in w.platform.drain_updates(sub) {
                 deliveries += 1;
                 delivered_bytes += ev.bytes().len() as u64;
             }
-            if let Some(s0) = s0 {
-                samples.push(s0.elapsed().as_nanos() as u64);
-            }
         }
-        fanout_wall += t0.elapsed().as_secs_f64();
     }
 
     let stats = w.platform.stream_stats(w.base_a);
-    let encoded = stats.encoded - stats0.encoded;
-    let encoded_bytes = stats.encoded_bytes - stats0.encoded_bytes;
-    samples.sort_unstable();
-    let p99 = samples[(samples.len() * 99) / 100..].first().copied().unwrap_or(0);
     StreamFanoutResult {
         subscribers,
-        encoded,
-        encoded_bytes,
+        encoded: stats.encoded - stats0.encoded,
+        encoded_bytes: stats.encoded_bytes - stats0.encoded_bytes,
         telemetry_encoded: tel.counter_value("stream.delta.encoded") - tel0,
         deliveries,
         delivered_bytes,
-        fanout_wall_s: fanout_wall,
-        updates_per_s: deliveries as f64 / fanout_wall.max(f64::EPSILON),
-        amortized_bytes_per_update: encoded_bytes as f64 / (deliveries as f64).max(1.0),
-        p99_drain_ns: p99,
     }
-}
-
-/// Crude timer: median wall-clock nanoseconds per iteration of `f`.
-pub fn measure_ns(iters: u32, mut f: impl FnMut()) -> f64 {
-    // Warm-up.
-    for _ in 0..iters.min(16) {
-        f();
-    }
-    let mut samples: Vec<f64> = Vec::with_capacity(16);
-    for _ in 0..16 {
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        samples.push(start.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 #[cfg(test)]

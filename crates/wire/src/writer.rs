@@ -247,33 +247,4 @@ mod tests {
             assert_eq!(&**v, &encoded[..]);
         }
     }
-
-    /// The encode path must stay allocation-lean enough that framing
-    /// throughput is disk-shaped, not allocator-shaped. The floor is
-    /// deliberately loose (debug builds, shared CI hosts) — it exists
-    /// to catch an accidental per-record `Vec` creeping back in, which
-    /// costs an order of magnitude, not percents.
-    #[test]
-    fn encode_throughput_floor() {
-        const RECORDS: usize = 20_000;
-        const PAYLOAD: usize = 64;
-        let payload = [0xabu8; PAYLOAD];
-        let mut w = Writer::with_capacity(RECORDS * (PAYLOAD + 16));
-        let start = std::time::Instant::now();
-        for i in 0..RECORDS {
-            let slot = w.reserve_u32();
-            let body = w.mark();
-            w.put_u64(i as u64);
-            w.put_raw(&payload);
-            let len = (w.mark() - body) as u32;
-            w.patch_u32(slot, len);
-        }
-        let secs = start.elapsed().as_secs_f64();
-        let mb = w.len() as f64 / (1024.0 * 1024.0);
-        assert!(
-            mb / secs > 8.0,
-            "framed encode ran at {:.1} MB/s — a per-record allocation regression?",
-            mb / secs
-        );
-    }
 }

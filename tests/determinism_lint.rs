@@ -3,6 +3,9 @@
 //! bytes). Cross-driver byte-equality is the platform's core testable
 //! claim, and the two ways it historically rots are wall-clock reads
 //! and hash-order iteration leaking into send/journal paths.
+//! `pmp-bench` is scanned too: its harness output is a checked
+//! artifact (CI diffs it against EXPERIMENTS.md), so it must repeat
+//! byte for byte.
 //!
 //! The lint scans non-test sources of the digest-feeding crates for:
 //!
@@ -25,8 +28,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Crates whose state feeds trace/journal/WAL digests.
+/// Crates whose state feeds trace/journal/WAL digests, plus
+/// `pmp-bench`, whose harness output is checked byte for byte.
 const CRATES: &[&str] = &[
+    "bench",
     "core",
     "midas",
     "discovery",
