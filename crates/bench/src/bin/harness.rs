@@ -269,7 +269,7 @@ fn e17_federation() {
 
 /// `--dump-opt-report`: prints the deterministic weave-time
 /// optimization report for every shipped extension package (what a
-/// base logs under [`pmp_midas::ShipMode::Optimized`]).
+/// base logs on every publish).
 fn dump_opt_reports() {
     let labels = [
         "monitoring",

@@ -757,7 +757,7 @@ pub fn guard_package() -> pmp_midas::ExtensionPackage {
 /// A `Ping` VM with [`guard_package`] woven the way a receiver would
 /// install it: as shipped when `optimize` is false (the paper's
 /// behaviour), or through the base-side optimizer plus receiver-side
-/// hook hoisting when true ([`pmp_midas::ShipMode::Optimized`]).
+/// hook hoisting when true (what every base ships).
 pub fn ping_vm_shipped(optimize: bool) -> (Vm, Value) {
     let mut vm = Vm::new(VmConfig::default());
     vm.register_class(

@@ -11,7 +11,7 @@
 //! property delta debugging rests on.
 
 use pmp_midas::ExtensionPackage;
-use pmp_wire::{wire_struct, Reader, Wire, WireError, Writer};
+use pmp_wire::{wire_enum, wire_struct};
 
 /// Horizontal spacing between halls; hall `i` spans
 /// `[i*HALL_PITCH, i*HALL_PITCH + HALL_SIDE]` on the x axis.
@@ -288,216 +288,30 @@ pub enum Op {
     },
 }
 
-impl Wire for Op {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Op::MoveToHall { node, hall } => {
-                w.put_u8(0);
-                w.put_u8(*node);
-                w.put_u8(*hall);
-            }
-            Op::MoveToCorridor { node } => {
-                w.put_u8(1);
-                w.put_u8(*node);
-            }
-            Op::SetOnline { node, online } => {
-                w.put_u8(2);
-                w.put_u8(*node);
-                w.put_bool(*online);
-            }
-            Op::AddRobot { hall } => {
-                w.put_u8(3);
-                w.put_u8(*hall);
-            }
-            Op::CrashBase { base } => {
-                w.put_u8(4);
-                w.put_u8(*base);
-            }
-            Op::RestartBase { base } => {
-                w.put_u8(5);
-                w.put_u8(*base);
-            }
-            Op::CheckpointBase { base } => {
-                w.put_u8(6);
-                w.put_u8(*base);
-            }
-            Op::Publish {
-                base,
-                kind,
-                version,
-            } => {
-                w.put_u8(7);
-                w.put_u8(*base);
-                kind.encode(w);
-                w.put_u32(*version);
-            }
-            Op::Revoke { base, kind } => {
-                w.put_u8(8);
-                w.put_u8(*base);
-                kind.encode(w);
-            }
-            Op::Rpc { base, node, x, y } => {
-                w.put_u8(9);
-                w.put_u8(*base);
-                w.put_u8(*node);
-                w.put_u8(*x);
-                w.put_u8(*y);
-            }
-            Op::InjectTornTail { base, drop } => {
-                w.put_u8(10);
-                w.put_u8(*base);
-                w.put_u8(*drop);
-            }
-            Op::InjectBitFlip { base, offset } => {
-                w.put_u8(11);
-                w.put_u8(*base);
-                w.put_u16(*offset);
-            }
-            Op::Partition { node, base } => {
-                w.put_u8(12);
-                w.put_u8(*node);
-                w.put_u8(*base);
-            }
-            Op::Heal { node, base } => {
-                w.put_u8(13);
-                w.put_u8(*node);
-                w.put_u8(*base);
-            }
-            Op::LinkBases { a, b } => {
-                w.put_u8(14);
-                w.put_u8(*a);
-                w.put_u8(*b);
-            }
-            Op::PartitionBases { a, b } => {
-                w.put_u8(15);
-                w.put_u8(*a);
-                w.put_u8(*b);
-            }
-            Op::HealBases { a, b } => {
-                w.put_u8(16);
-                w.put_u8(*a);
-                w.put_u8(*b);
-            }
-            Op::Subscribe { base, ns } => {
-                w.put_u8(17);
-                w.put_u8(*base);
-                w.put_u8(*ns);
-            }
-            Op::DropSubscriber { sub } => {
-                w.put_u8(18);
-                w.put_u8(*sub);
-            }
-            Op::RpcSem {
-                base,
-                node,
-                sem,
-                x,
-                y,
-            } => {
-                w.put_u8(19);
-                w.put_u8(*base);
-                w.put_u8(*node);
-                w.put_u8(*sem);
-                w.put_u8(*x);
-                w.put_u8(*y);
-            }
-            Op::AdversarialPublish {
-                base,
-                attack,
-                version,
-            } => {
-                w.put_u8(20);
-                w.put_u8(*base);
-                w.put_u8(*attack);
-                w.put_u32(*version);
-            }
-            Op::SlowLinks { mult } => {
-                w.put_u8(21);
-                w.put_u8(*mult);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Op::MoveToHall {
-                node: r.get_u8()?,
-                hall: r.get_u8()?,
-            },
-            1 => Op::MoveToCorridor { node: r.get_u8()? },
-            2 => Op::SetOnline {
-                node: r.get_u8()?,
-                online: r.get_bool()?,
-            },
-            3 => Op::AddRobot { hall: r.get_u8()? },
-            4 => Op::CrashBase { base: r.get_u8()? },
-            5 => Op::RestartBase { base: r.get_u8()? },
-            6 => Op::CheckpointBase { base: r.get_u8()? },
-            7 => Op::Publish {
-                base: r.get_u8()?,
-                kind: ExtKind::decode(r)?,
-                version: r.get_u32()?,
-            },
-            8 => Op::Revoke {
-                base: r.get_u8()?,
-                kind: ExtKind::decode(r)?,
-            },
-            9 => Op::Rpc {
-                base: r.get_u8()?,
-                node: r.get_u8()?,
-                x: r.get_u8()?,
-                y: r.get_u8()?,
-            },
-            10 => Op::InjectTornTail {
-                base: r.get_u8()?,
-                drop: r.get_u8()?,
-            },
-            11 => Op::InjectBitFlip {
-                base: r.get_u8()?,
-                offset: r.get_u16()?,
-            },
-            12 => Op::Partition {
-                node: r.get_u8()?,
-                base: r.get_u8()?,
-            },
-            13 => Op::Heal {
-                node: r.get_u8()?,
-                base: r.get_u8()?,
-            },
-            14 => Op::LinkBases {
-                a: r.get_u8()?,
-                b: r.get_u8()?,
-            },
-            15 => Op::PartitionBases {
-                a: r.get_u8()?,
-                b: r.get_u8()?,
-            },
-            16 => Op::HealBases {
-                a: r.get_u8()?,
-                b: r.get_u8()?,
-            },
-            17 => Op::Subscribe {
-                base: r.get_u8()?,
-                ns: r.get_u8()?,
-            },
-            18 => Op::DropSubscriber { sub: r.get_u8()? },
-            19 => Op::RpcSem {
-                base: r.get_u8()?,
-                node: r.get_u8()?,
-                sem: r.get_u8()?,
-                x: r.get_u8()?,
-                y: r.get_u8()?,
-            },
-            20 => Op::AdversarialPublish {
-                base: r.get_u8()?,
-                attack: r.get_u8()?,
-                version: r.get_u32()?,
-            },
-            21 => Op::SlowLinks { mult: r.get_u8()? },
-            tag => return Err(r.bad_tag("Op", tag)),
-        })
-    }
-}
+wire_enum!(Op {
+    0 => MoveToHall { node: u8, hall: u8 },
+    1 => MoveToCorridor { node: u8 },
+    2 => SetOnline { node: u8, online: bool },
+    3 => AddRobot { hall: u8 },
+    4 => CrashBase { base: u8 },
+    5 => RestartBase { base: u8 },
+    6 => CheckpointBase { base: u8 },
+    7 => Publish { base: u8, kind: ExtKind, version: u32 },
+    8 => Revoke { base: u8, kind: ExtKind },
+    9 => Rpc { base: u8, node: u8, x: u8, y: u8 },
+    10 => InjectTornTail { base: u8, drop: u8 },
+    11 => InjectBitFlip { base: u8, offset: u16 },
+    12 => Partition { node: u8, base: u8 },
+    13 => Heal { node: u8, base: u8 },
+    14 => LinkBases { a: u8, b: u8 },
+    15 => PartitionBases { a: u8, b: u8 },
+    16 => HealBases { a: u8, b: u8 },
+    17 => Subscribe { base: u8, ns: u8 },
+    18 => DropSubscriber { sub: u8 },
+    19 => RpcSem { base: u8, node: u8, sem: u8, x: u8, y: u8 },
+    20 => AdversarialPublish { base: u8, attack: u8, version: u32 },
+    21 => SlowLinks { mult: u8 },
+});
 
 /// The extensions chaos runs distribute. All declared permissions fall
 /// inside the receivers' `Print|Net|Time|Store` cap, so every one of
@@ -558,28 +372,13 @@ impl ExtKind {
     }
 }
 
-impl Wire for ExtKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            ExtKind::Session => 0,
-            ExtKind::AccessControl => 1,
-            ExtKind::Monitoring => 2,
-            ExtKind::Billing => 3,
-            ExtKind::Geofence => 4,
-        });
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => ExtKind::Session,
-            1 => ExtKind::AccessControl,
-            2 => ExtKind::Monitoring,
-            3 => ExtKind::Billing,
-            4 => ExtKind::Geofence,
-            tag => return Err(r.bad_tag("ExtKind", tag)),
-        })
-    }
-}
+wire_enum!(ExtKind {
+    0 => Session,
+    1 => AccessControl,
+    2 => Monitoring,
+    3 => Billing,
+    4 => Geofence,
+});
 
 impl Scenario {
     /// Pretty one-line-per-step rendering for failure reports.
@@ -616,7 +415,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmp_wire::{from_bytes, to_bytes};
+    use pmp_wire::{from_bytes, to_bytes, WireError};
 
     fn sample() -> Scenario {
         Scenario {

@@ -102,9 +102,6 @@ pub struct Platform {
     node_cells: Vec<CellState>,
     next_req: u64,
     rpc_outcomes: Vec<RpcOutcome>,
-    /// Retry/timeout tuning applied to every base's RPC engine
-    /// (operator configuration; re-applied on restart).
-    rpc_cfg: crate::rpc::RpcConfig,
     /// Issue time per in-flight request id, for the `rpc.latency_ns`
     /// histogram recorded at outcome merge. Bounded: entries leave on
     /// outcome, and the oldest are shed past a fixed cap (lost
@@ -116,9 +113,6 @@ pub struct Platform {
     /// barriers (see `pmp-trace`).
     collector: pmp_trace::Collector,
     tracing: bool,
-    /// Whether bases run the weave-time optimizer before sealing
-    /// published extensions.
-    ship_mode: pmp_midas::ShipMode,
     /// Optimization reports from every publish, in publish order
     /// (`(extension id, report)`).
     opt_reports: Vec<(String, pmp_midas::OptReport)>,
@@ -171,13 +165,11 @@ impl Platform {
             node_cells: Vec::new(),
             next_req: 1,
             rpc_outcomes: Vec::new(),
-            rpc_cfg: crate::rpc::RpcConfig::default(),
             rpc_issue_at: std::collections::BTreeMap::new(),
             telemetry,
             driver: crate::driver::driver_from_env(),
             collector: pmp_trace::Collector::default(),
             tracing: false,
-            ship_mode: pmp_midas::ShipMode::default(),
             opt_reports: Vec::new(),
             fed_neighbors: Vec::new(),
             fed_replicas: Vec::new(),
@@ -185,12 +177,6 @@ impl Platform {
             streams: Vec::new(),
             stream_taps: Vec::new(),
         }
-    }
-
-    /// Chooses whether bases ship published extensions optimized
-    /// (default) or exactly as authored.
-    pub fn set_ship_mode(&mut self, mode: pmp_midas::ShipMode) {
-        self.ship_mode = mode;
     }
 
     /// Optimization reports of every [`Platform::publish_extension`]
@@ -264,7 +250,6 @@ impl Platform {
         let node = self.sim.add_node(format!("base:{hall}"), pos, range);
         let cell = CellState::new(node, self.sim.now(), &self.telemetry);
         let mut station = BaseStation::build(node, hall, format!("seed:{hall}").as_bytes());
-        station.rpc.set_config(self.rpc_cfg);
         // Engine telemetry goes direct: its journal events (snapshot/
         // compact/recover) are emitted only at main-thread barriers, so
         // both drivers see them at identical sequence points.
@@ -323,7 +308,6 @@ impl Platform {
         let mut station =
             BaseStation::build_with_hub(node, &name, format!("seed:{name}").as_bytes(), hub);
         station.mirrors = mirrors;
-        station.rpc.set_config(self.rpc_cfg);
         // Federation topology is operator configuration too: re-wire the
         // fresh base/registrar from the platform's records so handoffs,
         // anti-entropy, and directory routing resume after the restart.
@@ -363,7 +347,7 @@ impl Platform {
         // cache, never re-executed.
         for req in station.rpc.rearm_tokens() {
             let attempts = station.rpc.get(req).map_or(1, |c| c.attempts);
-            let delay = crate::rpc::backoff_delay(&self.rpc_cfg, req, attempts);
+            let delay = crate::rpc::backoff_delay(station.rpc.config(), req, attempts);
             let token = self.sim.set_timer(node, delay, crate::rpc::RPC_RETRY_TAG);
             station.rpc.arm(token, req);
         }
@@ -551,32 +535,27 @@ impl Platform {
         // Weave-time optimization at the base, between admission and
         // shipping: smaller, devirtualised advice bodies go over the
         // air; receivers re-verify whatever arrives.
-        let pkg = &match self.ship_mode {
-            pmp_midas::ShipMode::Original => pkg.clone(),
-            pmp_midas::ShipMode::Optimized => {
-                let opt_start = std::time::Instant::now();
-                let (optimized, report) = pmp_midas::optimize_package(pkg);
-                let ns = opt_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                self.telemetry.record("analyze.opt.ns", ns);
-                self.telemetry
-                    .record("analyze.opt.removed_ops", report.total_removed() as u64);
-                self.telemetry
-                    .record("analyze.opt.hoistable", report.hoisted.len() as u64);
-                self.telemetry.event(
-                    pmp_telemetry::Subsystem::Midas,
-                    "analyze.opt",
-                    format!(
-                        "{}: -{} ops, {} hoistable, validated {}",
-                        pkg.meta.id,
-                        report.total_removed(),
-                        report.hoisted.len(),
-                        report.all_validated(),
-                    ),
-                );
-                self.opt_reports.push((pkg.meta.id.clone(), report));
-                optimized
-            }
-        };
+        let opt_start = std::time::Instant::now();
+        let (optimized, report) = pmp_midas::optimize_package(pkg);
+        let ns = opt_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.telemetry.record("analyze.opt.ns", ns);
+        self.telemetry
+            .record("analyze.opt.removed_ops", report.total_removed() as u64);
+        self.telemetry
+            .record("analyze.opt.hoistable", report.hoisted.len() as u64);
+        self.telemetry.event(
+            pmp_telemetry::Subsystem::Midas,
+            "analyze.opt",
+            format!(
+                "{}: -{} ops, {} hoistable, validated {}",
+                pkg.meta.id,
+                report.total_removed(),
+                report.hoisted.len(),
+                report.all_validated(),
+            ),
+        );
+        self.opt_reports.push((pkg.meta.id.clone(), report));
+        let pkg = &optimized;
         let sign_start = std::time::Instant::now();
         let sealed = self.bases[base.0].seal(pkg);
         let ns = sign_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -811,25 +790,10 @@ impl Platform {
         );
         self.note_rpc_issue(req);
         self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
-        let delay = crate::rpc::backoff_delay(&self.rpc_cfg, req, 1);
+        let delay = crate::rpc::backoff_delay(self.bases[base.0].rpc.config(), req, 1);
         let token = self.sim.set_timer(from, delay, crate::rpc::RPC_RETRY_TAG);
         self.bases[base.0].rpc.arm(token, req);
         req
-    }
-
-    /// Replaces the platform-wide RPC retry tuning, on every existing
-    /// base and every base added later.
-    pub fn set_rpc_config(&mut self, cfg: crate::rpc::RpcConfig) {
-        self.rpc_cfg = cfg;
-        for station in &mut self.bases {
-            station.rpc.set_config(cfg);
-        }
-    }
-
-    /// The RPC retry tuning in force.
-    #[must_use]
-    pub fn rpc_config(&self) -> crate::rpc::RpcConfig {
-        self.rpc_cfg
     }
 
     /// Records the issue time of `req` for the `rpc.latency_ns`

@@ -28,7 +28,7 @@
 
 use pmp_durable::{DurableError, DurableHub, Store};
 use pmp_net::SimRng;
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::{wire_enum, wire_struct, Reader, Wire, Writer};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Durable namespace of the caller-side call table.
@@ -58,26 +58,6 @@ impl InvocationSemantics {
             InvocationSemantics::AtLeastOnce => "at-least-once",
         }
     }
-
-    /// Decodes the wire tag used by scripts and messages.
-    #[must_use]
-    pub fn from_tag(tag: u8) -> InvocationSemantics {
-        match tag {
-            1 => InvocationSemantics::AtMostOnce,
-            2 => InvocationSemantics::AtLeastOnce,
-            _ => InvocationSemantics::Maybe,
-        }
-    }
-
-    /// The wire tag (inverse of [`InvocationSemantics::from_tag`]).
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            InvocationSemantics::Maybe => 0,
-            InvocationSemantics::AtMostOnce => 1,
-            InvocationSemantics::AtLeastOnce => 2,
-        }
-    }
 }
 
 impl std::fmt::Display for InvocationSemantics {
@@ -86,19 +66,11 @@ impl std::fmt::Display for InvocationSemantics {
     }
 }
 
-impl Wire for InvocationSemantics {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.tag());
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(InvocationSemantics::Maybe),
-            1 => Ok(InvocationSemantics::AtMostOnce),
-            2 => Ok(InvocationSemantics::AtLeastOnce),
-            tag => Err(r.bad_tag("InvocationSemantics", tag)),
-        }
-    }
-}
+wire_enum!(InvocationSemantics {
+    0 => Maybe,
+    1 => AtMostOnce,
+    2 => AtLeastOnce,
+});
 
 /// Retry/timeout tuning shared by every base station's engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,30 +147,16 @@ pub struct PendingCall {
     pub issued_at: u64,
 }
 
-impl Wire for PendingCall {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.target);
-        self.sem.encode(w);
-        w.put_str(&self.caller);
-        w.put_str(&self.class);
-        w.put_str(&self.method);
-        self.args.encode(w);
-        w.put_u32(self.attempts);
-        w.put_u64(self.issued_at);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(PendingCall {
-            target: r.get_u32()?,
-            sem: InvocationSemantics::decode(r)?,
-            caller: r.get_str()?,
-            class: r.get_str()?,
-            method: r.get_str()?,
-            args: Vec::<i64>::decode(r)?,
-            attempts: r.get_u32()?,
-            issued_at: r.get_u64()?,
-        })
-    }
-}
+wire_struct!(PendingCall {
+    target: u32,
+    sem: InvocationSemantics,
+    caller: String,
+    class: String,
+    method: String,
+    args: Vec<i64>,
+    attempts: u32,
+    issued_at: u64,
+});
 
 /// WAL operations of the caller-side call table.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,36 +180,11 @@ pub enum CallOp {
     },
 }
 
-impl Wire for CallOp {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            CallOp::Issue { req, call } => {
-                w.put_u8(0);
-                w.put_u64(*req);
-                call.encode(w);
-            }
-            CallOp::Attempt { req } => {
-                w.put_u8(1);
-                w.put_u64(*req);
-            }
-            CallOp::Resolve { req } => {
-                w.put_u8(2);
-                w.put_u64(*req);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => CallOp::Issue {
-                req: r.get_u64()?,
-                call: PendingCall::decode(r)?,
-            },
-            1 => CallOp::Attempt { req: r.get_u64()? },
-            2 => CallOp::Resolve { req: r.get_u64()? },
-            tag => return Err(r.bad_tag("CallOp", tag)),
-        })
-    }
-}
+wire_enum!(CallOp {
+    0 => Issue { req: u64, call: PendingCall },
+    1 => Attempt { req: u64 },
+    2 => Resolve { req: u64 },
+});
 
 /// How many resolved request ids the engine remembers, to drop late
 /// duplicate replies without growing without bound.
@@ -275,8 +208,8 @@ pub struct RpcEngine {
     /// Live timer token → request id (rebuilt after restart).
     timers: BTreeMap<u64, u64>,
     wal: Option<DurableHub>,
-    /// Retry tuning. Operator state, not durable — the platform
-    /// re-applies it when it rebuilds a base.
+    /// Retry tuning: always [`RpcConfig::default`], so a rebuilt base
+    /// retries on the schedule it had before the crash.
     cfg: RpcConfig,
     /// Retries sent (telemetry; not durable).
     pub retries: u64,
@@ -294,11 +227,6 @@ impl RpcEngine {
     /// Wires the engine to the storage engine it logs its call table to.
     pub fn attach(&mut self, hub: DurableHub) {
         self.wal = Some(hub);
-    }
-
-    /// Replaces the retry tuning.
-    pub fn set_config(&mut self, cfg: RpcConfig) {
-        self.cfg = cfg;
     }
 
     /// The retry tuning in force.
@@ -586,6 +514,7 @@ impl RpcServer {
 mod tests {
     use super::*;
     use pmp_durable::{Durable, DurableHub};
+    use pmp_wire::WireError;
 
     #[test]
     fn semantics_roundtrip_on_the_wire() {
@@ -599,7 +528,6 @@ mod tests {
                 pmp_wire::from_bytes::<InvocationSemantics>(&bytes).unwrap(),
                 sem
             );
-            assert_eq!(InvocationSemantics::from_tag(sem.tag()), sem);
         }
     }
 
@@ -707,7 +635,7 @@ mod tests {
     }
 }
 
-#[cfg(feature = "proptest")]
+#[cfg(all(test, feature = "proptest"))]
 mod props {
     use super::*;
     use proptest::prelude::*;

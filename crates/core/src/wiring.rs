@@ -7,7 +7,7 @@ use pmp_telemetry::sync::Mutex;
 use pmp_store::MovementRecord;
 use pmp_vm::perm::Permission;
 use pmp_vm::prelude::{Value, Vm};
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::wire_enum;
 use std::sync::Arc;
 
 /// Channel for application-level traffic (monitoring, billing, ...).
@@ -50,59 +50,12 @@ pub enum AppMsg {
     },
 }
 
-impl Wire for AppMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AppMsg::Monitor { record } => {
-                w.put_u8(0);
-                record.encode(w);
-            }
-            AppMsg::Replicate { record } => {
-                w.put_u8(1);
-                record.encode(w);
-            }
-            AppMsg::Charge {
-                robot,
-                reason,
-                amount,
-            } => {
-                w.put_u8(2);
-                w.put_str(robot);
-                w.put_str(reason);
-                w.put_vari64(*amount);
-            }
-            AppMsg::Persist { robot, key, value } => {
-                w.put_u8(3);
-                w.put_str(robot);
-                w.put_str(key);
-                w.put_str(value);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => AppMsg::Monitor {
-                record: MovementRecord::decode(r)?,
-            },
-            1 => AppMsg::Replicate {
-                record: MovementRecord::decode(r)?,
-            },
-            2 => AppMsg::Charge {
-                robot: r.get_str()?,
-                reason: r.get_str()?,
-                amount: r.get_vari64()?,
-            },
-            3 => AppMsg::Persist {
-                robot: r.get_str()?,
-                key: r.get_str()?,
-                value: r.get_str()?,
-            },
-            tag => {
-                return Err(r.bad_tag("AppMsg", tag))
-            }
-        })
-    }
-}
+wire_enum!(AppMsg {
+    0 => Monitor { record: MovementRecord },
+    1 => Replicate { record: MovementRecord },
+    2 => Charge { robot: String, reason: String, amount: i64 },
+    3 => Persist { robot: String, key: String, value: String },
+});
 
 /// A remote service call and its reply.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,78 +105,19 @@ pub enum RpcMsg {
     },
 }
 
-impl Wire for RpcMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RpcMsg::Call {
-                caller,
-                class,
-                method,
-                args,
-                req,
-            } => {
-                w.put_u8(0);
-                w.put_str(caller);
-                w.put_str(class);
-                w.put_str(method);
-                args.encode(w);
-                w.put_u64(*req);
-            }
-            RpcMsg::Reply { req, ok, value } => {
-                w.put_u8(1);
-                w.put_u64(*req);
-                w.put_bool(*ok);
-                w.put_str(value);
-            }
-            RpcMsg::CallSem {
-                caller,
-                class,
-                method,
-                args,
-                req,
-                sem,
-                attempt,
-            } => {
-                w.put_u8(2);
-                w.put_str(caller);
-                w.put_str(class);
-                w.put_str(method);
-                args.encode(w);
-                w.put_u64(*req);
-                sem.encode(w);
-                w.put_u32(*attempt);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => RpcMsg::Call {
-                caller: r.get_str()?,
-                class: r.get_str()?,
-                method: r.get_str()?,
-                args: Vec::<i64>::decode(r)?,
-                req: r.get_u64()?,
-            },
-            1 => RpcMsg::Reply {
-                req: r.get_u64()?,
-                ok: r.get_bool()?,
-                value: r.get_str()?,
-            },
-            2 => RpcMsg::CallSem {
-                caller: r.get_str()?,
-                class: r.get_str()?,
-                method: r.get_str()?,
-                args: Vec::<i64>::decode(r)?,
-                req: r.get_u64()?,
-                sem: crate::rpc::InvocationSemantics::decode(r)?,
-                attempt: r.get_u32()?,
-            },
-            tag => {
-                return Err(r.bad_tag("RpcMsg", tag))
-            }
-        })
-    }
-}
+wire_enum!(RpcMsg {
+    0 => Call { caller: String, class: String, method: String, args: Vec<i64>, req: u64 },
+    1 => Reply { req: u64, ok: bool, value: String },
+    2 => CallSem {
+        caller: String,
+        class: String,
+        method: String,
+        args: Vec<i64>,
+        req: u64,
+        sem: crate::rpc::InvocationSemantics,
+        attempt: u32,
+    },
+});
 
 /// Shared mutable wiring state of one mobile node's VM.
 #[derive(Debug, Default)]

@@ -11,7 +11,7 @@ use crate::group::{self, add_mod_q, mul_mod, mul_mod_q, pow_mod, G, Q};
 use crate::hmac::hmac_sha256;
 use crate::keys::{PublicKey, SecretKey};
 use crate::sha256::sha256_parts;
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::wire_struct;
 
 /// A Schnorr signature `(e, s)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,18 +22,7 @@ pub struct Signature {
     pub s: u64,
 }
 
-impl Wire for Signature {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.e);
-        w.put_u64(self.s);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(Signature {
-            e: r.get_u64()?,
-            s: r.get_u64()?,
-        })
-    }
-}
+wire_struct!(Signature { e: u64, s: u64 });
 
 fn challenge(r_commit: u64, pk: &PublicKey, msg: &[u8]) -> u64 {
     let d = sha256_parts(&[

@@ -1,7 +1,7 @@
 //! The discovery wire protocol, carried on the `"discovery"` channel.
 
 use crate::service::{ServiceId, ServiceItem, ServiceQuery};
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::wire_enum;
 
 /// Channel name used for all discovery traffic.
 pub const CHANNEL: &str = "discovery";
@@ -105,146 +105,25 @@ pub enum DiscoveryMsg {
     },
 }
 
-impl Wire for DiscoveryMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            DiscoveryMsg::Announce { name } => {
-                w.put_u8(0);
-                w.put_str(name);
-            }
-            DiscoveryMsg::Register {
-                item,
-                lease_ns,
-                req,
-            } => {
-                w.put_u8(1);
-                item.encode(w);
-                w.put_u64(*lease_ns);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::Registered {
-                service,
-                lease_ns,
-                req,
-            } => {
-                w.put_u8(2);
-                service.encode(w);
-                w.put_u64(*lease_ns);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::Renew { service, req } => {
-                w.put_u8(3);
-                service.encode(w);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::RenewAck { service, ok, req } => {
-                w.put_u8(4);
-                service.encode(w);
-                w.put_bool(*ok);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::Cancel { service } => {
-                w.put_u8(5);
-                service.encode(w);
-            }
-            DiscoveryMsg::Lookup { query, req } => {
-                w.put_u8(6);
-                query.encode(w);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::LookupResult { items, req } => {
-                w.put_u8(7);
-                items.encode(w);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::DirAdvertise { types } => {
-                w.put_u8(8);
-                types.encode(w);
-            }
-            DiscoveryMsg::FedLookup {
-                query,
-                origin,
-                path,
-                req,
-            } => {
-                w.put_u8(9);
-                query.encode(w);
-                w.put_u32(*origin);
-                path.encode(w);
-                w.put_u64(*req);
-            }
-            DiscoveryMsg::FedLookupResult {
-                items,
-                hops,
-                origin,
-                path,
-                req,
-            } => {
-                w.put_u8(10);
-                items.encode(w);
-                w.put_u16(*hops);
-                w.put_u32(*origin);
-                path.encode(w);
-                w.put_u64(*req);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => DiscoveryMsg::Announce { name: r.get_str()? },
-            1 => DiscoveryMsg::Register {
-                item: ServiceItem::decode(r)?,
-                lease_ns: r.get_u64()?,
-                req: r.get_u64()?,
-            },
-            2 => DiscoveryMsg::Registered {
-                service: ServiceId::decode(r)?,
-                lease_ns: r.get_u64()?,
-                req: r.get_u64()?,
-            },
-            3 => DiscoveryMsg::Renew {
-                service: ServiceId::decode(r)?,
-                req: r.get_u64()?,
-            },
-            4 => DiscoveryMsg::RenewAck {
-                service: ServiceId::decode(r)?,
-                ok: r.get_bool()?,
-                req: r.get_u64()?,
-            },
-            5 => DiscoveryMsg::Cancel {
-                service: ServiceId::decode(r)?,
-            },
-            6 => DiscoveryMsg::Lookup {
-                query: ServiceQuery::decode(r)?,
-                req: r.get_u64()?,
-            },
-            7 => DiscoveryMsg::LookupResult {
-                items: Vec::<ServiceItem>::decode(r)?,
-                req: r.get_u64()?,
-            },
-            8 => DiscoveryMsg::DirAdvertise {
-                types: Vec::<String>::decode(r)?,
-            },
-            9 => DiscoveryMsg::FedLookup {
-                query: ServiceQuery::decode(r)?,
-                origin: r.get_u32()?,
-                path: Vec::<u32>::decode(r)?,
-                req: r.get_u64()?,
-            },
-            10 => DiscoveryMsg::FedLookupResult {
-                items: Vec::<ServiceItem>::decode(r)?,
-                hops: r.get_u16()?,
-                origin: r.get_u32()?,
-                path: Vec::<u32>::decode(r)?,
-                req: r.get_u64()?,
-            },
-            tag => {
-                return Err(r.bad_tag("DiscoveryMsg", tag))
-            }
-        })
-    }
-}
+wire_enum!(DiscoveryMsg {
+    0 => Announce { name: String },
+    1 => Register { item: ServiceItem, lease_ns: u64, req: u64 },
+    2 => Registered { service: ServiceId, lease_ns: u64, req: u64 },
+    3 => Renew { service: ServiceId, req: u64 },
+    4 => RenewAck { service: ServiceId, ok: bool, req: u64 },
+    5 => Cancel { service: ServiceId },
+    6 => Lookup { query: ServiceQuery, req: u64 },
+    7 => LookupResult { items: Vec<ServiceItem>, req: u64 },
+    8 => DirAdvertise { types: Vec<String> },
+    9 => FedLookup { query: ServiceQuery, origin: u32, path: Vec<u32>, req: u64 },
+    10 => FedLookupResult {
+        items: Vec<ServiceItem>,
+        hops: u16,
+        origin: u32,
+        path: Vec<u32>,
+        req: u64,
+    },
+});
 
 #[cfg(test)]
 mod tests {

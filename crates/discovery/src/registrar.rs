@@ -11,6 +11,8 @@ use std::collections::{BTreeSet, HashMap};
 
 const ANNOUNCE_TAG: &str = "disc.announce";
 const SWEEP_TAG: &str = "disc.sweep";
+/// Period of the multicast announce; leases are swept twice as often.
+const ANNOUNCE_INTERVAL_NS: u64 = 500_000_000;
 
 /// An event surfaced by the registrar to its host (the base station).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +31,6 @@ pub enum RegistrarEvent {
 pub struct Registrar {
     node: NodeId,
     name: String,
-    announce_interval_ns: u64,
     services: HashMap<ServiceId, (ServiceItem, Lease)>,
     counter: u32,
     started: bool,
@@ -48,7 +49,6 @@ impl Registrar {
         Self {
             node,
             name: name.into(),
-            announce_interval_ns: 500_000_000, // 0.5 s
             services: HashMap::new(),
             counter: 0,
             started: false,
@@ -132,11 +132,6 @@ impl Registrar {
         }
     }
 
-    /// Overrides the multicast announce interval.
-    pub fn set_announce_interval(&mut self, ns: u64) {
-        self.announce_interval_ns = ns;
-    }
-
     /// Starts announcing and lease sweeping. Idempotent.
     pub fn start(&mut self, sim: &mut dyn NetPort) {
         if self.started {
@@ -144,10 +139,8 @@ impl Registrar {
         }
         self.started = true;
         self.announce(sim);
-        self.announce_token =
-            Some(sim.set_timer(self.node, self.announce_interval_ns, ANNOUNCE_TAG));
-        self.sweep_token =
-            Some(sim.set_timer(self.node, self.announce_interval_ns / 2, SWEEP_TAG));
+        self.announce_token = Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS, ANNOUNCE_TAG));
+        self.sweep_token = Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS / 2, SWEEP_TAG));
     }
 
     fn announce(&self, sim: &mut dyn NetPort) {
@@ -195,13 +188,13 @@ impl Registrar {
             Incoming::Timer { token, .. } if Some(*token) == self.announce_token => {
                 self.announce(sim);
                 self.announce_token =
-                    Some(sim.set_timer(self.node, self.announce_interval_ns, ANNOUNCE_TAG));
+                    Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS, ANNOUNCE_TAG));
             }
             Incoming::Timer { token, .. } if Some(*token) == self.sweep_token => {
                 self.sweep(sim.now());
                 self.maybe_advertise(sim);
                 self.sweep_token =
-                    Some(sim.set_timer(self.node, self.announce_interval_ns / 2, SWEEP_TAG));
+                    Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS / 2, SWEEP_TAG));
             }
             Incoming::Message {
                 from,

@@ -19,7 +19,7 @@ use crate::catalog::Catalog;
 use crate::package::SignedExtension;
 use pmp_durable::{DurableError, Store};
 use pmp_net::NodeId;
-use pmp_wire::{wire_struct, Reader, Wire, WireError, Writer};
+use pmp_wire::{wire_enum, wire_struct};
 use std::collections::BTreeMap;
 
 /// The WAL namespace owned by the extension base.
@@ -70,7 +70,6 @@ pub enum BaseWalOp {
         /// Whether the node is in the base's area.
         present: bool,
     },
-    // Wire tag 6 is reserved: it was the retired grant-less `Roamed` op.
     /// A roaming record was admitted or refreshed (handoff or lease
     /// sync), with the migratable grants and packages.
     RoamState {
@@ -100,111 +99,24 @@ pub enum BaseWalOp {
     },
 }
 
-impl Wire for BaseWalOp {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            BaseWalOp::CatalogPut { ext } => {
-                w.put_u8(0);
-                ext.encode(w);
-            }
-            BaseWalOp::Revoked { ext_id } => {
-                w.put_u8(1);
-                w.put_str(ext_id);
-            }
-            BaseWalOp::NodeAdapted { name, node, grants } => {
-                w.put_u8(2);
-                w.put_str(name);
-                w.put_u32(*node);
-                grants.encode(w);
-            }
-            BaseWalOp::GrantSet {
-                name,
-                ext_id,
-                grant,
-            } => {
-                w.put_u8(3);
-                w.put_str(name);
-                w.put_str(ext_id);
-                w.put_u64(*grant);
-            }
-            BaseWalOp::GrantDropped { name, grant } => {
-                w.put_u8(4);
-                w.put_str(name);
-                w.put_u64(*grant);
-            }
-            BaseWalOp::Presence { name, present } => {
-                w.put_u8(5);
-                w.put_str(name);
-                w.put_bool(*present);
-            }
-            BaseWalOp::RoamState {
-                name,
-                from,
-                grants,
-                exts,
-                seq,
-            } => {
-                w.put_u8(7);
-                w.put_str(name);
-                w.put_u32(*from);
-                grants.encode(w);
-                exts.encode(w);
-                w.put_u64(*seq);
-            }
-            BaseWalOp::RoamDrop { name } => {
-                w.put_u8(8);
-                w.put_str(name);
-            }
-            BaseWalOp::ForeignPut { ext } => {
-                w.put_u8(9);
-                ext.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => BaseWalOp::CatalogPut {
-                ext: SignedExtension::decode(r)?,
-            },
-            1 => BaseWalOp::Revoked {
-                ext_id: r.get_str()?,
-            },
-            2 => BaseWalOp::NodeAdapted {
-                name: r.get_str()?,
-                node: r.get_u32()?,
-                grants: BTreeMap::decode(r)?,
-            },
-            3 => BaseWalOp::GrantSet {
-                name: r.get_str()?,
-                ext_id: r.get_str()?,
-                grant: r.get_u64()?,
-            },
-            4 => BaseWalOp::GrantDropped {
-                name: r.get_str()?,
-                grant: r.get_u64()?,
-            },
-            5 => BaseWalOp::Presence {
-                name: r.get_str()?,
-                present: r.get_bool()?,
-            },
-            7 => BaseWalOp::RoamState {
-                name: r.get_str()?,
-                from: r.get_u32()?,
-                grants: BTreeMap::decode(r)?,
-                exts: Vec::<SignedExtension>::decode(r)?,
-                seq: r.get_u64()?,
-            },
-            8 => BaseWalOp::RoamDrop {
-                name: r.get_str()?,
-            },
-            9 => BaseWalOp::ForeignPut {
-                ext: SignedExtension::decode(r)?,
-            },
-            tag => return Err(r.bad_tag("BaseWalOp", tag)),
-        })
-    }
-}
+wire_enum!(BaseWalOp {
+    0 => CatalogPut { ext: SignedExtension },
+    1 => Revoked { ext_id: String },
+    2 => NodeAdapted { name: String, node: u32, grants: BTreeMap<String, u64> },
+    3 => GrantSet { name: String, ext_id: String, grant: u64 },
+    4 => GrantDropped { name: String, grant: u64 },
+    5 => Presence { name: String, present: bool },
+    // Tag 6 is reserved: the retired grant-less `Roamed` op.
+    7 => RoamState {
+        name: String,
+        from: u32,
+        grants: BTreeMap<String, u64>,
+        exts: Vec<SignedExtension>,
+        seq: u64,
+    },
+    8 => RoamDrop { name: String },
+    9 => ForeignPut { ext: SignedExtension },
+});
 
 /// One adapted node's durable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -464,6 +376,7 @@ mod tests {
     use pmp_crypto::KeyPair;
     use pmp_durable::Durable;
     use pmp_prose::{Aspect, PortableAspect, PortableClass};
+    use pmp_wire::WireError;
 
     fn ext(id: &str, version: u32) -> SignedExtension {
         let aspect = Aspect::script(

@@ -36,7 +36,7 @@ pub mod receiver;
 
 pub use base::{BaseEvent, ExtensionBase, RoamEntry};
 pub use catalog::Catalog;
-pub use optimize::{optimize_package, OptReport, ShipMode};
+pub use optimize::{optimize_package, OptReport};
 pub use package::{ExtensionMeta, ExtensionPackage, SignedExtension};
 pub use policy::{AnalysisPolicy, ReceiverPolicy};
 pub use proto::{MidasMsg, CHANNEL};

@@ -1,6 +1,6 @@
 //! Base-side weave-time optimization of extension packages.
 //!
-//! Between admission analysis and shipping, a base may run the
+//! Between admission analysis and shipping, a base runs the
 //! `pmp-analyze` optimizing pipeline ([`pmp_analyze::opt`]) over a
 //! package's advice bodies: interprocedural constant propagation and
 //! folding, dead-code and unreachable-branch elimination, and
@@ -18,16 +18,6 @@
 
 use crate::package::ExtensionPackage;
 pub use pmp_analyze::opt::{MethodOptReport, OptReport};
-
-/// Whether a base ships extension packages optimized or as authored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShipMode {
-    /// Ship advice bodies exactly as authored (the paper's behaviour).
-    Original,
-    /// Run the weave-time optimizer before sealing (default).
-    #[default]
-    Optimized,
-}
 
 /// Optimizes a package's advice bodies, returning the optimized
 /// package and the deterministic per-method report.

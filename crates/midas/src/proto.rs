@@ -1,7 +1,7 @@
 //! The MIDAS wire protocol, carried on the `"midas"` channel.
 
 use crate::package::SignedExtension;
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::wire_enum;
 use std::collections::BTreeMap;
 
 /// Channel name for all MIDAS traffic.
@@ -63,7 +63,6 @@ pub enum MidasMsg {
         /// The missing dependency id.
         ext_id: String,
     },
-    // Wire tag 6 is reserved: it was the retired ids-only `RoamingHandoff`.
     /// Base → base: a node this base had adapted left towards your
     /// area (the paper's "simple roaming algorithm"). Carries the
     /// departing node's lease grants *and* the signed packages behind
@@ -126,164 +125,29 @@ pub enum MidasMsg {
         /// sorted by name.
         entries: Vec<(String, u32, BTreeMap<String, u64>)>,
     },
-    // Wire tag 14 is reserved: it was the retired stream-forwarded `StreamDelta`.
 }
 
-impl Wire for MidasMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            MidasMsg::Deliver {
-                ext,
-                lease_ns,
-                grant,
-            } => {
-                w.put_u8(0);
-                ext.encode(w);
-                w.put_u64(*lease_ns);
-                w.put_u64(*grant);
-            }
-            MidasMsg::Ack {
-                ext_id,
-                grant,
-                ok,
-                reason,
-            } => {
-                w.put_u8(1);
-                w.put_str(ext_id);
-                w.put_u64(*grant);
-                w.put_bool(*ok);
-                w.put_str(reason);
-            }
-            MidasMsg::LeaseRenew { grant } => {
-                w.put_u8(2);
-                w.put_u64(*grant);
-            }
-            MidasMsg::Revoke { ext_id, reason } => {
-                w.put_u8(3);
-                w.put_str(ext_id);
-                w.put_str(reason);
-            }
-            MidasMsg::Replace {
-                old_id,
-                ext,
-                lease_ns,
-                grant,
-            } => {
-                w.put_u8(4);
-                w.put_str(old_id);
-                ext.encode(w);
-                w.put_u64(*lease_ns);
-                w.put_u64(*grant);
-            }
-            MidasMsg::RequestDep { ext_id } => {
-                w.put_u8(5);
-                w.put_str(ext_id);
-            }
-            MidasMsg::HandoffState {
-                node_name,
-                grants,
-                exts,
-            } => {
-                w.put_u8(7);
-                w.put_str(node_name);
-                grants.encode(w);
-                exts.encode(w);
-            }
-            MidasMsg::GrantTransfer {
-                node_name,
-                rebinds,
-                lease_ns,
-            } => {
-                w.put_u8(8);
-                w.put_str(node_name);
-                rebinds.encode(w);
-                w.put_u64(*lease_ns);
-            }
-            MidasMsg::MovementExport { node_name, records } => {
-                w.put_u8(9);
-                w.put_str(node_name);
-                records.encode(w);
-            }
-            MidasMsg::CatalogDigest { digest } => {
-                w.put_u8(10);
-                w.put_u64(*digest);
-            }
-            MidasMsg::CatalogPull { have } => {
-                w.put_u8(11);
-                have.encode(w);
-            }
-            MidasMsg::CatalogPush { exts } => {
-                w.put_u8(12);
-                exts.encode(w);
-            }
-            MidasMsg::LeaseSync { entries } => {
-                w.put_u8(13);
-                entries.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => MidasMsg::Deliver {
-                ext: SignedExtension::decode(r)?,
-                lease_ns: r.get_u64()?,
-                grant: r.get_u64()?,
-            },
-            1 => MidasMsg::Ack {
-                ext_id: r.get_str()?,
-                grant: r.get_u64()?,
-                ok: r.get_bool()?,
-                reason: r.get_str()?,
-            },
-            2 => MidasMsg::LeaseRenew {
-                grant: r.get_u64()?,
-            },
-            3 => MidasMsg::Revoke {
-                ext_id: r.get_str()?,
-                reason: r.get_str()?,
-            },
-            4 => MidasMsg::Replace {
-                old_id: r.get_str()?,
-                ext: SignedExtension::decode(r)?,
-                lease_ns: r.get_u64()?,
-                grant: r.get_u64()?,
-            },
-            5 => MidasMsg::RequestDep {
-                ext_id: r.get_str()?,
-            },
-            7 => MidasMsg::HandoffState {
-                node_name: r.get_str()?,
-                grants: BTreeMap::decode(r)?,
-                exts: Vec::<SignedExtension>::decode(r)?,
-            },
-            8 => MidasMsg::GrantTransfer {
-                node_name: r.get_str()?,
-                rebinds: Vec::<(String, u64, u64)>::decode(r)?,
-                lease_ns: r.get_u64()?,
-            },
-            9 => MidasMsg::MovementExport {
-                node_name: r.get_str()?,
-                records: Vec::<Vec<u8>>::decode(r)?,
-            },
-            10 => MidasMsg::CatalogDigest {
-                digest: r.get_u64()?,
-            },
-            11 => MidasMsg::CatalogPull {
-                have: Vec::<(String, u32)>::decode(r)?,
-            },
-            12 => MidasMsg::CatalogPush {
-                exts: Vec::<SignedExtension>::decode(r)?,
-            },
-            13 => MidasMsg::LeaseSync {
-                entries: Vec::<(String, u32, BTreeMap<String, u64>)>::decode(r)?,
-            },
-            tag => {
-                return Err(r.bad_tag("MidasMsg", tag))
-            }
-        })
-    }
-}
+wire_enum!(MidasMsg {
+    0 => Deliver { ext: SignedExtension, lease_ns: u64, grant: u64 },
+    1 => Ack { ext_id: String, grant: u64, ok: bool, reason: String },
+    2 => LeaseRenew { grant: u64 },
+    3 => Revoke { ext_id: String, reason: String },
+    4 => Replace { old_id: String, ext: SignedExtension, lease_ns: u64, grant: u64 },
+    5 => RequestDep { ext_id: String },
+    // Tag 6 is reserved: the retired ids-only `RoamingHandoff`.
+    7 => HandoffState {
+        node_name: String,
+        grants: BTreeMap<String, u64>,
+        exts: Vec<SignedExtension>,
+    },
+    8 => GrantTransfer { node_name: String, rebinds: Vec<(String, u64, u64)>, lease_ns: u64 },
+    9 => MovementExport { node_name: String, records: Vec<Vec<u8>> },
+    10 => CatalogDigest { digest: u64 },
+    11 => CatalogPull { have: Vec<(String, u32)> },
+    12 => CatalogPush { exts: Vec<SignedExtension> },
+    13 => LeaseSync { entries: Vec<(String, u32, BTreeMap<String, u64>)> },
+    // Tag 14 is reserved: the retired stream-forwarded `StreamDelta`.
+});
 
 #[cfg(test)]
 mod tests {
@@ -291,6 +155,7 @@ mod tests {
     use crate::package::{ExtensionMeta, ExtensionPackage};
     use pmp_crypto::KeyPair;
     use pmp_prose::{Aspect, PortableAspect, PortableClass};
+    use pmp_wire::WireError;
 
     fn signed() -> SignedExtension {
         let aspect = Aspect::script(

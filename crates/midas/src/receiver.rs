@@ -17,6 +17,8 @@ use pmp_vm::Vm;
 use std::collections::{HashMap, HashSet};
 
 const EXPIRY_TAG: &str = "midas.expiry";
+/// Presence (discovery) lease the receiver advertises under.
+const ADVERTISE_LEASE_NS: u64 = 2_000_000_000;
 
 /// Events surfaced by the adaptation service to its host.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +96,6 @@ pub struct AdaptationService {
     discovery: DiscoveryClient,
     installed: HashMap<String, Installed>,
     pending: Vec<PendingInstall>,
-    advertise_lease_ns: u64,
     expiry_check_ns: u64,
     expiry_token: Option<u64>,
     started: bool,
@@ -114,8 +115,7 @@ impl AdaptationService {
             discovery: DiscoveryClient::new(node),
             installed: HashMap::new(),
             pending: Vec::new(),
-            advertise_lease_ns: 2_000_000_000, // 2 s presence lease
-            expiry_check_ns: 500_000_000,      // 0.5 s sweep
+            expiry_check_ns: 500_000_000, // 0.5 s sweep
             expiry_token: None,
             started: false,
             events: Vec::new(),
@@ -165,11 +165,6 @@ impl AdaptationService {
         }
     }
 
-    /// Overrides the presence (discovery) lease duration.
-    pub fn set_advertise_lease(&mut self, ns: u64) {
-        self.advertise_lease_ns = ns;
-    }
-
     /// Starts advertising and lease sweeping. Idempotent.
     pub fn start(&mut self, sim: &mut dyn NetPort) {
         if self.started {
@@ -184,7 +179,7 @@ impl AdaptationService {
         let item = ServiceItem::new("midas.adaptation", self.name.clone(), self.node.0)
             .with_attr("vm", "pmp");
         self.discovery
-            .register(sim, registrar, item, self.advertise_lease_ns);
+            .register(sim, registrar, item, ADVERTISE_LEASE_NS);
     }
 
     /// Ids of currently installed extensions, sorted.

@@ -9,7 +9,7 @@ use crate::advice::AdviceBody;
 use crate::crosscut::Crosscut;
 use crate::error::ProseError;
 use pmp_vm::op::BytecodeBody;
-use pmp_wire::{wire_struct, Reader, Wire, WireError, Writer};
+use pmp_wire::wire_struct;
 use std::sync::Arc;
 
 wire_struct!(PortableMethod {
@@ -19,31 +19,11 @@ wire_struct!(PortableMethod {
     body: BytecodeBody,
 });
 
-impl Wire for PortableClass {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.name);
-        w.put_varu64(self.fields.len() as u64);
-        for (n, t) in &self.fields {
-            w.put_str(n);
-            w.put_str(t);
-        }
-        self.methods.encode(w);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        let name = r.get_str()?;
-        let nfields = r.get_len()?;
-        let mut fields = Vec::with_capacity(nfields.min(r.remaining()));
-        for _ in 0..nfields {
-            fields.push((r.get_str()?, r.get_str()?));
-        }
-        let methods = Vec::<PortableMethod>::decode(r)?;
-        Ok(PortableClass {
-            name,
-            fields,
-            methods,
-        })
-    }
-}
+wire_struct!(PortableClass {
+    name: String,
+    fields: Vec<(String, String)>,
+    methods: Vec<PortableMethod>,
+});
 
 /// One wire-format binding: crosscut text, advice method name, priority.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,18 +1,17 @@
 //! The structured event journal: a ring buffer of sim-time-stamped
-//! point events with per-subsystem enable flags.
+//! point events.
 //!
 //! Components call [`Journal::event`] (or [`Journal::event_at`]) for
 //! each event. Causal, multi-step work (a weave, an extension
-//! verification) is traced as spans by `pmp-trace`, not here. Disabled
-//! subsystems cost one mask test; the ring drops the oldest events once
-//! full and counts what it dropped, so a long scenario can run with a
-//! small cap.
+//! verification) is traced as spans by `pmp-trace`, not here. The ring
+//! drops the oldest events once full and counts what it dropped, so a
+//! long scenario can run with a small cap.
 
 use crate::Clock;
 use std::collections::VecDeque;
 
-/// The platform layer an event originates from; used for enable flags
-/// and as the `subsystem` field of exported events.
+/// The platform layer an event originates from: the `subsystem` field
+/// of exported events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Subsystem {
     /// The managed runtime (`pmp-vm`).
@@ -60,10 +59,6 @@ impl Subsystem {
             Subsystem::Durable => "durable",
         }
     }
-
-    fn bit(self) -> u32 {
-        1 << (self as u32)
-    }
 }
 
 /// One journal entry: a point event.
@@ -82,11 +77,9 @@ pub struct Event {
 }
 
 /// The ring-buffered event journal.
-#[derive(Default)]
 pub struct Journal {
     cap: usize,
     buf: VecDeque<Event>,
-    mask: u32,
     seq: u64,
     dropped: u64,
     clock: Option<Clock>,
@@ -103,15 +96,19 @@ impl std::fmt::Debug for Journal {
     }
 }
 
+impl Default for Journal {
+    fn default() -> Journal {
+        Journal::new(crate::DEFAULT_JOURNAL_CAP)
+    }
+}
+
 impl Journal {
-    /// An empty journal keeping at most `cap` events (all subsystems
-    /// enabled).
+    /// An empty journal keeping at most `cap` events.
     #[must_use]
     pub fn new(cap: usize) -> Journal {
         Journal {
             cap: cap.max(1),
             buf: VecDeque::new(),
-            mask: u32::MAX,
             seq: 0,
             dropped: 0,
             clock: None,
@@ -129,26 +126,8 @@ impl Journal {
         self.clock.as_ref().map_or(0, |c| c())
     }
 
-    /// Enables or disables journaling for one subsystem.
-    pub fn set_enabled(&mut self, sub: Subsystem, on: bool) {
-        if on {
-            self.mask |= sub.bit();
-        } else {
-            self.mask &= !sub.bit();
-        }
-    }
-
-    /// Whether `sub` is journaled.
-    #[must_use]
-    pub fn is_enabled(&self, sub: Subsystem) -> bool {
-        self.mask & sub.bit() != 0
-    }
-
-    /// Appends a point event (dropped when `sub` is disabled).
+    /// Appends a point event.
     pub fn event(&mut self, sub: Subsystem, name: impl Into<String>, detail: impl Into<String>) {
-        if !self.is_enabled(sub) {
-            return;
-        }
         let at = self.now();
         self.push(at, sub, name.into(), detail.into());
     }
@@ -165,9 +144,6 @@ impl Journal {
         name: impl Into<String>,
         detail: impl Into<String>,
     ) {
-        if !self.is_enabled(sub) {
-            return;
-        }
         self.push(at, sub, name.into(), detail.into());
     }
 
@@ -239,8 +215,8 @@ impl Journal {
         h.finish()
     }
 
-    /// Forgets all events and resets the drop counter; the enable mask
-    /// and clock survive.
+    /// Forgets all events and resets the drop counter; the clock
+    /// survives.
     pub fn clear(&mut self) {
         self.buf.clear();
         self.seq = 0;
@@ -277,20 +253,6 @@ mod tests {
         assert_eq!(names, vec!["e7", "e8", "e9"], "oldest evicted first");
         let seqs: Vec<u64> = j.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9], "sequence numbers survive eviction");
-    }
-
-    #[test]
-    fn subsystem_flags_filter() {
-        let mut j = Journal::new(8);
-        j.set_enabled(Subsystem::Net, false);
-        j.event(Subsystem::Net, "hidden", "");
-        j.event(Subsystem::Vm, "shown", "");
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.events().next().unwrap().name, "shown");
-        assert!(!j.is_enabled(Subsystem::Net));
-        j.set_enabled(Subsystem::Net, true);
-        j.event(Subsystem::Net, "back", "");
-        assert_eq!(j.len(), 2);
     }
 
     #[test]

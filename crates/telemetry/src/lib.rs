@@ -10,8 +10,9 @@
 //!   bumps behind `&mut`: cheap enough for the single-threaded VM
 //!   interpreter hot path, no atomics.
 //! * [`Journal`] — a structured log of point events stamped with
-//!   sim-time from an injected clock, with a ring-buffer cap and
-//!   per-[`Subsystem`] enable flags. Causal spans live in `pmp-trace`.
+//!   sim-time from an injected clock and tagged with their
+//!   [`Subsystem`], with a ring-buffer cap. Causal spans live in
+//!   `pmp-trace`.
 //! * [`export`] — deterministic text-table and JSON-lines renderers
 //!   (canonical formatting: same state, same bytes, like `pmp-wire`).
 //! * [`sync`] — tiny `std::sync` wrappers with a `parking_lot`-style
@@ -80,8 +81,8 @@ impl Telemetry {
         self.journal.set_clock(clock);
     }
 
-    /// Zeroes every metric and clears the journal; registrations and
-    /// enable flags survive.
+    /// Zeroes every metric and clears the journal; registrations
+    /// survive.
     pub fn reset(&mut self) {
         self.registry.reset();
         self.journal.clear();

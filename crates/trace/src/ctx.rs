@@ -1,6 +1,6 @@
 //! The trace context and the traced wire envelope.
 
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::{wire_struct, Reader, Wire, WireError, Writer};
 
 /// A causal position inside one trace: the trace's root id plus the id
 /// of the span that caused the current work. Both ids are deterministic
@@ -39,18 +39,10 @@ impl TraceCtx {
     }
 }
 
-impl Wire for TraceCtx {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.trace_id);
-        w.put_u64(self.span_id);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(TraceCtx {
-            trace_id: r.get_u64()?,
-            span_id: r.get_u64()?,
-        })
-    }
-}
+wire_struct!(TraceCtx {
+    trace_id: u64,
+    span_id: u64
+});
 
 /// A protocol message with its trace context: the on-wire form of every
 /// MIDAS, discovery, tuple-space, and RPC payload. The context rides in

@@ -1,6 +1,6 @@
 //! Span records and flight-recorder entries.
 
-use pmp_wire::{wire_struct, Reader, Wire, WireError, Writer};
+use pmp_wire::{wire_enum, wire_struct};
 
 /// One finished span. Spans are *instant* — `start == end` in sim-time
 /// — because within a node cell sim-time does not advance; the latency
@@ -74,33 +74,10 @@ pub enum FlightEntry {
     },
 }
 
-impl Wire for FlightEntry {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            FlightEntry::Span(s) => {
-                w.put_u8(0);
-                s.encode(w);
-            }
-            FlightEntry::Event { at, name, detail } => {
-                w.put_u8(1);
-                w.put_u64(*at);
-                w.put_str(name);
-                w.put_str(detail);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => FlightEntry::Span(SpanRecord::decode(r)?),
-            1 => FlightEntry::Event {
-                at: r.get_u64()?,
-                name: r.get_str()?,
-                detail: r.get_str()?,
-            },
-            tag => return Err(r.bad_tag("FlightEntry", tag)),
-        })
-    }
-}
+wire_enum!(FlightEntry {
+    0 => Span(SpanRecord),
+    1 => Event { at: u64, name: String, detail: String },
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! The tuple-space wire protocol, on the `"tuplespace"` channel.
 
 use crate::tuple::{Pattern, Tuple};
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::wire_enum;
 
 /// Channel name for tuple-space traffic.
 pub const CHANNEL: &str = "tuplespace";
@@ -59,76 +59,15 @@ pub enum SpaceMsg {
     },
 }
 
-impl Wire for SpaceMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SpaceMsg::Out { tuple } => {
-                w.put_u8(0);
-                tuple.encode(w);
-            }
-            SpaceMsg::Rd { pattern, req } => {
-                w.put_u8(1);
-                pattern.encode(w);
-                w.put_u64(*req);
-            }
-            SpaceMsg::In { pattern, req } => {
-                w.put_u8(2);
-                pattern.encode(w);
-                w.put_u64(*req);
-            }
-            SpaceMsg::Result { req, tuple } => {
-                w.put_u8(3);
-                w.put_u64(*req);
-                tuple.encode(w);
-            }
-            SpaceMsg::Subscribe { pattern, sub } => {
-                w.put_u8(4);
-                pattern.encode(w);
-                w.put_u64(*sub);
-            }
-            SpaceMsg::Unsubscribe { sub } => {
-                w.put_u8(5);
-                w.put_u64(*sub);
-            }
-            SpaceMsg::Notify { sub, tuple } => {
-                w.put_u8(6);
-                w.put_u64(*sub);
-                tuple.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => SpaceMsg::Out {
-                tuple: Tuple::decode(r)?,
-            },
-            1 => SpaceMsg::Rd {
-                pattern: Pattern::decode(r)?,
-                req: r.get_u64()?,
-            },
-            2 => SpaceMsg::In {
-                pattern: Pattern::decode(r)?,
-                req: r.get_u64()?,
-            },
-            3 => SpaceMsg::Result {
-                req: r.get_u64()?,
-                tuple: Option::<Tuple>::decode(r)?,
-            },
-            4 => SpaceMsg::Subscribe {
-                pattern: Pattern::decode(r)?,
-                sub: r.get_u64()?,
-            },
-            5 => SpaceMsg::Unsubscribe { sub: r.get_u64()? },
-            6 => SpaceMsg::Notify {
-                sub: r.get_u64()?,
-                tuple: Tuple::decode(r)?,
-            },
-            tag => {
-                return Err(r.bad_tag("SpaceMsg", tag))
-            }
-        })
-    }
-}
+wire_enum!(SpaceMsg {
+    0 => Out { tuple: Tuple },
+    1 => Rd { pattern: Pattern, req: u64 },
+    2 => In { pattern: Pattern, req: u64 },
+    3 => Result { req: u64, tuple: Option<Tuple> },
+    4 => Subscribe { pattern: Pattern, sub: u64 },
+    5 => Unsubscribe { sub: u64 },
+    6 => Notify { sub: u64, tuple: Tuple },
+});
 
 #[cfg(test)]
 mod tests {

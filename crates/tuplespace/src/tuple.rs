@@ -1,6 +1,6 @@
 //! Tuples and patterns (Linda's generative data model).
 
-use pmp_wire::{Reader, Wire, WireError, Writer};
+use pmp_wire::{wire_enum, wire_struct};
 use std::fmt;
 
 /// One field of a tuple.
@@ -40,34 +40,11 @@ impl From<Vec<u8>> for Field {
     }
 }
 
-impl Wire for Field {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Field::Int(i) => {
-                w.put_u8(0);
-                w.put_vari64(*i);
-            }
-            Field::Str(s) => {
-                w.put_u8(1);
-                w.put_str(s);
-            }
-            Field::Bytes(b) => {
-                w.put_u8(2);
-                w.put_bytes(b);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Field::Int(r.get_vari64()?),
-            1 => Field::Str(r.get_str()?),
-            2 => Field::Bytes(r.get_bytes()?),
-            tag => {
-                return Err(r.bad_tag("Field", tag))
-            }
-        })
-    }
-}
+wire_enum!(Field {
+    0 => Int(i64),
+    1 => Str(String),
+    2 => Bytes(Vec<u8>),
+});
 
 /// An ordered tuple of fields.
 ///
@@ -111,16 +88,7 @@ impl Tuple {
     }
 }
 
-impl Wire for Tuple {
-    fn encode(&self, w: &mut Writer) {
-        self.fields.encode(w);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(Tuple {
-            fields: Vec::<Field>::decode(r)?,
-        })
-    }
-}
+wire_struct!(Tuple { fields: Vec<Field> });
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -162,32 +130,13 @@ impl PatternField {
     }
 }
 
-impl Wire for PatternField {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PatternField::Any => w.put_u8(0),
-            PatternField::Exact(f) => {
-                w.put_u8(1);
-                f.encode(w);
-            }
-            PatternField::AnyStr => w.put_u8(2),
-            PatternField::AnyInt => w.put_u8(3),
-            PatternField::AnyBytes => w.put_u8(4),
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => PatternField::Any,
-            1 => PatternField::Exact(Field::decode(r)?),
-            2 => PatternField::AnyStr,
-            3 => PatternField::AnyInt,
-            4 => PatternField::AnyBytes,
-            tag => {
-                return Err(r.bad_tag("PatternField", tag))
-            }
-        })
-    }
-}
+wire_enum!(PatternField {
+    0 => Any,
+    1 => Exact(Field),
+    2 => AnyStr,
+    3 => AnyInt,
+    4 => AnyBytes,
+});
 
 /// A tuple template: same arity, each position matching.
 ///
@@ -231,16 +180,7 @@ impl Pattern {
     }
 }
 
-impl Wire for Pattern {
-    fn encode(&self, w: &mut Writer) {
-        self.fields.encode(w);
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(Pattern {
-            fields: Vec::<PatternField>::decode(r)?,
-        })
-    }
-}
+wire_struct!(Pattern { fields: Vec<PatternField> });
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,8 @@
 //! extensions carry advice code). The simulated JIT
 //! resolves names into direct indices before execution.
 
-use pmp_wire::{Reader, Wire, WireError, Writer};
 use crate::value::Value;
+use pmp_wire::wire_enum;
 use std::sync::Arc;
 
 /// A constant operand — the subset of [`Value`] with no heap identity,
@@ -59,41 +59,13 @@ impl From<&str> for Const {
     }
 }
 
-impl Wire for Const {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Const::Null => w.put_u8(0),
-            Const::Bool(b) => {
-                w.put_u8(1);
-                w.put_bool(*b);
-            }
-            Const::Int(i) => {
-                w.put_u8(2);
-                w.put_vari64(*i);
-            }
-            Const::Float(f) => {
-                w.put_u8(3);
-                w.put_f64(*f);
-            }
-            Const::Str(s) => {
-                w.put_u8(4);
-                w.put_str(s);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Const::Null,
-            1 => Const::Bool(r.get_bool()?),
-            2 => Const::Int(r.get_vari64()?),
-            3 => Const::Float(r.get_f64()?),
-            4 => Const::Str(r.get_str()?),
-            tag => {
-                return Err(r.bad_tag("Const", tag))
-            }
-        })
-    }
-}
+wire_enum!(Const {
+    0 => Null,
+    1 => Bool(bool),
+    2 => Int(i64),
+    3 => Float(f64),
+    4 => Str(String),
+});
 
 /// One portable instruction of the stack machine.
 ///
@@ -243,198 +215,58 @@ pub enum Op {
     Nop,
 }
 
-impl Wire for Op {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Op::Const(c) => {
-                w.put_u8(0);
-                c.encode(w);
-            }
-            Op::Load(i) => {
-                w.put_u8(1);
-                w.put_u16(*i);
-            }
-            Op::Store(i) => {
-                w.put_u8(2);
-                w.put_u16(*i);
-            }
-            Op::Dup => w.put_u8(3),
-            Op::Pop => w.put_u8(4),
-            Op::Swap => w.put_u8(5),
-            Op::Add => w.put_u8(6),
-            Op::Sub => w.put_u8(7),
-            Op::Mul => w.put_u8(8),
-            Op::Div => w.put_u8(9),
-            Op::Rem => w.put_u8(10),
-            Op::Neg => w.put_u8(11),
-            Op::Shl => w.put_u8(12),
-            Op::Shr => w.put_u8(13),
-            Op::BitAnd => w.put_u8(14),
-            Op::BitOr => w.put_u8(15),
-            Op::BitXor => w.put_u8(16),
-            Op::Eq => w.put_u8(17),
-            Op::Ne => w.put_u8(18),
-            Op::Lt => w.put_u8(19),
-            Op::Le => w.put_u8(20),
-            Op::Gt => w.put_u8(21),
-            Op::Ge => w.put_u8(22),
-            Op::Not => w.put_u8(23),
-            Op::Jump(pc) => {
-                w.put_u8(24);
-                w.put_u32(*pc);
-            }
-            Op::JumpIf(pc) => {
-                w.put_u8(25);
-                w.put_u32(*pc);
-            }
-            Op::JumpIfNot(pc) => {
-                w.put_u8(26);
-                w.put_u32(*pc);
-            }
-            Op::Ret => w.put_u8(27),
-            Op::RetVal => w.put_u8(28),
-            Op::New(c) => {
-                w.put_u8(29);
-                w.put_str(c);
-            }
-            Op::GetField { class, field } => {
-                w.put_u8(30);
-                w.put_str(class);
-                w.put_str(field);
-            }
-            Op::PutField { class, field } => {
-                w.put_u8(31);
-                w.put_str(class);
-                w.put_str(field);
-            }
-            Op::CallV { method, argc } => {
-                w.put_u8(32);
-                w.put_str(method);
-                w.put_u8(*argc);
-            }
-            Op::CallStatic {
-                class,
-                method,
-                argc,
-            } => {
-                w.put_u8(33);
-                w.put_str(class);
-                w.put_str(method);
-                w.put_u8(*argc);
-            }
-            Op::NewArray => w.put_u8(34),
-            Op::ArrGet => w.put_u8(35),
-            Op::ArrSet => w.put_u8(36),
-            Op::ArrLen => w.put_u8(37),
-            Op::NewBuffer => w.put_u8(38),
-            Op::BufGet => w.put_u8(39),
-            Op::BufSet => w.put_u8(40),
-            Op::BufLen => w.put_u8(41),
-            Op::Throw(c) => {
-                w.put_u8(42);
-                w.put_str(c);
-            }
-            Op::Concat => w.put_u8(43),
-            Op::ToStr => w.put_u8(44),
-            Op::ToInt => w.put_u8(45),
-            Op::ToFloat => w.put_u8(46),
-            Op::Sys { name, argc } => {
-                w.put_u8(47);
-                w.put_str(name);
-                w.put_u8(*argc);
-            }
-            Op::Nop => w.put_u8(48),
-            Op::CallDirect {
-                class,
-                method,
-                argc,
-            } => {
-                w.put_u8(49);
-                w.put_str(class);
-                w.put_str(method);
-                w.put_u8(*argc);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Op::Const(Const::decode(r)?),
-            1 => Op::Load(r.get_u16()?),
-            2 => Op::Store(r.get_u16()?),
-            3 => Op::Dup,
-            4 => Op::Pop,
-            5 => Op::Swap,
-            6 => Op::Add,
-            7 => Op::Sub,
-            8 => Op::Mul,
-            9 => Op::Div,
-            10 => Op::Rem,
-            11 => Op::Neg,
-            12 => Op::Shl,
-            13 => Op::Shr,
-            14 => Op::BitAnd,
-            15 => Op::BitOr,
-            16 => Op::BitXor,
-            17 => Op::Eq,
-            18 => Op::Ne,
-            19 => Op::Lt,
-            20 => Op::Le,
-            21 => Op::Gt,
-            22 => Op::Ge,
-            23 => Op::Not,
-            24 => Op::Jump(r.get_u32()?),
-            25 => Op::JumpIf(r.get_u32()?),
-            26 => Op::JumpIfNot(r.get_u32()?),
-            27 => Op::Ret,
-            28 => Op::RetVal,
-            29 => Op::New(r.get_str()?),
-            30 => Op::GetField {
-                class: r.get_str()?,
-                field: r.get_str()?,
-            },
-            31 => Op::PutField {
-                class: r.get_str()?,
-                field: r.get_str()?,
-            },
-            32 => Op::CallV {
-                method: r.get_str()?,
-                argc: r.get_u8()?,
-            },
-            33 => Op::CallStatic {
-                class: r.get_str()?,
-                method: r.get_str()?,
-                argc: r.get_u8()?,
-            },
-            34 => Op::NewArray,
-            35 => Op::ArrGet,
-            36 => Op::ArrSet,
-            37 => Op::ArrLen,
-            38 => Op::NewBuffer,
-            39 => Op::BufGet,
-            40 => Op::BufSet,
-            41 => Op::BufLen,
-            42 => Op::Throw(r.get_str()?),
-            43 => Op::Concat,
-            44 => Op::ToStr,
-            45 => Op::ToInt,
-            46 => Op::ToFloat,
-            47 => Op::Sys {
-                name: r.get_str()?,
-                argc: r.get_u8()?,
-            },
-            48 => Op::Nop,
-            49 => Op::CallDirect {
-                class: r.get_str()?,
-                method: r.get_str()?,
-                argc: r.get_u8()?,
-            },
-            tag => {
-                return Err(r.bad_tag("Op", tag))
-            }
-        })
-    }
-}
+wire_enum!(Op {
+    0 => Const(Const),
+    1 => Load(u16),
+    2 => Store(u16),
+    3 => Dup,
+    4 => Pop,
+    5 => Swap,
+    6 => Add,
+    7 => Sub,
+    8 => Mul,
+    9 => Div,
+    10 => Rem,
+    11 => Neg,
+    12 => Shl,
+    13 => Shr,
+    14 => BitAnd,
+    15 => BitOr,
+    16 => BitXor,
+    17 => Eq,
+    18 => Ne,
+    19 => Lt,
+    20 => Le,
+    21 => Gt,
+    22 => Ge,
+    23 => Not,
+    24 => Jump(u32),
+    25 => JumpIf(u32),
+    26 => JumpIfNot(u32),
+    27 => Ret,
+    28 => RetVal,
+    29 => New(String),
+    30 => GetField { class: String, field: String },
+    31 => PutField { class: String, field: String },
+    32 => CallV { method: String, argc: u8 },
+    33 => CallStatic { class: String, method: String, argc: u8 },
+    34 => NewArray,
+    35 => ArrGet,
+    36 => ArrSet,
+    37 => ArrLen,
+    38 => NewBuffer,
+    39 => BufGet,
+    40 => BufSet,
+    41 => BufLen,
+    42 => Throw(String),
+    43 => Concat,
+    44 => ToStr,
+    45 => ToInt,
+    46 => ToFloat,
+    47 => Sys { name: String, argc: u8 },
+    48 => Nop,
+    49 => CallDirect { class: String, method: String, argc: u8 },
+});
 
 /// An exception-handler range for a bytecode body: if an exception of a
 /// matching class escapes an op in `[start, end)`, control transfers to

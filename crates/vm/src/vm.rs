@@ -644,10 +644,10 @@ impl Vm {
 
     pub(crate) fn install_compiled(&mut self, mid: MethodId, compiled: Compiled) {
         self.telemetry.registry.inc(self.ids.compiled_methods);
-        if self.telemetry.journal.is_enabled(Subsystem::Vm) {
-            let sig = self.methods[mid.0 as usize].sig.to_string();
-            self.telemetry.journal.event(Subsystem::Vm, "vm.jit.compile", sig);
-        }
+        let sig = self.methods[mid.0 as usize].sig.to_string();
+        self.telemetry
+            .journal
+            .event(Subsystem::Vm, "vm.jit.compile", sig);
         self.methods[mid.0 as usize].compiled = Some(compiled);
     }
 

@@ -269,6 +269,89 @@ macro_rules! wire_struct {
     };
 }
 
+/// Implements [`Wire`] for a tagged union by listing its variants in
+/// wire order: `tag => Variant`, `tag => Variant(T)` or
+/// `tag => Variant { field: T, .. }`. A value encodes as its `u8` tag
+/// followed by its fields, each through its type's own [`Wire`] impl.
+/// Decoding a tag that is not listed fails with
+/// [`WireError::InvalidTag`] naming the type, so a retired variant's
+/// tag stays reserved simply by leaving it out.
+///
+/// ```
+/// use pmp_wire::{wire_enum, WireError};
+///
+/// #[derive(Debug, PartialEq, Clone)]
+/// pub enum Signal { Idle, Level(u32), Move { x: i64, y: i64 } }
+/// wire_enum!(Signal {
+///     0 => Idle,
+///     1 => Level(u32),
+///     // Tag 2 is reserved.
+///     3 => Move { x: i64, y: i64 },
+/// });
+///
+/// let m = Signal::Move { x: -4, y: 300 };
+/// let bytes = pmp_wire::to_bytes(&m);
+/// assert_eq!(bytes[0], 3);
+/// assert_eq!(pmp_wire::from_bytes::<Signal>(&bytes).unwrap(), m);
+/// assert_eq!(
+///     pmp_wire::from_bytes::<Signal>(&[2]),
+///     Err(WireError::InvalidTag { type_name: "Signal", tag: 2, offset: 0 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    // The bindings the arms share (`w`, `r`, the tuple field `v`) are
+    // created here and handed to the helper rules, so hygiene lets the
+    // helpers' expansions see each other's bindings.
+    ($name:ident {
+        $( $tag:literal => $variant:ident
+            $( ( $ty:ty ) )?
+            $( { $( $field:ident : $fty:ty ),* $(,)? } )?
+        ),* $(,)?
+    }) => {
+        impl $crate::Wire for $name {
+            fn encode(&self, w: &mut $crate::Writer) {
+                match self {
+                    $(
+                        $crate::wire_enum!(@pat $name $variant v
+                            $( ($ty) )? $( { $( $field : $fty ),* } )?) => {
+                            w.put_u8($tag);
+                            $crate::wire_enum!(@encode w v
+                                $( ($ty) )? $( { $( $field : $fty ),* } )?);
+                        }
+                    )*
+                }
+            }
+            fn decode(r: &mut $crate::Reader) -> Result<Self, $crate::WireError> {
+                Ok(match r.get_u8()? {
+                    $(
+                        $tag => $crate::wire_enum!(@decode r $name $variant
+                            $( ($ty) )? $( { $( $field : $fty ),* } )?),
+                    )*
+                    tag => return Err(r.bad_tag(stringify!($name), tag)),
+                })
+            }
+        }
+    };
+    (@pat $name:ident $variant:ident $v:ident) => { $name::$variant };
+    (@pat $name:ident $variant:ident $v:ident ($ty:ty)) => { $name::$variant($v) };
+    (@pat $name:ident $variant:ident $v:ident { $( $field:ident : $fty:ty ),* }) => {
+        $name::$variant { $( $field ),* }
+    };
+    (@encode $w:ident $v:ident) => {};
+    (@encode $w:ident $v:ident ($ty:ty)) => { <$ty as $crate::Wire>::encode($v, $w) };
+    (@encode $w:ident $v:ident { $( $field:ident : $fty:ty ),* }) => {
+        $( <$fty as $crate::Wire>::encode($field, $w); )*
+    };
+    (@decode $r:ident $name:ident $variant:ident) => { $name::$variant };
+    (@decode $r:ident $name:ident $variant:ident ($ty:ty)) => {
+        $name::$variant(<$ty as $crate::Wire>::decode($r)?)
+    };
+    (@decode $r:ident $name:ident $variant:ident { $( $field:ident : $fty:ty ),* }) => {
+        $name::$variant { $( $field: <$fty as $crate::Wire>::decode($r)?, )* }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 //! pmp-durable's torn-tail reporting and the chaos `.repro` loader lean
 //! on, so they are part of the wire contract, not a debugging nicety.
 
-use pmp_wire::{from_bytes, to_bytes, wire_struct, Reader, Wire, WireError, Writer};
+use pmp_wire::{from_bytes, to_bytes, wire_enum, wire_struct, WireError};
 
 #[derive(Debug, PartialEq, Clone)]
 struct Probe {
@@ -32,24 +32,10 @@ enum Kind {
     Busy(u32),
 }
 
-impl Wire for Kind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Kind::Idle => w.put_u8(0),
-            Kind::Busy(n) => {
-                w.put_u8(1);
-                w.put_u32(*n);
-            }
-        }
-    }
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(Kind::Idle),
-            1 => Ok(Kind::Busy(r.get_u32()?)),
-            tag => Err(r.bad_tag("Kind", tag)),
-        }
-    }
-}
+wire_enum!(Kind {
+    0 => Idle,
+    1 => Busy(u32),
+});
 
 fn probe() -> Probe {
     Probe {
