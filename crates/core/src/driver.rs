@@ -287,16 +287,17 @@ fn handle_rpc_retry(
 /// paper's §4.5 data travels with the robot), and an incoming
 /// [`BaseEvent::MovementImport`] is folded into the local movement store
 /// — deduplicated by issue time so histories bouncing between bases
-/// converge instead of growing.
+/// converge instead of growing. Neither side decodes the stored rows:
+/// they ship as the encodings the store holds, and dedup reads only the
+/// store's index of issue times.
 fn handle_base_federation(station: &mut BaseStation, port: &mut dyn NetPort, evs: &[BaseEvent]) {
     for e in evs {
         match e {
             BaseEvent::NodeDeparted { node_name } => {
                 let records: Vec<Vec<u8>> = station
                     .store
-                    .by_robot(node_name)
-                    .into_iter()
-                    .map(pmp_wire::to_bytes)
+                    .rows_of(node_name)
+                    .map(|(_, row)| row.to_vec())
                     .collect();
                 if records.is_empty() {
                     continue;
@@ -315,12 +316,8 @@ fn handle_base_federation(station: &mut BaseStation, port: &mut dyn NetPort, evs
                 }
             }
             BaseEvent::MovementImport { node_name, records } => {
-                let seen: std::collections::HashSet<u64> = station
-                    .store
-                    .by_robot(node_name)
-                    .iter()
-                    .map(|r| r.issued_at)
-                    .collect();
+                let seen: std::collections::HashSet<u64> =
+                    station.store.rows_of(node_name).map(|(at, _)| at).collect();
                 for raw in records {
                     let Ok(rec) = pmp_wire::from_bytes::<MovementRecord>(raw) else {
                         continue;
@@ -429,7 +426,7 @@ fn handle_base_app(
             for (replica, num, den) in routes {
                 let mut scaled = record.clone();
                 for a in &mut scaled.args {
-                    *a = *a * num / den;
+                    *a = a.saturating_mul(num).saturating_div(den);
                 }
                 port.send(from, replica, MIRROR_CHANNEL, pmp_wire::to_bytes(&scaled));
             }

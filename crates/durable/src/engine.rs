@@ -595,7 +595,7 @@ impl DurableEngine {
 
         if let Some(sink) = &self.sink {
             sink.inc("durable.recover.count");
-            sink.record("durable.recover_ms", start.elapsed().as_millis() as u64);
+            sink.record("durable.recover_ns", start.elapsed().as_nanos() as u64);
             if report.corrupt.is_some() {
                 sink.inc("durable.recover.corrupt_records");
             }
@@ -1111,6 +1111,12 @@ mod tests {
         assert_eq!(shared.counter_value("durable.wal.commits"), 1);
         assert_eq!(shared.counter_value("durable.snapshot.count"), 1);
         assert_eq!(shared.counter_value("durable.recover.count"), 1);
+        let recover_samples = shared.with(|t| {
+            t.registry
+                .histogram_by_name("durable.recover_ns")
+                .map(|h| h.count())
+        });
+        assert_eq!(recover_samples, Some(1));
         let names: Vec<String> = shared.with(|t| {
             t.journal
                 .events()

@@ -22,8 +22,9 @@ pub fn package(version: u32) -> ExtensionPackage {
 }
 
 /// Host-side mirror: applies one recorded movement to a replica robot's
-/// motor proxies, scaled by `num/den` (paper: replication "at a scale
-/// different from what is being done by the original robot").
+/// motor proxies, scaled by `num/den` and saturating at the `i64` bounds
+/// (paper: replication "at a scale different from what is being done by
+/// the original robot").
 ///
 /// `motors` maps device names (`"motor:A"`) to `Motor` proxy objects in
 /// the replica's VM.
@@ -48,7 +49,10 @@ pub fn mirror_record(
     };
     match record.command.as_str() {
         "Motor.rotate" | "rotate" => {
-            let deg = record.args.first().copied().unwrap_or(0) * num / den;
+            let deg = record
+                .args
+                .first()
+                .map_or(0, |a| a.saturating_mul(num).saturating_div(den));
             vm.call("Motor", "rotate", motor.clone(), vec![Value::Int(deg)])?;
         }
         "Motor.setPower" | "setPower" => {

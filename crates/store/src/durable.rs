@@ -7,13 +7,14 @@
 //! rebuilds the per-robot index as a side effect — no index state
 //! needs logging.
 //!
-//! The snapshot is encoded straight from the table rows and restored
-//! straight into a fresh store, so neither direction materialises the
-//! record list.
+//! The store keeps its rows as their encodings back to back, so a
+//! snapshot is the row count and one copy of those bytes, and a restore
+//! is one checking pass over the rows (indexing them on the way) and
+//! one copy.
 
-use crate::movement::{MovementRecord, MovementStore};
+use crate::movement::{MovementRecord, MovementStore, RecordId};
 use pmp_durable::{DurableError, Store};
-use pmp_wire::{Reader, Wire, Writer};
+use pmp_wire::{Reader, Writer};
 
 /// The shortest wire encoding of a [`MovementRecord`]: three empty
 /// strings and an empty argument list (one length byte each) and two
@@ -37,22 +38,38 @@ impl Store for MovementStore {
     type Op = MovementRecord;
 
     fn encode_state(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(10 + self.bytes.len());
         w.put_varu64(self.len() as u64);
-        for (_, _, record) in self.table().iter() {
-            record.encode(&mut w);
-        }
+        w.put_raw(self.bytes.as_bytes());
         w.into_bytes()
     }
 
+    /// Checks every row with the reads [`MovementRecord`]'s decoder
+    /// makes, so a bad snapshot fails with the same [`pmp_wire::WireError`]
+    /// at the same offset, and leaves the store unchanged.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let mut r = Reader::new(bytes);
         let len = r.get_len()?;
-        let mut restored = MovementStore::with_capacity(len.min(r.remaining() / MIN_RECORD_BYTES));
-        for _ in 0..len {
-            restored.append(MovementRecord::decode(&mut r)?);
+        let body = r.pos();
+        let mut restored = MovementStore::default();
+        restored
+            .rows
+            .reserve_exact(len.min(r.remaining() / MIN_RECORD_BYTES));
+        for id in 0..len {
+            let start = r.pos() - body;
+            let robot = r.read_str()?;
+            r.read_str()?; // device
+            r.read_str()?; // command
+            for _ in 0..r.get_len()? {
+                r.get_vari64()?;
+            }
+            let issued_at = r.get_u64()?;
+            r.get_u64()?; // duration_ns
+            restored.rows.push((start, issued_at));
+            restored.index(robot, RecordId(id as u64));
         }
         r.finish()?;
+        restored.bytes.put_raw(&bytes[body..]);
         *self = restored;
         Ok(())
     }
@@ -92,6 +109,9 @@ mod tests {
         assert_eq!(restored.by_robot("r1").len(), 2);
         assert_eq!(restored.robots(), ["r1", "r2"]);
         assert_eq!(restored.state_digest(), live.state_digest());
+        for robot in ["r1", "r2"] {
+            assert!(restored.rows_of(robot).eq(live.rows_of(robot)));
+        }
     }
 
     #[test]
@@ -125,8 +145,19 @@ mod tests {
     #[test]
     fn snapshot_is_the_encoding_of_the_record_list() {
         let live = sample();
-        let records: Vec<MovementRecord> = live.table().iter().map(|(_, _, r)| r.clone()).collect();
+        let records = live.range(0, u64::MAX);
         assert_eq!(live.snapshot_bytes(), pmp_wire::to_bytes(&records));
+    }
+
+    /// A snapshot of one record whose encoding `edit` rewrites, under a
+    /// count of `count`.
+    fn one_row(count: u64, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut row = pmp_wire::to_bytes(&rec("r1", 7, 10));
+        edit(&mut row);
+        let mut w = Writer::new();
+        w.put_varu64(count);
+        w.put_raw(&row);
+        w.into_bytes()
     }
 
     #[test]
@@ -134,13 +165,21 @@ mod tests {
         let bytes = sample().snapshot_bytes();
         let mut trailing = bytes.clone();
         trailing.push(0);
+        let huge_count = one_row(1 << 40, |_| {});
+        // The robot name "r1" is bytes 1..3 of the row.
+        let bad_utf8 = one_row(1, |row| row[1] = 0xff);
+        // The arg count follows the strings "r1", "motor:x" and "rotate";
+        // 100 args run past the 18 bytes left in the row.
+        let long_args = one_row(1, |row| row[3 + 8 + 7] = 100);
         let mut target = MovementStore::new();
         target.append(rec("r9", 1, 1));
         let before = target.state_digest();
-        for bad in (0..bytes.len())
-            .map(|cut| &bytes[..cut])
-            .chain([&trailing[..]])
-        {
+        for bad in (0..bytes.len()).map(|cut| &bytes[..cut]).chain([
+            &trailing[..],
+            &huge_count,
+            &bad_utf8,
+            &long_args,
+        ]) {
             let want = pmp_wire::from_bytes::<Vec<MovementRecord>>(bad).unwrap_err();
             assert_eq!(target.restore_snapshot(bad), Err(DurableError::Wire(want)));
             assert_eq!(target.state_digest(), before, "{} bytes", bad.len());

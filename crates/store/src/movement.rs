@@ -1,8 +1,8 @@
 //! Movement records and the movement store (Fig. 6's data model).
 
-use crate::table::{RecordId, Table};
-use pmp_wire::wire_struct;
+use pmp_wire::{wire_struct, Wire, Writer};
 use std::collections::HashMap;
+use std::fmt;
 
 /// One logged hardware action: which robot/device executed which
 /// command, when, and for how long (the paper's monitoring extension
@@ -33,7 +33,21 @@ wire_struct!(MovementRecord {
     duration_ns: u64,
 });
 
+/// Identifies a row within one store (dense, in insertion order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RecordId(pub u64);
+
+impl fmt::Display for RecordId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "rec#{}", self.0)
+    }
+}
+
 /// The base station's movement database, indexed by robot.
+///
+/// Rows are kept as their canonical wire encoding, back to back, so
+/// the store's contents already are its snapshot body (see
+/// [`crate::durable`]). Reads decode the rows they return.
 ///
 /// # Examples
 ///
@@ -50,7 +64,11 @@ wire_struct!(MovementRecord {
 /// ```
 #[derive(Debug, Default)]
 pub struct MovementStore {
-    table: Table<MovementRecord>,
+    /// Every row's [`MovementRecord`] encoding, in insertion order.
+    pub(crate) bytes: Writer,
+    /// Each row's start offset in `bytes` and its issue time.
+    pub(crate) rows: Vec<(usize, u64)>,
+    /// Each robot's row ids, in insertion order.
     by_robot: HashMap<String, Vec<RecordId>>,
 }
 
@@ -60,61 +78,72 @@ impl MovementStore {
         Self::default()
     }
 
-    /// Read-only view of the underlying table (insertion order), for
-    /// the durable snapshot encoder.
-    pub(crate) fn table(&self) -> &Table<MovementRecord> {
-        &self.table
-    }
-
-    /// An empty store with room for `rows` records.
-    pub(crate) fn with_capacity(rows: usize) -> Self {
-        Self {
-            table: Table::with_capacity(rows),
-            by_robot: HashMap::new(),
-        }
-    }
-
     /// Appends a record; returns its id. The robot's name is cloned
     /// only the first time the robot appears.
     pub fn append(&mut self, record: MovementRecord) -> RecordId {
-        let at = record.issued_at;
-        if let Some(ids) = self.by_robot.get_mut(&record.robot) {
-            let id = self.table.append(at, record);
-            ids.push(id);
-            return id;
-        }
-        let robot = record.robot.clone();
-        let id = self.table.append(at, record);
-        self.by_robot.insert(robot, vec![id]);
+        let id = RecordId(self.rows.len() as u64);
+        self.rows.push((self.bytes.len(), record.issued_at));
+        record.encode(&mut self.bytes);
+        self.index(&record.robot, id);
         id
+    }
+
+    /// Adds `id` to `robot`'s index entry.
+    pub(crate) fn index(&mut self, robot: &str, id: RecordId) {
+        match self.by_robot.get_mut(robot) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.by_robot.insert(robot.to_owned(), vec![id]);
+            }
+        }
     }
 
     /// Total records.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.rows.len()
     }
 
     /// Returns `true` if no movement has been logged.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.rows.is_empty()
+    }
+
+    /// Row `i`'s encoding.
+    fn row(&self, i: usize) -> &[u8] {
+        let end = self.rows.get(i + 1).map_or(self.bytes.len(), |r| r.0);
+        &self.bytes.as_bytes()[self.rows[i].0..end]
+    }
+
+    fn decode(row: &[u8]) -> MovementRecord {
+        pmp_wire::from_bytes(row).expect("rows are checked when they come in")
+    }
+
+    /// `robot`'s rows in insertion order, each as its issue time and its
+    /// canonical encoding (exactly `pmp_wire::to_bytes` of the record),
+    /// without decoding them.
+    pub fn rows_of(&self, robot: &str) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        self.by_robot
+            .get(robot)
+            .into_iter()
+            .flatten()
+            .map(|id| (self.rows[id.0 as usize].1, self.row(id.0 as usize)))
     }
 
     /// All actions ever executed by `robot`, in issue order (the left
     /// panel of Fig. 6).
-    pub fn by_robot(&self, robot: &str) -> Vec<&MovementRecord> {
-        self.by_robot
-            .get(robot)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|id| self.table.get(*id).map(|(r, _)| r))
-                    .collect()
-            })
-            .unwrap_or_default()
+    pub fn by_robot(&self, robot: &str) -> Vec<MovementRecord> {
+        self.rows_of(robot)
+            .map(|(_, row)| Self::decode(row))
+            .collect()
     }
 
-    /// Records with `from <= issued_at < to`, across all robots.
-    pub fn range(&self, from: u64, to: u64) -> Vec<&MovementRecord> {
-        self.table.range(from, to).map(|(_, _, r)| r).collect()
+    /// Records with `from <= issued_at < to`, across all robots, in
+    /// insertion order.
+    pub fn range(&self, from: u64, to: u64) -> Vec<MovementRecord> {
+        (0..self.rows.len())
+            .filter(|&i| (from..to).contains(&self.rows[i].1))
+            .map(|i| Self::decode(self.row(i)))
+            .collect()
     }
 
     /// The distinct robots seen, sorted.
@@ -129,35 +158,28 @@ impl MovementStore {
     /// (the paper's simulation feature: "replay the sequence of
     /// movements of all robots at the right relative time").
     pub fn replay(&self, robot: &str) -> Vec<(u64, MovementRecord)> {
-        let records = self.by_robot(robot);
-        let mut out = Vec::with_capacity(records.len());
         let mut prev: Option<u64> = None;
-        for r in records {
-            let delay = match prev {
-                None => 0,
-                Some(p) => r.issued_at.saturating_sub(p),
-            };
-            prev = Some(r.issued_at);
-            out.push((delay, r.clone()));
-        }
-        out
-    }
-
-    /// A scaled copy of `robot`'s actions: every argument multiplied by
-    /// `num/den` (the paper's remote replication "at a scale different
-    /// from what is being done by the original robot").
-    pub fn scaled(&self, robot: &str, num: i64, den: i64) -> Vec<MovementRecord> {
-        assert!(den != 0, "scale denominator must be nonzero");
         self.by_robot(robot)
             .into_iter()
             .map(|r| {
-                let mut c = r.clone();
-                for a in &mut c.args {
-                    *a = *a * num / den;
-                }
-                c
+                let delay = prev.map_or(0, |p| r.issued_at.saturating_sub(p));
+                prev = Some(r.issued_at);
+                (delay, r)
             })
             .collect()
+    }
+
+    /// A scaled copy of `robot`'s actions: every argument multiplied by
+    /// `num/den`, saturating at the `i64` bounds (the paper's remote
+    /// replication "at a scale different from what is being done by the
+    /// original robot").
+    pub fn scaled(&self, robot: &str, num: i64, den: i64) -> Vec<MovementRecord> {
+        assert!(den != 0, "scale denominator must be nonzero");
+        let mut records = self.by_robot(robot);
+        for a in records.iter_mut().flat_map(|r| &mut r.args) {
+            *a = a.saturating_mul(num).saturating_div(den);
+        }
+        records
     }
 }
 
@@ -176,6 +198,19 @@ mod tests {
         }
     }
 
+    /// splitmix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
     #[test]
     fn per_robot_index() {
         let mut s = MovementStore::new();
@@ -187,6 +222,44 @@ mod tests {
         assert_eq!(s.by_robot("r2").len(), 1);
         assert!(s.by_robot("r3").is_empty());
         assert_eq!(s.robots(), ["r1", "r2"]);
+    }
+
+    #[test]
+    fn ids_are_dense_and_stable() {
+        for seed in 0..32 {
+            let mut rng = Rng(seed);
+            let n = rng.below(100) as usize;
+            let mut s = MovementStore::new();
+            let mut appended = Vec::new();
+            for i in 0..n {
+                let r = rec(&format!("r{}", rng.below(4)), "rotate", i as i64, i as u64);
+                assert_eq!(s.append(r.clone()), RecordId(i as u64));
+                appended.push(r);
+            }
+            assert_eq!(s.len(), n);
+            assert_eq!(s.range(0, u64::MAX), appended, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn range_equals_a_filter_over_issue_times() {
+        for seed in 0..64 {
+            let mut rng = Rng(seed);
+            let mut times: Vec<u64> = (0..rng.below(50)).map(|_| rng.below(1000)).collect();
+            times.sort_unstable();
+            let mut s = MovementStore::new();
+            for &at in &times {
+                s.append(rec("r", "rotate", at as i64, at));
+            }
+            let from = rng.below(1000);
+            let to = from.saturating_add(rng.below(1000));
+            let via_range: Vec<u64> = s.range(from, to).iter().map(|r| r.issued_at).collect();
+            let via_filter: Vec<u64> = times
+                .into_iter()
+                .filter(|at| (from..to).contains(at))
+                .collect();
+            assert_eq!(via_range, via_filter, "seed {seed}");
+        }
     }
 
     #[test]
@@ -217,6 +290,34 @@ mod tests {
         assert_eq!(doubled[0].args, [60]);
         let halved = s.scaled("r", 1, 2);
         assert_eq!(halved[0].args, [15]);
+    }
+
+    #[test]
+    fn scaling_saturates_instead_of_overflowing() {
+        let mut s = MovementStore::new();
+        s.append(rec("r", "rotate", i64::MAX, 0));
+        s.append(rec("r", "rotate", i64::MIN, 1));
+        let args = |v: Vec<MovementRecord>| v.into_iter().map(|r| r.args[0]).collect::<Vec<_>>();
+        assert_eq!(args(s.scaled("r", 2, 1)), [i64::MAX, i64::MIN]);
+        assert_eq!(args(s.scaled("r", 1, -1)), [-i64::MAX, i64::MAX]);
+    }
+
+    #[test]
+    fn exported_rows_are_the_records_encodings() {
+        let mut s = MovementStore::new();
+        s.append(rec("r1", "rotate", 30, 10));
+        s.append(rec("r2", "rotate", -30, 20));
+        s.append(rec("r1", "stop", 0, 30));
+        for robot in ["r1", "r2"] {
+            let rows: Vec<(u64, &[u8])> = s.rows_of(robot).collect();
+            let records = s.by_robot(robot);
+            assert_eq!(rows.len(), records.len());
+            for ((at, row), record) in rows.into_iter().zip(records) {
+                assert_eq!(at, record.issued_at);
+                assert_eq!(row, pmp_wire::to_bytes(&record));
+            }
+        }
+        assert_eq!(s.rows_of("r3").count(), 0);
     }
 
     #[test]

@@ -90,6 +90,40 @@ fn scaled_replication_amplifies_the_drawing() {
 }
 
 #[test]
+fn scaling_a_radio_supplied_movement_saturates_instead_of_overflowing() {
+    let (mut p, base, source, replica) = replication_world();
+    p.mirror(base, "robot:src", replica, 2, 1);
+    p.pump(6 * SEC);
+    assert!(p.node(source).receiver.is_installed("ext/replication"));
+
+    // A record whose argument doubles past `i64::MAX`, as any sender on
+    // the radio could post it.
+    let record = pmp::store::MovementRecord {
+        robot: "robot:src".into(),
+        device: "motor:A".into(),
+        command: "Motor.rotate".into(),
+        args: vec![i64::MAX],
+        issued_at: 1,
+        duration_ns: 0,
+    };
+    p.node(source)
+        .wiring
+        .outbox
+        .lock()
+        .push(pmp::core::AppMsg::Replicate {
+            record: record.clone(),
+        });
+    p.pump(SEC);
+
+    assert!(p.base(base).store.by_robot("robot:src").contains(&record));
+    let mirror = p.node(replica).robot.as_ref().unwrap();
+    assert_eq!(
+        mirror.lock().rcx.motor(pmp::robot::Port::A).position(),
+        i64::MAX
+    );
+}
+
+#[test]
 fn replay_from_the_hall_database_reproduces_the_figure() {
     // Draw in the standard world, then replay the log onto a fresh
     // robot and compare drawings (paper §4.5 "Simulation").

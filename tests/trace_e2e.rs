@@ -167,6 +167,27 @@ fn drivers_trace_identically_under_twenty_percent_loss() {
     assert_eq!(ps, pp, "lossy critical path diverged:\n{ps}\nvs\n{pp}");
 }
 
+/// The network trace digest of one publish-and-intercept run, with
+/// every delivery logged into it.
+fn air_digest(seed: u64, loss: f64, tracing: bool) -> u64 {
+    let (mut p, bases, nodes) = three_halls(seed, loss, false);
+    p.set_tracing(tracing);
+    p.sim.deliveries.set_logging(true);
+    publish_and_intercept(&mut p, &bases, &nodes);
+    p.trace_digest()
+}
+
+#[test]
+fn tracing_does_not_change_the_air() {
+    for (seed, loss) in [(11, 0.0), (5, 0.2), (7, 0.05)] {
+        assert_eq!(
+            air_digest(seed, loss, false),
+            air_digest(seed, loss, true),
+            "seed {seed}, loss {loss}: tracing changed what went on the air"
+        );
+    }
+}
+
 #[test]
 fn base_flight_recorder_survives_crash_and_restart() {
     let (mut p, bases, nodes) = three_halls(5, 0.0, false);
