@@ -269,7 +269,7 @@ impl Platform {
         let tap: Arc<Mutex<Vec<WalRecord>>> = Arc::default();
         let sink = Arc::clone(&tap);
         station.durable.set_commit_tap(Box::new(move |batch| {
-            sink.lock().unwrap().extend_from_slice(batch);
+            sink.lock().unwrap().extend(batch);
         }));
         self.streams.push(StreamHub::new(StreamConfig::default()));
         self.stream_taps.push(tap);

@@ -38,6 +38,7 @@
 //! (main-thread barrier operations), keeping the event journal
 //! byte-identical between the serial and parallel drivers.
 
+use crate::crc::Crc32;
 use crate::disk::SimDisk;
 use crate::record::{decode_framed, decode_record, encode_framed_into, WalRecord, MAX_FRAME_BODY};
 use crate::Durable;
@@ -82,18 +83,35 @@ wire_struct!(SnapshotFile {
 
 impl SnapshotFile {
     /// Frames the file into one buffer of exactly the frame's length
-    /// (so the disk image holds no spare capacity). Returns the bytes
-    /// and the body length.
-    fn framed(&self) -> (Vec<u8>, usize) {
+    /// (so the disk image holds no spare capacity): the bytes
+    /// [`encode_framed_into`] writes for it. `crcs` holds each blob's
+    /// CRC-32 by namespace, so the checksum hashes only the framing
+    /// around the blobs and folds each blob in by its CRC. Returns the
+    /// bytes and the body length.
+    fn framed(&self, crcs: &BTreeMap<&str, u32>) -> (Vec<u8>, usize) {
         let entries: usize = self
             .namespaces
             .iter()
             .map(|(ns, blob)| varint_len(ns.len()) + ns.len() + varint_len(blob.len()) + blob.len())
             .sum();
-        let frame_len = 4 + 8 + varint_len(self.namespaces.len()) + entries + 4;
-        let mut w = Writer::with_capacity(frame_len);
-        let body_len = encode_framed_into(self, &mut w);
-        debug_assert_eq!(w.len(), frame_len);
+        let body_len = 8 + varint_len(self.namespaces.len()) + entries;
+        let mut w = Writer::with_capacity(4 + body_len + 4);
+        w.put_u32(body_len as u32);
+        w.put_u64(self.next_seq);
+        w.put_varu64(self.namespaces.len() as u64);
+        let mut crc = Crc32::new();
+        let mut hashed = 0;
+        for (ns, blob) in &self.namespaces {
+            w.put_str(ns);
+            w.put_varu64(blob.len() as u64);
+            crc.update(w.bytes_from(hashed));
+            w.put_raw(blob);
+            crc.append_crc(crcs[ns.as_str()], blob.len());
+            hashed = w.len();
+        }
+        crc.update(w.bytes_from(hashed));
+        w.put_u32(crc.finish());
+        debug_assert_eq!(w.len(), 4 + body_len + 4);
         (w.into_bytes(), body_len)
     }
 }
@@ -165,11 +183,11 @@ fn segment_number(file: &str) -> Option<u64> {
         .ok()
 }
 
-/// Observer invoked with every batch the engine commits, after the
-/// sync that makes the batch durable. Recovery replay never re-enters
-/// the tap (it does not commit), so an observer sees each committed
-/// record exactly once per engine lifetime.
-pub type CommitTap = Box<dyn FnMut(&[WalRecord]) + Send>;
+/// Observer handed every batch the engine commits, by value, after
+/// the sync that makes the batch durable. Recovery replay never
+/// re-enters the tap (it does not commit), so an observer sees each
+/// committed record exactly once per engine lifetime.
+pub type CommitTap = Box<dyn FnMut(Vec<WalRecord>) + Send>;
 
 /// The storage engine. Single-owner; share one through
 /// [`crate::DurableHub`].
@@ -342,7 +360,7 @@ impl DurableEngine {
             sink.record("durable.commit.batch", n as u64);
         }
         if let Some(tap) = &mut self.tap {
-            tap(&batch);
+            tap(batch);
         }
         n
     }
@@ -396,24 +414,32 @@ impl DurableEngine {
 
     /// Writes a snapshot of every given state and compacts the log:
     /// all segments (now fully covered) and older snapshots are
-    /// deleted. Flushes any buffered records first.
+    /// deleted. Flushes any buffered records first. A snapshot at the
+    /// horizon of an existing one replaces that file.
     ///
     /// Each state is encoded once, and the snapshot file is framed into
-    /// one buffer that moves onto the disk whole. A snapshot whose body
+    /// one buffer that moves onto the disk whole; each state supplies
+    /// its blob's CRC ([`Durable::snapshot_crc`]), so the frame's
+    /// checksum does not read the blobs again. A snapshot whose body
     /// exceeds [`MAX_FRAME_BODY`] could not be recovered, so it is not
     /// written: the log and the older snapshot stay, the
     /// `durable.snapshot.oversize` counter rises, and the checkpoint
     /// cadence restarts.
     pub fn checkpoint(&mut self, states: &[&dyn Durable]) {
         self.commit();
+        let mut crcs = BTreeMap::new();
         let snap = SnapshotFile {
             next_seq: self.next_seq,
             namespaces: states
                 .iter()
-                .map(|state| (state.namespace().to_string(), state.snapshot_bytes()))
+                .map(|state| {
+                    let bytes = state.snapshot_bytes();
+                    crcs.insert(state.namespace(), state.snapshot_crc(&bytes));
+                    (state.namespace().to_string(), bytes)
+                })
                 .collect(),
         };
-        let (framed, body_len) = snap.framed();
+        let (framed, body_len) = snap.framed(&crcs);
         if body_len > MAX_FRAME_BODY {
             self.since_snapshot = 0;
             if let Some(sink) = &self.sink {
@@ -423,6 +449,10 @@ impl DurableEngine {
         }
         let snap_name = snapshot_file(self.next_seq);
         let snap_bytes = framed.len();
+        // Nothing committed since a snapshot at this horizon: the new
+        // frame replaces it, where an append would leave it behind a
+        // frame recovery never reads.
+        self.disk.remove(&snap_name);
         self.disk.append(&snap_name, framed);
 
         let old_segments = self.segments();
@@ -1061,8 +1091,36 @@ mod tests {
         assert_eq!(restored.total, 16);
     }
 
+    /// Found while measuring checkpoints: a second checkpoint with
+    /// nothing committed since the first appended its frame to the
+    /// first one's file, and recovery read only the older frame.
+    #[test]
+    fn a_checkpoint_at_an_unchanged_horizon_replaces_the_snapshot() {
+        let mut engine = DurableEngine::default();
+        let mut ledger = Ledger::default();
+        append_value(&mut engine, &mut ledger, 1);
+        engine.checkpoint(&[&ledger]);
+        // A change no record carries, then a second checkpoint at the
+        // same horizon.
+        ledger.values.push(2);
+        engine.checkpoint(&[&ledger]);
+
+        let snaps = engine.disk().files_with_prefix("snap/");
+        assert_eq!(snaps.len(), 1);
+        let bytes = engine.disk().read(&snaps[0]).unwrap();
+        let (_, end) = decode_framed(bytes, 0).unwrap().unwrap();
+        assert_eq!(end, bytes.len(), "one frame");
+
+        engine.crash();
+        let mut restored = Ledger::default();
+        let report = engine.recover(&mut [&mut restored]);
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(restored.values, vec![1, 2], "the second checkpoint's state");
+    }
+
     #[test]
     fn the_snapshot_frame_is_the_two_pass_frame_in_an_exact_buffer() {
+        use crate::crc::crc32;
         use crate::record::encode_framed;
         let mut namespaces = BTreeMap::new();
         for (ns, len) in [("a", 0usize), ("store.movements", 200), ("z", 70_000)] {
@@ -1072,7 +1130,12 @@ mod tests {
             next_seq: 77,
             namespaces,
         };
-        let (framed, body_len) = snap.framed();
+        let crcs = snap
+            .namespaces
+            .iter()
+            .map(|(ns, blob)| (ns.as_str(), crc32(blob)))
+            .collect();
+        let (framed, body_len) = snap.framed(&crcs);
         let mut two_pass = Vec::new();
         encode_framed(&pmp_wire::to_bytes(&snap), &mut two_pass);
         assert_eq!(framed, two_pass);

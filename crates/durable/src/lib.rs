@@ -10,8 +10,8 @@
 //!
 //! Layout:
 //!
-//! * [`crc`] — CRC-32 (IEEE, slicing-by-8) over every frame, no
-//!   external crate.
+//! * [`crc`] — CRC-32 (IEEE, slicing-by-8) over every frame, and
+//!   zlib's CRC combine for snapshot frames; no external crate.
 //! * [`disk`] — [`SimDisk`], an in-memory disk with an explicit
 //!   committed/pending boundary (the simulated `fsync`) and fault
 //!   injection on the committed image.
@@ -87,6 +87,11 @@ pub trait Durable {
     /// Canonical serialisation of the full current state.
     fn snapshot_bytes(&self) -> Vec<u8>;
 
+    /// The CRC-32 of `bytes`, which must be what
+    /// [`Durable::snapshot_bytes`] returned for the current state (see
+    /// [`Store::encoded_crc`]).
+    fn snapshot_crc(&self, bytes: &[u8]) -> u32;
+
     /// Replaces the state with a previously-taken snapshot.
     ///
     /// # Errors
@@ -143,6 +148,16 @@ pub trait Store {
     /// Canonical serialisation of the full current state.
     fn encode_state(&self) -> Vec<u8>;
 
+    /// The CRC-32 of `encoded`, which is what [`Store::encode_state`]
+    /// just returned for the current state. A checkpoint folds it into
+    /// the snapshot frame's checksum instead of reading the blob again.
+    /// The default hashes `encoded`; a store that can keep its
+    /// encoding's checksum up to date as it changes (the append-only
+    /// movement store) overrides it to hash only what is new.
+    fn encoded_crc(&self, encoded: &[u8]) -> u32 {
+        crc::crc32(encoded)
+    }
+
     /// Replaces the state with a previously-encoded one.
     ///
     /// # Errors
@@ -179,6 +194,10 @@ impl<S: Store> Durable for S {
 
     fn snapshot_bytes(&self) -> Vec<u8> {
         self.encode_state()
+    }
+
+    fn snapshot_crc(&self, bytes: &[u8]) -> u32 {
+        self.encoded_crc(bytes)
     }
 
     fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
@@ -259,8 +278,8 @@ impl DurableHub {
     }
 
     /// Installs the engine's commit observer (see
-    /// [`engine::CommitTap`]): called with every batch right after the
-    /// sync that makes it durable.
+    /// [`engine::CommitTap`]): handed every batch, by value, right after
+    /// the sync that makes it durable.
     pub fn set_commit_tap(&self, tap: CommitTap) {
         self.inner.lock().set_commit_tap(tap);
     }

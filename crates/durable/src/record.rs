@@ -15,7 +15,7 @@
 //! offset, and only genuinely missing bytes yield [`FrameError::Torn`].
 //!
 //! A WAL frame's body is the [`pmp_wire`] encoding of a [`WalRecord`];
-//! snapshot files reuse the same framing around a snapshot body.
+//! snapshot files use the same frame around a snapshot body.
 
 use crate::crc::Crc32;
 use pmp_wire::{wire_struct, Wire, WireError, Writer};
@@ -175,7 +175,8 @@ pub fn decode_framed(bytes: &[u8], offset: usize) -> Result<Option<(&[u8], usize
 }
 
 /// Appends one frame whose body is the wire encoding of `value` to
-/// `w`: the framing routine for WAL records and snapshot files alike.
+/// `w`: the WAL's framing routine (a snapshot file writes the same
+/// bytes for its body, but checksums its blobs by their known CRCs).
 /// The length prefix is reserved and patched in place, so the body is
 /// encoded once, straight into the frame, and checksummed in one pass.
 ///

@@ -10,9 +10,12 @@
 //! The store keeps its rows as their encodings back to back, so a
 //! snapshot is the row count and one copy of those bytes, and a restore
 //! is one checking pass over the rows (indexing them on the way) and
-//! one copy.
+//! one copy. The rows only grow, so the snapshot's CRC-32 extends a
+//! cached checksum over the rows added since the last snapshot instead
+//! of reading all of them again.
 
 use crate::movement::{MovementRecord, MovementStore, RecordId};
+use pmp_durable::crc::Crc32;
 use pmp_durable::{DurableError, Store};
 use pmp_wire::{Reader, Writer};
 
@@ -42,6 +45,21 @@ impl Store for MovementStore {
         w.put_varu64(self.len() as u64);
         w.put_raw(self.bytes.as_bytes());
         w.into_bytes()
+    }
+
+    /// Extends the cached checksum over the rows added since the last
+    /// call, then combines it after the count varint: the rows are read
+    /// once over the store's life (once more after a restore).
+    fn encoded_crc(&self, encoded: &[u8]) -> u32 {
+        let rows = self.bytes.as_bytes();
+        debug_assert!(encoded.ends_with(rows), "not this store's encoding");
+        let (done, mut rows_crc) = self.crc.get();
+        rows_crc.update(&rows[done..]);
+        self.crc.set((rows.len(), rows_crc));
+        let mut crc = Crc32::new();
+        crc.update(&encoded[..encoded.len() - rows.len()]);
+        crc.append_crc(rows_crc.finish(), rows.len());
+        crc.finish()
     }
 
     /// Checks every row with the reads [`MovementRecord`]'s decoder
@@ -112,6 +130,35 @@ mod tests {
         for robot in ["r1", "r2"] {
             assert!(restored.rows_of(robot).eq(live.rows_of(robot)));
         }
+    }
+
+    #[test]
+    fn the_snapshot_crc_is_the_crc_of_the_snapshot_bytes() {
+        use pmp_durable::crc::crc32;
+        let check = |s: &MovementStore, when: &str| {
+            let bytes = s.snapshot_bytes();
+            assert_eq!(s.snapshot_crc(&bytes), crc32(&bytes), "{when}");
+        };
+        let mut live = MovementStore::new();
+        check(&live, "empty");
+        for i in 0..5 {
+            live.append(rec("r1", i, 10 * i as u64));
+        }
+        check(&live, "after appends");
+        check(&live, "again, nothing new");
+        // Past 127 rows the count varint grows a byte.
+        for i in 5..200 {
+            live.append(rec(if i % 3 == 0 { "r2" } else { "r1" }, i, 10 * i as u64));
+        }
+        check(&live, "after a second snapshot with more appends");
+
+        let mut restored = MovementStore::new();
+        restored.append(rec("r9", 1, 1));
+        check(&restored, "before the restore");
+        restored.restore_snapshot(&live.snapshot_bytes()).unwrap();
+        check(&restored, "after restore_snapshot");
+        restored.append(rec("r3", 7, 7));
+        check(&restored, "after appends to the restored store");
     }
 
     #[test]

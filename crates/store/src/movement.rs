@@ -1,6 +1,8 @@
 //! Movement records and the movement store (Fig. 6's data model).
 
+use pmp_durable::crc::Crc32;
 use pmp_wire::{wire_struct, Wire, Writer};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -65,11 +67,18 @@ impl fmt::Display for RecordId {
 #[derive(Debug, Default)]
 pub struct MovementStore {
     /// Every row's [`MovementRecord`] encoding, in insertion order.
+    /// Only [`MovementStore::append`] (which extends it) and
+    /// `restore_state` (which replaces the whole store) write it, so a
+    /// prefix, once checksummed, stays valid: `crc` relies on that.
     pub(crate) bytes: Writer,
     /// Each row's start offset in `bytes` and its issue time.
     pub(crate) rows: Vec<(usize, u64)>,
     /// Each robot's row ids, in insertion order.
     by_robot: HashMap<String, Vec<RecordId>>,
+    /// The CRC-32 state over the first `.0` bytes of `bytes`, extended
+    /// by each snapshot's checksum (see `encoded_crc`), never by
+    /// `append`.
+    pub(crate) crc: Cell<(usize, Crc32)>,
 }
 
 impl MovementStore {

@@ -8,6 +8,14 @@
 //! the engine's disk (name and bytes), and over the journal's
 //! `snapshot`/`compact` details, with constants. A deliberate format
 //! change updates [`PINNED`] in the same commit.
+//!
+//! A second pin, [`PINNED_CHECKPOINTS`], takes many checkpoints over
+//! growing stores, with a crash and recovery in the middle, and folds
+//! the disk image after every checkpoint into one digest. Snapshot
+//! frames are checksummed by combining CRCs that stores keep up to
+//! date as they grow, so this is the test that shows those equal the
+//! checksum recomputed over the frame, including at the first
+//! checkpoint after a restore.
 
 mod store_ops;
 
@@ -29,6 +37,21 @@ const PINNED: [(u64, u64, u64); 4] = [
     (3, 0x580a_847f_bb6f_2425, 0x0a8f_91e0_9f87_1642),
 ];
 
+/// Steps of the multi-checkpoint run, the spacing of its checkpoints,
+/// and the step after which its base crashes and recovers (off the
+/// checkpoint grid, so recovery replays a WAL tail).
+const LONG_STEPS: u64 = 480;
+const CHECKPOINT_EVERY: u64 = 40;
+const RESTART_AT: u64 = 250;
+
+/// `(seed, digest of the disk image after every checkpoint)`.
+const PINNED_CHECKPOINTS: [(u64, u64); 4] = [
+    (0, 0xff1e_3829_d946_581d),
+    (1, 0x44e0_01e3_2559_de9a),
+    (2, 0x63d5_a197_1eb3_5c01),
+    (3, 0xcb6e_1342_e689_60b1),
+];
+
 struct Stores {
     base: ExtensionBase,
     rpc: RpcEngine,
@@ -48,6 +71,15 @@ impl Stores {
 
     fn all(&self) -> [&dyn Durable; 4] {
         [&self.base, &self.rpc, &self.movements, &self.flight]
+    }
+
+    fn all_mut(&mut self) -> [&mut dyn Durable; 4] {
+        [
+            &mut self.base,
+            &mut self.rpc,
+            &mut self.movements,
+            &mut self.flight,
+        ]
     }
 
     fn digests(&self) -> Vec<u64> {
@@ -74,31 +106,13 @@ fn run(
         if step == STEPS / 2 {
             engine.checkpoint(&live.all());
         }
-        let _ = match rng.range_u64(4) {
-            0 => live.base.commit(&mut engine, base_op(&mut rng)),
-            1 => live.rpc.commit(&mut engine, store_ops::rpc_op(&mut rng)),
-            2 => live
-                .movements
-                .commit(&mut engine, store_ops::movement_op(&mut rng)),
-            _ => live
-                .flight
-                .commit(&mut engine, store_ops::flight_op(&mut rng)),
-        };
-        if rng.chance(0.25) {
-            engine.commit();
-        }
+        random_step(&mut engine, &mut live, &mut rng, base_op);
     }
     engine.commit();
     assert!(!engine.segments().is_empty(), "seed {seed}: no WAL tail");
 
     let mut disk = Fnv64::new();
-    for file in engine.disk().files_with_prefix("") {
-        let bytes = engine.disk().read(&file).expect("listed files exist");
-        disk.write_u64(file.len() as u64);
-        disk.write(file.as_bytes());
-        disk.write_u64(bytes.len() as u64);
-        disk.write(bytes);
-    }
+    fold_disk(&mut disk, &engine);
     let mut journal = Fnv64::new();
     let mut checkpoints = 0;
     shared.with(|t| {
@@ -116,16 +130,90 @@ fn run(
     // The pinned image is a readable one: it recovers the live state.
     engine.crash();
     let mut recovered = Stores::new();
-    let report = engine.recover(&mut [
-        &mut recovered.base,
-        &mut recovered.rpc,
-        &mut recovered.movements,
-        &mut recovered.flight,
-    ]);
+    let report = engine.recover(&mut recovered.all_mut());
     assert!(report.is_clean(), "seed {seed}: {report:?}");
     assert!(report.snapshot_seq.is_some() && report.replayed > 0);
     assert_eq!(recovered.digests(), live.digests(), "seed {seed}");
     (disk.finish(), journal.finish())
+}
+
+/// One random op on one of the stores (rejected ops included), then a
+/// group commit with probability 1/4.
+fn random_step(
+    engine: &mut DurableEngine,
+    live: &mut Stores,
+    rng: &mut SimRng,
+    base_op: &mut impl FnMut(&mut SimRng) -> pmp_midas::durable::BaseWalOp,
+) {
+    let _ = match rng.range_u64(4) {
+        0 => live.base.commit(engine, base_op(rng)),
+        1 => live.rpc.commit(engine, store_ops::rpc_op(rng)),
+        2 => live.movements.commit(engine, store_ops::movement_op(rng)),
+        _ => live.flight.commit(engine, store_ops::flight_op(rng)),
+    };
+    if rng.chance(0.25) {
+        engine.commit();
+    }
+}
+
+/// Folds every file on the engine's disk (name and bytes) into `h`.
+fn fold_disk(h: &mut Fnv64, engine: &DurableEngine) {
+    for file in engine.disk().files_with_prefix("") {
+        let bytes = engine.disk().read(&file).expect("listed files exist");
+        h.write_u64(file.len() as u64);
+        h.write(file.as_bytes());
+        h.write_u64(bytes.len() as u64);
+        h.write(bytes);
+    }
+}
+
+/// Commits, crashes and recovers the engine: the recovery must be
+/// clean, from the newest snapshot, and rebuild `live` exactly.
+/// Returns the recovered stores.
+fn restart(engine: &mut DurableEngine, live: &Stores, seed: u64) -> Stores {
+    engine.commit();
+    engine.crash();
+    let mut recovered = Stores::new();
+    let report = engine.recover(&mut recovered.all_mut());
+    assert!(report.is_clean(), "seed {seed}: {report:?}");
+    assert_eq!(report.skipped_snapshots, 0, "seed {seed}");
+    assert!(report.snapshot_seq.is_some(), "seed {seed}");
+    assert_eq!(recovered.digests(), live.digests(), "seed {seed}");
+    recovered
+}
+
+/// Runs one seed with a checkpoint every [`CHECKPOINT_EVERY`] steps and
+/// a restart after step [`RESTART_AT`], going on with the recovered
+/// stores, and returns the digest of the disk image after every
+/// checkpoint.
+fn run_with_checkpoints(
+    seed: u64,
+    base_op: &mut impl FnMut(&mut SimRng) -> pmp_midas::durable::BaseWalOp,
+) -> u64 {
+    let mut engine = DurableEngine::new(EngineConfig {
+        segment_bytes: 512,
+        snapshot_every: 0,
+    });
+    let mut rng = SimRng::new(seed);
+    let mut live = Stores::new();
+    let mut image = Fnv64::new();
+    for step in 1..=LONG_STEPS {
+        random_step(&mut engine, &mut live, &mut rng, base_op);
+        if step % CHECKPOINT_EVERY == 0 {
+            // A movement record is never rejected, so each checkpoint
+            // follows a committed record and names a new horizon.
+            live.movements
+                .commit(&mut engine, store_ops::movement_op(&mut rng))
+                .expect("movement records are always accepted");
+            engine.checkpoint(&live.all());
+            fold_disk(&mut image, &engine);
+        }
+        if step == RESTART_AT {
+            live = restart(&mut engine, &live, seed);
+        }
+    }
+    restart(&mut engine, &live, seed);
+    image.finish()
 }
 
 #[test]
@@ -139,4 +227,17 @@ fn disk_bytes_and_checkpoint_journal_match_the_pinned_format() {
         })
         .collect();
     assert_eq!(got, PINNED, "the durable on-disk format changed: {got:#x?}");
+}
+
+#[test]
+fn disk_bytes_across_many_checkpoints_and_a_restart_match_the_pin() {
+    let mut base_op = store_ops::base_ops();
+    let got: Vec<(u64, u64)> = PINNED_CHECKPOINTS
+        .iter()
+        .map(|&(seed, _)| (seed, run_with_checkpoints(seed, &mut base_op)))
+        .collect();
+    assert_eq!(
+        got, PINNED_CHECKPOINTS,
+        "the disk image across checkpoints changed: {got:#x?}"
+    );
 }
