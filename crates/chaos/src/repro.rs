@@ -123,11 +123,16 @@ mod tests {
                         name: "midas.ship".to_string(),
                         detail: "logger:1".to_string(),
                     }),
-                    FlightEntry::Event {
-                        at: 2_000,
-                        name: "journal".to_string(),
-                        detail: "install.ok logger:1".to_string(),
-                    },
+                    FlightEntry::Span(pmp_trace::SpanRecord {
+                        trace_id: (7 << 32) | 1,
+                        span_id: (3 << 32) | 1,
+                        parent_id: (7 << 32) | 2,
+                        node: 3,
+                        start: 2_000,
+                        end: 2_000,
+                        name: "midas.verify".to_string(),
+                        detail: "logger:1 ok".to_string(),
+                    }),
                 ],
             ),
             (3, Vec::new()),

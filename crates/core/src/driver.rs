@@ -39,9 +39,9 @@ pub(crate) struct CellState {
     pub(crate) clock: ClockHandle,
     pub(crate) port: PortBuf,
     pub(crate) sink: Sink,
-    /// The cell's span factory + flight recorder (see `pmp-trace`).
-    /// Cloned into the stack's components; spans are drained at the
-    /// epoch barrier in rank order.
+    /// The cell's span factory (see `pmp-trace`). Cloned into the
+    /// stack's components; spans are drained at the epoch barrier in
+    /// rank order into the collector and the node's flight ring.
     pub(crate) tracer: Tracer,
 }
 
@@ -94,13 +94,7 @@ impl NodeCell<'_> {
                     dispatch_base(station, &mut self.state.port, &mut self.rpc, &item.incoming);
                 }
                 CellBody::Mobile(node) => {
-                    dispatch_mobile(
-                        node,
-                        &mut self.state.port,
-                        &mut self.rpc,
-                        &item.incoming,
-                        Some(&self.state.tracer),
-                    );
+                    dispatch_mobile(node, &mut self.state.port, &mut self.rpc, &item.incoming);
                 }
             }
         }
@@ -241,11 +235,10 @@ fn handle_rpc_retry(
     let Some(req) = station.rpc.take_timer(*token) else {
         return;
     };
-    let cfg = *station.rpc.config();
     let Some(call) = station.rpc.get(req) else {
         return; // resolved before the timer fired
     };
-    if call.attempts >= cfg.max_attempts {
+    if call.attempts >= crate::rpc::RPC_MAX_ATTEMPTS {
         let attempts = call.attempts;
         station.rpc.exhausted += 1;
         station.rpc.resolve(req);
@@ -277,7 +270,7 @@ fn handle_rpc_retry(
         RPC_CHANNEL,
         pmp_trace::TraceCtx::NIL.wrap(&msg),
     );
-    let delay = crate::rpc::backoff_delay(&cfg, req, attempts);
+    let delay = crate::rpc::backoff_delay(req, attempts);
     let token = port.set_timer(station.node, delay, crate::rpc::RPC_RETRY_TAG);
     station.rpc.arm(token, req);
 }
@@ -339,7 +332,6 @@ pub(crate) fn dispatch_mobile(
     port: &mut PortBuf,
     rpc: &mut Vec<RpcOutcome>,
     inc: &Incoming,
-    tracer: Option<&Tracer>,
 ) {
     let evs = node
         .receiver
@@ -357,9 +349,9 @@ pub(crate) fn dispatch_mobile(
     handle_node_channels(node, port, rpc, inc);
     // Any advice dispatch this event caused closes armed
     // first-interception watches (the `midas.intercept` leaf span).
-    if let Some(t) = tracer {
-        t.poll_interception(port.now().0, node.vm.stats().advice_dispatches);
-    }
+    node.receiver
+        .tracer()
+        .poll_interception(port.now().0, node.vm.stats().advice_dispatches);
     flush_outbox(node, port);
 }
 

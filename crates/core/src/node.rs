@@ -49,6 +49,10 @@ pub struct MobileNode {
     /// Server-side RPC state: the at-most-once dedup table plus the
     /// execution ledger the duplicate-execution oracle reads.
     pub rpc_server: crate::rpc::RpcServer,
+    /// Bounded ring of the spans recently recorded on this node (the
+    /// flight recorder), filled at epoch barriers. Mobile nodes have no
+    /// storage engine, so the ring lives in memory only.
+    pub flight: pmp_trace::FlightRecorder,
 }
 
 impl std::fmt::Debug for MobileNode {
@@ -184,7 +188,8 @@ impl MobileNode {
             services,
             events: Vec::new(),
             home_base: None,
-            rpc_server: crate::rpc::RpcServer::default(),
+            rpc_server: crate::rpc::RpcServer::new(),
+            flight: pmp_trace::FlightRecorder::default(),
         })
     }
 
@@ -224,9 +229,9 @@ pub struct BaseStation {
     /// The storage engine under this base: movement log + extension
     /// base state are WAL'd through it and survive a crash.
     pub durable: DurableHub,
-    /// Bounded ring of recent spans and events observed at this base
-    /// (the flight recorder), WAL'd so a post-crash `.repro` still
-    /// carries the moments before the fault.
+    /// Bounded ring of the spans recently recorded at this base (the
+    /// flight recorder), filled at epoch barriers and WAL'd so a
+    /// post-crash `.repro` still carries the moments before the fault.
     pub flight: pmp_trace::FlightRecorder,
     /// Set while the base is down (between [`crate::Platform::crash_base`]
     /// and [`crate::Platform::restart_base`]); a crashed base receives
@@ -301,13 +306,6 @@ impl BaseStation {
         debug_assert!(applied.is_ok(), "movement records always apply");
     }
 
-    /// Appends one span or journal event to the flight recorder,
-    /// WAL-logged so the ring survives a crash (a batch of one; see
-    /// [`BaseStation::note_flight_batch`]).
-    pub fn note_flight(&mut self, entry: pmp_trace::FlightEntry) {
-        self.note_flight_batch(vec![entry]);
-    }
-
     /// Appends an epoch's worth of flight entries as **one** WAL
     /// record, mirroring the engine's group-commit discipline: per-span
     /// framing cost is paid once per node per barrier, not per span.
@@ -322,33 +320,42 @@ impl BaseStation {
         debug_assert!(applied.is_ok(), "flight batches always apply");
     }
 
-    /// Snapshots the base's durable state (movement log + extension
-    /// base + flight recorder + RPC call table) and compacts the WAL.
-    pub fn checkpoint(&mut self) {
-        let hub = self.durable.clone();
-        hub.checkpoint(&[&self.store, &self.base, &self.flight, &self.rpc]);
+    /// The base's durable stores — movement log, extension base,
+    /// flight recorder, RPC call table — in the order checkpoints,
+    /// recovery and [`BaseStation::durable_digest`] walk them. Each is
+    /// also a namespace stream subscribers can follow.
+    pub fn stores(&self) -> [&dyn Durable; 4] {
+        [&self.store, &self.base, &self.flight, &self.rpc]
     }
 
-    /// Recovers the movement store, extension base, flight recorder,
-    /// and RPC call table from the storage engine's committed image.
-    pub fn recover(&mut self) -> RecoverReport {
-        let hub = self.durable.clone();
-        hub.recover(&mut [
+    /// [`BaseStation::stores`], mutably, for recovery.
+    fn stores_mut(&mut self) -> [&mut dyn Durable; 4] {
+        [
             &mut self.store,
             &mut self.base,
             &mut self.flight,
             &mut self.rpc,
-        ])
+        ]
+    }
+
+    /// Snapshots the base's durable stores and compacts the WAL.
+    pub fn checkpoint(&mut self) {
+        self.durable.clone().checkpoint(&self.stores());
+    }
+
+    /// Recovers the base's durable stores from the storage engine's
+    /// committed image.
+    pub fn recover(&mut self) -> RecoverReport {
+        self.durable.clone().recover(&mut self.stores_mut())
     }
 
     /// A stable digest over the base's durable state — compare across
     /// a crash/restart boundary to prove recovery was exact.
     pub fn durable_digest(&self) -> u64 {
         let mut h = pmp_telemetry::Fnv64::new();
-        h.write_u64(self.store.state_digest());
-        h.write_u64(self.base.state_digest());
-        h.write_u64(self.flight.state_digest());
-        h.write_u64(self.rpc.state_digest());
+        for store in self.stores() {
+            h.write_u64(store.state_digest());
+        }
         h.finish()
     }
 

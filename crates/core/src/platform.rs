@@ -5,11 +5,11 @@
 use crate::driver::{flush_outbox, CellBody, CellState, Driver, NodeCell};
 use crate::node::{BaseStation, MobileNode};
 use crate::wiring::{RpcMsg, RPC_CHANNEL};
-use pmp_durable::{Durable, WalRecord};
+use pmp_durable::WalRecord;
 use pmp_midas::ReceiverPolicy;
 use pmp_net::{AreaId, Epoch, Position, SimTime, Simulator};
 use pmp_stream::{StreamConfig, StreamEvent, StreamHub, StreamSource, StreamStats, SubscriberId};
-use pmp_telemetry::PendingEvent;
+use pmp_telemetry::{PendingEvent, Stopwatch};
 use pmp_vm::perm::Permissions;
 use pmp_vm::prelude::VmError;
 use std::sync::{Arc, Mutex};
@@ -44,15 +44,12 @@ impl StreamSource for BaseSource<'_> {
     }
 
     fn snapshot(&self, ns: &str) -> Option<Vec<u8>> {
-        if ns == pmp_store::durable::NAMESPACE {
-            Some(self.station.store.snapshot_bytes())
-        } else if ns == pmp_midas::durable::NAMESPACE {
-            Some(self.station.base.snapshot_bytes())
-        } else if ns == pmp_trace::FLIGHT_NAMESPACE {
-            Some(self.station.flight.snapshot_bytes())
-        } else {
-            None
-        }
+        let store = self
+            .station
+            .stores()
+            .into_iter()
+            .find(|s| s.namespace() == ns)?;
+        Some(store.snapshot_bytes())
     }
 }
 
@@ -208,11 +205,6 @@ impl Platform {
         self.driver = driver;
     }
 
-    /// The active driver's name (`"serial"` / `"parallel"`).
-    pub fn driver_name(&self) -> &'static str {
-        self.driver.name()
-    }
-
     /// The platform-wide telemetry (sim-clocked registry + journal):
     /// the network simulator, every registrar, every extension base,
     /// and every adaptation service record into it. Per-node VM
@@ -347,7 +339,7 @@ impl Platform {
         // cache, never re-executed.
         for req in station.rpc.rearm_tokens() {
             let attempts = station.rpc.get(req).map_or(1, |c| c.attempts);
-            let delay = crate::rpc::backoff_delay(station.rpc.config(), req, attempts);
+            let delay = crate::rpc::backoff_delay(req, attempts);
             let token = self.sim.set_timer(node, delay, crate::rpc::RPC_RETRY_TAG);
             station.rpc.arm(token, req);
         }
@@ -378,7 +370,8 @@ impl Platform {
     /// ring or committed log still covers it, as one canonical snapshot
     /// otherwise — and every later drain returns exactly the deltas
     /// committed since. Namespaces are the base's durable stores:
-    /// `"store.movements"`, `"midas.base"`, `"trace.flight"`.
+    /// `"store.movements"`, `"midas.base"`, `"trace.flight"`,
+    /// `"rpc.calls"`.
     pub fn subscribe(&mut self, base: BaseId, ns: &str) -> StreamSub {
         StreamSub {
             base: base.0,
@@ -427,13 +420,6 @@ impl Platform {
     #[must_use]
     pub fn stream_head_rev(&self, base: BaseId, ns: &str) -> u64 {
         self.streams[base.0].head_rev(ns)
-    }
-
-    /// Live subscriber count on a base's hub (internal federation
-    /// forwarders included).
-    #[must_use]
-    pub fn stream_subscribers(&self, base: BaseId) -> usize {
-        self.streams[base.0].live_subscribers()
     }
 
     /// A receiver policy trusting the given bases' authorities, each
@@ -535,10 +521,9 @@ impl Platform {
         // Weave-time optimization at the base, between admission and
         // shipping: smaller, devirtualised advice bodies go over the
         // air; receivers re-verify whatever arrives.
-        let opt_start = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let (optimized, report) = pmp_midas::optimize_package(pkg);
-        let ns = opt_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.telemetry.record("analyze.opt.ns", ns);
+        self.telemetry.record_elapsed("analyze.opt.ns", watch);
         self.telemetry
             .record("analyze.opt.removed_ops", report.total_removed() as u64);
         self.telemetry
@@ -556,10 +541,9 @@ impl Platform {
         );
         self.opt_reports.push((pkg.meta.id.clone(), report));
         let pkg = &optimized;
-        let sign_start = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let sealed = self.bases[base.0].seal(pkg);
-        let ns = sign_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.telemetry.record("midas.base.sign_ns", ns);
+        self.telemetry.record_elapsed("midas.base.sign_ns", watch);
         self.telemetry.event(
             pmp_telemetry::Subsystem::Midas,
             "midas.sign",
@@ -790,7 +774,7 @@ impl Platform {
         );
         self.note_rpc_issue(req);
         self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
-        let delay = crate::rpc::backoff_delay(self.bases[base.0].rpc.config(), req, 1);
+        let delay = crate::rpc::backoff_delay(req, 1);
         let token = self.sim.set_timer(from, delay, crate::rpc::RPC_RETRY_TAG);
         self.bases[base.0].rpc.arm(token, req);
         req
@@ -1016,10 +1000,10 @@ impl Platform {
         }
         rpc_outcomes.append(&mut epoch_rpc);
         drop(cells);
-        // Spans drain in rank order (bases first) into the collector;
-        // base spans are mirrored into the durable flight ring before
-        // the commit below so they ride the same group fsync.
-        drain_spans(collector, bases, base_cells, node_cells);
+        // Spans drain in rank order (bases first) into the collector
+        // and each node's flight ring; a base's is durable, so its spans
+        // land before the commit below and ride the same group fsync.
+        drain_spans(collector, bases, nodes, base_cells, node_cells);
         // Group-commit each live base's WAL appends at the epoch
         // barrier: one simulated fsync per base per epoch, and the same
         // batch boundaries under either driver.
@@ -1042,12 +1026,13 @@ impl Platform {
     fn drain_spans_now(&mut self) {
         let Platform {
             bases,
+            nodes,
             base_cells,
             node_cells,
             collector,
             ..
         } = self;
-        drain_spans(collector, bases, base_cells, node_cells);
+        drain_spans(collector, bases, nodes, base_cells, node_cells);
     }
 
     /// The span collector (drained up to date). Trace ids, trees, and
@@ -1091,35 +1076,31 @@ impl Platform {
         self.collector.render_critical_path(trace_id)
     }
 
+    /// Every node's one flight ring, `(node id, ring)`, in rank order:
+    /// bases then mobiles.
+    fn flight_rings(&self) -> impl Iterator<Item = (u32, &pmp_trace::FlightRecorder)> {
+        let bases = self.bases.iter().map(|b| (b.node.0, &b.flight));
+        bases.chain(self.nodes.iter().map(|n| (n.node.0, &n.flight)))
+    }
+
     /// Every node's flight ring, `(node id, entries oldest first)` —
     /// bases (their durable rings) then mobiles, in rank order. This is
     /// what chaos `.repro` artifacts attach.
     #[must_use]
     pub fn flight_dump(&mut self) -> Vec<(u32, Vec<pmp_trace::FlightEntry>)> {
         self.drain_spans_now();
-        let mut out = Vec::new();
-        for station in &self.bases {
-            out.push((station.node.0, station.flight.snapshot()));
-        }
-        for (node, cell) in self.nodes.iter().zip(&self.node_cells) {
-            out.push((node.node.0, cell.tracer.flight_snapshot()));
-        }
-        out
+        self.flight_rings()
+            .map(|(node, ring)| (node, ring.snapshot()))
+            .collect()
     }
 
     /// Per-node `(node id, retained, capacity)` of every flight ring —
     /// the ring-growth oracle's raw numbers.
     #[must_use]
     pub fn flight_stats(&self) -> Vec<(u32, usize, usize)> {
-        let mut out = Vec::new();
-        for station in &self.bases {
-            out.push((station.node.0, station.flight.len(), station.flight.cap()));
-        }
-        for (node, cell) in self.nodes.iter().zip(&self.node_cells) {
-            let (len, cap, _) = cell.tracer.flight_stats();
-            out.push((node.node.0, len, cap));
-        }
-        out
+        self.flight_rings()
+            .map(|(node, ring)| (node, ring.len(), ring.cap()))
+            .collect()
     }
 
     /// `(retained spans, cap)` of the collector.
@@ -1154,28 +1135,30 @@ fn publish_commits(
 }
 
 /// Drains every cell tracer in rank order (bases first, then mobiles)
-/// into the collector, mirroring base spans into their durable flight
-/// rings on the way.
+/// into the collector, copying each node's spans into its flight ring
+/// on the way (a base's as one durable batch; a crashed base's are
+/// lost with it).
 fn drain_spans(
     collector: &mut pmp_trace::Collector,
     bases: &mut [BaseStation],
+    nodes: &mut [MobileNode],
     base_cells: &[CellState],
     node_cells: &[CellState],
 ) {
+    use pmp_trace::FlightEntry;
     for (station, cell) in bases.iter_mut().zip(base_cells) {
         let spans = cell.tracer.drain();
         if !station.crashed && !spans.is_empty() {
-            station.note_flight_batch(
-                spans
-                    .iter()
-                    .map(|s| pmp_trace::FlightEntry::Span(s.clone()))
-                    .collect(),
-            );
+            station.note_flight_batch(spans.iter().cloned().map(FlightEntry::Span).collect());
         }
         collector.absorb(spans);
     }
-    for cell in node_cells {
-        collector.absorb(cell.tracer.drain());
+    for (node, cell) in nodes.iter_mut().zip(node_cells) {
+        let spans = cell.tracer.drain();
+        for span in &spans {
+            node.flight.record(FlightEntry::Span(span.clone()));
+        }
+        collector.absorb(spans);
     }
 }
 

@@ -72,58 +72,37 @@ wire_enum!(InvocationSemantics {
     2 => AtLeastOnce,
 });
 
-/// Retry/timeout tuning shared by every base station's engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcConfig {
-    /// First-attempt timeout in simulated nanoseconds. Subsequent
-    /// attempts double it ([`backoff_delay`]).
-    pub timeout_ns: u64,
-    /// Total transmission budget (the initial send counts as attempt
-    /// 1); exhaustion resolves the call as a failed outcome.
-    pub max_attempts: u32,
-    /// Ceiling on any single backoff delay.
-    pub backoff_cap_ns: u64,
-    /// Upper bound on the deterministic per-attempt jitter added to
-    /// the exponential schedule (decorrelates retry bursts).
-    pub jitter_ns: u64,
-    /// Capacity of each mobile node's dedup table (FIFO eviction).
-    pub dedup_cap: usize,
-}
-
-impl Default for RpcConfig {
-    fn default() -> Self {
-        RpcConfig {
-            timeout_ns: 150_000_000,      // 150 ms: >> the ~1 ms link RTT
-            max_attempts: 8,
-            backoff_cap_ns: 2_000_000_000, // 2 s
-            jitter_ns: 10_000_000,         // 10 ms
-            dedup_cap: 256,
-        }
-    }
-}
+/// First-attempt timeout in simulated nanoseconds (150 ms, well above
+/// the ~1 ms link RTT); each later attempt doubles it
+/// ([`backoff_delay`]).
+pub const RPC_TIMEOUT_NS: u64 = 150_000_000;
+/// Total transmission budget (the initial send counts as attempt 1);
+/// exhaustion resolves the call as a failed outcome.
+pub const RPC_MAX_ATTEMPTS: u32 = 8;
+/// Ceiling on any single backoff delay (2 s).
+pub const RPC_BACKOFF_CAP_NS: u64 = 2_000_000_000;
+/// Upper bound on the deterministic per-attempt jitter added to the
+/// exponential schedule (10 ms; decorrelates retry bursts).
+pub const RPC_JITTER_NS: u64 = 10_000_000;
+/// Capacity of each mobile node's dedup table (FIFO eviction).
+pub const DEDUP_CAP: usize = 256;
 
 /// The retransmission delay before attempt `attempt + 1`, given that
 /// `attempt` transmissions have already happened (`attempt >= 1`).
 ///
-/// Pure function of `(cfg, req, attempt)`: exponential doubling from
-/// `cfg.timeout_ns`, capped at `cfg.backoff_cap_ns`, plus splitmix
+/// Pure function of `(req, attempt)`: exponential doubling from
+/// [`RPC_TIMEOUT_NS`], capped at [`RPC_BACKOFF_CAP_NS`], plus splitmix
 /// jitter seeded from the request id and attempt counter. No wall
 /// clock, no shared RNG — both drivers, any thread count, and a
 /// crash-restarted base all compute the identical schedule.
 #[must_use]
-pub fn backoff_delay(cfg: &RpcConfig, req: u64, attempt: u32) -> u64 {
+pub fn backoff_delay(req: u64, attempt: u32) -> u64 {
     let shift = attempt.saturating_sub(1).min(20);
-    let base = cfg
-        .timeout_ns
+    let base = RPC_TIMEOUT_NS
         .saturating_mul(1u64 << shift)
-        .min(cfg.backoff_cap_ns.max(cfg.timeout_ns));
-    let jitter = if cfg.jitter_ns == 0 {
-        0
-    } else {
-        let mut rng = SimRng::new(req.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
-        rng.range_u64(cfg.jitter_ns)
-    };
-    base.saturating_add(jitter)
+        .min(RPC_BACKOFF_CAP_NS);
+    let mut rng = SimRng::new(req.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
+    base.saturating_add(rng.range_u64(RPC_JITTER_NS))
 }
 
 /// One outstanding (unresolved) call in the engine.
@@ -208,9 +187,6 @@ pub struct RpcEngine {
     /// Live timer token → request id (rebuilt after restart).
     timers: BTreeMap<u64, u64>,
     wal: Option<DurableHub>,
-    /// Retry tuning: always [`RpcConfig::default`], so a rebuilt base
-    /// retries on the schedule it had before the crash.
-    cfg: RpcConfig,
     /// Retries sent (telemetry; not durable).
     pub retries: u64,
     /// Calls that exhausted their budget (telemetry; not durable).
@@ -227,12 +203,6 @@ impl RpcEngine {
     /// Wires the engine to the storage engine it logs its call table to.
     pub fn attach(&mut self, hub: DurableHub) {
         self.wal = Some(hub);
-    }
-
-    /// The retry tuning in force.
-    #[must_use]
-    pub fn config(&self) -> &RpcConfig {
-        &self.cfg
     }
 
     /// Applies `op` and logs it: the one way the call table changes.
@@ -463,16 +433,16 @@ pub struct RpcServer {
 
 impl Default for RpcServer {
     fn default() -> Self {
-        RpcServer::new(RpcConfig::default().dedup_cap)
+        RpcServer::new()
     }
 }
 
 impl RpcServer {
-    /// A server with a dedup table of `dedup_cap` entries.
+    /// A server with a dedup table of [`DEDUP_CAP`] entries.
     #[must_use]
-    pub fn new(dedup_cap: usize) -> RpcServer {
+    pub fn new() -> RpcServer {
         RpcServer {
-            dedup: DedupTable::new(dedup_cap),
+            dedup: DedupTable::new(DEDUP_CAP),
             exec: BTreeMap::new(),
         }
     }
@@ -533,19 +503,18 @@ mod tests {
 
     #[test]
     fn backoff_is_pure_exponential_and_capped() {
-        let cfg = RpcConfig::default();
         for req in [1u64, 17, 900] {
             for attempt in 1..=12u32 {
-                let a = backoff_delay(&cfg, req, attempt);
-                let b = backoff_delay(&cfg, req, attempt);
+                let a = backoff_delay(req, attempt);
+                let b = backoff_delay(req, attempt);
                 assert_eq!(a, b, "schedule must be pure");
-                assert!(a >= cfg.timeout_ns);
-                assert!(a <= cfg.backoff_cap_ns + cfg.jitter_ns);
+                assert!(a >= RPC_TIMEOUT_NS);
+                assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS);
             }
         }
         // Doubling dominates the jitter for early attempts.
-        let d1 = backoff_delay(&cfg, 5, 1);
-        let d3 = backoff_delay(&cfg, 5, 3);
+        let d1 = backoff_delay(5, 1);
+        let d3 = backoff_delay(5, 3);
         assert!(d3 > d1);
     }
 
@@ -624,7 +593,7 @@ mod tests {
 
     #[test]
     fn server_ledger_counts_duplicates() {
-        let mut s = RpcServer::new(4);
+        let mut s = RpcServer::new();
         s.note_execution(1, InvocationSemantics::AtMostOnce);
         s.note_execution(2, InvocationSemantics::AtLeastOnce);
         s.note_execution(2, InvocationSemantics::AtLeastOnce);
@@ -647,7 +616,7 @@ mod props {
         /// capacity for the distinct ids in flight.
         #[test]
         fn dedup_never_reexecutes(arrivals in proptest::collection::vec(0usize..8, 1..64)) {
-            let mut server = RpcServer::new(16);
+            let mut server = RpcServer::new();
             let mut executions = [0u32; 8];
             for idx in arrivals {
                 let req = 100 + idx as u64;
@@ -670,12 +639,11 @@ mod props {
         /// up to the cap, and bounded by cap + jitter.
         #[test]
         fn backoff_is_deterministic(req in any::<u64>(), attempt in 1u32..16) {
-            let cfg = RpcConfig::default();
-            let a = backoff_delay(&cfg, req, attempt);
-            let b = backoff_delay(&cfg, req, attempt);
+            let a = backoff_delay(req, attempt);
+            let b = backoff_delay(req, attempt);
             prop_assert_eq!(a, b);
-            prop_assert!(a >= cfg.timeout_ns);
-            prop_assert!(a <= cfg.backoff_cap_ns + cfg.jitter_ns);
+            prop_assert!(a >= RPC_TIMEOUT_NS);
+            prop_assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS);
         }
     }
 }

@@ -4,6 +4,7 @@
 use crate::proto::{DiscoveryMsg, CHANNEL};
 use crate::service::{ServiceId, ServiceItem, ServiceQuery};
 use pmp_net::{Incoming, NetPort, NodeId, SimTime};
+use pmp_telemetry::Sink;
 use std::collections::HashMap;
 
 const RENEW_TAG: &str = "disc.renew";
@@ -98,7 +99,7 @@ pub struct DiscoveryClient {
     renew_token: Option<u64>,
     /// Token of the outstanding registrar-liveness timer.
     regcheck_token: Option<u64>,
-    telemetry: Option<pmp_telemetry::Sink>,
+    telemetry: Sink,
 }
 
 impl DiscoveryClient {
@@ -113,25 +114,15 @@ impl DiscoveryClient {
             started: false,
             renew_token: None,
             regcheck_token: None,
-            telemetry: None,
+            telemetry: Sink::default(),
         }
     }
 
-    /// Mirrors client activity into `shared` as `discovery.client.*`
-    /// counters (requests sent, lookup round-trips completed).
-    pub fn attach_telemetry(&mut self, shared: &pmp_telemetry::Shared) {
-        self.telemetry = Some(pmp_telemetry::Sink::direct(shared));
-    }
-
-    /// Routes telemetry through a per-cell [`pmp_telemetry::Sink`].
-    pub fn attach_sink(&mut self, sink: pmp_telemetry::Sink) {
-        self.telemetry = Some(sink);
-    }
-
-    fn count(&self, name: &str) {
-        if let Some(s) = &self.telemetry {
-            s.inc(name);
-        }
+    /// Records client activity (`discovery.client.*` counters: requests
+    /// sent, lookup round-trips completed) through `sink` instead of
+    /// the client's private one.
+    pub fn attach_sink(&mut self, sink: Sink) {
+        self.telemetry = sink;
     }
 
     /// Schedules the single renewal timer if none is outstanding.
@@ -225,7 +216,7 @@ impl DiscoveryClient {
     /// Sends a lookup to `registrar`; the result arrives as
     /// [`DiscoveryEvent::LookupDone`] with the returned request id.
     pub fn lookup(&mut self, sim: &mut dyn NetPort, registrar: NodeId, query: ServiceQuery) -> u64 {
-        self.count("discovery.client.lookups_sent");
+        self.telemetry.inc("discovery.client.lookups_sent");
         let req = self.fresh_req();
         let msg = DiscoveryMsg::Lookup { query, req };
         sim.send(self.node, registrar, CHANNEL, pmp_trace::TraceCtx::NIL.wrap(&msg));
@@ -242,7 +233,7 @@ impl DiscoveryClient {
         registrar: NodeId,
         query: ServiceQuery,
     ) -> u64 {
-        self.count("discovery.client.fed_lookups_sent");
+        self.telemetry.inc("discovery.client.fed_lookups_sent");
         let req = self.fresh_req();
         let msg = DiscoveryMsg::FedLookup {
             query,
@@ -340,7 +331,7 @@ impl DiscoveryClient {
                 }
             }
             DiscoveryMsg::LookupResult { items, req } => {
-                self.count("discovery.client.lookup_roundtrips");
+                self.telemetry.inc("discovery.client.lookup_roundtrips");
                 events.push(DiscoveryEvent::LookupDone { req, items });
             }
             DiscoveryMsg::FedLookupResult {
@@ -353,7 +344,7 @@ impl DiscoveryClient {
                 // In-transit relays are the co-located registrar's
                 // business; only the origin's client consumes.
                 if origin == self.node.0 {
-                    self.count("discovery.client.fed_lookup_roundtrips");
+                    self.telemetry.inc("discovery.client.fed_lookup_roundtrips");
                     events.push(DiscoveryEvent::FedLookupDone { req, items, hops });
                 }
             }

@@ -67,11 +67,6 @@ impl Directory {
         self.children.iter().copied().collect()
     }
 
-    /// True when this registrar is wired into a federation tree.
-    pub fn is_federated(&self) -> bool {
-        self.parent.is_some() || !self.children.is_empty()
-    }
-
     /// Absorbs a child's advertisement: `types` replaces everything
     /// previously routed through `child`. Returns `true` when the set
     /// of reachable types changed (so the host should re-advertise).

@@ -5,7 +5,7 @@ use crate::lease::Lease;
 use crate::proto::{DiscoveryMsg, CHANNEL};
 use crate::service::{ServiceId, ServiceItem};
 use pmp_net::{Incoming, NetPort, NodeId, SimTime};
-use pmp_telemetry::{Shared, Sink};
+use pmp_telemetry::Sink;
 use pmp_trace::{TraceCtx, Traced};
 use std::collections::{BTreeSet, HashMap};
 
@@ -37,7 +37,7 @@ pub struct Registrar {
     announce_token: Option<u64>,
     sweep_token: Option<u64>,
     events: Vec<RegistrarEvent>,
-    telemetry: Option<Sink>,
+    telemetry: Sink,
     /// Federation state: place in the registrar tree plus the routes
     /// learned from child advertisements.
     directory: Directory,
@@ -55,7 +55,7 @@ impl Registrar {
             announce_token: None,
             sweep_token: None,
             events: Vec::new(),
-            telemetry: None,
+            telemetry: Sink::default(),
             directory: Directory::new(),
         }
     }
@@ -94,42 +94,30 @@ impl Registrar {
         let local = self.local_types();
         if let Some(types) = self.directory.advert_if_changed(local) {
             let parent = self.directory.parent().expect("checked above");
-            self.count("discovery.registrar.adverts_sent");
+            self.telemetry.inc("discovery.registrar.adverts_sent");
             let msg = DiscoveryMsg::DirAdvertise { types };
             sim.send(self.node, parent, CHANNEL, TraceCtx::NIL.wrap(&msg));
         }
     }
 
-    /// Mirrors registrar activity into `shared` as
-    /// `discovery.registrar.*` counters and a live-services gauge.
-    pub fn attach_telemetry(&mut self, shared: &Shared) {
-        self.telemetry = Some(Sink::direct(shared));
-    }
-
-    /// Routes telemetry through a per-cell [`Sink`].
+    /// Records registrar activity (`discovery.registrar.*` counters
+    /// and a live-services gauge) through `sink` instead of the
+    /// registrar's private one.
     pub fn attach_sink(&mut self, sink: Sink) {
-        self.telemetry = Some(sink);
-    }
-
-    fn count(&self, name: &str) {
-        if let Some(s) = &self.telemetry {
-            s.inc(name);
-        }
+        self.telemetry = sink;
     }
 
     fn update_live_gauge(&self) {
-        if let Some(s) = &self.telemetry {
-            // Scoped per registrar instance (like `net.channel.<name>.bytes`):
-            // several registrars share one platform registry, and a plain
-            // set-gauge under a common name would let an idle registrar's
-            // sweep overwrite its neighbour's live count.
-            let name = format!("discovery.registrar.{}.live_services", self.name);
-            let n = self.services.len() as i64;
-            s.with(|t| {
-                let g = t.registry.gauge(&name);
-                t.registry.set_gauge(g, n);
-            });
-        }
+        // Scoped per registrar instance (like `net.channel.<name>.bytes`):
+        // several registrars share one platform registry, and a plain
+        // set-gauge under a common name would let an idle registrar's
+        // sweep overwrite its neighbour's live count.
+        let name = format!("discovery.registrar.{}.live_services", self.name);
+        let n = self.services.len() as i64;
+        self.telemetry.with(|t| {
+            let g = t.registry.gauge(&name);
+            t.registry.set_gauge(g, n);
+        });
     }
 
     /// Starts announcing and lease sweeping. Idempotent.
@@ -174,7 +162,7 @@ impl Registrar {
             .collect();
         for id in expired {
             if let Some((item, _)) = self.services.remove(&id) {
-                self.count("discovery.registrar.lease_expiries");
+                self.telemetry.inc("discovery.registrar.lease_expiries");
                 self.events.push(RegistrarEvent::Expired(item));
             }
         }
@@ -225,7 +213,7 @@ impl Registrar {
                 item.provider = from.0;
                 let lease = Lease::grant(now, lease_ns);
                 self.services.insert(id, (item.clone(), lease));
-                self.count("discovery.registrar.registrations");
+                self.telemetry.inc("discovery.registrar.registrations");
                 self.update_live_gauge();
                 self.events.push(RegistrarEvent::Registered(item));
                 let reply = DiscoveryMsg::Registered {
@@ -237,7 +225,7 @@ impl Registrar {
                 self.maybe_advertise(sim);
             }
             DiscoveryMsg::Renew { service, req } => {
-                self.count("discovery.registrar.renewals");
+                self.telemetry.inc("discovery.registrar.renewals");
                 let ok = match self.services.get_mut(&service) {
                     Some((_, lease)) => lease.renew(now),
                     None => false,
@@ -245,7 +233,7 @@ impl Registrar {
                 if !ok {
                     // Lapsed entries are removed eagerly on failed renew.
                     if let Some((item, _)) = self.services.remove(&service) {
-                        self.count("discovery.registrar.lease_expiries");
+                        self.telemetry.inc("discovery.registrar.lease_expiries");
                         self.update_live_gauge();
                         self.events.push(RegistrarEvent::Expired(item));
                     }
@@ -258,14 +246,14 @@ impl Registrar {
             }
             DiscoveryMsg::Cancel { service } => {
                 if let Some((item, _)) = self.services.remove(&service) {
-                    self.count("discovery.registrar.cancellations");
+                    self.telemetry.inc("discovery.registrar.cancellations");
                     self.update_live_gauge();
                     self.events.push(RegistrarEvent::Cancelled(item));
                     self.maybe_advertise(sim);
                 }
             }
             DiscoveryMsg::Lookup { query, req } => {
-                self.count("discovery.registrar.lookups");
+                self.telemetry.inc("discovery.registrar.lookups");
                 self.sweep(now);
                 let mut items: Vec<ServiceItem> = self
                     .services
@@ -280,7 +268,7 @@ impl Registrar {
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&reply));
             }
             DiscoveryMsg::DirAdvertise { types } => {
-                self.count("discovery.registrar.adverts_in");
+                self.telemetry.inc("discovery.registrar.adverts_in");
                 if self.directory.learn(from, &types) {
                     // Reachability changed: propagate up the tree.
                     self.maybe_advertise(sim);
@@ -292,7 +280,7 @@ impl Registrar {
                 mut path,
                 req,
             } => {
-                self.count("discovery.registrar.fed_lookups");
+                self.telemetry.inc("discovery.registrar.fed_lookups");
                 self.sweep(now);
                 let hops = path.len() as u16;
                 let mut items: Vec<ServiceItem> = self

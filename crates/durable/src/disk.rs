@@ -97,12 +97,6 @@ impl SimDisk {
             .collect()
     }
 
-    /// Total committed bytes across all files.
-    #[must_use]
-    pub fn committed_bytes(&self) -> usize {
-        self.committed.values().map(Vec::len).sum()
-    }
-
     /// Number of syncs performed.
     #[must_use]
     pub fn syncs(&self) -> u64 {

@@ -42,10 +42,9 @@ use crate::crc::Crc32;
 use crate::disk::SimDisk;
 use crate::record::{decode_framed, decode_record, encode_framed_into, WalRecord, MAX_FRAME_BODY};
 use crate::Durable;
-use pmp_telemetry::{Sink, Subsystem};
+use pmp_telemetry::{Sink, Stopwatch, Subsystem};
 use pmp_wire::{wire_struct, Writer};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Tuning knobs for the engine.
 #[derive(Debug, Clone)]
@@ -200,7 +199,7 @@ pub struct DurableEngine {
     buffered: Vec<WalRecord>,
     buffered_weightless: u64,
     since_snapshot: u64,
-    sink: Option<Sink>,
+    sink: Sink,
     tap: Option<CommitTap>,
 }
 
@@ -239,25 +238,21 @@ impl DurableEngine {
             buffered: Vec::new(),
             buffered_weightless: 0,
             since_snapshot: 0,
-            sink: None,
+            sink: Sink::default(),
             tap: None,
         }
     }
 
     /// Routes telemetry through `sink` (counters/histograms for the hot
-    /// path, journal events for snapshot/compact/recover).
+    /// path, journal events for snapshot/compact/recover) instead of
+    /// the engine's private one.
     pub fn attach_sink(&mut self, sink: Sink) {
-        self.sink = Some(sink);
+        self.sink = sink;
     }
 
     /// Installs (or replaces) the commit observer. See [`CommitTap`].
     pub fn set_commit_tap(&mut self, tap: CommitTap) {
         self.tap = Some(tap);
-    }
-
-    /// Removes the commit observer.
-    pub fn clear_commit_tap(&mut self) {
-        self.tap = None;
     }
 
     /// The underlying simulated disk (fault injection, inspection).
@@ -292,7 +287,7 @@ impl DurableEngine {
     /// Buffers a record for the next commit and returns its sequence
     /// number. Cheap: one encode-free push plus counter bumps.
     pub fn append(&mut self, ns: &str, payload: Vec<u8>) -> u64 {
-        let start = Instant::now();
+        let watch = Stopwatch::start();
         let seq = self.next_seq;
         self.next_seq += 1;
         self.buffered.push(WalRecord {
@@ -300,10 +295,8 @@ impl DurableEngine {
             ns: ns.to_string(),
             payload,
         });
-        if let Some(sink) = &self.sink {
-            sink.inc("durable.wal.appends");
-            sink.record("durable.wal.append_ns", start.elapsed().as_nanos() as u64);
-        }
+        self.sink.inc("durable.wal.appends");
+        self.sink.record_elapsed("durable.wal.append_ns", watch);
         seq
     }
 
@@ -355,10 +348,8 @@ impl DurableEngine {
             .append(&segment_file(self.segment), w.bytes_from(seg_start));
         self.disk.sync();
         self.since_snapshot += n as u64 - std::mem::take(&mut self.buffered_weightless);
-        if let Some(sink) = &self.sink {
-            sink.inc("durable.wal.commits");
-            sink.record("durable.commit.batch", n as u64);
-        }
+        self.sink.inc("durable.wal.commits");
+        self.sink.record("durable.commit.batch", n as u64);
         if let Some(tap) = &mut self.tap {
             tap(batch);
         }
@@ -442,9 +433,7 @@ impl DurableEngine {
         let (framed, body_len) = snap.framed(&crcs);
         if body_len > MAX_FRAME_BODY {
             self.since_snapshot = 0;
-            if let Some(sink) = &self.sink {
-                sink.inc("durable.snapshot.oversize");
-            }
+            self.sink.inc("durable.snapshot.oversize");
             return;
         }
         let snap_name = snapshot_file(self.next_seq);
@@ -470,19 +459,17 @@ impl DurableEngine {
         self.segment_len = 0;
         self.since_snapshot = 0;
 
-        if let Some(sink) = &self.sink {
-            sink.inc("durable.snapshot.count");
-            sink.event(
-                Subsystem::Durable,
-                "snapshot",
-                format!("seq={} states={} bytes={snap_bytes}", self.next_seq, states.len()),
-            );
-            sink.event(
-                Subsystem::Durable,
-                "compact",
-                format!("segments={} bytes={dropped_bytes}", old_segments.len()),
-            );
-        }
+        self.sink.inc("durable.snapshot.count");
+        self.sink.event(
+            Subsystem::Durable,
+            "snapshot",
+            format!("seq={} states={} bytes={snap_bytes}", self.next_seq, states.len()),
+        );
+        self.sink.event(
+            Subsystem::Durable,
+            "compact",
+            format!("segments={} bytes={dropped_bytes}", old_segments.len()),
+        );
     }
 
     /// Simulates the process dying: the uncommitted batch and all
@@ -496,7 +483,7 @@ impl DurableEngine {
     /// Rebuilds state from the committed image: newest valid snapshot,
     /// then WAL replay (see module docs). Never panics on corruption.
     pub fn recover(&mut self, states: &mut [&mut dyn Durable]) -> RecoverReport {
-        let start = Instant::now();
+        let watch = Stopwatch::start();
         let mut report = RecoverReport::default();
         self.buffered.clear();
         self.buffered_weightless = 0;
@@ -623,25 +610,23 @@ impl DurableEngine {
             self.checkpoint(&recovered);
         }
 
-        if let Some(sink) = &self.sink {
-            sink.inc("durable.recover.count");
-            sink.record("durable.recover_ns", start.elapsed().as_nanos() as u64);
-            if report.corrupt.is_some() {
-                sink.inc("durable.recover.corrupt_records");
-            }
-            sink.event(
-                Subsystem::Durable,
-                "recover",
-                format!(
-                    "replayed={} next_seq={} torn={} corrupt={} missing={}",
-                    report.replayed,
-                    report.next_seq,
-                    report.torn.is_some(),
-                    report.corrupt.is_some(),
-                    report.missing_segments.len()
-                ),
-            );
+        self.sink.inc("durable.recover.count");
+        self.sink.record_elapsed("durable.recover_ns", watch);
+        if report.corrupt.is_some() {
+            self.sink.inc("durable.recover.corrupt_records");
         }
+        self.sink.event(
+            Subsystem::Durable,
+            "recover",
+            format!(
+                "replayed={} next_seq={} torn={} corrupt={} missing={}",
+                report.replayed,
+                report.next_seq,
+                report.torn.is_some(),
+                report.corrupt.is_some(),
+                report.missing_segments.len()
+            ),
+        );
         report
     }
 }

@@ -256,15 +256,7 @@ impl DurableHub {
     /// A hub around a fresh engine with default tuning.
     #[must_use]
     pub fn new() -> DurableHub {
-        DurableHub::with_config(EngineConfig::default())
-    }
-
-    /// A hub around a fresh engine with explicit tuning.
-    #[must_use]
-    pub fn with_config(cfg: EngineConfig) -> DurableHub {
-        DurableHub {
-            inner: Arc::new(sync::Mutex::new(DurableEngine::new(cfg))),
-        }
+        DurableHub::default()
     }
 
     /// Runs `f` with the engine locked.

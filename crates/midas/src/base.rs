@@ -9,7 +9,7 @@ use crate::proto::{MidasMsg, CHANNEL};
 use pmp_discovery::{DiscoveryClient, DiscoveryEvent, ServiceQuery};
 use pmp_durable::{DurableHub, Store};
 use pmp_net::{Incoming, NetPort, NodeId};
-use pmp_telemetry::{Fnv64, Shared, Sink, Subsystem};
+use pmp_telemetry::{Fnv64, Sink, Subsystem};
 use pmp_trace::{TraceCtx, Traced, Tracer};
 use std::collections::{BTreeMap, HashMap};
 
@@ -122,9 +122,9 @@ pub struct ExtensionBase {
     replicas: Vec<NodeId>,
     /// Digest of the last lease table pushed to replicas.
     last_lease_sync: u64,
-    telemetry: Option<Sink>,
+    telemetry: Sink,
     durable: Option<DurableHub>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     /// Root context of the publish that last put each extension in the
     /// catalog, so every later ship of it (catalog delivery, dependency
     /// request, redelivery) joins the same adaptation span tree.
@@ -155,17 +155,17 @@ impl ExtensionBase {
             foreign: BTreeMap::new(),
             replicas: Vec::new(),
             last_lease_sync: 0,
-            telemetry: None,
+            telemetry: Sink::default(),
             durable: None,
-            tracer: None,
+            tracer: Tracer::new(node.0),
             publish_ctx: HashMap::new(),
         }
     }
 
-    /// Attaches the host cell's span factory; ship spans are minted
-    /// through it.
+    /// Mints ship spans on the host cell's span factory instead of the
+    /// base's own, which is disabled.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
     }
 
     /// Logs every catalog and lease-table mutation to `hub`, making
@@ -184,24 +184,12 @@ impl ExtensionBase {
         debug_assert!(applied.is_ok(), "the live path commits only valid ops");
     }
 
-    /// Mirrors base activity into `shared` (`midas.base.*` counters,
-    /// `midas.ship` journal events); the inner discovery client is
-    /// attached too.
-    pub fn attach_telemetry(&mut self, shared: &Shared) {
-        self.attach_sink(Sink::direct(shared));
-    }
-
-    /// Routes telemetry through a per-cell [`Sink`] (sharded drivers
-    /// buffer journal events and merge them at the epoch barrier).
+    /// Records base activity (`midas.base.*` counters, `midas.ship`
+    /// journal events) through `sink` instead of the base's private
+    /// one; the inner discovery client records through it too.
     pub fn attach_sink(&mut self, sink: Sink) {
         self.discovery.attach_sink(sink.clone());
-        self.telemetry = Some(sink);
-    }
-
-    fn count(&self, name: &str) {
-        if let Some(s) = &self.telemetry {
-            s.inc(name);
-        }
+        self.telemetry = sink;
     }
 
     /// Records an extension leaving the base toward `to` (the "ship"
@@ -209,24 +197,16 @@ impl ExtensionBase {
     /// mints the `midas.ship` span under the extension's publish root.
     /// Returns the context the shipped message must carry.
     fn note_ship(&self, sim: &dyn NetPort, ext_id: &str, to: NodeId) -> TraceCtx {
-        if let Some(s) = &self.telemetry {
-            s.inc("midas.base.delivered");
-            s.event(Subsystem::Midas, "midas.ship", format!("{ext_id} -> n{}", to.0));
-        }
-        let Some(t) = &self.tracer else {
-            return TraceCtx::NIL;
-        };
+        let detail = format!("{ext_id} -> n{}", to.0);
         let parent = self
             .publish_ctx
             .get(ext_id)
             .copied()
             .unwrap_or(TraceCtx::NIL);
-        t.child(
-            parent,
-            sim.now().0,
-            "midas.ship",
-            &format!("{ext_id} -> n{}", to.0),
-        )
+        let ctx = self.tracer.child(parent, sim.now().0, "midas.ship", &detail);
+        self.telemetry.inc("midas.base.delivered");
+        self.telemetry.event(Subsystem::Midas, "midas.ship", detail);
+        ctx
     }
 
     /// Overrides the extension lease duration (ns).
@@ -308,7 +288,7 @@ impl ExtensionBase {
                 .map(|(n, _)| n.clone());
             let Some(name) = oldest else { break };
             self.commit_op(BaseWalOp::RoamDrop { name });
-            self.count("midas.base.roam_evicted");
+            self.telemetry.inc("midas.base.roam_evicted");
         }
     }
 
@@ -447,7 +427,7 @@ impl ExtensionBase {
             let fresh = self.fresh_grant();
             grants.insert(id.clone(), fresh);
             rebinds.push((id.clone(), *old, fresh));
-            self.count("midas.base.migrated");
+            self.telemetry.inc("midas.base.migrated");
         }
         let rebound = rebinds.len();
         if rebound > 0 {
@@ -495,18 +475,6 @@ impl ExtensionBase {
         self.discovery.start(sim);
         self.scan(sim);
         self.scan_token = Some(sim.set_timer(self.node, self.scan_interval_ns, SCAN_TAG));
-    }
-
-    /// Names of currently adapted (present) nodes, sorted.
-    pub fn adapted_nodes(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .adapted
-            .iter()
-            .filter(|(_, a)| a.present)
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.sort();
-        names
     }
 
     /// Drains accumulated events.
@@ -639,7 +607,7 @@ impl ExtensionBase {
                 reason: reason.to_string(),
             };
             self.send(sim, node, &msg, TraceCtx::NIL);
-            self.count("midas.base.revocations");
+            self.telemetry.inc("midas.base.revocations");
         }
     }
 
@@ -730,7 +698,7 @@ impl ExtensionBase {
                 for grant in grants {
                     let msg = MidasMsg::LeaseRenew { grant };
                     self.send(sim, node, &msg, TraceCtx::NIL);
-                    self.count("midas.base.lease_renewals_sent");
+                    self.telemetry.inc("midas.base.lease_renewals_sent");
                 }
             }
             // Departed nodes: mark, event, and roam.
@@ -771,7 +739,7 @@ impl ExtensionBase {
                         exts: exts.clone(),
                     };
                     self.send(sim, nb, &msg, TraceCtx::NIL);
-                    self.count("midas.base.handoffs_sent");
+                    self.telemetry.inc("midas.base.handoffs_sent");
                 }
                 self.commit_op(BaseWalOp::Presence {
                     name: name.clone(),
@@ -816,7 +784,7 @@ impl ExtensionBase {
                 continue;
             }
             self.put_catalog(sim, ext, Some(from));
-            self.count("midas.base.replicated");
+            self.telemetry.inc("midas.base.replicated");
             merged = true;
         }
         if merged {
@@ -954,7 +922,7 @@ impl ExtensionBase {
                 }
                 let ext_ids: Vec<String> = grants.keys().cloned().collect();
                 self.roam_insert(node_name.clone(), from.0, grants, exts);
-                self.count("midas.base.handoffs_received");
+                self.telemetry.inc("midas.base.handoffs_received");
                 self.events
                     .push(BaseEvent::HandoffReceived { node_name, ext_ids });
             }

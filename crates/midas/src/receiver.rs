@@ -10,7 +10,7 @@ use pmp_analyze::{AnalysisReport, AnalyzeOptions, SysPerm};
 use pmp_discovery::{DiscoveryClient, DiscoveryEvent, Lease, ServiceItem};
 use pmp_net::{Incoming, NetPort, NodeId};
 use pmp_prose::{Aspect, AspectId, Prose, WeaveOptions};
-use pmp_telemetry::{Shared, Sink, Subsystem};
+use pmp_telemetry::{Sink, Stopwatch, Subsystem};
 use pmp_trace::{TraceCtx, Traced, Tracer};
 use pmp_vm::perm::Permissions;
 use pmp_vm::Vm;
@@ -100,8 +100,8 @@ pub struct AdaptationService {
     expiry_token: Option<u64>,
     started: bool,
     events: Vec<ReceiverEvent>,
-    telemetry: Option<Sink>,
-    tracer: Option<Tracer>,
+    telemetry: Sink,
+    tracer: Tracer,
 }
 
 impl AdaptationService {
@@ -119,50 +119,33 @@ impl AdaptationService {
             expiry_token: None,
             started: false,
             events: Vec::new(),
-            telemetry: None,
-            tracer: None,
+            telemetry: Sink::default(),
+            tracer: Tracer::new(node.0),
         }
     }
 
-    /// Mirrors receiver activity into `shared`: `midas.receiver.*`
-    /// counters, verify/weave wall-time histograms, and the
-    /// verify/weave stages of the distribution trail in the journal.
-    pub fn attach_telemetry(&mut self, shared: &Shared) {
-        self.attach_sink(Sink::direct(shared));
-    }
-
-    /// Routes telemetry through a per-cell [`Sink`] (sharded drivers
-    /// buffer journal events and merge them at the epoch barrier).
+    /// Records receiver activity through `sink` instead of the
+    /// receiver's private one: `midas.receiver.*` counters,
+    /// verify/weave wall-time histograms, and the verify/weave stages
+    /// of the distribution trail in the journal. The inner discovery
+    /// client records through it too.
     pub fn attach_sink(&mut self, sink: Sink) {
         self.discovery.attach_sink(sink.clone());
-        self.telemetry = Some(sink);
+        self.telemetry = sink;
     }
 
     /// Mints verify/weave spans (and arms first-interception watches)
-    /// on this node's [`Tracer`]. Without one, contexts still flow
-    /// through the receiver but no spans are recorded.
+    /// on the node cell's [`Tracer`]. The receiver's own is disabled,
+    /// so until then contexts still flow through it but no spans are
+    /// recorded.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
     }
 
-    fn span_child(&self, parent: TraceCtx, now: u64, name: &str, detail: &str) -> TraceCtx {
-        match &self.tracer {
-            Some(t) => t.child(parent, now, name, detail),
-            None => TraceCtx::NIL,
-        }
-    }
-
-    fn count(&self, name: &str) {
-        if let Some(s) = &self.telemetry {
-            s.inc(name);
-        }
-    }
-
-    fn record_ns(&self, name: &str, start: std::time::Instant) {
-        if let Some(s) = &self.telemetry {
-            let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            s.record(name, ns);
-        }
+    /// The tracer verify/weave spans are minted on; the host polls its
+    /// first-interception watches after each dispatch.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// Starts advertising and lease sweeping. Idempotent.
@@ -316,7 +299,7 @@ impl AdaptationService {
                     }
                 }
                 if known {
-                    self.count("midas.receiver.lease_renewals");
+                    self.telemetry.inc("midas.receiver.lease_renewals");
                 }
                 if !known {
                     // The base believes we hold this grant but we do not
@@ -370,7 +353,7 @@ impl AdaptationService {
                         })
                         .is_some();
                     if matched {
-                        self.count("midas.receiver.rebound");
+                        self.telemetry.inc("midas.receiver.rebound");
                         rebound.push(ext_id);
                     } else {
                         // We do not hold that grant (legacy handoff,
@@ -416,7 +399,7 @@ impl AdaptationService {
         reason: String,
         ctx: TraceCtx,
     ) {
-        self.count("midas.receiver.rejected");
+        self.telemetry.inc("midas.receiver.rejected");
         self.events.push(ReceiverEvent::Rejected {
             ext_id: ext_id.to_string(),
             reason: reason.clone(),
@@ -458,17 +441,20 @@ impl AdaptationService {
         // info, not warnings).
         let opts = AnalyzeOptions::default();
 
-        let t = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let mut findings = verifier::verify_class(&pkg.aspect.class, &opts);
-        self.record_ns("midas.analyze.bytecode_ns", t);
+        self.telemetry
+            .record_elapsed("midas.analyze.bytecode_ns", watch);
 
-        let t = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let inference = perms::check_permissions(&pkg.aspect, declared, &resolver);
-        self.record_ns("midas.analyze.perms_ns", t);
+        self.telemetry
+            .record_elapsed("midas.analyze.perms_ns", watch);
 
-        let t = std::time::Instant::now();
+        let watch = Stopwatch::start();
         findings.extend(termination::check_class(&pkg.aspect.class, &opts));
-        self.record_ns("midas.analyze.termination_ns", t);
+        self.telemetry
+            .record_elapsed("midas.analyze.termination_ns", watch);
 
         let required = inference.required;
         findings.extend(inference.findings);
@@ -487,23 +473,21 @@ impl AdaptationService {
             return Err((f.pass.to_string(), detail));
         }
 
-        self.count("midas.analyze.accepted");
-        if let Some(s) = &self.telemetry {
-            let summary = if report.findings.is_empty() {
-                "clean".to_string()
-            } else {
-                format!(
-                    "{} finding(s), worst {}",
-                    report.findings.len(),
-                    report.worst().expect("non-empty findings")
-                )
-            };
-            s.event(
-                Subsystem::Midas,
-                "midas.analyze",
-                format!("{} ok: {summary}", pkg.meta.id),
-            );
-        }
+        self.telemetry.inc("midas.analyze.accepted");
+        let summary = if report.findings.is_empty() {
+            "clean".to_string()
+        } else {
+            format!(
+                "{} finding(s), worst {}",
+                report.findings.len(),
+                report.worst().expect("non-empty findings")
+            )
+        };
+        self.telemetry.event(
+            Subsystem::Midas,
+            "midas.analyze",
+            format!("{} ok: {summary}", pkg.meta.id),
+        );
         Ok(())
     }
 
@@ -524,21 +508,20 @@ impl AdaptationService {
         if !self.policy.analysis.enabled {
             return Ok(());
         }
-        let t = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let reports = prose.interference_with(vm, aspect_id);
-        self.record_ns("midas.analyze.interference_ns", t);
+        self.telemetry
+            .record_elapsed("midas.analyze.interference_ns", watch);
         if reports.is_empty() {
             return Ok(());
         }
-        if let Some(s) = &self.telemetry {
-            for f in pmp_analyze::interference::findings(&reports) {
-                s.inc("midas.analyze.interference");
-                s.event(
-                    Subsystem::Midas,
-                    "midas.analyze",
-                    format!("{} {}", pkg.meta.id, f),
-                );
-            }
+        for f in pmp_analyze::interference::findings(&reports) {
+            self.telemetry.inc("midas.analyze.interference");
+            self.telemetry.event(
+                Subsystem::Midas,
+                "midas.analyze",
+                format!("{} {}", pkg.meta.id, f),
+            );
         }
         if self.policy.analysis.reject_on_interference {
             let _ = prose.unweave(vm, aspect_id, "interference rejected");
@@ -565,50 +548,39 @@ impl AdaptationService {
         //    the rejection path too — slow *failed* verifications are
         //    exactly the ones worth seeing.
         let signer = ext.signer().to_string();
-        let verify_start = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let verified = ext.verify_and_open(&self.policy.trust);
-        self.record_ns("midas.receiver.verify_ns", verify_start);
+        self.telemetry
+            .record_elapsed("midas.receiver.verify_ns", watch);
         let pkg = match verified {
             Ok(pkg) => pkg,
             Err(reason) => {
                 let id = ext.open().map(|p| p.meta.id).unwrap_or_else(|_| "?".into());
-                if let Some(s) = &self.telemetry {
-                    s.event(Subsystem::Midas, "midas.verify", format!("{id} REJECTED: {reason}"));
-                }
-                self.span_child(
-                    ctx,
-                    sim.now().0,
-                    "midas.verify",
-                    &format!("{id} REJECTED: {reason}"),
-                );
+                let detail = format!("{id} REJECTED: {reason}");
+                self.tracer.child(ctx, sim.now().0, "midas.verify", &detail);
+                self.telemetry
+                    .event(Subsystem::Midas, "midas.verify", detail);
                 self.nack(sim, from, &id, grant, reason, ctx);
                 return;
             }
         };
         let id = pkg.meta.id.clone();
-        if let Some(s) = &self.telemetry {
-            s.event(Subsystem::Midas, "midas.verify", format!("{id} ok (signer {signer})"));
-        }
-        let verify_ctx = self.span_child(
-            ctx,
-            sim.now().0,
-            "midas.verify",
-            &format!("{id} ok (signer {signer})"),
-        );
+        let detail = format!("{id} ok (signer {signer})");
+        let verify_ctx = self.tracer.child(ctx, sim.now().0, "midas.verify", &detail);
+        self.telemetry
+            .event(Subsystem::Midas, "midas.verify", detail);
 
         // 2. Static analysis (the admission gate): a valid signature
         //    says who shipped the code, not that the code is safe to
         //    weave. Our VM has no JVM-style load-time verifier, so the
         //    receiver runs one here.
         if let Err((pass, detail)) = self.analyze_package(vm, &pkg) {
-            self.count("midas.analyze.rejected");
-            if let Some(s) = &self.telemetry {
-                s.event(
-                    Subsystem::Midas,
-                    "midas.analyze",
-                    format!("{id} REJECTED by {pass}: {detail}"),
-                );
-            }
+            self.telemetry.inc("midas.analyze.rejected");
+            self.telemetry.event(
+                Subsystem::Midas,
+                "midas.analyze",
+                format!("{id} REJECTED by {pass}: {detail}"),
+            );
             self.nack(sim, from, &id, grant, format!("analysis: {pass}: {detail}"), ctx);
             return;
         }
@@ -669,22 +641,16 @@ impl AdaptationService {
         // 5. Weave under the sandbox: requested ∩ policy cap.
         let perms = self.policy.effective(&signer, &pkg.meta.permissions);
         let aspect: Aspect = pkg.aspect.clone().into();
-        let weave_start = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let woven = prose.weave(vm, aspect, WeaveOptions::sandboxed(perms));
-        self.record_ns("midas.receiver.weave_ns", weave_start);
-        if let Some(s) = &self.telemetry {
-            s.event(
-                Subsystem::Midas,
-                "midas.weave",
-                format!("{id} {}", if woven.is_ok() { "ok" } else { "FAILED" }),
-            );
-        }
-        let weave_ctx = self.span_child(
-            verify_ctx,
-            sim.now().0,
-            "midas.weave",
-            &format!("{id} {}", if woven.is_ok() { "ok" } else { "FAILED" }),
-        );
+        self.telemetry
+            .record_elapsed("midas.receiver.weave_ns", watch);
+        let detail = format!("{id} {}", if woven.is_ok() { "ok" } else { "FAILED" });
+        let weave_ctx = self
+            .tracer
+            .child(verify_ctx, sim.now().0, "midas.weave", &detail);
+        self.telemetry
+            .event(Subsystem::Midas, "midas.weave", detail);
         match woven {
             Ok(aspect_id) => {
                 // 6. Pass 4 of the gate — interference against the
@@ -693,14 +659,12 @@ impl AdaptationService {
                 if let Err((pass, detail)) =
                     self.check_interference(vm, prose, &pkg, aspect_id)
                 {
-                    self.count("midas.analyze.rejected");
-                    if let Some(s) = &self.telemetry {
-                        s.event(
-                            Subsystem::Midas,
-                            "midas.analyze",
-                            format!("{id} REJECTED by {pass}: {detail}"),
-                        );
-                    }
+                    self.telemetry.inc("midas.analyze.rejected");
+                    self.telemetry.event(
+                        Subsystem::Midas,
+                        "midas.analyze",
+                        format!("{id} REJECTED by {pass}: {detail}"),
+                    );
                     self.nack(sim, from, &id, grant, format!("analysis: {pass}: {detail}"), ctx);
                     return;
                 }
@@ -711,16 +675,15 @@ impl AdaptationService {
                 // receiver never trusts the base's optimization report.
                 for m in pmp_analyze::opt::hoist::hoistable_methods(&pkg.aspect.class) {
                     if vm.hoist_hooks(&pkg.aspect.class.name, &m) {
-                        self.count("midas.receiver.hoisted");
+                        self.telemetry.inc("midas.receiver.hoisted");
                     }
                 }
                 // Arm the first-interception watch: the next advice
                 // dispatch past this baseline closes the adaptation's
                 // span tree with a `midas.intercept` leaf.
-                if let Some(t) = &self.tracer {
-                    if !weave_ctx.is_nil() {
-                        t.watch_interception(weave_ctx, &id, vm.stats().advice_dispatches);
-                    }
+                if !weave_ctx.is_nil() {
+                    self.tracer
+                        .watch_interception(weave_ctx, &id, vm.stats().advice_dispatches);
                 }
                 for dep in &pkg.meta.requires {
                     if let Some(d) = self.installed.get_mut(dep) {
@@ -740,7 +703,7 @@ impl AdaptationService {
                         dependents: HashSet::new(),
                     },
                 );
-                self.count("midas.receiver.installed");
+                self.telemetry.inc("midas.receiver.installed");
                 self.events.push(ReceiverEvent::Installed {
                     ext_id: id.clone(),
                     version: pkg.meta.version,
@@ -838,7 +801,7 @@ impl AdaptationService {
             };
             sim.send(self.node, inst.base, CHANNEL, TraceCtx::NIL.wrap(&msg));
         }
-        self.count("midas.receiver.removed");
+        self.telemetry.inc("midas.receiver.removed");
         self.events.push(ReceiverEvent::Removed {
             ext_id: ext_id.to_string(),
             reason: reason.to_string(),
@@ -873,7 +836,7 @@ impl AdaptationService {
         // hash-order independent.
         expired.sort();
         for id in expired {
-            self.count("midas.receiver.lease_expiries");
+            self.telemetry.inc("midas.receiver.lease_expiries");
             self.uninstall(sim, vm, prose, &id, "lease expired", false);
         }
     }

@@ -36,13 +36,6 @@ pub struct Epoch {
     pub batches: Vec<Vec<TimedIncoming>>,
 }
 
-impl Epoch {
-    /// Number of nodes with at least one event in this window.
-    pub fn busy_nodes(&self) -> usize {
-        self.batches.iter().filter(|b| !b.is_empty()).count()
-    }
-}
-
 #[derive(Debug)]
 enum Pending {
     Deliver {

@@ -6,7 +6,7 @@ use crate::aspect::{Aspect, AspectImpl};
 use crate::error::ProseError;
 use crate::handle::{AspectId, AspectInfo};
 use crate::runtime::{advice_exec, AdviceRef, AspectRt, ErrorPolicy, ProseRuntime, Woven};
-use pmp_telemetry::Subsystem;
+use pmp_telemetry::{Stopwatch, Subsystem};
 use pmp_vm::perm::Permissions;
 use pmp_vm::value::Value;
 use pmp_vm::vm::Vm;
@@ -118,9 +118,9 @@ impl Prose {
         opts: WeaveOptions,
     ) -> Result<AspectId, ProseError> {
         let name = aspect.name.clone();
-        let start = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let result = self.weave_inner(vm, aspect, opts);
-        self.record_op(vm, "prose.weave.latency_ns", start, "prose.weave", &name);
+        self.record_op(vm, "prose.weave.latency_ns", watch, "prose.weave", &name);
         result
     }
 
@@ -232,9 +232,9 @@ impl Prose {
     ///
     /// [`ProseError::UnknownAspect`] if the id is not woven.
     pub fn unweave(&self, vm: &mut Vm, id: AspectId, reason: &str) -> Result<(), ProseError> {
-        let start = std::time::Instant::now();
+        let watch = Stopwatch::start();
         let result = self.unweave_inner(vm, id, reason);
-        self.record_op(vm, "prose.unweave.latency_ns", start, "prose.unweave", reason);
+        self.record_op(vm, "prose.unweave.latency_ns", watch, "prose.unweave", reason);
         result
     }
 
@@ -348,19 +348,10 @@ impl Prose {
     /// Records one weave/unweave operation into the VM's telemetry:
     /// wall-time latency histogram, the active-aspect gauge, and a
     /// journal event naming the aspect (or reason).
-    fn record_op(
-        &self,
-        vm: &mut Vm,
-        histogram: &str,
-        start: std::time::Instant,
-        event: &str,
-        detail: &str,
-    ) {
+    fn record_op(&self, vm: &mut Vm, histogram: &str, watch: Stopwatch, event: &str, detail: &str) {
         let active = self.rt.state.lock().woven.len() as i64;
-        let dur = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let t = vm.telemetry_mut();
-        let h = t.registry.histogram(histogram);
-        t.registry.record(h, dur);
+        t.registry.record_elapsed(histogram, watch);
         let g = t.registry.gauge("prose.aspects.active");
         t.registry.set_gauge(g, active);
         t.journal

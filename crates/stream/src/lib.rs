@@ -305,14 +305,6 @@ impl StreamHub {
         self.subs.get(id.index()).is_some_and(|s| s.live)
     }
 
-    /// Namespace a cursor is attached to.
-    #[must_use]
-    pub fn namespace_of(&self, id: SubscriberId) -> Option<&str> {
-        self.subs
-            .get(id.index())
-            .map(|s| self.publishers[s.ns_idx as usize].ns.as_str())
-    }
-
     /// Live cursor count.
     #[must_use]
     pub fn live_subscribers(&self) -> usize {

@@ -15,6 +15,9 @@
 //!   `pmp-trace`.
 //! * [`export`] — deterministic text-table and JSON-lines renderers
 //!   (canonical formatting: same state, same bytes, like `pmp-wire`).
+//! * [`Stopwatch`] — the platform's only wall-clock read; it ends only
+//!   by recording into a named histogram, so a wall time never reaches
+//!   simulated state, a journal event or a digest.
 //! * [`sync`] — tiny `std::sync` wrappers with a `parking_lot`-style
 //!   API (`lock()` returns the guard directly), keeping the workspace
 //!   free of external dependencies so it builds fully offline.
@@ -24,22 +27,26 @@
 //! "Observability").
 //!
 //! Single-owner components (the VM) embed a [`Telemetry`] directly and
-//! bump pre-registered ids; multi-party components (the simulator, the
-//! MIDAS base/receiver pair) share one via [`Shared`]. Either way the
-//! registry is the only store of a component's counters: typed views
-//! such as `VmStats` and `NetStats` are read back from it.
+//! bump pre-registered ids; multi-party components share one via
+//! [`Shared`] — the simulator holds it directly, the others (the MIDAS
+//! base/receiver pair, discovery, the storage engine) through a
+//! [`Sink`] they hold from construction. Either way the registry is the
+//! only store of a component's counters: typed views such as `VmStats`
+//! and `NetStats` are read back from it.
 
 pub mod digest;
 pub mod export;
 pub mod journal;
 pub mod registry;
 pub mod sink;
+pub mod stopwatch;
 pub mod sync;
 
 pub use digest::Fnv64;
 pub use journal::{Event, Journal, Subsystem};
 pub use registry::{CounterId, GaugeId, Histogram, HistogramId, Registry, MISSES_COUNTER};
 pub use sink::{PendingEvent, Sink};
+pub use stopwatch::Stopwatch;
 
 use std::sync::Arc;
 

@@ -9,11 +9,16 @@
 //! shared journal at the epoch barrier in deterministic
 //! `(time, cell rank, emission seq)` order.
 //!
-//! A [`Sink`] routes accordingly: metrics always go direct, events go
-//! direct too ([`Sink::direct`], the legacy single-threaded path) or
-//! into the cell buffer ([`Sink::buffered`], both engine drivers — the
-//! serial driver uses the same buffering so the two engines are
-//! journal-identical by construction).
+//! A [`Sink`] routes accordingly: metrics always go direct; events go
+//! into the cell buffer ([`Sink::buffered`], what every node cell's
+//! components hold under both drivers — the serial driver uses the
+//! same buffering so the two are journal-identical by construction) or
+//! direct ([`Sink::direct`], how the storage engine's barrier-time
+//! events land in order between the cells' merged ones).
+//!
+//! Every component holds a sink from construction. Until the platform
+//! attaches its cell's, that is [`Sink::default`], which records into a
+//! private registry and journal nothing reads.
 
 use crate::journal::Subsystem;
 use crate::{sync, Clock, Shared};
@@ -57,6 +62,14 @@ impl std::fmt::Debug for Sink {
     }
 }
 
+/// A sink into a private [`Shared`]: a component's own until the
+/// platform attaches the cell's.
+impl Default for Sink {
+    fn default() -> Sink {
+        Sink::direct(&Shared::new())
+    }
+}
+
 impl Sink {
     /// A pass-through sink: every call lands on `shared` immediately.
     #[must_use]
@@ -85,12 +98,6 @@ impl Sink {
     #[must_use]
     pub fn shared(&self) -> &Shared {
         &self.shared
-    }
-
-    /// Whether events buffer per cell.
-    #[must_use]
-    pub fn is_buffered(&self) -> bool {
-        self.buffered.is_some()
     }
 
     /// Bumps a named counter by 1.

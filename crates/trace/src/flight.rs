@@ -14,9 +14,10 @@ pub const DEFAULT_FLIGHT_CAP: usize = 256;
 
 /// A bounded ring of the most recent [`FlightEntry`]s on one node —
 /// the "black box" dumped into chaos `.repro` artifacts when an oracle
-/// fires. Base stations additionally persist theirs through
-/// `pmp-durable` (namespace [`FLIGHT_NAMESPACE`]), so the causal
-/// history survives a crash/restart.
+/// fires. Each node keeps exactly one, filled with the spans drained
+/// from its tracer at epoch barriers. Base stations persist theirs
+/// through `pmp-durable` (namespace [`FLIGHT_NAMESPACE`]), so the
+/// causal history survives a crash/restart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
     cap: usize,
@@ -146,14 +147,20 @@ impl Store for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpanRecord;
     use pmp_durable::Durable;
 
     fn ev(i: u64) -> FlightEntry {
-        FlightEntry::Event {
-            at: i,
+        FlightEntry::Span(SpanRecord {
+            trace_id: 1,
+            span_id: i + 1,
+            parent_id: 0,
+            node: 0,
+            start: i,
+            end: i,
             name: format!("e{i}"),
             detail: String::new(),
-        }
+        })
     }
 
     #[test]
@@ -167,10 +174,7 @@ mod tests {
         let names: Vec<String> = f
             .snapshot()
             .into_iter()
-            .map(|e| match e {
-                FlightEntry::Event { name, .. } => name,
-                FlightEntry::Span(s) => s.name,
-            })
+            .map(|FlightEntry::Span(s)| s.name)
             .collect();
         assert_eq!(names, vec!["e7", "e8", "e9"]);
     }

@@ -17,10 +17,10 @@
 //!   *delta between* parent and child start times, which is pure
 //!   sim-time and therefore deterministic. Wall-clock durations stay in
 //!   the telemetry histograms where nondeterminism is expected.
-//! * [`FlightRecorder`] — a bounded ring of recent [`FlightEntry`]s per
-//!   node, dumped into chaos `.repro` artifacts when an oracle fires
-//!   and (for base stations) persisted through `pmp-durable` across
-//!   crash/restart.
+//! * [`FlightRecorder`] — a bounded ring of the recent spans of one
+//!   node, filled at epoch barriers (one ring per node), dumped into
+//!   chaos `.repro` artifacts when an oracle fires and (for base
+//!   stations) persisted through `pmp-durable` across crash/restart.
 //! * [`Collector`] — the base-tier service that absorbs drained spans
 //!   at epoch barriers and renders span trees, critical paths, and
 //!   JSON lines, all canonically.

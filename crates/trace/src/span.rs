@@ -57,26 +57,17 @@ impl SpanRecord {
     }
 }
 
-/// One flight-recorder entry: a span recorded on the node, or a journal
-/// point event mirrored into the ring.
+/// One flight-recorder entry: a span recorded on the node. Tag 1 is
+/// reserved (it once held journal point events, which no node wrote)
+/// and decodes as an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlightEntry {
     /// A span recorded on this node.
     Span(SpanRecord),
-    /// A journal-style point event.
-    Event {
-        /// Sim-time (ns).
-        at: u64,
-        /// Event name.
-        name: String,
-        /// Free-form detail.
-        detail: String,
-    },
 }
 
 wire_enum!(FlightEntry {
     0 => Span(SpanRecord),
-    1 => Event { at: u64, name: String, detail: String },
 });
 
 #[cfg(test)]
@@ -105,18 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn flight_entries_roundtrip() {
-        let entries = vec![
-            FlightEntry::Span(span()),
-            FlightEntry::Event {
-                at: 7,
-                name: "midas.ship".into(),
-                detail: "ext/monitoring -> n3".into(),
-            },
-        ];
-        for e in entries {
-            let bytes = pmp_wire::to_bytes(&e);
-            assert_eq!(pmp_wire::from_bytes::<FlightEntry>(&bytes).unwrap(), e);
-        }
+    fn flight_entries_roundtrip_and_tag_one_is_reserved() {
+        let e = FlightEntry::Span(span());
+        let bytes = pmp_wire::to_bytes(&e);
+        assert_eq!(pmp_wire::from_bytes::<FlightEntry>(&bytes).unwrap(), e);
+        let mut reserved = bytes;
+        reserved[0] = 1;
+        assert!(pmp_wire::from_bytes::<FlightEntry>(&reserved).is_err());
     }
 }

@@ -1,8 +1,7 @@
 //! The per-node-cell span factory.
 
 use crate::ctx::TraceCtx;
-use crate::flight::FlightRecorder;
-use crate::span::{FlightEntry, SpanRecord};
+use crate::span::SpanRecord;
 use pmp_telemetry::sync::Mutex;
 use std::sync::Arc;
 
@@ -22,15 +21,16 @@ struct TracerInner {
     seq: u32,
     enabled: bool,
     finished: Vec<SpanRecord>,
-    flight: FlightRecorder,
     watches: Vec<InterceptWatch>,
 }
 
 /// The span factory owned by one node cell. Cloneable — clones share
 /// state, so the platform hands one to the cell's components and keeps
-/// another for the barrier drain. Span ids are `(node << 32) | seq`
-/// with a per-node sequence starting at 1: no randomness, no clock
-/// reads, hence byte-identical traces across execution drivers.
+/// another for the barrier drain, which moves the finished spans into
+/// the collector and the node's flight ring. Span ids are
+/// `(node << 32) | seq` with a per-node sequence starting at 1: no
+/// randomness, no clock reads, hence byte-identical traces across
+/// execution drivers.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     inner: Arc<Mutex<TracerInner>>,
@@ -47,22 +47,15 @@ impl Tracer {
                 seq: 0,
                 enabled: false,
                 finished: Vec::new(),
-                flight: FlightRecorder::default(),
                 watches: Vec::new(),
             })),
         }
     }
 
     /// Turns span recording on or off. Disabling does not clear
-    /// already-recorded spans or the flight ring.
+    /// already-recorded, undrained spans.
     pub fn set_enabled(&self, on: bool) {
         self.inner.lock().enabled = on;
-    }
-
-    /// Whether span recording is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.lock().enabled
     }
 
     /// The node this tracer stamps spans with.
@@ -92,7 +85,6 @@ impl Tracer {
             name: name.to_string(),
             detail: detail.to_string(),
         };
-        inner.flight.record(FlightEntry::Span(rec.clone()));
         inner.finished.push(rec);
         TraceCtx { trace_id, span_id }
     }
@@ -116,19 +108,6 @@ impl Tracer {
             return TraceCtx::NIL;
         }
         Self::push(&mut inner, parent.trace_id, parent.span_id, now, name, detail)
-    }
-
-    /// Mirrors a point event into the flight ring (no span, no id).
-    pub fn note(&self, at: u64, name: &str, detail: &str) {
-        let mut inner = self.inner.lock();
-        if !inner.enabled {
-            return;
-        }
-        inner.flight.record(FlightEntry::Event {
-            at,
-            name: name.to_string(),
-            detail: detail.to_string(),
-        });
     }
 
     /// Arms a first-interception watch under `parent`: the next time
@@ -183,35 +162,12 @@ impl Tracer {
         self.inner.lock().watches.len()
     }
 
-    /// Takes every span finished since the last drain (the barrier
-    /// feed for the [`crate::Collector`]).
+    /// Takes every span finished since the last drain, in the order
+    /// they were minted (the barrier feed for the [`crate::Collector`]
+    /// and the node's [`crate::FlightRecorder`]).
     #[must_use]
     pub fn drain(&self) -> Vec<SpanRecord> {
         std::mem::take(&mut self.inner.lock().finished)
-    }
-
-    /// Number of finished-but-undrained spans.
-    #[must_use]
-    pub fn undrained(&self) -> usize {
-        self.inner.lock().finished.len()
-    }
-
-    /// A copy of the node's flight ring, oldest first.
-    #[must_use]
-    pub fn flight_snapshot(&self) -> Vec<FlightEntry> {
-        self.inner.lock().flight.snapshot()
-    }
-
-    /// `(retained, capacity, dropped)` of the flight ring — the
-    /// ring-growth oracle's raw numbers.
-    #[must_use]
-    pub fn flight_stats(&self) -> (usize, usize, u64) {
-        let inner = self.inner.lock();
-        (
-            inner.flight.len(),
-            inner.flight.cap(),
-            inner.flight.dropped(),
-        )
     }
 }
 
@@ -225,7 +181,6 @@ mod tests {
         let root = t.root(10, "midas.publish", "ext/m");
         assert!(root.is_nil());
         assert!(t.drain().is_empty());
-        assert!(t.flight_snapshot().is_empty());
     }
 
     #[test]
@@ -242,7 +197,6 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].parent_id, root.span_id);
         assert!(t.drain().is_empty(), "drain takes");
-        assert_eq!(t.flight_snapshot().len(), 2, "flight keeps a copy");
     }
 
     #[test]

@@ -128,12 +128,6 @@ impl Permissions {
         Permissions(self.0 & other.0)
     }
 
-    /// Set union.
-    #[must_use]
-    pub fn union(self, other: Permissions) -> Self {
-        Permissions(self.0 | other.0)
-    }
-
     /// Membership test.
     pub fn allows(self, perm: Permission) -> bool {
         self.0 & perm.bit() != 0

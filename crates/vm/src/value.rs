@@ -98,11 +98,6 @@ impl Value {
             Value::Ref(_) => "ref",
         }
     }
-
-    /// Truthiness used by conditional jumps: only `Bool` carries truth.
-    pub fn truthy(&self) -> Option<bool> {
-        self.as_bool()
-    }
 }
 
 

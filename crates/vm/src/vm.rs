@@ -24,8 +24,6 @@ pub struct VmConfig {
     pub prose_hooks: bool,
     /// Maximum nested call depth.
     pub max_call_depth: u32,
-    /// Echo `print` output to stdout in addition to capturing it.
-    pub echo_output: bool,
 }
 
 impl Default for VmConfig {
@@ -33,7 +31,6 @@ impl Default for VmConfig {
         Self {
             prose_hooks: true,
             max_call_depth: 256,
-            echo_output: false,
         }
     }
 }
@@ -148,7 +145,6 @@ pub(crate) struct ClassRt {
 }
 
 pub(crate) struct MethodRt {
-    pub(crate) class: ClassId,
     pub(crate) sig: MethodSig,
     pub(crate) body: MethodBody,
     pub(crate) compiled: Option<Compiled>,
@@ -266,9 +262,6 @@ impl Vm {
                     .map(ToString::to_string)
                     .collect::<Vec<_>>()
                     .join(" ");
-                if vm.config.echo_output {
-                    println!("{line}");
-                }
                 vm.output.push(line);
                 Ok(Value::Null)
             }),
@@ -301,11 +294,6 @@ impl Vm {
     /// Installs the AOP dispatcher (PROSE runtime).
     pub fn set_dispatcher(&mut self, d: Arc<dyn Dispatcher>) {
         self.dispatcher = Some(d);
-    }
-
-    /// Removes the dispatcher; hooks become inert.
-    pub fn clear_dispatcher(&mut self) {
-        self.dispatcher = None;
     }
 
     /// Installs the clock used by `time.now` (the platform wires the
@@ -440,11 +428,6 @@ impl Vm {
         self.fuel = scope.saved_fuel;
     }
 
-    /// `true` while advice code is executing.
-    pub fn in_advice(&self) -> bool {
-        self.advice_depth > 0
-    }
-
     /// Whether hooks may fire right now (dispatcher installed, not
     /// already inside advice).
     pub(crate) fn hooks_live(&self) -> bool {
@@ -532,7 +515,6 @@ impl Vm {
             };
             method_by_name.insert(sig.name.clone(), mid);
             self.methods.push(MethodRt {
-                class: cid,
                 sig,
                 body: m.body.clone(),
                 compiled: None,
@@ -563,11 +545,6 @@ impl Vm {
     /// Panics if `cid` was not produced by this VM.
     pub fn class_name(&self, cid: ClassId) -> &str {
         &self.classes[cid.0 as usize].name
-    }
-
-    /// Number of registered classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
     }
 
     /// Number of declared methods: every [`MethodId`] is below it, and
@@ -608,15 +585,6 @@ impl Vm {
     /// Panics if `mid` was not produced by this VM.
     pub fn method_sig(&self, mid: MethodId) -> &MethodSig {
         &self.methods[mid.0 as usize].sig
-    }
-
-    /// The declaring class of a method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mid` was not produced by this VM.
-    pub fn method_class(&self, mid: MethodId) -> ClassId {
-        self.methods[mid.0 as usize].class
     }
 
     /// Iterates over every declared method `(id, signature)`.

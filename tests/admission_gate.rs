@@ -13,7 +13,7 @@ use pmp::midas::{
 };
 use pmp::net::prelude::*;
 use pmp::prose::{Aspect, Crosscut, PortableAspect, PortableClass, PortableMethod, Prose};
-use pmp::telemetry::{Shared, Subsystem};
+use pmp::telemetry::{Shared, Sink, Subsystem};
 use pmp::vm::builder::MethodBuilder;
 use pmp::vm::prelude::*;
 
@@ -119,7 +119,7 @@ fn world() -> World {
 
     let telemetry = Shared::new();
     let mut receiver = AdaptationService::new(robot_node, "robot:1:1", policy);
-    receiver.attach_telemetry(&telemetry);
+    receiver.attach_sink(Sink::direct(&telemetry));
     receiver.start(&mut sim);
 
     World {

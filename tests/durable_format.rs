@@ -31,10 +31,10 @@ const STEPS: u64 = 400;
 
 /// `(seed, disk digest, journal digest)`.
 const PINNED: [(u64, u64, u64); 4] = [
-    (0, 0x72db_9876_eadf_1efa, 0x6dc9_b26d_6263_248a),
-    (1, 0xd117_50b4_68b9_7c53, 0xb369_3df0_8848_fef0),
-    (2, 0x2f24_2f20_c5c3_f265, 0x9faf_c3c6_a121_9a3d),
-    (3, 0x580a_847f_bb6f_2425, 0x0a8f_91e0_9f87_1642),
+    (0, 0x46c5_b30c_76c7_5a39, 0xfb3e_ca8f_e357_5ff5),
+    (1, 0xf5cb_adf2_c31a_f599, 0x6a5e_0d92_8acc_e65c),
+    (2, 0x459f_3bb1_a826_47ca, 0xec83_b745_6c91_176a),
+    (3, 0x4a68_1b77_71b4_7395, 0xe08f_c5de_5d30_2012),
 ];
 
 /// Steps of the multi-checkpoint run, the spacing of its checkpoints,
@@ -46,10 +46,10 @@ const RESTART_AT: u64 = 250;
 
 /// `(seed, digest of the disk image after every checkpoint)`.
 const PINNED_CHECKPOINTS: [(u64, u64); 4] = [
-    (0, 0xff1e_3829_d946_581d),
-    (1, 0x44e0_01e3_2559_de9a),
-    (2, 0x63d5_a197_1eb3_5c01),
-    (3, 0xcb6e_1342_e689_60b1),
+    (0, 0x81c4_ae94_a7d9_ce71),
+    (1, 0x318d_4c6c_9d40_54d9),
+    (2, 0xf74a_2a3c_5edf_7cc1),
+    (3, 0x8407_d79f_071f_c09d),
 ];
 
 struct Stores {

@@ -9,6 +9,7 @@ use pmp::midas::{AdaptationService, ExtensionBase, ReceiverPolicy, SignedExtensi
 use pmp::net::prelude::*;
 use pmp::net::LinkModel;
 use pmp::prose::Prose;
+use pmp::telemetry::Sink;
 use pmp::vm::prelude::*;
 
 const SEC: u64 = 1_000_000_000;
@@ -32,10 +33,10 @@ fn world_with_link(seed: u64, link: LinkModel) -> World {
     let base_node = sim.add_node("base", Position::new(0.0, 0.0), 80.0);
     let robot_node = sim.add_node("robot", Position::new(10.0, 0.0), 80.0);
     let mut registrar = Registrar::new(base_node, "lookup");
-    registrar.attach_telemetry(&telemetry);
+    registrar.attach_sink(Sink::direct(&telemetry));
     registrar.start(&mut sim);
     let mut base = ExtensionBase::new(base_node, base_node);
-    base.attach_telemetry(&telemetry);
+    base.attach_sink(Sink::direct(&telemetry));
     base.start(&mut sim);
 
     let authority = KeyPair::from_seed(b"authority");
@@ -52,7 +53,7 @@ fn world_with_link(seed: u64, link: LinkModel) -> World {
     let mut vm = Vm::new(VmConfig::default());
     let prose = Prose::attach(&mut vm);
     let mut receiver = AdaptationService::new(robot_node, "robot", policy);
-    receiver.attach_telemetry(&telemetry);
+    receiver.attach_sink(Sink::direct(&telemetry));
     receiver.start(&mut sim);
 
     World {

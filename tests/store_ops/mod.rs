@@ -142,29 +142,26 @@ pub fn movement_op(rng: &mut SimRng) -> MovementRecord {
     }
 }
 
-/// One flight-recorder batch of events and spans.
+/// One flight-recorder batch of ship and verify spans.
 pub fn flight_op(rng: &mut SimRng) -> Vec<FlightEntry> {
     (0..rng.range_u64(4))
         .map(|i| {
             let at = rng.range_u64(1_000_000);
-            if rng.chance(0.5) {
-                FlightEntry::Event {
-                    at,
-                    name: "midas.ship".into(),
-                    detail: format!("e{i}"),
-                }
+            let (name, detail) = if rng.chance(0.5) {
+                ("midas.ship", format!("e{i}"))
             } else {
-                FlightEntry::Span(SpanRecord {
-                    trace_id: 1,
-                    span_id: (1 << 32) | i,
-                    parent_id: 0,
-                    node: 1,
-                    start: at,
-                    end: at,
-                    name: "midas.verify".into(),
-                    detail: String::new(),
-                })
-            }
+                ("midas.verify", String::new())
+            };
+            FlightEntry::Span(SpanRecord {
+                trace_id: 1,
+                span_id: (1 << 32) | i,
+                parent_id: 0,
+                node: 1,
+                start: at,
+                end: at,
+                name: name.into(),
+                detail,
+            })
         })
         .collect()
 }

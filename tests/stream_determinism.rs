@@ -9,7 +9,8 @@
 //! publisher's state digest at every barrier.
 
 use pmp::core::{
-    Driver, ParallelDriver, Platform, ProductionHalls, SerialDriver, StreamEvent, StreamSub,
+    Driver, InvocationSemantics, ParallelDriver, Platform, ProductionHalls, SerialDriver,
+    StreamEvent, StreamSub,
 };
 use pmp::durable::Durable;
 use pmp::store::MovementStore;
@@ -154,4 +155,40 @@ fn serial_stream_runs_are_repeatable() {
     let a = run_stream(Box::new(SerialDriver));
     let b = run_stream(Box::new(SerialDriver));
     assert_eq!(a.log, b.log);
+}
+
+/// `rpc.calls` is the base's fourth durable store and the hub publishes
+/// its records, so a cursor on it must resync from a snapshot after a
+/// restart like a cursor on any other namespace — not stay in resync
+/// for good.
+#[test]
+fn an_rpc_calls_cursor_resyncs_from_a_snapshot_after_a_base_restart() {
+    let mut w = ProductionHalls::build(23);
+    let (p, base_a) = (&mut w.platform, w.base_a);
+    p.pump(6 * SEC);
+    let sub = p.subscribe(base_a, "rpc.calls");
+    let req = p.rpc_with(
+        base_a,
+        w.robot,
+        "operator:1",
+        "DrawingService",
+        "position",
+        vec![],
+        InvocationSemantics::AtMostOnce,
+    );
+    p.pump(SEC);
+    assert!(p.take_rpc_outcomes().iter().any(|o| o.req == req));
+
+    p.crash_base(base_a);
+    p.restart_base(base_a);
+    let table = p.base(base_a).rpc.snapshot_bytes();
+    assert!(
+        p.base(base_a).rpc.recently_resolved(req),
+        "the resolved call survived the restart"
+    );
+    let events = p.drain_updates(sub);
+    assert!(
+        matches!(events.as_slice(), [StreamEvent::Snapshot { bytes, .. }] if bytes[..] == table[..]),
+        "one snapshot of the recovered call table, got {events:?}"
+    );
 }

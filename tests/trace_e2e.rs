@@ -8,7 +8,9 @@ use pmp::chaos::script::{CatalogEntry, ExtKind, Op, Scenario, Step, Topology};
 use pmp::chaos::{exec, repro, DriverKind};
 use pmp::core::{BaseId, MobId, ParallelDriver, Platform, SerialDriver};
 use pmp::net::{LinkModel, Position};
+use pmp::trace::{FlightEntry, SpanRecord};
 use pmp::vm::perm::{Permission, Permissions};
+use std::collections::BTreeMap;
 
 const SEC: u64 = 1_000_000_000;
 
@@ -139,6 +141,44 @@ fn one_publish_reconstructs_as_one_span_tree() {
     }
     assert!(path.contains("midas.publish"), "{path}");
     assert!(path.contains("total:"), "{path}");
+}
+
+/// Each node keeps exactly one flight ring, filled at the barrier: it
+/// holds every span the collector holds for that node, in the order the
+/// node minted them (span ids carry a per-node sequence) — on bases and
+/// mobiles alike.
+#[test]
+fn each_flight_ring_holds_its_nodes_spans_in_mint_order() {
+    let (mut p, bases, nodes) = three_halls(11, 0.0, false);
+    publish_and_intercept(&mut p, &bases, &nodes);
+
+    let mut minted: BTreeMap<u32, Vec<SpanRecord>> = BTreeMap::new();
+    let collector = p.collector();
+    for id in collector.trace_ids() {
+        for s in collector.spans_of(id) {
+            minted.entry(s.node).or_default().push(s);
+        }
+    }
+    for spans in minted.values_mut() {
+        spans.sort_by_key(|s| s.span_id);
+    }
+
+    let (base, mobile) = (p.base(bases[0]).node.0, p.node(nodes[0]).node.0);
+    for (node, entries) in p.flight_dump() {
+        let ring: Vec<SpanRecord> = entries.into_iter().map(|FlightEntry::Span(s)| s).collect();
+        if node == base || node == mobile {
+            assert!(!ring.is_empty(), "node {node} recorded spans");
+        }
+        assert_eq!(
+            ring,
+            minted.remove(&node).unwrap_or_default(),
+            "node {node}: flight ring vs collector"
+        );
+    }
+    assert!(
+        minted.is_empty(),
+        "spans of nodes without a ring: {minted:?}"
+    );
 }
 
 /// One full run's deterministic artifacts: span digest plus the
