@@ -205,8 +205,6 @@ pub(crate) fn dispatch_base(
     inc: &Incoming,
 ) {
     station.registrar.handle(port, inc);
-    let found = station.lookup.handle(port, inc);
-    station.discoveries.extend(found);
     let evs = station.base.handle(port, inc);
     handle_base_federation(station, port, &evs);
     station.events.extend(evs);
@@ -250,19 +248,11 @@ fn handle_rpc_retry(
         });
         return;
     }
-    let Some(attempts) = station.rpc.note_attempt(req) else {
+    if station.rpc.note_attempt(req).is_none() {
         return;
-    };
+    }
     let call = station.rpc.get(req).expect("attempt noted on live call");
-    let msg = RpcMsg::CallSem {
-        caller: call.caller.clone(),
-        class: call.class.clone(),
-        method: call.method.clone(),
-        args: call.args.clone(),
-        req,
-        sem: call.sem,
-        attempt: attempts,
-    };
+    let msg = call.message(req);
     let target = NodeId(call.target);
     port.send(
         station.node,
@@ -270,9 +260,7 @@ fn handle_rpc_retry(
         RPC_CHANNEL,
         pmp_trace::TraceCtx::NIL.wrap(&msg),
     );
-    let delay = crate::rpc::backoff_delay(req, attempts);
-    let token = port.set_timer(station.node, delay, crate::rpc::RPC_RETRY_TAG);
-    station.rpc.arm(token, req);
+    station.rpc.arm_retry(port, station.node, req);
 }
 
 /// Roaming side-effects that live above the extension base: when a node

@@ -10,7 +10,7 @@ use pmp_midas::{
     AdaptationService, BaseEvent, ExtensionBase, ExtensionPackage, ReceiverEvent, ReceiverPolicy,
     SignedExtension,
 };
-use pmp_net::NodeId;
+use pmp_net::{NetPort, NodeId};
 use pmp_prose::Prose;
 use pmp_robot::{new_handle, register_robot_classes, spawn_motor, spawn_plotter, Port, RobotHandle};
 use pmp_store::{MovementRecord, MovementStore};
@@ -207,14 +207,9 @@ pub struct BaseStation {
     pub name: String,
     /// The Jini-like lookup service.
     pub registrar: Registrar,
-    /// The base's own discovery client, used to issue *federated*
-    /// lookups into the registrar tree (entered at the local registrar
-    /// via loopback).
-    pub lookup: pmp_discovery::DiscoveryClient,
-    /// Discovery events surfaced by [`BaseStation::lookup`] — federated
-    /// lookup results land here.
-    pub discoveries: Vec<pmp_discovery::DiscoveryEvent>,
-    /// The MIDAS extension base.
+    /// The MIDAS extension base. Its discovery client is the base's
+    /// only one: it scans for adaptation services and carries the
+    /// host's federated lookups and service registrations.
     pub base: ExtensionBase,
     /// The hall database (movement logs).
     pub store: MovementStore,
@@ -259,20 +254,8 @@ impl BaseStation {
     /// Builds a base station whose signing authority is derived from
     /// `authority_seed`, over a fresh storage engine.
     pub fn build(node: NodeId, name: impl Into<String>, authority_seed: &[u8]) -> BaseStation {
-        Self::build_with_hub(node, name, authority_seed, DurableHub::new())
-    }
-
-    /// Builds a base station over an existing storage engine — the
-    /// restart path: the hub (and its simulated disk) survives the
-    /// crash, the in-memory state machines are rebuilt fresh and then
-    /// recovered from it.
-    pub fn build_with_hub(
-        node: NodeId,
-        name: impl Into<String>,
-        authority_seed: &[u8],
-        durable: DurableHub,
-    ) -> BaseStation {
         let name = name.into();
+        let durable = DurableHub::new();
         let registrar = Registrar::new(node, format!("lookup:{name}"));
         let mut base = ExtensionBase::new(node, node);
         base.attach_durable(durable.clone());
@@ -281,8 +264,6 @@ impl BaseStation {
         BaseStation {
             node,
             registrar,
-            lookup: pmp_discovery::DiscoveryClient::new(node),
-            discoveries: Vec::new(),
             base,
             store: MovementStore::new(),
             persisted: Vec::new(),
@@ -297,6 +278,36 @@ impl BaseStation {
             principal_name: format!("authority:{name}"),
             name,
         }
+    }
+
+    /// Starts the registrar and the extension base, and arms a retry
+    /// timer for every outstanding call (after a restart, those in
+    /// flight at the crash, under their *same* request ids).
+    pub fn start(&mut self, sim: &mut dyn NetPort) {
+        self.registrar.start(sim);
+        self.base.start(sim);
+        for req in self.rpc.rearm_tokens() {
+            self.rpc.arm_retry(sim, self.node, req);
+        }
+    }
+
+    /// Restarts a crashed station in place: its memory (registrar
+    /// table, extension base state, stores, call table, in-memory
+    /// ledgers) resets and is recovered from the surviving storage
+    /// engine; what it was built or configured with stays. Call
+    /// [`BaseStation::start`] afterwards.
+    pub fn restart(&mut self) -> RecoverReport {
+        self.registrar.restart();
+        self.base.restart();
+        self.store = MovementStore::new();
+        self.persisted.clear();
+        self.charges.clear();
+        self.events.clear();
+        self.flight = pmp_trace::FlightRecorder::new(self.flight.cap());
+        self.crashed = false;
+        self.rpc = crate::rpc::RpcEngine::new();
+        self.rpc.attach(self.durable.clone());
+        self.recover()
     }
 
     /// Appends a movement record to the hall database, WAL-logging it

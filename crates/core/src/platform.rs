@@ -4,7 +4,7 @@
 
 use crate::driver::{flush_outbox, CellBody, CellState, Driver, NodeCell};
 use crate::node::{BaseStation, MobileNode};
-use crate::wiring::{RpcMsg, RPC_CHANNEL};
+use crate::wiring::RPC_CHANNEL;
 use pmp_durable::WalRecord;
 use pmp_midas::ReceiverPolicy;
 use pmp_net::{AreaId, Epoch, Position, SimTime, Simulator};
@@ -113,14 +113,6 @@ pub struct Platform {
     /// Optimization reports from every publish, in publish order
     /// (`(extension id, report)`).
     opt_reports: Vec<(String, pmp_midas::OptReport)>,
-    /// Federation topology, as base-index pairs. Like mirror routes,
-    /// this is operator configuration — held by the platform so
-    /// [`Platform::restart_base`] can re-wire a freshly rebuilt station.
-    fed_neighbors: Vec<(usize, usize)>,
-    /// Replication links (catalog + lease-table anti-entropy), symmetric.
-    fed_replicas: Vec<(usize, usize)>,
-    /// Registrar-tree edges: `(child base, parent base)`.
-    fed_parents: Vec<(usize, usize)>,
     /// Per-base fan-out hub (parallel to `bases`): every committed WAL
     /// record is published here as a rev-stamped delta at the same
     /// barrier that committed it.
@@ -168,9 +160,6 @@ impl Platform {
             collector: pmp_trace::Collector::default(),
             tracing: false,
             opt_reports: Vec::new(),
-            fed_neighbors: Vec::new(),
-            fed_replicas: Vec::new(),
-            fed_parents: Vec::new(),
             streams: Vec::new(),
             stream_taps: Vec::new(),
         }
@@ -252,8 +241,7 @@ impl Platform {
         station.base.attach_sink(cell.sink.clone());
         station.base.attach_tracer(cell.tracer.clone());
         cell.tracer.set_enabled(self.tracing);
-        station.registrar.start(&mut self.sim);
-        station.base.start(&mut self.sim);
+        station.start(&mut self.sim);
         // Every committed WAL batch is mirrored into a per-base tap
         // buffer; at the same barrier that ran the commit, the platform
         // drains it into the base's fan-out hub (one rev per record per
@@ -272,8 +260,8 @@ impl Platform {
 
     /// Kills a base station: its uncommitted WAL batch and unsynced
     /// disk bytes are lost (exactly what a power cut would take), and
-    /// until [`Platform::restart_base`] the node answers nothing —
-    /// traffic addressed to it is dropped.
+    /// until [`Platform::restart_base`] resets its memory the node
+    /// answers nothing — traffic addressed to it is dropped.
     pub fn crash_base(&mut self, id: BaseId) {
         let station = &mut self.bases[id.0];
         station.crashed = true;
@@ -285,65 +273,18 @@ impl Platform {
         );
     }
 
-    /// Brings a crashed base back: fresh registrar and extension base
-    /// over the surviving storage engine, state recovered from the
-    /// committed image. Receivers whose lease renewals now fail
-    /// re-advertise, and the recovered lease table lets the base renew
-    /// grants instead of re-delivering its catalog.
+    /// Brings a crashed base back in place ([`BaseStation::restart`]):
+    /// its memory — registrar table, extension base state, stores, call
+    /// table — is recovered from the surviving storage engine, and it
+    /// keeps its sinks, tracer, authority, mirrors, federation topology,
+    /// lease, scan interval and roam cap. Outstanding calls retry under
+    /// the *same* request ids, which the servers' dedup tables make safe
+    /// for at-most-once calls; the recovered lease table lets the base
+    /// renew grants instead of re-delivering its catalog.
     pub fn restart_base(&mut self, id: BaseId) -> pmp_durable::RecoverReport {
-        let old = &self.bases[id.0];
-        let (node, name) = (old.node, old.name.clone());
-        let hub = old.durable.clone();
-        // Mirror routes are operator configuration held for the base,
-        // not base memory — they survive the restart.
-        let mirrors = old.mirrors.clone();
-        let mut station =
-            BaseStation::build_with_hub(node, &name, format!("seed:{name}").as_bytes(), hub);
-        station.mirrors = mirrors;
-        // Federation topology is operator configuration too: re-wire the
-        // fresh base/registrar from the platform's records so handoffs,
-        // anti-entropy, and directory routing resume after the restart.
-        for &(x, y) in &self.fed_neighbors {
-            if x == id.0 {
-                station.base.add_neighbor(self.bases[y].node);
-            } else if y == id.0 {
-                station.base.add_neighbor(self.bases[x].node);
-            }
-        }
-        for &(x, y) in &self.fed_replicas {
-            if x == id.0 {
-                station.base.add_replica(self.bases[y].node);
-            } else if y == id.0 {
-                station.base.add_replica(self.bases[x].node);
-            }
-        }
-        for &(c, p) in &self.fed_parents {
-            if c == id.0 {
-                station.registrar.set_parent(self.bases[p].node);
-            } else if p == id.0 {
-                station.registrar.add_child(self.bases[c].node);
-            }
-        }
-        let report = station.recover();
-        let cell = &self.base_cells[id.0];
-        station.registrar.attach_sink(cell.sink.clone());
-        station.base.attach_sink(cell.sink.clone());
-        station.base.attach_tracer(cell.tracer.clone());
-        station.registrar.start(&mut self.sim);
-        station.base.start(&mut self.sim);
-        // Calls that were outstanding at the crash survived in the
-        // recovered `"rpc.calls"` table; re-arm their retransmission
-        // timers under the *same* request ids. The servers' dedup
-        // tables make this safe for at-most-once calls — a resend of a
-        // request that executed before the crash is answered from
-        // cache, never re-executed.
-        for req in station.rpc.rearm_tokens() {
-            let attempts = station.rpc.get(req).map_or(1, |c| c.attempts);
-            let delay = crate::rpc::backoff_delay(req, attempts);
-            let token = self.sim.set_timer(node, delay, crate::rpc::RPC_RETRY_TAG);
-            station.rpc.arm(token, req);
-        }
-        self.bases[id.0] = station;
+        let station = &mut self.bases[id.0];
+        let report = station.restart();
+        station.start(&mut self.sim);
         // Streams: recovery may have rolled history back (a truncated
         // torn tail, a checkpoint-on-anomaly), so drop anything the tap
         // buffered before the crash, re-align publisher revs with the
@@ -584,10 +525,6 @@ impl Platform {
         self.bases[a.0].base.add_neighbor(nb);
         self.bases[b.0].base.add_neighbor(na);
         self.sim.add_wired_link(na, nb);
-        let pair = (a.0.min(b.0), a.0.max(b.0));
-        if !self.fed_neighbors.contains(&pair) {
-            self.fed_neighbors.push(pair);
-        }
     }
 
     /// Makes two bases replicas of each other over a wired backhaul
@@ -603,10 +540,6 @@ impl Platform {
         self.bases[a.0].base.add_replica(nb);
         self.bases[b.0].base.add_replica(na);
         self.sim.add_wired_link(na, nb);
-        let pair = (a.0.min(b.0), a.0.max(b.0));
-        if !self.fed_replicas.contains(&pair) {
-            self.fed_replicas.push(pair);
-        }
     }
 
     /// Full federation between two bases: roaming neighbours *and*
@@ -626,9 +559,6 @@ impl Platform {
         self.bases[child.0].registrar.set_parent(np);
         self.bases[parent.0].registrar.add_child(nc);
         self.sim.add_wired_link(nc, np);
-        if !self.fed_parents.contains(&(child.0, parent.0)) {
-            self.fed_parents.push((child.0, parent.0));
-        }
     }
 
     /// Builds a `branching`-ary registrar tree over every base added so
@@ -642,35 +572,39 @@ impl Platform {
         }
     }
 
-    /// Issues a federated service lookup from `base`: the query enters
-    /// the directory tier at the base's own registrar (loopback) and
-    /// routes through the registrar tree. The answer arrives as
+    /// Issues a federated service lookup from `base` through its
+    /// extension base's discovery client (the base's only one, which
+    /// records into the platform telemetry): the query enters the
+    /// directory tier at the base's own registrar (loopback) and routes
+    /// through the registrar tree. The answer arrives as
     /// [`pmp_discovery::DiscoveryEvent::FedLookupDone`] in
     /// [`Platform::take_discoveries`] after pumping.
     pub fn fed_lookup(&mut self, base: BaseId, query: pmp_discovery::ServiceQuery) -> u64 {
-        let node = self.bases[base.0].node;
-        self.bases[base.0].lookup.fed_lookup(&mut self.sim, node, query)
+        let station = &mut self.bases[base.0];
+        let client = station.base.discovery();
+        client.fed_lookup(&mut self.sim, station.node, query)
     }
 
-    /// Drains the discovery events surfaced at `base` (federated lookup
-    /// results land here).
+    /// Drains the answers to the federated lookups issued from `base`:
+    /// one [`pmp_discovery::DiscoveryEvent::FedLookupDone`] per answered
+    /// [`Platform::fed_lookup`], nothing else.
     pub fn take_discoveries(&mut self, base: BaseId) -> Vec<pmp_discovery::DiscoveryEvent> {
-        std::mem::take(&mut self.bases[base.0].discoveries)
+        self.bases[base.0].base.take_fed_lookups()
     }
 
-    /// Registers a service item at `base`'s own registrar (loopback),
-    /// making it reachable from every other base through the directory
-    /// tier's federated lookups.
+    /// Registers a service item at `base`'s own registrar (loopback)
+    /// through its extension base's discovery client, which renews the
+    /// lease, making it reachable from every other base through the
+    /// directory tier's federated lookups.
     pub fn register_service(
         &mut self,
         base: BaseId,
         item: pmp_discovery::ServiceItem,
         lease_ns: u64,
     ) -> u64 {
-        let node = self.bases[base.0].node;
-        self.bases[base.0]
-            .lookup
-            .register(&mut self.sim, node, item, lease_ns)
+        let station = &mut self.bases[base.0];
+        let client = station.base.discovery();
+        client.register(&mut self.sim, station.node, item, lease_ns)
     }
 
     /// Routes movements of `source_robot` (as observed by `base`) to a
@@ -687,7 +621,8 @@ impl Platform {
     }
 
     /// Issues a remote service call to `target` from `base`'s node
-    /// (Fig. 2: the remote invocation of `m_R`). The outcome arrives in
+    /// (Fig. 2: the remote invocation of `m_R`) with `Maybe` semantics:
+    /// one transmission, no retries. The outcome arrives in
     /// [`Platform::take_rpc_outcomes`] after pumping.
     pub fn rpc(
         &mut self,
@@ -698,33 +633,16 @@ impl Platform {
         method: &str,
         args: Vec<i64>,
     ) -> u64 {
-        let req = self.next_req;
-        self.next_req += 1;
-        let msg = RpcMsg::Call {
-            caller: caller.to_string(),
-            class: class.to_string(),
-            method: method.to_string(),
-            args,
-            req,
-        };
-        let from = self.bases[base.0].node;
-        let to = self.nodes[target.0].node;
-        let ctx = self.base_cells[base.0].tracer.root(
-            self.sim.now().0,
-            "rpc.call",
-            &format!("{class}.{method} -> n{}", to.0),
-        );
-        self.note_rpc_issue(req);
-        self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
-        req
+        use crate::rpc::InvocationSemantics::Maybe;
+        self.rpc_with(base, target, caller, class, method, args, Maybe)
     }
 
     /// Issues a remote service call with explicit invocation semantics
-    /// (DESIGN.md §17). [`InvocationSemantics::Maybe`](crate::rpc::InvocationSemantics::Maybe)
-    /// behaves exactly like [`Platform::rpc`]: one transmission, no
-    /// retries. The other two register the call with `base`'s durable
-    /// RPC engine, which retransmits on a deterministic exponential
-    /// backoff until the first reply or the attempt budget resolves it.
+    /// (DESIGN.md §17). A `Maybe` call is sent once, as a plain
+    /// [`RpcMsg::Call`](crate::RpcMsg::Call). The other two register the call with `base`'s
+    /// durable RPC engine, which retransmits on a deterministic
+    /// exponential backoff until the first reply or the attempt budget
+    /// resolves it.
     #[allow(clippy::too_many_arguments)]
     pub fn rpc_with(
         &mut self,
@@ -736,47 +654,39 @@ impl Platform {
         args: Vec<i64>,
         sem: crate::rpc::InvocationSemantics,
     ) -> u64 {
-        if sem == crate::rpc::InvocationSemantics::Maybe {
-            return self.rpc(base, target, caller, class, method, args);
-        }
         let req = self.next_req;
         self.next_req += 1;
         let from = self.bases[base.0].node;
         let to = self.nodes[target.0].node;
         let now = self.sim.now().0;
-        let msg = RpcMsg::CallSem {
+        let tracked = sem != crate::rpc::InvocationSemantics::Maybe;
+        let detail = if tracked {
+            format!("{class}.{method} [{sem}] -> n{}", to.0)
+        } else {
+            format!("{class}.{method} -> n{}", to.0)
+        };
+        let ctx = self.base_cells[base.0]
+            .tracer
+            .root(now, "rpc.call", &detail);
+        let call = crate::rpc::PendingCall {
+            target: to.0,
+            sem,
             caller: caller.to_string(),
             class: class.to_string(),
             method: method.to_string(),
-            args: args.clone(),
-            req,
-            sem,
-            attempt: 1,
+            args,
+            attempts: 1,
+            issued_at: now,
         };
-        let ctx = self.base_cells[base.0].tracer.root(
-            now,
-            "rpc.call",
-            &format!("{class}.{method} [{sem}] -> n{}", to.0),
-        );
-        let station = &mut self.bases[base.0];
-        station.rpc.issue(
-            req,
-            crate::rpc::PendingCall {
-                target: to.0,
-                sem,
-                caller: caller.to_string(),
-                class: class.to_string(),
-                method: method.to_string(),
-                args,
-                attempts: 1,
-                issued_at: now,
-            },
-        );
+        let msg = call.message(req);
+        if tracked {
+            self.bases[base.0].rpc.issue(req, call);
+        }
         self.note_rpc_issue(req);
         self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
-        let delay = crate::rpc::backoff_delay(req, 1);
-        let token = self.sim.set_timer(from, delay, crate::rpc::RPC_RETRY_TAG);
-        self.bases[base.0].rpc.arm(token, req);
+        if tracked {
+            self.bases[base.0].rpc.arm_retry(&mut self.sim, from, req);
+        }
         req
     }
 

@@ -4,8 +4,9 @@
 //! call, hope the radio cooperates. A hall with 20%+ link loss needs
 //! the classic spectrum instead — selectable per call:
 //!
-//! * **Maybe** — one transmission, no retries, no dedup. The legacy
-//!   [`crate::Platform::rpc`] behaviour, byte-identical on the wire.
+//! * **Maybe** — one transmission, no retries, no dedup. The default
+//!   of [`crate::Platform::rpc`]; it travels as the plain
+//!   [`RpcMsg::Call`], which carries no semantics field.
 //! * **At-least-once** — the caller's base retransmits on a
 //!   deterministic exponential-backoff schedule until a reply arrives
 //!   or the attempt budget is exhausted. The server executes every
@@ -26,8 +27,9 @@
 //! retrying with the same request ids and the servers' dedup tables
 //! keep filtering them.
 
+use crate::wiring::RpcMsg;
 use pmp_durable::{DurableError, DurableHub, Store};
-use pmp_net::SimRng;
+use pmp_net::{NetPort, NodeId, SimRng};
 use pmp_wire::{wire_enum, wire_struct, Reader, Wire, Writer};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -105,12 +107,13 @@ pub fn backoff_delay(req: u64, attempt: u32) -> u64 {
     base.saturating_add(rng.range_u64(RPC_JITTER_NS))
 }
 
-/// One outstanding (unresolved) call in the engine.
+/// One remote call as issued; the engine holds the outstanding ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingCall {
     /// Destination node id (raw `NodeId.0`).
     pub target: u32,
-    /// Requested semantics (never `Maybe` — those bypass the engine).
+    /// Requested semantics (`Maybe` calls are sent once and never
+    /// enter the engine).
     pub sem: InvocationSemantics,
     /// Caller identity.
     pub caller: String,
@@ -136,6 +139,39 @@ wire_struct!(PendingCall {
     attempts: u32,
     issued_at: u64,
 });
+
+impl PendingCall {
+    /// The message that transmits attempt `attempts` of this call as
+    /// request `req`: a plain [`RpcMsg::Call`] for `Maybe`, a
+    /// [`RpcMsg::CallSem`] naming the semantics otherwise.
+    #[must_use]
+    pub fn message(&self, req: u64) -> RpcMsg {
+        let (caller, class, method, args) = (
+            self.caller.clone(),
+            self.class.clone(),
+            self.method.clone(),
+            self.args.clone(),
+        );
+        match self.sem {
+            InvocationSemantics::Maybe => RpcMsg::Call {
+                caller,
+                class,
+                method,
+                args,
+                req,
+            },
+            sem => RpcMsg::CallSem {
+                caller,
+                class,
+                method,
+                args,
+                req,
+                sem,
+                attempt: self.attempts,
+            },
+        }
+    }
+}
 
 /// WAL operations of the caller-side call table.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,8 +213,8 @@ pub const RESOLVED_MEMORY: usize = 1_024;
 /// are durable so a crash → restart resumes retrying with the *same*
 /// request ids (the server's dedup table then makes resumption safe
 /// for at-most-once calls). Timer tokens are deliberately *not*
-/// durable: [`RpcEngine::rearm_tokens`] hands the restart path the
-/// outstanding set so the platform can arm fresh timers.
+/// durable: [`crate::BaseStation::start`] arms a fresh timer for every
+/// call in [`RpcEngine::rearm_tokens`].
 #[derive(Debug, Default)]
 pub struct RpcEngine {
     calls: BTreeMap<u64, PendingCall>,
@@ -270,15 +306,23 @@ impl RpcEngine {
         self.resolved.len()
     }
 
-    /// Outstanding request ids in ascending order — the restart path
-    /// iterates this to arm fresh retransmission timers.
+    /// Outstanding request ids in ascending order — a restarted base
+    /// arms a fresh retransmission timer for each.
     #[must_use]
     pub fn rearm_tokens(&self) -> Vec<u64> {
         self.calls.keys().copied().collect()
     }
 
-    /// Associates a live timer token with `req`.
-    pub fn arm(&mut self, token: u64, req: u64) {
+    /// Arms the retransmission timer of outstanding call `req` on
+    /// `node`: the backoff step after the attempts it has made. The one
+    /// place a retry timer is set — on issue, after each
+    /// retransmission, and for every recovered call at restart.
+    pub fn arm_retry(&mut self, port: &mut dyn NetPort, node: NodeId, req: u64) {
+        let Some(call) = self.calls.get(&req) else {
+            return;
+        };
+        let delay = backoff_delay(req, call.attempts);
+        let token = port.set_timer(node, delay, RPC_RETRY_TAG);
         self.timers.insert(token, req);
     }
 
@@ -501,21 +545,62 @@ mod tests {
         }
     }
 
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
+
+    /// The backoff schedule is a pure function of its inputs — no wall
+    /// clock, no hidden state — and bounded by the first timeout below
+    /// and cap + jitter above, for any request id and attempt.
     #[test]
-    fn backoff_is_pure_exponential_and_capped() {
-        for req in [1u64, 17, 900] {
-            for attempt in 1..=12u32 {
-                let a = backoff_delay(req, attempt);
-                let b = backoff_delay(req, attempt);
-                assert_eq!(a, b, "schedule must be pure");
-                assert!(a >= RPC_TIMEOUT_NS);
-                assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS);
-            }
+    fn backoff_is_pure_and_bounded() {
+        let mut rng = SimRng::new(0xB0FF);
+        for case in 0..CASES {
+            let req = rng.next_u64();
+            let attempt = 1 + rng.range_u64(15) as u32;
+            let a = backoff_delay(req, attempt);
+            assert_eq!(a, backoff_delay(req, attempt), "case {case}: impure");
+            assert!(a >= RPC_TIMEOUT_NS, "case {case}: {a}");
+            assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS, "case {case}: {a}");
         }
         // Doubling dominates the jitter for early attempts.
         let d1 = backoff_delay(5, 1);
         let d3 = backoff_delay(5, 3);
         assert!(d3 > d1);
+    }
+
+    /// Under any retry/loss interleaving — duplicate arrivals of any of
+    /// eight calls, in any order — an at-most-once request executes at
+    /// most once while the dedup table has room for the distinct ids in
+    /// flight, and every other arrival is a cache hit.
+    #[test]
+    fn dedup_never_reexecutes() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let arrivals = 1 + rng.range_u64(63);
+            let mut server = RpcServer::new();
+            let mut executions = [0u32; 8];
+            for _ in 0..arrivals {
+                let idx = rng.range_u64(8) as usize;
+                let req = 100 + idx as u64;
+                if server.dedup.lookup(req).is_none() {
+                    executions[idx] += 1;
+                    server.note_execution(req, InvocationSemantics::AtMostOnce);
+                    server.dedup.insert(req, true, format!("v{idx}"));
+                } else {
+                    server.dedup.hits += 1;
+                }
+            }
+            assert!(
+                executions.iter().all(|&n| n <= 1),
+                "seed {seed}: executions {executions:?}"
+            );
+            assert_eq!(server.duplicate_at_most_once_executions(), 0, "seed {seed}");
+            assert_eq!(
+                server.dedup.hits + server.dedup.len() as u64,
+                arrivals,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -601,49 +686,5 @@ mod tests {
         s.note_execution(1, InvocationSemantics::AtMostOnce);
         assert_eq!(s.duplicate_at_most_once_executions(), 1);
         assert_eq!(s.delivered(InvocationSemantics::AtLeastOnce), 1);
-    }
-}
-
-#[cfg(all(test, feature = "proptest"))]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Under arbitrary retry/loss interleavings — duplicate
-        /// arrivals of any call in any order — an at-most-once request
-        /// is executed at most once, as long as the dedup table has
-        /// capacity for the distinct ids in flight.
-        #[test]
-        fn dedup_never_reexecutes(arrivals in proptest::collection::vec(0usize..8, 1..64)) {
-            let mut server = RpcServer::new();
-            let mut executions = [0u32; 8];
-            for idx in arrivals {
-                let req = 100 + idx as u64;
-                if server.dedup.lookup(req).is_none() {
-                    executions[idx] += 1;
-                    server.note_execution(req, InvocationSemantics::AtMostOnce);
-                    server.dedup.insert(req, true, format!("v{idx}"));
-                } else {
-                    server.dedup.hits += 1;
-                }
-            }
-            for n in executions {
-                prop_assert!(n <= 1, "at-most-once executed {n} times");
-            }
-            prop_assert_eq!(server.duplicate_at_most_once_executions(), 0);
-        }
-
-        /// The backoff schedule is a pure function of its inputs: no
-        /// wall clock, no hidden state, monotone in the attempt number
-        /// up to the cap, and bounded by cap + jitter.
-        #[test]
-        fn backoff_is_deterministic(req in any::<u64>(), attempt in 1u32..16) {
-            let a = backoff_delay(req, attempt);
-            let b = backoff_delay(req, attempt);
-            prop_assert_eq!(a, b);
-            prop_assert!(a >= RPC_TIMEOUT_NS);
-            prop_assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS);
-        }
     }
 }

@@ -118,6 +118,16 @@ impl DiscoveryClient {
         }
     }
 
+    /// Restarts the client in place after its host crashed: known
+    /// registrars, registrations, request ids and timers reset; its
+    /// registrar timeout and sink stay. Call [`DiscoveryClient::start`]
+    /// again afterwards.
+    pub fn restart(&mut self) {
+        let old = std::mem::replace(self, DiscoveryClient::new(self.node));
+        self.registrar_timeout_ns = old.registrar_timeout_ns;
+        self.telemetry = old.telemetry;
+    }
+
     /// Records client activity (`discovery.client.*` counters: requests
     /// sent, lookup round-trips completed) through `sink` instead of
     /// the client's private one.

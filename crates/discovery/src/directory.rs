@@ -67,6 +67,13 @@ impl Directory {
         self.children.iter().copied().collect()
     }
 
+    /// Forgets the learned routes and the last advert (the next sweep
+    /// advertises afresh); keeps the tree edges.
+    pub(crate) fn restart(&mut self) {
+        self.routes.clear();
+        self.last_advert = None;
+    }
+
     /// Absorbs a child's advertisement: `types` replaces everything
     /// previously routed through `child`. Returns `true` when the set
     /// of reachable types changed (so the host should re-advertise).

@@ -60,6 +60,17 @@ impl Registrar {
         }
     }
 
+    /// Restarts the registrar in place after a crash: its service table,
+    /// timers and learned routes reset; its name, sink and place in the
+    /// federation tree stay. Call [`Registrar::start`] again afterwards.
+    pub fn restart(&mut self) {
+        let fresh = Registrar::new(self.node, std::mem::take(&mut self.name));
+        let old = std::mem::replace(self, fresh);
+        self.telemetry = old.telemetry;
+        self.directory = old.directory;
+        self.directory.restart();
+    }
+
     /// Wires this registrar under `parent` in the federation tree.
     /// The reachable-type advert is pushed on the next mutation (or
     /// sweep), so late federation still converges.
@@ -141,11 +152,6 @@ impl Registrar {
     /// Number of live registrations.
     pub fn service_count(&self) -> usize {
         self.services.len()
-    }
-
-    /// Snapshot of live items.
-    pub fn services(&self) -> Vec<ServiceItem> {
-        self.services.values().map(|(i, _)| i.clone()).collect()
     }
 
     /// Drains accumulated events.

@@ -6,7 +6,7 @@ use crate::catalog::Catalog;
 use crate::durable::BaseWalOp;
 use crate::package::SignedExtension;
 use crate::proto::{MidasMsg, CHANNEL};
-use pmp_discovery::{DiscoveryClient, DiscoveryEvent, ServiceQuery};
+use pmp_discovery::{DiscoveryClient, DiscoveryEvent, ServiceItem, ServiceQuery};
 use pmp_durable::{DurableHub, Store};
 use pmp_net::{Incoming, NetPort, NodeId};
 use pmp_telemetry::{Fnv64, Sink, Subsystem};
@@ -129,6 +129,8 @@ pub struct ExtensionBase {
     /// catalog, so every later ship of it (catalog delivery, dependency
     /// request, redelivery) joins the same adaptation span tree.
     publish_ctx: HashMap<String, TraceCtx>,
+    /// Answers to the host's federated lookups, until drained.
+    fed_lookups: Vec<DiscoveryEvent>,
 }
 
 impl ExtensionBase {
@@ -159,7 +161,29 @@ impl ExtensionBase {
             durable: None,
             tracer: Tracer::new(node.0),
             publish_ctx: HashMap::new(),
+            fed_lookups: Vec::new(),
         }
+    }
+
+    /// Restarts the base in place after its host crashed: catalog,
+    /// lease table, roaming cache, grant counter and scan state go back
+    /// to what [`ExtensionBase::new`] makes and the discovery client
+    /// restarts, ready for WAL recovery and [`ExtensionBase::start`].
+    /// What the base was configured with survives: lease, scan
+    /// interval, roam cap, neighbours, replicas, storage engine, sink
+    /// and tracer.
+    pub fn restart(&mut self) {
+        let old = std::mem::replace(self, ExtensionBase::new(self.node, self.registrar));
+        self.lease_ns = old.lease_ns;
+        self.scan_interval_ns = old.scan_interval_ns;
+        self.roam_cap = old.roam_cap;
+        self.neighbors = old.neighbors;
+        self.replicas = old.replicas;
+        self.durable = old.durable;
+        self.tracer = old.tracer;
+        self.telemetry = old.telemetry;
+        self.discovery = old.discovery;
+        self.discovery.restart();
     }
 
     /// Mints ship spans on the host cell's span factory instead of the
@@ -250,11 +274,6 @@ impl ExtensionBase {
     /// handoffs.
     pub fn foreign_ids(&self) -> Vec<String> {
         self.foreign.keys().cloned().collect()
-    }
-
-    /// Replica peers, in registration order.
-    pub fn replicas(&self) -> &[NodeId] {
-        &self.replicas
     }
 
     /// Overrides the roaming-table capacity (default 64 entries).
@@ -477,9 +496,15 @@ impl ExtensionBase {
         self.scan_token = Some(sim.set_timer(self.node, self.scan_interval_ns, SCAN_TAG));
     }
 
-    /// Drains accumulated events.
-    pub fn take_events(&mut self) -> Vec<BaseEvent> {
-        std::mem::take(&mut self.events)
+    /// The base's discovery client — its node's only one — for the
+    /// host's federated lookups and service registrations.
+    pub fn discovery(&mut self) -> &mut DiscoveryClient {
+        &mut self.discovery
+    }
+
+    /// Drains the client's [`DiscoveryEvent::FedLookupDone`] answers.
+    pub fn take_fed_lookups(&mut self) -> Vec<DiscoveryEvent> {
+        std::mem::take(&mut self.fed_lookups)
     }
 
     /// The name of the adapted node at network id `node`, if any.
@@ -633,120 +658,124 @@ impl ExtensionBase {
             other => {
                 // Everything else may belong to the discovery client.
                 for ev in self.discovery.handle(sim, other) {
-                    self.handle_discovery(sim, ev);
+                    match ev {
+                        DiscoveryEvent::LookupDone { req, items } => {
+                            self.scan_done(sim, req, &items);
+                        }
+                        done @ DiscoveryEvent::FedLookupDone { .. } => self.fed_lookups.push(done),
+                        _ => {}
+                    }
                 }
             }
         }
         std::mem::take(&mut self.events)
     }
 
-    fn handle_discovery(&mut self, sim: &mut dyn NetPort, ev: DiscoveryEvent) {
-        if let DiscoveryEvent::LookupDone { req, items } = ev {
-            if self.pending_scan != Some(req) {
-                return;
-            }
-            self.pending_scan = None;
-            let now = sim.now();
-            let _ = now;
-            // Mark presence.
-            let mut present: HashMap<String, NodeId> = HashMap::new();
-            for item in &items {
-                present.insert(item.name.clone(), NodeId(item.provider));
-            }
-            // New nodes: deliver the catalog.
-            let mut new_nodes: Vec<(String, NodeId)> = present
-                .iter()
-                .filter(|(name, _)| {
-                    self.adapted.get(*name).is_none_or(|a| !a.present)
-                })
-                .map(|(n, id)| (n.clone(), *id))
-                .collect();
-            // Deliver in name order — catalog sends are observable.
-            new_nodes.sort();
-            for (name, node) in new_nodes {
-                if let Some(entry) = self.roaming_cache.get(&name).cloned() {
-                    // The node roamed here with a migratable record:
-                    // take over its leases instead of re-delivering.
-                    let (rebound, delivered) = self.adopt_roamer(sim, node, &name, &entry);
-                    self.roam_drop(&name);
-                    self.events.push(BaseEvent::NodeMigrated {
-                        node_name: name,
-                        rebound,
-                        delivered,
-                    });
-                } else {
-                    let delivered = self.deliver_catalog(sim, node, &name);
-                    self.events.push(BaseEvent::NodeDiscovered {
-                        node_name: name,
-                        delivered,
-                    });
-                }
-            }
-            // Known nodes still present: keep their leases alive.
-            let mut renewals: Vec<(NodeId, Vec<u64>)> = self
-                .adapted
-                .iter()
-                .filter(|(name, a)| a.present && present.contains_key(*name))
-                .map(|(_, a)| {
-                    let mut grants: Vec<u64> = a.grants.values().copied().collect();
-                    grants.sort_unstable();
-                    (a.node, grants)
-                })
-                .collect();
-            renewals.sort_by_key(|(n, _)| n.0);
-            for (node, grants) in renewals {
-                for grant in grants {
-                    let msg = MidasMsg::LeaseRenew { grant };
-                    self.send(sim, node, &msg, TraceCtx::NIL);
-                    self.telemetry.inc("midas.base.lease_renewals_sent");
-                }
-            }
-            // Departed nodes: mark, event, and roam.
-            let mut departed: Vec<String> = self
-                .adapted
-                .iter()
-                .filter(|(name, a)| a.present && !present.contains_key(*name))
-                .map(|(name, _)| name.clone())
-                .collect();
-            departed.sort();
-            for name in departed {
-                let Some(a) = self.adapted.get(&name) else {
-                    continue;
-                };
-                // Sorted map: the grants travel inside the handoff
-                // payload, so their order is byte-observable.
-                let grants: BTreeMap<String, u64> =
-                    a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
-                // Migratable handoff: the leases *and* the signed
-                // packages behind them, so the adopting base can take
-                // over without re-delivering anything.
-                let mut exts = Vec::new();
-                for id in grants.keys() {
-                    let ext = self
-                        .catalog
-                        .get(id)
-                        .cloned()
-                        .or_else(|| self.foreign.get(id).cloned());
-                    if let Some(ext) = ext {
-                        exts.push(ext);
-                    }
-                }
-                let neighbors = self.neighbors.clone();
-                for nb in neighbors {
-                    let msg = MidasMsg::HandoffState {
-                        node_name: name.clone(),
-                        grants: grants.clone(),
-                        exts: exts.clone(),
-                    };
-                    self.send(sim, nb, &msg, TraceCtx::NIL);
-                    self.telemetry.inc("midas.base.handoffs_sent");
-                }
-                self.commit_op(BaseWalOp::Presence {
-                    name: name.clone(),
-                    present: false,
+    /// Acts on the answer to a presence scan: delivers the catalog to
+    /// newcomers (or adopts roamers), renews the leases of nodes still
+    /// here, and hands departed nodes off to the neighbours.
+    fn scan_done(&mut self, sim: &mut dyn NetPort, req: u64, items: &[ServiceItem]) {
+        if self.pending_scan != Some(req) {
+            return;
+        }
+        self.pending_scan = None;
+        // Mark presence.
+        let mut present: HashMap<String, NodeId> = HashMap::new();
+        for item in items {
+            present.insert(item.name.clone(), NodeId(item.provider));
+        }
+        // New nodes: deliver the catalog.
+        let mut new_nodes: Vec<(String, NodeId)> = present
+            .iter()
+            .filter(|(name, _)| self.adapted.get(*name).is_none_or(|a| !a.present))
+            .map(|(n, id)| (n.clone(), *id))
+            .collect();
+        // Deliver in name order — catalog sends are observable.
+        new_nodes.sort();
+        for (name, node) in new_nodes {
+            if let Some(entry) = self.roaming_cache.get(&name).cloned() {
+                // The node roamed here with a migratable record:
+                // take over its leases instead of re-delivering.
+                let (rebound, delivered) = self.adopt_roamer(sim, node, &name, &entry);
+                self.roam_drop(&name);
+                self.events.push(BaseEvent::NodeMigrated {
+                    node_name: name,
+                    rebound,
+                    delivered,
                 });
-                self.events.push(BaseEvent::NodeDeparted { node_name: name });
+            } else {
+                let delivered = self.deliver_catalog(sim, node, &name);
+                self.events.push(BaseEvent::NodeDiscovered {
+                    node_name: name,
+                    delivered,
+                });
             }
+        }
+        // Known nodes still present: keep their leases alive.
+        let mut renewals: Vec<(NodeId, Vec<u64>)> = self
+            .adapted
+            .iter()
+            .filter(|(name, a)| a.present && present.contains_key(*name))
+            .map(|(_, a)| {
+                let mut grants: Vec<u64> = a.grants.values().copied().collect();
+                grants.sort_unstable();
+                (a.node, grants)
+            })
+            .collect();
+        renewals.sort_by_key(|(n, _)| n.0);
+        for (node, grants) in renewals {
+            for grant in grants {
+                let msg = MidasMsg::LeaseRenew { grant };
+                self.send(sim, node, &msg, TraceCtx::NIL);
+                self.telemetry.inc("midas.base.lease_renewals_sent");
+            }
+        }
+        // Departed nodes: mark, event, and roam.
+        let mut departed: Vec<String> = self
+            .adapted
+            .iter()
+            .filter(|(name, a)| a.present && !present.contains_key(*name))
+            .map(|(name, _)| name.clone())
+            .collect();
+        departed.sort();
+        for name in departed {
+            let Some(a) = self.adapted.get(&name) else {
+                continue;
+            };
+            // Sorted map: the grants travel inside the handoff
+            // payload, so their order is byte-observable.
+            let grants: BTreeMap<String, u64> =
+                a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            // Migratable handoff: the leases *and* the signed
+            // packages behind them, so the adopting base can take
+            // over without re-delivering anything.
+            let mut exts = Vec::new();
+            for id in grants.keys() {
+                let ext = self
+                    .catalog
+                    .get(id)
+                    .cloned()
+                    .or_else(|| self.foreign.get(id).cloned());
+                if let Some(ext) = ext {
+                    exts.push(ext);
+                }
+            }
+            let neighbors = self.neighbors.clone();
+            for nb in neighbors {
+                let msg = MidasMsg::HandoffState {
+                    node_name: name.clone(),
+                    grants: grants.clone(),
+                    exts: exts.clone(),
+                };
+                self.send(sim, nb, &msg, TraceCtx::NIL);
+                self.telemetry.inc("midas.base.handoffs_sent");
+            }
+            self.commit_op(BaseWalOp::Presence {
+                name: name.clone(),
+                present: false,
+            });
+            self.events
+                .push(BaseEvent::NodeDeparted { node_name: name });
         }
     }
 
@@ -978,5 +1007,50 @@ impl ExtensionBase {
             | MidasMsg::Replace { .. }
             | MidasMsg::GrantTransfer { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::durable::tests::ops;
+    use pmp_durable::Durable;
+
+    /// A restart forgets what the base remembers and keeps what it was
+    /// configured with; recovery then brings the memory back from the
+    /// log and leaves the settings alone.
+    #[test]
+    fn a_restart_keeps_the_settings_and_forgets_the_state_until_recovery() {
+        let hub = DurableHub::new();
+        let mut base = ExtensionBase::new(NodeId(1), NodeId(1));
+        base.attach_durable(hub.clone());
+        base.set_lease(2_500_000_000);
+        base.set_scan_interval(250_000_000);
+        base.set_roam_cap(3);
+        base.add_neighbor(NodeId(8));
+        base.add_replica(NodeId(9));
+        for op in ops() {
+            base.commit_op(op);
+        }
+        hub.commit();
+        let digest = base.state_digest();
+        assert!(!base.catalog.ids().is_empty() && !base.adapted.is_empty());
+        assert!(!base.roaming_cache.is_empty() && !base.foreign.is_empty());
+
+        base.restart();
+        let settings = |b: &ExtensionBase| (b.lease_ns, b.scan_interval_ns, b.roam_cap);
+        assert_eq!(settings(&base), (2_500_000_000, 250_000_000, 3));
+        assert_eq!(base.neighbors(), [NodeId(8)]);
+        assert_eq!(base.replicas, [NodeId(9)]);
+        assert!(base.catalog.ids().is_empty(), "no catalog entry");
+        assert!(base.adapted.is_empty(), "no lease-table entry");
+        assert!(base.roaming_cache.is_empty(), "no roaming entry");
+        assert!(base.foreign.is_empty());
+        assert_eq!(base.next_grant, 1);
+
+        hub.crash();
+        assert!(hub.recover(&mut [&mut base]).is_clean());
+        assert_eq!(base.state_digest(), digest);
+        assert_eq!(settings(&base), (2_500_000_000, 250_000_000, 3));
     }
 }

@@ -370,7 +370,7 @@ impl Store for ExtensionBase {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::package::{ExtensionMeta, ExtensionPackage};
     use pmp_crypto::KeyPair;
@@ -406,7 +406,8 @@ mod tests {
         ExtensionBase::new(NodeId(1), NodeId(1))
     }
 
-    fn ops() -> Vec<BaseWalOp> {
+    /// One op of every kind, in an order a fresh base accepts.
+    pub(crate) fn ops() -> Vec<BaseWalOp> {
         vec![
             BaseWalOp::CatalogPut { ext: ext("mon", 1) },
             BaseWalOp::CatalogPut { ext: ext("acl", 1) },

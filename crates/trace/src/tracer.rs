@@ -58,12 +58,6 @@ impl Tracer {
         self.inner.lock().enabled = on;
     }
 
-    /// The node this tracer stamps spans with.
-    #[must_use]
-    pub fn node(&self) -> u32 {
-        self.inner.lock().node
-    }
-
     fn push(
         inner: &mut TracerInner,
         trace_id: u64,
@@ -156,12 +150,6 @@ impl Tracer {
         }
     }
 
-    /// Number of armed (unfired) interception watches.
-    #[must_use]
-    pub fn pending_watches(&self) -> usize {
-        self.inner.lock().watches.len()
-    }
-
     /// Takes every span finished since the last drain, in the order
     /// they were minted (the barrier feed for the [`crate::Collector`]
     /// and the node's [`crate::FlightRecorder`]).
@@ -218,14 +206,12 @@ mod tests {
         let _ = t.drain();
         t.poll_interception(50, 5);
         assert!(t.drain().is_empty(), "at baseline: not fired");
-        assert_eq!(t.pending_watches(), 1);
         t.poll_interception(60, 6);
         let spans = t.drain();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "midas.intercept");
         assert_eq!(spans[0].parent_id, weave.span_id);
         assert_eq!(spans[0].start, 60);
-        assert_eq!(t.pending_watches(), 0);
         t.poll_interception(70, 9);
         assert!(t.drain().is_empty(), "a watch fires once");
     }

@@ -1,6 +1,7 @@
 //! The federated base fabric through the full platform: directory-tier
 //! lookups over a registrar tree, re-delivery-free roaming between
-//! replicated halls, and federation topology surviving a base restart.
+//! replicated halls, and federation topology and base settings
+//! surviving a base restart.
 
 use pmp::core::scenario::{ProductionHalls, IN_HALL_A, IN_HALL_B};
 use pmp::core::{BaseId, Platform};
@@ -8,6 +9,7 @@ use pmp::discovery::{DiscoveryEvent, ServiceItem, ServiceQuery};
 use pmp::net::Position;
 
 const SEC: u64 = 1_000_000_000;
+const MS: u64 = 1_000_000;
 
 /// 16 bases in a 4-ary registrar tree: a lookup entered at the deepest
 /// leftmost leaf finds a service registered at the deepest rightmost
@@ -126,16 +128,22 @@ fn federated_roam_migrates_grants_and_history_without_redelivery() {
     );
 }
 
-/// Federation topology is operator configuration: after hall B crashes
-/// and restarts, its neighbour links, replica links, and directory
-/// parent are re-applied, so a robot roaming into the rebooted hall is
-/// still adopted without re-delivery and federated lookups entered
-/// there still resolve.
+/// Federation topology and base settings are configuration: hall B
+/// restarts in place, keeping its neighbour links, replica links,
+/// directory parent, lease, scan interval and roam cap, so a robot
+/// roaming into the rebooted hall is still adopted without re-delivery
+/// under B's own lease, and federated lookups entered there still
+/// resolve — through B's one discovery client, whose counters reach
+/// the platform telemetry.
 #[test]
 fn federation_topology_survives_base_restart() {
     let mut w = ProductionHalls::build(31);
     w.platform.federate_bases(w.base_a, w.base_b);
     w.platform.set_directory_parent(w.base_b, w.base_a);
+    let b = &mut w.platform.base_mut(w.base_b).base;
+    b.set_lease(2_500 * MS);
+    b.set_scan_interval(500 * MS);
+    b.set_roam_cap(16);
     w.platform.pump(10 * SEC);
 
     let provider = w.platform.base(w.base_a).node;
@@ -172,18 +180,44 @@ fn federation_topology_survives_base_restart() {
         0,
         "adoption after the restart is still re-delivery-free"
     );
+    // ...under the 2.5-s lease B was configured with before the crash.
+    let now = w.platform.now().0;
+    for (id, deadline) in node.receiver.lease_deadlines() {
+        assert!(
+            deadline <= now + 2_500 * MS,
+            "{id}: lease ends {} ms from now, past hall B's 2.5-s lease",
+            (deadline - now) / MS
+        );
+    }
 
     // ...and its directory parent came back: a federated lookup entered
     // at B routes up to A and finds the service.
     let req = w.platform.fed_lookup(w.base_b, ServiceQuery::of_type("paint"));
     w.platform.pump(2 * SEC);
-    let found = w
-        .platform
-        .take_discoveries(w.base_b)
-        .into_iter()
-        .any(|e| matches!(e, DiscoveryEvent::FedLookupDone { req: r, items, .. }
-            if r == req && items.len() == 1));
-    assert!(found, "directory tier must survive the restart");
+    let found = w.platform.take_discoveries(w.base_b);
+    assert_eq!(
+        found.len(),
+        1,
+        "only the lookup's answer comes back: {found:?}"
+    );
+    assert!(
+        matches!(&found[0], DiscoveryEvent::FedLookupDone { req: r, items, .. }
+            if *r == req && items.len() == 1),
+        "directory tier must survive the restart: {found:?}"
+    );
+    // One discovery client per base, counting into the platform
+    // telemetry: the lookup is seen leaving and coming back once, and
+    // no scan reply is counted twice.
+    let tel = w.platform.telemetry();
+    assert_eq!(tel.counter_value("discovery.client.fed_lookups_sent"), 1);
+    assert_eq!(
+        tel.counter_value("discovery.client.fed_lookup_roundtrips"),
+        1
+    );
+    assert!(
+        tel.counter_value("discovery.client.lookup_roundtrips")
+            <= tel.counter_value("discovery.client.lookups_sent")
+    );
 
     // Move home again so the world ends quiescent (and the reverse
     // handoff also works against the restarted topology).
