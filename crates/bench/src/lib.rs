@@ -561,7 +561,8 @@ pub fn fed_lookup_run(bases: usize, branching: usize) -> FedLookupResult {
         ServiceItem::new("print", "laser", provider.0),
         3_600 * SEC,
     );
-    // Registration + DirAdvertise propagation up the tree.
+    // Registration, then the route exchange (digest → pull → push)
+    // climbs the tree one level per registrar sweep.
     p.pump(3 * SEC);
 
     let mut origin = 1usize.min(bases.saturating_sub(1));

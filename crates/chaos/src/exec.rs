@@ -483,6 +483,19 @@ fn apply(w: &mut World, op: &Op) {
         Op::SlowLinks { mult } => {
             w.p.sim.scale_link_latency(u32::from(mult.max(1)));
         }
+        Op::DirParent { child, parent } => {
+            let (Some(&bc), Some(&bp)) = (
+                w.bases.get(usize::from(child)),
+                w.bases.get(usize::from(parent)),
+            ) else {
+                return;
+            };
+            let parented = w.st.dir_edges.iter().any(|&(c, _)| c == child);
+            if parent < child && !parented {
+                w.p.set_directory_parent(bc, bp);
+                w.st.dir_edges.insert((child, parent));
+            }
+        }
     }
 }
 

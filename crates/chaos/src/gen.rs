@@ -87,6 +87,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
 
     // The generator's model of the evolving world.
     let mut crashed = vec![false; usize::from(halls)];
+    let mut parented = vec![false; usize::from(halls)];
     let mut node_count = u64::from(robots);
     let mut sub_count: u64 = 0;
     let mut versions: BTreeMap<(u8, ExtKind), u32> = BTreeMap::new();
@@ -105,7 +106,18 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
         let at_ms = t_ms as u32;
         let hall_of = |rng: &mut SimRng| rng.range_u64(u64::from(halls)) as u8;
         let kind_of = |rng: &mut SimRng| ALL_KINDS[rng.range_u64(ALL_KINDS.len() as u64) as usize];
+        // Bases that may still take a directory parent (base 0 is
+        // every tree's root).
+        let orphans: Vec<u8> = (1..halls).filter(|&i| !parented[usize::from(i)]).collect();
         let op = match rng.range_u64(100) {
+            13..=14 if !orphans.is_empty() => {
+                let child = orphans[rng.range_u64(orphans.len() as u64) as usize];
+                parented[usize::from(child)] = true;
+                Op::DirParent {
+                    child,
+                    parent: rng.range_u64(u64::from(child)) as u8,
+                }
+            }
             0..=14 => Op::MoveToHall {
                 node: pick_node(&mut rng, node_count),
                 hall: hall_of(&mut rng),
@@ -304,6 +316,26 @@ mod tests {
                 "seed {seed} leaves a base crashed at settle"
             );
         }
+    }
+
+    /// Directory edges form a forest: a parent's index is below its
+    /// child's, and no child is parented twice.
+    #[test]
+    fn directory_edges_form_a_forest() {
+        let cfg = GenConfig::default();
+        let mut edges = 0;
+        for seed in 0..200 {
+            let sc = generate(seed, &cfg);
+            let mut parented = std::collections::BTreeSet::new();
+            for s in &sc.steps {
+                if let Op::DirParent { child, parent } = s.op {
+                    assert!(parent < child && child < sc.topology.halls, "seed {seed}");
+                    assert!(parented.insert(child), "seed {seed}: {child} parented twice");
+                    edges += 1;
+                }
+            }
+        }
+        assert!(edges > 0, "the generator builds directory edges");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! | `perf.soak-rpc-p99` | sim-time RPC p99 stays near the link baseline      |
 //! | `perf.soak-throughput` | every semantic call resolves within its window  |
 //! | `perf.soak-memory` | dedup tables and resolved FIFOs honour their caps   |
+//! | `replica-convergence` | a quiet, healthy edge's view equals its owner's  |
 //!
 //! The `perf.*` oracles are excluded from the cross-driver violation
 //! diff: the original `perf.adapt-p99` reads wall-clock histograms
@@ -92,6 +93,11 @@ pub struct OracleState {
     pub fed_pairs: BTreeSet<(u8, u8)>,
     /// Severed inter-base paths, `(min, max)` indices.
     pub base_partitions: BTreeSet<(u8, u8)>,
+    /// Directory-tree edges, `(child, parent)` indices.
+    pub dir_edges: BTreeSet<(u8, u8)>,
+    /// Per directed anti-entropy edge, what `replica-convergence` last
+    /// saw (see [`EdgeWatch`]).
+    pub edge_watch: BTreeMap<(Exchange, u8, u8), EdgeWatch>,
     /// Whether the radio is loss-free — the handoff-migration oracle
     /// is only sound when `GrantTransfer` cannot be dropped.
     pub loss_free: bool,
@@ -125,6 +131,30 @@ pub struct OracleState {
     /// base re-arms its recovered call timers, so the throughput
     /// oracle restarts the resolution clock from here.
     pub base_restart_ms: Vec<u64>,
+}
+
+/// Which anti-entropy exchange an edge runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Exchange {
+    /// Replica pair: the owner's catalog and lease table, one digest
+    /// per scan of the owner's extension base.
+    Replica,
+    /// Directory edge: the child's advert, one digest per sweep of the
+    /// child's registrar.
+    Directory,
+}
+
+/// What `replica-convergence` tracks for one directed edge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EdgeWatch {
+    /// Digests of what the two ends own, at the last barrier.
+    owned: (u64, u64),
+    /// Since when `owned` has held with the edge up, ms.
+    stable_since: Option<u64>,
+    /// Since when the receiver's view has differed in that window, ms.
+    mismatch_since: Option<u64>,
+    /// Whether this mismatch was already reported.
+    reported: bool,
 }
 
 /// One chaos stream subscriber: a platform cursor plus the mirror
@@ -191,6 +221,8 @@ impl OracleState {
             partitions: BTreeSet::new(),
             fed_pairs: BTreeSet::new(),
             base_partitions: BTreeSet::new(),
+            dir_edges: BTreeSet::new(),
+            edge_watch: BTreeMap::new(),
             loss_free: true,
             grant_state: vec![BTreeMap::new(); nodes],
             subscribers: Vec::new(),
@@ -293,6 +325,95 @@ pub fn check_barrier(
     soak_rpc_p99(p, st, now_ms, out);
     soak_throughput(p, bases, st, now_ms, out);
     soak_memory(p, bases, nodes, now_ms, out);
+    replica_convergence(p, bases, st, now_ms, out);
+}
+
+/// `replica-convergence`: the digest → pull → diff exchange converges.
+/// Each replica pair is two directed edges (each base owns its catalog
+/// and lease table), and each directory edge runs from child to
+/// parent. Once an edge is unpartitioned, both ends are up, and what
+/// the ends own has not changed for three digest periods, the
+/// receiver's view must hash like the owner's table: for a replica,
+/// equal catalogs and a lease view equal to the owner's lease table;
+/// for a directory edge, the parent's view of the child equals the
+/// child's advert. A mismatch counts once it outlives one more
+/// period plus observation slack — a change that comes and goes
+/// between two barriers is repaired by the next digest — and is
+/// reported once per episode.
+fn replica_convergence(
+    p: &Platform,
+    bases: &[BaseId],
+    st: &mut OracleState,
+    now_ms: u64,
+    out: &mut Vec<Violation>,
+) {
+    let mut edges = Vec::new();
+    for &(a, b) in &st.fed_pairs {
+        edges.push((Exchange::Replica, a, b));
+        edges.push((Exchange::Replica, b, a));
+    }
+    for &(child, parent) in &st.dir_edges {
+        edges.push((Exchange::Directory, child, parent));
+    }
+    for (exchange, owner, receiver) in edges {
+        let (o, r) = (
+            p.base(bases[usize::from(owner)]),
+            p.base(bases[usize::from(receiver)]),
+        );
+        let watch = st
+            .edge_watch
+            .entry((exchange, owner, receiver))
+            .or_default();
+        let pair = (owner.min(receiver), owner.max(receiver));
+        if o.crashed || r.crashed || st.base_partitions.contains(&pair) {
+            *watch = EdgeWatch::default();
+            continue;
+        }
+        // The owner's digest period, read from the owner so a changed
+        // scan interval or sweep moves the windows with it.
+        let (owned, want, view, period_ns) = match exchange {
+            Exchange::Replica => {
+                let want = o.base.replica_digest();
+                let view = r.base.replica_view_digest(o.node);
+                let owned = (want, r.base.catalog_digest());
+                (owned, want, view, o.base.scan_interval_ns())
+            }
+            Exchange::Directory => {
+                let want = o.registrar.advert().digest();
+                let view = r.registrar.directory().view_of(o.node);
+                let view = view.cloned().unwrap_or_default().digest();
+                ((want, 0), want, view, o.registrar.sweep_interval_ns())
+            }
+        };
+        if watch.stable_since.is_none() || watch.owned != owned {
+            *watch = EdgeWatch {
+                owned,
+                stable_since: Some(now_ms),
+                ..EdgeWatch::default()
+            };
+            continue;
+        }
+        let period = period_ns / 1_000_000;
+        let stable_for = now_ms - watch.stable_since.unwrap_or(now_ms);
+        if view == want || stable_for < 3 * period {
+            watch.mismatch_since = None;
+            watch.reported = false;
+            continue;
+        }
+        let since = *watch.mismatch_since.get_or_insert(now_ms);
+        if now_ms - since >= period + OBS_SLACK_MS && !watch.reported {
+            watch.reported = true;
+            out.push(Violation {
+                invariant: "replica-convergence",
+                at_ms: now_ms,
+                detail: format!(
+                    "{exchange:?} edge base {owner} -> base {receiver}: view {view:#018x} \
+                     != owner's {want:#018x} after {stable_for} ms with both up, \
+                     linked and the owned tables unchanged"
+                ),
+            });
+        }
+    }
 }
 
 /// `rpc-duplicate-execution`: the tentpole at-most-once guarantee —

@@ -286,6 +286,16 @@ pub enum Op {
         /// Latency multiplier (clamped to ≥ 1).
         mult: u8,
     },
+    /// Wire `child`'s registrar under `parent`'s in the directory tree
+    /// (wired backhaul between them). Only a lower index may parent a
+    /// higher one, and each child takes a parent at most once, so the
+    /// edges always form a forest; any other `DirParent` is a no-op.
+    DirParent {
+        /// Child base index.
+        child: u8,
+        /// Parent base index (below `child`).
+        parent: u8,
+    },
 }
 
 wire_enum!(Op {
@@ -311,6 +321,7 @@ wire_enum!(Op {
     19 => RpcSem { base: u8, node: u8, sem: u8, x: u8, y: u8 },
     20 => AdversarialPublish { base: u8, attack: u8, version: u32 },
     21 => SlowLinks { mult: u8 },
+    22 => DirParent { child: u8, parent: u8 },
 });
 
 /// The extensions chaos runs distribute. All declared permissions fall
@@ -532,6 +543,10 @@ mod tests {
                 version: 4,
             },
             Op::SlowLinks { mult: 2 },
+            Op::DirParent {
+                child: 2,
+                parent: 0,
+            },
         ];
         for op in ops {
             assert_eq!(from_bytes::<Op>(&to_bytes(&op)).unwrap(), op);

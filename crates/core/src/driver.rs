@@ -207,7 +207,6 @@ pub(crate) fn dispatch_base(
     station.registrar.handle(port, inc);
     let evs = station.base.handle(port, inc);
     handle_base_federation(station, port, &evs);
-    station.events.extend(evs);
     handle_rpc_retry(station, port, rpc, inc);
     handle_base_app(station, port, rpc, inc);
 }

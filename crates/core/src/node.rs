@@ -7,7 +7,7 @@ use pmp_crypto::{KeyPair, Principal};
 use pmp_discovery::Registrar;
 use pmp_durable::{Durable, DurableHub, RecoverReport, Store};
 use pmp_midas::{
-    AdaptationService, BaseEvent, ExtensionBase, ExtensionPackage, ReceiverEvent, ReceiverPolicy,
+    AdaptationService, ExtensionBase, ExtensionPackage, ReceiverEvent, ReceiverPolicy,
     SignedExtension,
 };
 use pmp_net::{NetPort, NodeId};
@@ -219,8 +219,6 @@ pub struct BaseStation {
     pub charges: Vec<(String, String, i64)>,
     /// Mirror routes: source robot name → `(replica node, num, den)`.
     pub mirrors: HashMap<String, Vec<(NodeId, i64, i64)>>,
-    /// Accumulated base events.
-    pub events: Vec<BaseEvent>,
     /// The storage engine under this base: movement log + extension
     /// base state are WAL'd through it and survive a crash.
     pub durable: DurableHub,
@@ -269,7 +267,6 @@ impl BaseStation {
             persisted: Vec::new(),
             charges: Vec::new(),
             mirrors: HashMap::new(),
-            events: Vec::new(),
             durable,
             flight: pmp_trace::FlightRecorder::new(pmp_trace::DEFAULT_FLIGHT_CAP),
             crashed: false,
@@ -302,7 +299,6 @@ impl BaseStation {
         self.store = MovementStore::new();
         self.persisted.clear();
         self.charges.clear();
-        self.events.clear();
         self.flight = pmp_trace::FlightRecorder::new(self.flight.cap());
         self.crashed = false;
         self.rpc = crate::rpc::RpcEngine::new();

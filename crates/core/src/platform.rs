@@ -529,11 +529,14 @@ impl Platform {
 
     /// Makes two bases replicas of each other over a wired backhaul
     /// segment: each base pushes every catalog put it commits to the
-    /// other as a `CatalogPush`, the scan-tick digest → pull → push
-    /// exchange repairs what a partition or crash lost, and each
-    /// mirrors its lease table into the other's roaming cache, so
-    /// either side can adopt the other's nodes without re-delivery.
-    /// Handoffs need [`Platform::link_bases`] as well (both come with
+    /// other as a `CatalogPush`, and every scan sends the other one
+    /// digest of its catalog and lease table. A replica whose view
+    /// differs pulls, and the owner pushes the difference: missing or
+    /// newer catalog entries, and lease-table entries to shadow in the
+    /// replica's roaming cache, so either side can adopt the other's
+    /// nodes without re-delivery. A lost push, a partition or a
+    /// restart heals at the next digest. Handoffs need
+    /// [`Platform::link_bases`] as well (both come with
     /// [`Platform::federate_bases`]).
     pub fn replicate_bases(&mut self, a: BaseId, b: BaseId) {
         let (na, nb) = (self.bases[a.0].node, self.bases[b.0].node);
@@ -553,11 +556,14 @@ impl Platform {
     /// Wires `child`'s registrar under `parent`'s in the directory tree
     /// (wired backhaul between them): service lookups entered anywhere
     /// in the tree route hop-by-hop toward whichever registrar holds a
-    /// match (see `pmp-discovery`'s directory tier).
+    /// match (see `pmp-discovery`'s directory tier). Every sweep the
+    /// child sends the parent the digest of the service types its
+    /// subtree reaches; a parent whose routes differ pulls the
+    /// difference, so a restarted parent relearns its routes within a
+    /// sweep or two.
     pub fn set_directory_parent(&mut self, child: BaseId, parent: BaseId) {
         let (nc, np) = (self.bases[child.0].node, self.bases[parent.0].node);
         self.bases[child.0].registrar.set_parent(np);
-        self.bases[parent.0].registrar.add_child(nc);
         self.sim.add_wired_link(nc, np);
     }
 

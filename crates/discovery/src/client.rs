@@ -363,8 +363,10 @@ impl DiscoveryClient {
             | DiscoveryMsg::Renew { .. }
             | DiscoveryMsg::Cancel { .. }
             | DiscoveryMsg::Lookup { .. }
-            | DiscoveryMsg::DirAdvertise { .. }
-            | DiscoveryMsg::FedLookup { .. } => {}
+            | DiscoveryMsg::FedLookup { .. }
+            | DiscoveryMsg::DirDigest { .. }
+            | DiscoveryMsg::DirPull { .. }
+            | DiscoveryMsg::DirPush { .. } => {}
         }
     }
 

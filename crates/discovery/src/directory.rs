@@ -6,40 +6,40 @@
 //! base in turn. The directory tier instead arranges registrars in a
 //! tree: every registrar keeps serving its hall locally, and
 //! additionally *advertises* the set of service types reachable in its
-//! subtree to its parent ([`crate::DiscoveryMsg::DirAdvertise`]).
-//! A federated lookup ([`crate::DiscoveryMsg::FedLookup`]) then walks
-//! the tree — down a matching route if one is advertised, up to the
-//! parent otherwise — and the answering registrar replies *directly*
-//! to the origin node, so the reply does not retrace the path. With
-//! branching factor B the route takes O(log_B n) registrar hops, which
-//! is the sublinear-lookup half of experiment E17.
+//! subtree to its parent. A federated lookup
+//! ([`crate::DiscoveryMsg::FedLookup`]) then walks the tree — down a
+//! matching route if one is advertised, up to the parent otherwise —
+//! and the answering registrar replies *directly* to the origin node,
+//! so the reply does not retrace the path. With branching factor B the
+//! route takes O(log_B n) registrar hops, which is the sublinear-lookup
+//! half of experiment E17.
 //!
-//! Advertisements are aggregates (type names, not items) and are sent
-//! only on change, so a quiet federation exchanges no directory
-//! traffic at all — the gossip cost is proportional to churn, not to
-//! fleet size.
+//! Adverts are aggregates (type names, not items) kept in step by the
+//! exchange of [`crate::inventory`]: every sweep a child sends its
+//! parent the digest of its advert, and a parent whose view of that
+//! advert differs pulls the types to add and to drop. A quiet
+//! federation sends one 8-byte digest per edge per sweep; a restarted
+//! parent or a lost push heals at the next one.
 
+use crate::inventory::{Diff, Inventory};
 use pmp_net::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Forwarding ceiling for a federated lookup: queries older than this
 /// many registrar-to-registrar hops answer empty rather than loop.
 pub const MAX_HOPS: u16 = 16;
 
-/// Per-registrar directory state: its place in the federation tree and
-/// the routes learned from child advertisements.
+/// Per-registrar directory state: its parent in the federation tree and
+/// the routes learned from its children.
 #[derive(Debug, Default)]
 pub struct Directory {
     parent: Option<NodeId>,
-    children: BTreeSet<NodeId>,
-    /// service type → children whose subtrees advertise it.
-    routes: BTreeMap<String, BTreeSet<NodeId>>,
-    /// The advert last pushed to the parent (dedupe on change only).
-    last_advert: Option<Vec<String>>,
+    /// child → its advert as learned here: the routes through it.
+    views: BTreeMap<NodeId, Inventory>,
 }
 
 impl Directory {
-    /// A directory with no parent, children, or routes.
+    /// A directory with no parent and no routes.
     pub fn new() -> Self {
         Self::default()
     }
@@ -47,9 +47,6 @@ impl Directory {
     /// Points this registrar at its parent in the federation tree.
     pub fn set_parent(&mut self, parent: NodeId) {
         self.parent = Some(parent);
-        // Force a (re-)advertisement even if the reachable set is
-        // unchanged: the new parent has never heard it.
-        self.last_advert = None;
     }
 
     /// The parent registrar, if federated.
@@ -57,65 +54,37 @@ impl Directory {
         self.parent
     }
 
-    /// Registers `child` as a subtree (idempotent).
-    pub fn add_child(&mut self, child: NodeId) {
-        self.children.insert(child);
-    }
-
-    /// Child registrars, sorted by node id.
-    pub fn children(&self) -> Vec<NodeId> {
-        self.children.iter().copied().collect()
-    }
-
-    /// Forgets the learned routes and the last advert (the next sweep
-    /// advertises afresh); keeps the tree edges.
+    /// Forgets the learned routes (each child's next digest restores
+    /// them); keeps the parent.
     pub(crate) fn restart(&mut self) {
-        self.routes.clear();
-        self.last_advert = None;
+        self.views.clear();
     }
 
-    /// Absorbs a child's advertisement: `types` replaces everything
-    /// previously routed through `child`. Returns `true` when the set
-    /// of reachable types changed (so the host should re-advertise).
-    pub fn learn(&mut self, child: NodeId, types: &[String]) -> bool {
-        self.children.insert(child);
-        let before: BTreeSet<String> = self.routes.keys().cloned().collect();
-        self.routes.retain(|_, members| {
-            members.remove(&child);
-            !members.is_empty()
-        });
-        for ty in types {
-            self.routes
-                .entry(ty.clone())
-                .or_default()
-                .insert(child);
-        }
-        let after: BTreeSet<String> = self.routes.keys().cloned().collect();
-        before != after
+    /// This registrar's advert for its parent: the `local` types and
+    /// every routed type, each at version 0.
+    pub fn advert(&self, local: impl Iterator<Item = String>) -> Inventory {
+        let routed = self.views.values().flat_map(|view| view.iter());
+        let routed = routed.map(|(ty, _)| ty.to_string());
+        local.chain(routed).map(|ty| (ty, 0)).collect()
+    }
+
+    /// This registrar's view of `child`'s advert, if it learned any.
+    pub fn view_of(&self, child: NodeId) -> Option<&Inventory> {
+        self.views.get(&child)
+    }
+
+    /// Applies a diff of `child`'s advert to the view of it.
+    pub fn learn(&mut self, child: NodeId, diff: &Diff) {
+        self.views.entry(child).or_default().apply(diff);
     }
 
     /// The lowest-id child (other than `exclude`) whose subtree
     /// advertises `ty`.
     pub fn route_for(&self, ty: &str, exclude: NodeId) -> Option<NodeId> {
-        self.routes
-            .get(ty)?
+        self.views
             .iter()
-            .find(|n| **n != exclude)
-            .copied()
-    }
-
-    /// Computes the advert for the parent — the sorted union of
-    /// `local` types and every routed type — and returns it only when
-    /// it differs from the last one sent.
-    pub fn advert_if_changed(&mut self, local: BTreeSet<String>) -> Option<Vec<String>> {
-        let mut all = local;
-        all.extend(self.routes.keys().cloned());
-        let advert: Vec<String> = all.into_iter().collect();
-        if self.last_advert.as_ref() == Some(&advert) {
-            return None;
-        }
-        self.last_advert = Some(advert.clone());
-        Some(advert)
+            .find(|(child, view)| **child != exclude && view.get(ty).is_some())
+            .map(|(child, _)| *child)
     }
 }
 
@@ -127,43 +96,51 @@ mod tests {
         NodeId(id)
     }
 
+    fn types<'a>(ts: &'a [&str]) -> impl Iterator<Item = String> + 'a {
+        ts.iter().map(|t| t.to_string())
+    }
+
+    /// A child's advert reaches the parent as a diff against the
+    /// parent's view, and a later diff drops what the child lost.
     #[test]
-    fn learn_replaces_a_childs_routes() {
-        let mut d = Directory::new();
-        assert!(d.learn(n(5), &["print".into(), "scan".into()]));
-        assert_eq!(d.route_for("print", n(99)), Some(n(5)));
-        // Re-advertise without "scan": the stale route disappears.
-        assert!(d.learn(n(5), &["print".into()]));
-        assert_eq!(d.route_for("scan", n(99)), None);
-        assert_eq!(d.route_for("print", n(99)), Some(n(5)));
+    fn learning_a_diff_makes_the_view_equal_the_childs_advert() {
+        let child = Directory::new();
+        let mut parent = Directory::new();
+        let advert = child.advert(types(&["print", "scan"]));
+        parent.learn(n(5), &advert.diff(&Inventory::default()));
+        assert_eq!(parent.view_of(n(5)), Some(&advert));
+        assert_eq!(parent.route_for("print", n(99)), Some(n(5)));
+
+        let advert = child.advert(types(&["print"]));
+        let diff = advert.diff(parent.view_of(n(5)).unwrap());
+        assert_eq!(diff.drop, ["scan"]);
+        parent.learn(n(5), &diff);
+        assert_eq!(parent.view_of(n(5)), Some(&advert));
+        assert_eq!(parent.route_for("scan", n(99)), None);
+        assert_eq!(parent.route_for("print", n(99)), Some(n(5)));
     }
 
     #[test]
     fn route_for_skips_the_excluded_child() {
         let mut d = Directory::new();
-        d.learn(n(3), &["print".into()]);
-        d.learn(n(7), &["print".into()]);
+        let print = Directory::new().advert(types(&["print"]));
+        d.learn(n(3), &print.diff(&Inventory::default()));
+        d.learn(n(7), &print.diff(&Inventory::default()));
         assert_eq!(d.route_for("print", n(99)), Some(n(3)));
         assert_eq!(d.route_for("print", n(3)), Some(n(7)));
     }
 
+    /// An advert carries the routed types too, so types propagate up
+    /// the tree one level per exchange.
     #[test]
-    fn advert_dedupes_until_something_changes() {
+    fn the_advert_is_local_types_plus_routed_types() {
         let mut d = Directory::new();
-        d.set_parent(n(1));
-        let local: BTreeSet<String> = ["midas.adaptation".to_string()].into();
+        let print = Directory::new().advert(types(&["print"]));
+        d.learn(n(4), &print.diff(&Inventory::default()));
+        let advert = d.advert(types(&["midas.adaptation"]));
         assert_eq!(
-            d.advert_if_changed(local.clone()),
-            Some(vec!["midas.adaptation".to_string()])
+            advert,
+            Directory::new().advert(types(&["midas.adaptation", "print"]))
         );
-        assert_eq!(d.advert_if_changed(local.clone()), None);
-        d.learn(n(4), &["print".into()]);
-        assert_eq!(
-            d.advert_if_changed(local.clone()),
-            Some(vec!["midas.adaptation".to_string(), "print".to_string()])
-        );
-        // Re-parenting forces a fresh advert to the new parent.
-        d.set_parent(n(2));
-        assert!(d.advert_if_changed(local).is_some());
     }
 }

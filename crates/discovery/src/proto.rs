@@ -1,5 +1,6 @@
 //! The discovery wire protocol, carried on the `"discovery"` channel.
 
+use crate::inventory::{Diff, Inventory};
 use crate::service::{ServiceId, ServiceItem, ServiceQuery};
 use pmp_wire::wire_enum;
 
@@ -67,13 +68,6 @@ pub enum DiscoveryMsg {
         /// Echoed correlation id.
         req: u64,
     },
-    /// Child registrar → parent registrar: the sorted set of service
-    /// types reachable anywhere in the child's subtree. Sent only when
-    /// the set changes, so a quiet federation is silent.
-    DirAdvertise {
-        /// Sorted, deduplicated service-type names.
-        types: Vec<String>,
-    },
     /// A lookup routed through the directory tier instead of answered
     /// by one flat registrar.
     FedLookup {
@@ -103,6 +97,24 @@ pub enum DiscoveryMsg {
         /// Echoed correlation id.
         req: u64,
     },
+    /// Child registrar → parent, every sweep: the digest of the
+    /// service types reachable in the child's subtree (its advert).
+    DirDigest {
+        /// [`Inventory::digest`] of the advert.
+        digest: u64,
+    },
+    /// Parent → child: the digests differed; here is my view of your
+    /// advert.
+    DirPull {
+        /// The parent's view of the child's advert.
+        have: Inventory,
+    },
+    /// Child → parent: the advert's [`Inventory::diff`] against the
+    /// pulled view.
+    DirPush {
+        /// The difference.
+        diff: Diff,
+    },
 }
 
 wire_enum!(DiscoveryMsg {
@@ -114,7 +126,7 @@ wire_enum!(DiscoveryMsg {
     5 => Cancel { service: ServiceId },
     6 => Lookup { query: ServiceQuery, req: u64 },
     7 => LookupResult { items: Vec<ServiceItem>, req: u64 },
-    8 => DirAdvertise { types: Vec<String> },
+    // Tag 8 is reserved: the send-on-change `DirAdvertise`.
     9 => FedLookup { query: ServiceQuery, origin: u32, path: Vec<u32>, req: u64 },
     10 => FedLookupResult {
         items: Vec<ServiceItem>,
@@ -123,6 +135,9 @@ wire_enum!(DiscoveryMsg {
         path: Vec<u32>,
         req: u64,
     },
+    11 => DirDigest { digest: u64 },
+    12 => DirPull { have: Inventory },
+    13 => DirPush { diff: Diff },
 });
 
 #[cfg(test)]
@@ -165,9 +180,6 @@ mod tests {
                 items: vec![ServiceItem::new("midas.adaptation", "robot", 1)],
                 req: 11,
             },
-            DiscoveryMsg::DirAdvertise {
-                types: vec!["midas.adaptation".into(), "print".into()],
-            },
             DiscoveryMsg::FedLookup {
                 query: ServiceQuery::of_type("print"),
                 origin: 3,
@@ -181,6 +193,16 @@ mod tests {
                 path: vec![4],
                 req: 12,
             },
+            DiscoveryMsg::DirDigest { digest: 0xfeed },
+            DiscoveryMsg::DirPull {
+                have: [("print".to_string(), 0)].into_iter().collect(),
+            },
+            DiscoveryMsg::DirPush {
+                diff: Diff {
+                    put: vec![("print".into(), 0)],
+                    drop: vec!["scan".into()],
+                },
+            },
         ];
         for m in msgs {
             let bytes = pmp_wire::to_bytes(&m);
@@ -189,7 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn bad_tag_rejected() {
-        assert!(pmp_wire::from_bytes::<DiscoveryMsg>(&[99]).is_err());
+    fn bad_and_reserved_tags_are_rejected() {
+        for tag in [8, 99] {
+            assert!(pmp_wire::from_bytes::<DiscoveryMsg>(&[tag]).is_err());
+        }
     }
 }

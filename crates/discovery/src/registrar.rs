@@ -1,29 +1,22 @@
 //! The lookup service (Jini registrar) hosted by a base station.
 
 use crate::directory::{Directory, MAX_HOPS};
+use crate::inventory::Inventory;
 use crate::lease::Lease;
 use crate::proto::{DiscoveryMsg, CHANNEL};
 use crate::service::{ServiceId, ServiceItem};
 use pmp_net::{Incoming, NetPort, NodeId, SimTime};
 use pmp_telemetry::Sink;
 use pmp_trace::{TraceCtx, Traced};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 const ANNOUNCE_TAG: &str = "disc.announce";
 const SWEEP_TAG: &str = "disc.sweep";
-/// Period of the multicast announce; leases are swept twice as often.
+/// Period of the multicast announce.
 const ANNOUNCE_INTERVAL_NS: u64 = 500_000_000;
-
-/// An event surfaced by the registrar to its host (the base station).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistrarEvent {
-    /// A new service registered.
-    Registered(ServiceItem),
-    /// A service's lease lapsed and it was dropped.
-    Expired(ServiceItem),
-    /// A service was cancelled by its provider.
-    Cancelled(ServiceItem),
-}
+/// Period of the lease sweep, twice the announce rate. Each sweep also
+/// sends the parent the digest of this registrar's advert.
+const SWEEP_INTERVAL_NS: u64 = ANNOUNCE_INTERVAL_NS / 2;
 
 /// The registrar state machine. Drive it by passing every [`Incoming`]
 /// of its host node to [`Registrar::handle`].
@@ -31,15 +24,14 @@ pub enum RegistrarEvent {
 pub struct Registrar {
     node: NodeId,
     name: String,
-    services: HashMap<ServiceId, (ServiceItem, Lease)>,
+    services: BTreeMap<ServiceId, (ServiceItem, Lease)>,
     counter: u32,
     started: bool,
     announce_token: Option<u64>,
     sweep_token: Option<u64>,
-    events: Vec<RegistrarEvent>,
     telemetry: Sink,
     /// Federation state: place in the registrar tree plus the routes
-    /// learned from child advertisements.
+    /// learned from the children.
     directory: Directory,
 }
 
@@ -49,12 +41,11 @@ impl Registrar {
         Self {
             node,
             name: name.into(),
-            services: HashMap::new(),
+            services: BTreeMap::new(),
             counter: 0,
             started: false,
             announce_token: None,
             sweep_token: None,
-            events: Vec::new(),
             telemetry: Sink::default(),
             directory: Directory::new(),
         }
@@ -72,15 +63,10 @@ impl Registrar {
     }
 
     /// Wires this registrar under `parent` in the federation tree.
-    /// The reachable-type advert is pushed on the next mutation (or
-    /// sweep), so late federation still converges.
+    /// From the next sweep on, the digest of its advert goes to the
+    /// parent every sweep.
     pub fn set_parent(&mut self, parent: NodeId) {
         self.directory.set_parent(parent);
-    }
-
-    /// Registers `child` as a federated subtree (idempotent).
-    pub fn add_child(&mut self, child: NodeId) {
-        self.directory.add_child(child);
     }
 
     /// Read-only view of the federation state.
@@ -88,25 +74,29 @@ impl Registrar {
         &self.directory
     }
 
-    /// Service types held locally (not counting routed subtrees).
-    fn local_types(&self) -> BTreeSet<String> {
-        self.services
-            .values()
-            .map(|(item, _)| item.service_type.clone())
-            .collect()
+    /// The sweep period (ns): how often leases are swept and the
+    /// parent is sent the advert's digest.
+    #[must_use]
+    pub fn sweep_interval_ns(&self) -> u64 {
+        SWEEP_INTERVAL_NS
     }
 
-    /// Pushes a fresh advert to the parent iff the reachable-type set
-    /// changed since the last push. No-op for unfederated registrars.
-    fn maybe_advertise(&mut self, sim: &mut dyn NetPort) {
-        if self.directory.parent().is_none() {
-            return;
-        }
-        let local = self.local_types();
-        if let Some(types) = self.directory.advert_if_changed(local) {
-            let parent = self.directory.parent().expect("checked above");
-            self.telemetry.inc("discovery.registrar.adverts_sent");
-            let msg = DiscoveryMsg::DirAdvertise { types };
+    /// The advert this registrar keeps its parent in step with: the
+    /// service types registered here plus every routed type.
+    pub fn advert(&self) -> Inventory {
+        let local = self
+            .services
+            .values()
+            .map(|(item, _)| item.service_type.clone());
+        self.directory.advert(local)
+    }
+
+    /// Sends the advert's digest to the parent, if federated.
+    fn send_dir_digest(&self, sim: &mut dyn NetPort) {
+        if let Some(parent) = self.directory.parent() {
+            let msg = DiscoveryMsg::DirDigest {
+                digest: self.advert().digest(),
+            };
             sim.send(self.node, parent, CHANNEL, TraceCtx::NIL.wrap(&msg));
         }
     }
@@ -139,7 +129,7 @@ impl Registrar {
         self.started = true;
         self.announce(sim);
         self.announce_token = Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS, ANNOUNCE_TAG));
-        self.sweep_token = Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS / 2, SWEEP_TAG));
+        self.sweep_token = Some(sim.set_timer(self.node, SWEEP_INTERVAL_NS, SWEEP_TAG));
     }
 
     fn announce(&self, sim: &mut dyn NetPort) {
@@ -154,11 +144,6 @@ impl Registrar {
         self.services.len()
     }
 
-    /// Drains accumulated events.
-    pub fn take_events(&mut self) -> Vec<RegistrarEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     fn sweep(&mut self, now: SimTime) {
         let expired: Vec<ServiceId> = self
             .services
@@ -167,9 +152,8 @@ impl Registrar {
             .map(|(id, _)| *id)
             .collect();
         for id in expired {
-            if let Some((item, _)) = self.services.remove(&id) {
+            if self.services.remove(&id).is_some() {
                 self.telemetry.inc("discovery.registrar.lease_expiries");
-                self.events.push(RegistrarEvent::Expired(item));
             }
         }
         self.update_live_gauge();
@@ -186,9 +170,9 @@ impl Registrar {
             }
             Incoming::Timer { token, .. } if Some(*token) == self.sweep_token => {
                 self.sweep(sim.now());
-                self.maybe_advertise(sim);
+                self.send_dir_digest(sim);
                 self.sweep_token =
-                    Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS / 2, SWEEP_TAG));
+                    Some(sim.set_timer(self.node, SWEEP_INTERVAL_NS, SWEEP_TAG));
             }
             Incoming::Message {
                 from,
@@ -218,17 +202,15 @@ impl Registrar {
                 item.id = id;
                 item.provider = from.0;
                 let lease = Lease::grant(now, lease_ns);
-                self.services.insert(id, (item.clone(), lease));
+                self.services.insert(id, (item, lease));
                 self.telemetry.inc("discovery.registrar.registrations");
                 self.update_live_gauge();
-                self.events.push(RegistrarEvent::Registered(item));
                 let reply = DiscoveryMsg::Registered {
                     service: id,
                     lease_ns,
                     req,
                 };
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&reply));
-                self.maybe_advertise(sim);
             }
             DiscoveryMsg::Renew { service, req } => {
                 self.telemetry.inc("discovery.registrar.renewals");
@@ -238,24 +220,18 @@ impl Registrar {
                 };
                 if !ok {
                     // Lapsed entries are removed eagerly on failed renew.
-                    if let Some((item, _)) = self.services.remove(&service) {
+                    if self.services.remove(&service).is_some() {
                         self.telemetry.inc("discovery.registrar.lease_expiries");
                         self.update_live_gauge();
-                        self.events.push(RegistrarEvent::Expired(item));
                     }
                 }
                 let reply = DiscoveryMsg::RenewAck { service, ok, req };
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&reply));
-                if !ok {
-                    self.maybe_advertise(sim);
-                }
             }
             DiscoveryMsg::Cancel { service } => {
-                if let Some((item, _)) = self.services.remove(&service) {
+                if self.services.remove(&service).is_some() {
                     self.telemetry.inc("discovery.registrar.cancellations");
                     self.update_live_gauge();
-                    self.events.push(RegistrarEvent::Cancelled(item));
-                    self.maybe_advertise(sim);
                 }
             }
             DiscoveryMsg::Lookup { query, req } => {
@@ -273,13 +249,22 @@ impl Registrar {
                 let reply = DiscoveryMsg::LookupResult { items, req };
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&reply));
             }
-            DiscoveryMsg::DirAdvertise { types } => {
-                self.telemetry.inc("discovery.registrar.adverts_in");
-                if self.directory.learn(from, &types) {
-                    // Reachability changed: propagate up the tree.
-                    self.maybe_advertise(sim);
+            DiscoveryMsg::DirDigest { digest } => {
+                let have = self.directory.view_of(from).cloned().unwrap_or_default();
+                if digest != have.digest() {
+                    self.telemetry.inc("discovery.registrar.dir_pulls");
+                    let pull = DiscoveryMsg::DirPull { have };
+                    sim.send(self.node, from, CHANNEL, ctx.wrap(&pull));
                 }
             }
+            DiscoveryMsg::DirPull { have } => {
+                let diff = self.advert().diff(&have);
+                if !diff.is_empty() {
+                    let push = DiscoveryMsg::DirPush { diff };
+                    sim.send(self.node, from, CHANNEL, ctx.wrap(&push));
+                }
+            }
+            DiscoveryMsg::DirPush { diff } => self.directory.learn(from, &diff),
             DiscoveryMsg::FedLookup {
                 query,
                 origin,

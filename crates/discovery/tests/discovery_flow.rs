@@ -1,9 +1,8 @@
 //! End-to-end discovery tests over the simulated wireless network.
 
-use pmp_discovery::{
-    DiscoveryClient, DiscoveryEvent, Registrar, RegistrarEvent, ServiceItem, ServiceQuery,
-};
+use pmp_discovery::{DiscoveryClient, DiscoveryEvent, Registrar, ServiceItem, ServiceQuery};
 use pmp_net::prelude::*;
+use pmp_telemetry::{Shared, Sink};
 
 struct World {
     sim: Simulator,
@@ -11,6 +10,8 @@ struct World {
     registrar: Registrar,
     robot: NodeId,
     client: DiscoveryClient,
+    /// The registrar's telemetry.
+    telemetry: Shared,
 }
 
 fn world() -> World {
@@ -19,6 +20,8 @@ fn world() -> World {
     let base = sim.add_node("base", Position::new(25.0, 25.0), 60.0);
     let robot = sim.add_node("robot", Position::new(30.0, 25.0), 60.0);
     let mut registrar = Registrar::new(base, "lookup:hall-a");
+    let telemetry = Shared::new();
+    registrar.attach_sink(Sink::direct(&telemetry));
     let mut client = DiscoveryClient::new(robot);
     registrar.start(&mut sim);
     client.start(&mut sim);
@@ -28,6 +31,7 @@ fn world() -> World {
         registrar,
         robot,
         client,
+        telemetry,
     }
 }
 
@@ -88,11 +92,11 @@ fn register_lookup_and_cancel() {
         })
         .expect("registered");
     assert_eq!(w.registrar.service_count(), 1);
-    assert!(w
-        .registrar
-        .take_events()
-        .iter()
-        .any(|e| matches!(e, RegistrarEvent::Registered(_))));
+    assert_eq!(
+        w.telemetry
+            .counter_value("discovery.registrar.registrations"),
+        1
+    );
 
     // Lookup from the same client.
     let lreq = w.client.lookup(
@@ -143,11 +147,11 @@ fn departure_expires_lease_and_drops_service() {
     let events = pump(&mut w, 10_000_000_000);
 
     assert_eq!(w.registrar.service_count(), 0, "lease lapsed");
-    assert!(w
-        .registrar
-        .take_events()
-        .iter()
-        .any(|e| matches!(e, RegistrarEvent::Expired(_))));
+    assert_eq!(
+        w.telemetry
+            .counter_value("discovery.registrar.lease_expiries"),
+        1
+    );
     // The client also notices: its renewals go unanswered.
     assert!(events
         .iter()
@@ -227,8 +231,6 @@ fn fed_lookup_routes_through_the_registrar_tree() {
     let mut reg_b = Registrar::new(leaf_b, "lookup:hall-b");
     reg_a.set_parent(root_n);
     reg_b.set_parent(root_n);
-    root.add_child(leaf_a);
-    root.add_child(leaf_b);
     let mut robot_client = DiscoveryClient::new(robot);
     let mut printer_client = DiscoveryClient::new(printer);
     for r in [&mut root, &mut reg_a, &mut reg_b] {
@@ -268,7 +270,7 @@ fn fed_lookup_routes_through_the_registrar_tree() {
         for inc in sim.drain_inbox(robot) {
             events.extend(robot_client.handle(&mut sim, &inc));
         }
-        // Give registration + adverts ~2 s to settle, then ask once.
+        // Give registration + route exchange ~2 s to settle, then ask once.
         if !asked && sim.now().0 > 2_000_000_000 {
             asked = true;
             robot_client.fed_lookup(&mut sim, leaf_a, ServiceQuery::of_type("print"));

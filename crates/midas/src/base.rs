@@ -6,7 +6,9 @@ use crate::catalog::Catalog;
 use crate::durable::BaseWalOp;
 use crate::package::SignedExtension;
 use crate::proto::{MidasMsg, CHANNEL};
-use pmp_discovery::{DiscoveryClient, DiscoveryEvent, ServiceItem, ServiceQuery};
+use pmp_discovery::{
+    inventory, Diff, DiscoveryClient, DiscoveryEvent, Inventory, ServiceItem, ServiceQuery,
+};
 use pmp_durable::{DurableHub, Store};
 use pmp_net::{Incoming, NetPort, NodeId};
 use pmp_telemetry::{Fnv64, Sink, Subsystem};
@@ -118,10 +120,13 @@ pub struct ExtensionBase {
     /// own catalog: needed for renewal-failure redelivery and onward
     /// handoffs, but never delivered to newcomers.
     pub(crate) foreign: BTreeMap<String, SignedExtension>,
-    /// Peer bases receiving catalog pushes, digests and lease-table sync.
+    /// Peer bases receiving catalog pushes and, every scan, the digest
+    /// of this base's catalog and lease table.
     replicas: Vec<NodeId>,
-    /// Digest of the last lease table pushed to replicas.
-    last_lease_sync: u64,
+    /// This base's view of each replica's lease table, keyed by the
+    /// replica's network id: what its lease pushes put here. Memory
+    /// only, so a restart empties it and the next digest refills it.
+    lease_views: BTreeMap<u32, Inventory>,
     telemetry: Sink,
     durable: Option<DurableHub>,
     tracer: Tracer,
@@ -156,7 +161,7 @@ impl ExtensionBase {
             roam_cap: 64,
             foreign: BTreeMap::new(),
             replicas: Vec::new(),
-            last_lease_sync: 0,
+            lease_views: BTreeMap::new(),
             telemetry: Sink::default(),
             durable: None,
             tracer: Tracer::new(node.0),
@@ -243,6 +248,13 @@ impl ExtensionBase {
         self.scan_interval_ns = ns;
     }
 
+    /// The scan interval (ns): how often the base polls its registrar
+    /// and sends each replica a [`MidasMsg::ReplicaDigest`].
+    #[must_use]
+    pub fn scan_interval_ns(&self) -> u64 {
+        self.scan_interval_ns
+    }
+
     /// Registers a neighbour base for roaming handoffs.
     pub fn add_neighbor(&mut self, base: NodeId) {
         if !self.neighbors.contains(&base) {
@@ -257,12 +269,14 @@ impl ExtensionBase {
 
     /// Registers a replica peer: every catalog put this base commits is
     /// pushed to it as a [`MidasMsg::CatalogPush`] (unless the put came
-    /// from that peer), a catalog digest each scan repairs whatever a
-    /// partition or crash lost, and lease-table syncs shadow this
-    /// base's nodes there. Opt-in and directional — call on both bases
-    /// for symmetric replication. Unlike neighbours (handoff-only),
-    /// replicas converge toward the same catalog, so only federate
-    /// bases meant to serve the same policy.
+    /// from that peer), and each scan sends it one
+    /// [`MidasMsg::ReplicaDigest`] of this base's catalog and lease
+    /// table; the replica pulls what differs, which repairs whatever a
+    /// partition or crash lost and shadows this base's nodes there.
+    /// Opt-in and directional — call on both bases for symmetric
+    /// replication. Unlike neighbours (handoff-only), replicas converge
+    /// toward the same catalog, so only federate bases meant to serve
+    /// the same policy.
     pub fn add_replica(&mut self, base: NodeId) {
         if !self.replicas.contains(&base) {
             self.replicas.push(base);
@@ -320,20 +334,35 @@ impl ExtensionBase {
         }
     }
 
-    /// FNV-64 over the sorted `(id, version)` catalog inventory — the
-    /// anti-entropy probe replicas compare before exchanging entries.
+    /// Digest of the catalog's inventory (extension id → version).
     #[must_use]
     pub fn catalog_digest(&self) -> u64 {
-        let mut h = Fnv64::new();
-        for (id, version) in self.catalog_inventory() {
-            h.write_str(&id);
-            h.write_u64(u64::from(version));
-        }
-        h.finish()
+        self.catalog_inventory().digest()
     }
 
-    /// Sorted `(id, version)` pairs for every catalogued extension.
-    fn catalog_inventory(&self) -> Vec<(String, u32)> {
+    /// The digest this base sends its replicas each scan: its catalog
+    /// and its own lease table.
+    #[must_use]
+    pub fn replica_digest(&self) -> u64 {
+        inventory::digest(&[&self.catalog_inventory(), &self.lease_inventory()])
+    }
+
+    /// What this base compares a [`MidasMsg::ReplicaDigest`] from
+    /// `owner` against: its own catalog and its view of the owner's
+    /// lease table. Equal to the owner's [`ExtensionBase::replica_digest`]
+    /// once the two have converged.
+    #[must_use]
+    pub fn replica_view_digest(&self, owner: NodeId) -> u64 {
+        inventory::digest(&[&self.catalog_inventory(), &self.lease_view(owner)])
+    }
+
+    /// This base's view of `owner`'s lease table (empty until a push).
+    fn lease_view(&self, owner: NodeId) -> Inventory {
+        self.lease_views.get(&owner.0).cloned().unwrap_or_default()
+    }
+
+    /// The catalog as an inventory: extension id → package version.
+    fn catalog_inventory(&self) -> Inventory {
         self.catalog
             .ids()
             .into_iter()
@@ -343,61 +372,43 @@ impl ExtensionBase {
                     .get(&id)
                     .and_then(|e| e.open().ok())
                     .map_or(0, |p| p.meta.version);
-                (id, version)
+                (id, u64::from(version))
             })
             .collect()
     }
 
-    /// The live lease table (present nodes only), sorted by name.
-    fn lease_entries(&self) -> Vec<(String, u32, BTreeMap<String, u64>)> {
-        let mut entries: Vec<(String, u32, BTreeMap<String, u64>)> = self
-            .adapted
+    /// The live lease table (present nodes only): name → (network id,
+    /// grants).
+    fn lease_entries(&self) -> BTreeMap<String, (u32, BTreeMap<String, u64>)> {
+        self.adapted
             .iter()
             .filter(|(_, a)| a.present)
             .map(|(name, a)| {
-                (
-                    name.clone(),
-                    a.node.0,
-                    a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                )
+                let grants = a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                (name.clone(), (a.node.0, grants))
             })
-            .collect();
-        entries.sort();
-        entries
+            .collect()
     }
 
-    /// Pushes scan-tick replication traffic to every replica peer: a
-    /// catalog digest (the repair path for pushes a partition or crash
-    /// lost; matching digests end the exchange) and the lease table
-    /// only when it changed since the last push.
+    /// The live lease table as an inventory: name → [`lease_version`].
+    fn lease_inventory(&self) -> Inventory {
+        self.lease_entries()
+            .iter()
+            .map(|(name, (node, grants))| (name.clone(), lease_version(*node, grants)))
+            .collect()
+    }
+
+    /// Sends every replica peer the digest of this base's catalog and
+    /// lease table. A replica whose view differs pulls the difference,
+    /// so whatever a partition, a lost push or a restart cost heals at
+    /// the next scan.
     fn sync_replicas(&mut self, sim: &mut dyn NetPort) {
         if self.replicas.is_empty() {
             return;
         }
-        let digest = self.catalog_digest();
-        let replicas = self.replicas.clone();
-        for r in &replicas {
-            self.send(sim, *r, &MidasMsg::CatalogDigest { digest }, TraceCtx::NIL);
-        }
-        let entries = self.lease_entries();
-        let mut h = Fnv64::new();
-        for (name, node, grants) in &entries {
-            h.write_str(name);
-            h.write_u64(u64::from(*node));
-            for (id, g) in grants {
-                h.write_str(id);
-                h.write_u64(*g);
-            }
-        }
-        let lease_digest = h.finish();
-        if lease_digest != self.last_lease_sync {
-            self.last_lease_sync = lease_digest;
-            for r in &replicas {
-                let msg = MidasMsg::LeaseSync {
-                    entries: entries.clone(),
-                };
-                self.send(sim, *r, &msg, TraceCtx::NIL);
-            }
+        let digest = self.replica_digest();
+        for r in self.replicas.clone() {
+            self.send(sim, r, &MidasMsg::ReplicaDigest { digest }, TraceCtx::NIL);
         }
     }
 
@@ -959,18 +970,22 @@ impl ExtensionBase {
                 self.events
                     .push(BaseEvent::MovementImport { node_name, records });
             }
-            MidasMsg::CatalogDigest { digest } => {
-                if digest != self.catalog_digest() {
-                    let have = self.catalog_inventory();
-                    self.send(sim, from, &MidasMsg::CatalogPull { have }, TraceCtx::NIL);
+            MidasMsg::ReplicaDigest { digest } => {
+                if digest != self.replica_view_digest(from) {
+                    let msg = MidasMsg::ReplicaPull {
+                        catalog: self.catalog_inventory(),
+                        leases: self.lease_view(from),
+                    };
+                    self.send(sim, from, &msg, TraceCtx::NIL);
                 }
             }
-            MidasMsg::CatalogPull { have } => {
-                let held: BTreeMap<String, u32> = have.into_iter().collect();
+            MidasMsg::ReplicaPull { catalog, leases } => {
+                // Catalog half: what the puller lacks or holds older.
+                // No drops: a replica merges puts only.
                 let mut exts = Vec::new();
-                for (id, version) in self.catalog_inventory() {
-                    if held.get(&id).is_none_or(|v| *v < version) {
-                        if let Some(ext) = self.catalog.get(&id).cloned() {
+                for (id, version) in self.catalog_inventory().iter() {
+                    if catalog.get(id).is_none_or(|held| held < version) {
+                        if let Some(ext) = self.catalog.get(id).cloned() {
                             exts.push(ext);
                         }
                     }
@@ -978,15 +993,40 @@ impl ExtensionBase {
                 if !exts.is_empty() {
                     self.send(sim, from, &MidasMsg::CatalogPush { exts }, TraceCtx::NIL);
                 }
+                // Lease half: the difference, each put with its entry.
+                let diff = self.lease_inventory().diff(&leases);
+                if !diff.is_empty() {
+                    let mut entries = self.lease_entries();
+                    let mut put = Vec::new();
+                    for (name, _) in diff.put {
+                        if let Some((node, grants)) = entries.remove(&name) {
+                            put.push((name, node, grants));
+                        }
+                    }
+                    let msg = MidasMsg::LeasePush {
+                        put,
+                        drop: diff.drop,
+                    };
+                    self.send(sim, from, &msg, TraceCtx::NIL);
+                }
             }
             MidasMsg::CatalogPush { exts } => {
                 self.merge_replicated(sim, from, exts);
             }
-            MidasMsg::LeaseSync { entries } => {
+            MidasMsg::LeasePush { put, drop } => {
+                let put_versions = put
+                    .iter()
+                    .map(|(name, node, grants)| (name.clone(), lease_version(*node, grants)))
+                    .collect();
+                let view = self.lease_views.entry(from.0).or_default();
+                view.apply(&Diff {
+                    put: put_versions,
+                    drop,
+                });
                 // Shadow lease table: nodes a replica is serving become
                 // adoptable here without redelivery if it dies. No
                 // event — this is background replication.
-                for (name, _node, grants) in entries {
+                for (name, _node, grants) in put {
                     if self.adapted.get(&name).is_some_and(|a| a.present) {
                         continue;
                     }
@@ -1008,6 +1048,18 @@ impl ExtensionBase {
             | MidasMsg::GrantTransfer { .. } => {}
         }
     }
+}
+
+/// The version of one lease-table entry: FNV-64 over the node's
+/// network id and its grants.
+fn lease_version(node: u32, grants: &BTreeMap<String, u64>) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(u64::from(node));
+    for (id, g) in grants {
+        h.write_str(id);
+        h.write_u64(*g);
+    }
+    h.finish()
 }
 
 #[cfg(test)]

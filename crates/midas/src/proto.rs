@@ -1,6 +1,7 @@
 //! The MIDAS wire protocol, carried on the `"midas"` channel.
 
 use crate::package::SignedExtension;
+use pmp_discovery::Inventory;
 use pmp_wire::wire_enum;
 use std::collections::BTreeMap;
 
@@ -97,33 +98,37 @@ pub enum MidasMsg {
         /// Encoded movement records in arrival order.
         records: Vec<Vec<u8>>,
     },
-    /// Base → replica: anti-entropy probe — a digest of the sender's
-    /// catalog. Matching digests end the exchange silently.
-    CatalogDigest {
-        /// FNV-64 over the sorted `(id, version)` catalog entries.
+    /// Base → replica, every scan: one digest over the sender's
+    /// catalog and lease table (see [`pmp_discovery::inventory`]).
+    ReplicaDigest {
+        /// [`pmp_discovery::inventory::digest`] of both inventories.
         digest: u64,
     },
-    /// Replica → base: digests differed; here is what I hold, send me
-    /// what I am missing.
-    CatalogPull {
-        /// Sorted `(id, version)` pairs the sender already holds.
-        have: Vec<(String, u32)>,
-    },
     /// Base → replica: catalog entries the peer may lack — each put
-    /// as the sender commits it, or the answer to a
-    /// [`MidasMsg::CatalogPull`] (what the puller lacks or holds older
-    /// versions of).
+    /// as the sender commits it, or the catalog half of the answer to
+    /// a [`MidasMsg::ReplicaPull`] (what the puller lacks or holds
+    /// older versions of).
     CatalogPush {
         /// The missing/newer signed packages.
         exts: Vec<SignedExtension>,
     },
-    /// Base → replica: the sender's live lease table (present nodes
-    /// only), so a replica can adopt those nodes without redelivery if
-    /// the sender crashes. Sent only when the table changes.
-    LeaseSync {
-        /// `(node name, network id, ext id → grant)` per present node,
-        /// sorted by name.
-        entries: Vec<(String, u32, BTreeMap<String, u64>)>,
+    /// Replica → base: the digests differed; here is my catalog and my
+    /// view of your lease table, send me the difference.
+    ReplicaPull {
+        /// The puller's catalog: extension id → package version.
+        catalog: Inventory,
+        /// The puller's view of the sender's lease table.
+        leases: Inventory,
+    },
+    /// Base → replica: the lease half of the answer to a
+    /// [`MidasMsg::ReplicaPull`], shadowed in the replica's roaming
+    /// cache so it can adopt those nodes if the sender crashes.
+    LeasePush {
+        /// `(node name, network id, ext id → grant)` per present node
+        /// the puller lacks or holds at another version, sorted.
+        put: Vec<(String, u32, BTreeMap<String, u64>)>,
+        /// Names the puller holds that are no longer present here.
+        drop: Vec<String>,
     },
 }
 
@@ -142,11 +147,16 @@ wire_enum!(MidasMsg {
     },
     8 => GrantTransfer { node_name: String, rebinds: Vec<(String, u64, u64)>, lease_ns: u64 },
     9 => MovementExport { node_name: String, records: Vec<Vec<u8>> },
-    10 => CatalogDigest { digest: u64 },
-    11 => CatalogPull { have: Vec<(String, u32)> },
+    10 => ReplicaDigest { digest: u64 },
+    // Tag 11 is reserved: the catalog-only `CatalogPull`.
     12 => CatalogPush { exts: Vec<SignedExtension> },
-    13 => LeaseSync { entries: Vec<(String, u32, BTreeMap<String, u64>)> },
+    // Tag 13 is reserved: the whole-table, send-on-change `LeaseSync`.
     // Tag 14 is reserved: the retired stream-forwarded `StreamDelta`.
+    15 => ReplicaPull { catalog: Inventory, leases: Inventory },
+    16 => LeasePush {
+        put: Vec<(String, u32, BTreeMap<String, u64>)>,
+        drop: Vec<String>,
+    },
 });
 
 #[cfg(test)]
@@ -223,19 +233,21 @@ mod tests {
                 node_name: "robot:1:1".into(),
                 records: vec![vec![1, 2, 3], vec![]],
             },
-            MidasMsg::CatalogDigest { digest: 0xfeed },
-            MidasMsg::CatalogPull {
-                have: vec![("m".into(), 1)],
-            },
+            MidasMsg::ReplicaDigest { digest: 0xfeed },
             MidasMsg::CatalogPush {
                 exts: vec![signed()],
             },
-            MidasMsg::LeaseSync {
-                entries: vec![(
+            MidasMsg::ReplicaPull {
+                catalog: [("m".to_string(), 1)].into_iter().collect(),
+                leases: [("robot:1:1".to_string(), 9)].into_iter().collect(),
+            },
+            MidasMsg::LeasePush {
+                put: vec![(
                     "robot:1:1".into(),
                     7,
                     [("m".to_string(), 4u64)].into(),
                 )],
+                drop: vec!["robot:1:2".into()],
             },
         ];
         for m in msgs {
@@ -245,8 +257,8 @@ mod tests {
     }
 
     #[test]
-    fn reserved_tag_is_rejected_with_its_offset() {
-        for tag in [6, 14] {
+    fn reserved_tags_are_rejected_with_their_offset() {
+        for tag in [6, 11, 13, 14] {
             assert_eq!(
                 pmp_wire::from_bytes::<MidasMsg>(&[tag]),
                 Err(WireError::InvalidTag {

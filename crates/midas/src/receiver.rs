@@ -382,10 +382,10 @@ impl AdaptationService {
             | MidasMsg::RequestDep { .. }
             | MidasMsg::HandoffState { .. }
             | MidasMsg::MovementExport { .. }
-            | MidasMsg::CatalogDigest { .. }
-            | MidasMsg::CatalogPull { .. }
+            | MidasMsg::ReplicaDigest { .. }
             | MidasMsg::CatalogPush { .. }
-            | MidasMsg::LeaseSync { .. } => {}
+            | MidasMsg::ReplicaPull { .. }
+            | MidasMsg::LeasePush { .. } => {}
         }
     }
 

@@ -808,7 +808,7 @@ fn replicas_converge_catalogs_and_shadow_lease_tables() {
     // The digest exchange repaired the catalog entry.
     assert!(seen
         .iter()
-        .any(|(_, _, m)| matches!(m, MidasMsg::CatalogPull { .. })));
+        .any(|(_, _, m)| matches!(m, MidasMsg::ReplicaPull { .. })));
     assert_eq!(b.base.catalog.ids(), ["hall-a/monitoring"]);
     assert_eq!(b.base.catalog_digest(), w.base.catalog_digest());
     // The lease table was shadowed: hall B can adopt robot:1:1 with
@@ -865,7 +865,7 @@ fn each_publish_is_pushed_once_to_the_replica_before_the_next_scan() {
         assert!(
             !seen
                 .iter()
-                .any(|(_, _, m)| matches!(m, MidasMsg::CatalogDigest { .. })),
+                .any(|(_, _, m)| matches!(m, MidasMsg::ReplicaDigest { .. })),
             "v{version}: converged before any scan tick"
         );
     }

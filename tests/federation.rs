@@ -1,15 +1,19 @@
 //! The federated base fabric through the full platform: directory-tier
 //! lookups over a registrar tree, re-delivery-free roaming between
-//! replicated halls, and federation topology and base settings
-//! surviving a base restart.
+//! replicated halls, federation topology and base settings surviving a
+//! base restart, and the anti-entropy exchange healing routes and lease
+//! views after a restart or a partition.
 
 use pmp::core::scenario::{ProductionHalls, IN_HALL_A, IN_HALL_B};
 use pmp::core::{BaseId, Platform};
 use pmp::discovery::{DiscoveryEvent, ServiceItem, ServiceQuery};
 use pmp::net::Position;
+use pmp::vm::perm::{Permission, Permissions};
 
 const SEC: u64 = 1_000_000_000;
 const MS: u64 = 1_000_000;
+/// A second spot in hall A, near the first robot.
+const IN_HALL_A_EAST: Position = Position { x: 40.0, y: 30.0 };
 
 /// 16 bases in a 4-ary registrar tree: a lookup entered at the deepest
 /// leftmost leaf finds a service registered at the deepest rightmost
@@ -35,7 +39,7 @@ fn fed_lookup_routes_through_the_directory_tier() {
         ServiceItem::new("print", "laser", provider.0),
         3_600 * SEC,
     );
-    p.pump(3 * SEC); // registration + DirAdvertise propagation
+    p.pump(3 * SEC); // registration + route exchange up the tree
 
     let origin = BaseId(5); // deepest leftmost leaf of a 16-node 4-ary tree
     let req = p.fed_lookup(origin, ServiceQuery::of_type("print"));
@@ -228,4 +232,100 @@ fn federation_topology_survives_base_restart() {
     for id in &installed {
         assert_eq!(node.receiver.lease_holder(id), Some(a_node));
     }
+}
+
+/// A restarted registrar relearns the routes its children hold: root
+/// A has children B and C, a `print` service lives at B, and after A
+/// crashes and restarts a lookup entered at C still routes down
+/// through A to B — because B's next route digest mismatches A's empty
+/// view, A pulls, and B pushes its types again.
+#[test]
+fn a_restarted_registrar_relearns_its_childrens_routes() {
+    let mut p = Platform::new(2603);
+    p.add_area("fab", Position::new(0.0, 0.0), Position::new(400.0, 100.0));
+    let bases: Vec<BaseId> = [50.0, 200.0, 350.0]
+        .iter()
+        .map(|&x| p.add_base("fab", Position::new(x, 50.0), 4.0))
+        .collect();
+    let (a, b, c) = (bases[0], bases[1], bases[2]);
+    p.set_directory_parent(b, a);
+    p.set_directory_parent(c, a);
+    let provider = p.base(b).node;
+    p.register_service(b, ServiceItem::new("print", "laser", provider.0), 3_600 * SEC);
+    p.pump(3 * SEC);
+
+    let lookup = |p: &mut Platform| {
+        let req = p.fed_lookup(c, ServiceQuery::of_type("print"));
+        p.pump(SEC);
+        p.take_discoveries(c)
+            .into_iter()
+            .find_map(|e| match e {
+                DiscoveryEvent::FedLookupDone { req: r, items, .. } if r == req => {
+                    Some(items.len())
+                }
+                _ => None,
+            })
+            .expect("the lookup is answered")
+    };
+    assert_eq!(lookup(&mut p), 1, "found before the restart");
+
+    p.crash_base(a);
+    p.pump(SEC);
+    p.restart_base(a);
+    p.pump(SEC);
+    assert_eq!(
+        lookup(&mut p),
+        1,
+        "within 2 s of the restart the root routes down to B again"
+    );
+}
+
+/// A lease table written while the backhaul was cut reaches the
+/// replica after the heal: robot:1:2 adapts in hall A while the A–B
+/// link is partitioned, and within three scan periods of the heal hall
+/// B shadows it in its roaming cache, because A's next digest
+/// mismatches B's view and B pulls the difference.
+#[test]
+fn a_partitioned_replica_heals_its_lease_view() {
+    let mut w = ProductionHalls::build(2604);
+    let (a, b) = (w.base_a, w.base_b);
+    w.platform.federate_bases(a, b);
+    w.platform.pump(10 * SEC);
+
+    let (na, nb) = (w.platform.base(a).node, w.platform.base(b).node);
+    w.platform.sim.partition(na, nb);
+    let policy = w.platform.trusting_policy(
+        &[a, b],
+        Permissions::none()
+            .with(Permission::Print)
+            .with(Permission::Net)
+            .with(Permission::Time)
+            .with(Permission::Store),
+    );
+    let robot = w
+        .platform
+        .add_robot("robot:1:2", IN_HALL_A_EAST, 80.0, policy)
+        .expect("robot construction");
+    w.platform.pump(5 * SEC);
+    assert!(
+        !w.platform.node(robot).receiver.installed_ids().is_empty(),
+        "robot:1:2 adapted in hall A during the partition"
+    );
+    assert!(!w.platform.base(b).base.roaming_cache.contains_key("robot:1:2"));
+
+    w.platform.sim.heal(na, nb);
+    w.platform.pump(3 * SEC);
+    let shadow = w
+        .platform
+        .base(b)
+        .base
+        .roaming_cache
+        .get("robot:1:2")
+        .expect("hall B shadows robot:1:2 within three scans of the heal");
+    assert_eq!(shadow.from, na.0);
+    assert_eq!(
+        w.platform.base(b).base.replica_view_digest(na),
+        w.platform.base(a).base.replica_digest(),
+        "B's view of A's catalog and lease table equals A's own"
+    );
 }

@@ -3,7 +3,6 @@
 
 use pmp::core::Platform;
 use pmp::extensions;
-use pmp::midas::BaseEvent;
 use pmp::net::Position;
 use pmp::vm::prelude::*;
 
@@ -35,23 +34,21 @@ fn departing_node_is_handed_off_to_the_neighbour_base() {
     p.move_node(dev, Position::new(500.0, 500.0));
     p.pump(10 * SEC);
 
-    assert!(p
-        .base(base_a)
-        .events
-        .iter()
-        .any(|e| matches!(e, BaseEvent::NodeDeparted { node_name } if node_name == "pda:r")));
-    assert!(p
+    let handoff = p
         .base(base_b)
-        .events
-        .iter()
-        .any(|e| matches!(e, BaseEvent::HandoffReceived { node_name, ext_ids }
-            if node_name == "pda:r" && ext_ids.contains(&"ext/billing".to_string()))));
-    assert!(p.base(base_b).base.roaming_cache.contains_key("pda:r"));
+        .base
+        .roaming_cache
+        .get("pda:r")
+        .expect("base B holds the roaming record");
+    assert_eq!(handoff.from, p.base(base_a).node.0);
+    assert!(handoff.grants.contains_key("ext/billing"));
+    let t = p.telemetry();
+    assert_eq!(t.counter_value("midas.base.handoffs_sent"), 1);
+    assert_eq!(t.counter_value("midas.base.handoffs_received"), 1);
 
     // The whole episode is observable in the platform registry: the
     // device's adaptation, the shipped extension, and the expiry of its
     // presence lease after wandering off.
-    let t = p.telemetry();
     assert!(t.counter_value("midas.base.delivered") >= 1);
     assert!(t.counter_value("midas.receiver.installed") >= 1);
     assert!(

@@ -15,7 +15,7 @@ use pmp::chaos::{ExtKind, Op as ChaosOp};
 use pmp::core::rpc::{CallOp, InvocationSemantics, PendingCall};
 use pmp::core::{AppMsg, RpcMsg};
 use pmp::crypto::{Signature, SignedBlob};
-use pmp::discovery::{DiscoveryMsg, ServiceId, ServiceItem, ServiceQuery};
+use pmp::discovery::{Diff, DiscoveryMsg, Inventory, ServiceId, ServiceItem, ServiceQuery};
 use pmp::midas::durable::BaseWalOp;
 use pmp::midas::{MidasMsg, SignedExtension};
 use pmp::prose::{PortableClass, PortableMethod};
@@ -75,6 +75,10 @@ fn pinned_enum<T: Wire + PartialEq + Debug>(
 
 fn s(v: &str) -> String {
     v.to_string()
+}
+
+fn inventory(entries: &[(&str, u64)]) -> Inventory {
+    entries.iter().map(|(k, v)| (s(k), *v)).collect()
 }
 
 fn map(entries: &[(&str, u64)]) -> BTreeMap<String, u64> {
@@ -338,6 +342,7 @@ fn chaos_op_format_is_pinned() {
                 "14010309000000",
             ),
             (ChaosOp::SlowLinks { mult: 4 }, "1504"),
+            (ChaosOp::DirParent { child: 2, parent: 1 }, "160201"),
         ],
     );
 }
@@ -424,13 +429,7 @@ fn midas_msg_format_is_pinned() {
                 },
                 "0907726f626f743a320202010200",
             ),
-            (MidasMsg::CatalogDigest { digest: 0xfeed_beef }, "0aefbeedfe00000000"),
-            (
-                MidasMsg::CatalogPull {
-                    have: vec![(s("ext/a"), 2), (s("ext/b"), 300)],
-                },
-                "0b02056578742f6102000000056578742f622c010000",
-            ),
+            (MidasMsg::ReplicaDigest { digest: 0xfeed_beef }, "0aefbeedfe00000000"),
             (
                 MidasMsg::CatalogPush {
                     exts: vec![signed(&[7, 8])],
@@ -438,15 +437,26 @@ fn midas_msg_format_is_pinned() {
                 "0c0106626173653a61020708efcdab89674523012a00000000000000",
             ),
             (
-                MidasMsg::LeaseSync {
-                    entries: vec![(s("robot:1"), 5, map(&[("ext/a", 3)]))],
+                MidasMsg::ReplicaPull {
+                    catalog: inventory(&[("ext/a", 2), ("ext/b", 300)]),
+                    leases: inventory(&[("robot:1", 0x0123_4567_89ab_cdef)]),
                 },
-                "0d0107726f626f743a310500000001056578742f610300000000000000",
+                "0f02056578742f610200000000000000056578742f622c010000000000000107726f626f743a31efcdab8967452301",
+            ),
+            (
+                MidasMsg::LeasePush {
+                    put: vec![(s("robot:1"), 5, map(&[("ext/a", 3)]))],
+                    drop: vec![s("robot:2")],
+                },
+                "100107726f626f743a310500000001056578742f6103000000000000000107726f626f743a32",
             ),
         ],
     );
-    // The retired `RoamingHandoff` and `StreamDelta` keep their tags.
-    assert!(unassigned.contains(&6) && unassigned.contains(&14));
+    // The retired `RoamingHandoff`, `CatalogPull`, `LeaseSync` and
+    // `StreamDelta` keep their tags.
+    for tag in [6, 11, 13, 14] {
+        assert!(unassigned.contains(&tag), "tag {tag} is reserved");
+    }
 }
 
 #[test]
@@ -512,7 +522,7 @@ fn base_wal_op_format_is_pinned() {
 #[test]
 fn discovery_msg_format_is_pinned() {
     let service = ServiceId::compose(1, 2);
-    pinned_enum(
+    let unassigned = pinned_enum(
         "DiscoveryMsg",
         &[
             (
@@ -565,12 +575,6 @@ fn discovery_msg_format_is_pinned() {
                 "07012c010000010000000764726177696e6709726f626f743a313a3104000000010468616c6c01610b00000000000000",
             ),
             (
-                DiscoveryMsg::DirAdvertise {
-                    types: vec![s("drawing"), s("midas.adaptation")],
-                },
-                "08020764726177696e67106d696461732e61646170746174696f6e",
-            ),
-            (
                 DiscoveryMsg::FedLookup {
                     query: ServiceQuery {
                         service_type: None,
@@ -592,8 +596,26 @@ fn discovery_msg_format_is_pinned() {
                 },
                 "0a012c010000010000000764726177696e6709726f626f743a313a3104000000010468616c6c016102000700000001010000002c01000000000000",
             ),
+            (DiscoveryMsg::DirDigest { digest: 0xfeed_beef }, "0befbeedfe00000000"),
+            (
+                DiscoveryMsg::DirPull {
+                    have: inventory(&[("drawing", 0), ("midas.adaptation", 0)]),
+                },
+                "0c020764726177696e670000000000000000106d696461732e61646170746174696f6e0000000000000000",
+            ),
+            (
+                DiscoveryMsg::DirPush {
+                    diff: Diff {
+                        put: vec![(s("drawing"), 0)],
+                        drop: vec![s("midas.adaptation")],
+                    },
+                },
+                "0d010764726177696e67000000000000000001106d696461732e61646170746174696f6e",
+            ),
         ],
     );
+    // The retired send-on-change `DirAdvertise` keeps its tag.
+    assert!(unassigned.contains(&8));
 }
 
 #[test]
