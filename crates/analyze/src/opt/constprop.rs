@@ -238,11 +238,14 @@ pub fn propagate(
                     None => break 'ops,
                 },
                 Op::Swap => {
+                    // The `Swap` stays in the body, so deleting either
+                    // producer would leave it short of an operand: like
+                    // a shared `Dup`, it ends both slots' removability.
                     let n = sim.len();
                     if n < 2 {
                         break 'ops;
                     }
-                    sim.swap(n - 1, n - 2);
+                    sim[n - 2..].fill(Slot::Opaque);
                 }
                 Op::Jump(_) | Op::Ret | Op::Nop => {}
                 Op::RetVal | Op::Throw(_) => {

@@ -309,6 +309,32 @@ mod tests {
     }
 
     #[test]
+    fn a_swap_keeps_its_operands() {
+        // Constant propagation once deleted both producers of a `Swap`
+        // it kept, so validation reverted the whole method.
+        for ops in [
+            vec![
+                Op::Const(Const::Int(1)),
+                Op::Const(Const::Int(2)),
+                Op::Swap,
+                Op::Pop,
+                Op::Pop,
+                Op::Ret,
+            ],
+            vec![
+                Op::Const(Const::Int(0)),
+                Op::Const(Const::Int(-7)),
+                Op::Swap,
+                Op::Add,
+                Op::Ret,
+            ],
+        ] {
+            let (_, report) = optimize_aspect(&aspect(vec![method("onCall", 0, ops.clone())]));
+            assert!(report.all_validated(), "{ops:?}\n{report}");
+        }
+    }
+
+    #[test]
     fn side_effecting_bodies_survive_unchanged() {
         let a = aspect(vec![method(
             "onCall",

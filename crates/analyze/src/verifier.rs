@@ -6,7 +6,8 @@
 //! depends on — the operand-stack depth at every pc. The pass checks:
 //!
 //! * stack underflow and overflow at every instruction,
-//! * jump targets in bounds,
+//! * jump targets in bounds, at every instruction whether reached or
+//!   not (the rule [`Op::wild_target`] states for the JIT too),
 //! * a single consistent stack depth at every merge point (the
 //!   interpreter has no per-path stacks, so disagreeing depths mean
 //!   one path underflows or leaks),
@@ -133,6 +134,15 @@ pub fn verify_body(
         }
     }
 
+    // Every jump target must land in the body, reached or not: the
+    // JIT applies the same rule to every op and refuses the whole
+    // method at its first call otherwise.
+    for (pc, op) in body.ops.iter().enumerate() {
+        if let Some(t) = op.wild_target(len) {
+            findings.push(err(Some(pc), format!("jump target {t} out of range")));
+        }
+    }
+
     let nlocals = 1 + params + body.extra_locals as usize;
 
     // Worklist dataflow: `depth[pc]` is the single stack depth every
@@ -180,8 +190,8 @@ pub fn verify_body(
                 ));
             }
         }
-        // Successors: `(target, via_jump)` — a fall-through past the
-        // end and an out-of-range jump target get distinct messages.
+        // Successors: `(target, via_jump)`. A wild jump target was
+        // reported above; a fall-through past the end is reported here.
         let mut succs: Vec<(usize, bool)> = Vec::with_capacity(2);
         match flow {
             Flow::Next => succs.push((pc + 1, false)),
@@ -193,17 +203,13 @@ pub fn verify_body(
             Flow::Exit => {}
         }
         for (succ, via_jump) in succs {
-            if succ >= len {
+            if succ < len {
+                work.push((succ, nd));
+            } else if !via_jump {
                 findings.push(err(
                     Some(pc),
-                    if via_jump {
-                        format!("jump target {succ} out of range")
-                    } else {
-                        "execution falls off the end of the method".into()
-                    },
+                    "execution falls off the end of the method".into(),
                 ));
-            } else {
-                work.push((succ, nd));
             }
         }
     }
@@ -360,6 +366,18 @@ mod tests {
         let b = body(vec![Op::Jump(99)]);
         let f = verify_body("m", 0, &b, &AnalyzeOptions::default());
         assert!(errors(&f)[0].message.contains("out of range"));
+    }
+
+    #[test]
+    fn a_wild_jump_in_dead_code_is_an_error() {
+        // pc 1 is unreachable, but the JIT resolves it at the first
+        // call and refuses the method: the gate must refuse it first.
+        let b = body(vec![Op::Jump(2), Op::Jump(9), Op::Ret]);
+        let f = verify_body("m", 0, &b, &AnalyzeOptions::default());
+        let e = errors(&f);
+        assert_eq!(e.len(), 1, "{f:?}");
+        assert_eq!(e[0].pc, Some(1));
+        assert!(e[0].message.contains("jump target 9 out of range"), "{f:?}");
     }
 
     #[test]

@@ -1,117 +1,27 @@
-//! Property-based translation validation for the weave-time
-//! optimizer: any random program the verifier *accepts* must behave
-//! identically before and after `opt::optimize_aspect` — same return
-//! value or same thrown error, same final field state. The alphabet
-//! includes a constant sibling method reachable through a virtual
-//! call, so constant folding, branch elimination, devirtualisation,
-//! interprocedural inlining, and dead-code compaction all fire on a
-//! useful fraction of inputs.
+//! Seeded translation validation for the weave-time optimizer: any
+//! random program the verifier *accepts* must optimize without a
+//! revert and behave identically before and after
+//! `opt::optimize_aspect`: the same return value or the same thrown
+//! error, and the same final value of `this.f`. The programs (see
+//! `programs`) return whatever is left on their stack, concatenated,
+//! and write `f`, so a wrong fold shows; calls to the constant sibling
+//! `limit()` make devirtualisation and interprocedural inlining fire,
+//! and constant branches feed dead-code elimination.
 //!
 //! Fuel exhaustion is the one permitted divergence: optimization
 //! legitimately reduces fuel consumption (that is its point), so a
 //! case where either leg runs out of fuel is discarded rather than
 //! compared.
-//!
-//! Needs the external `proptest` crate; the offline default build gates
-//! the whole file behind the (empty) `proptest` feature.
-#![cfg(feature = "proptest")]
+
+mod programs;
 
 use pmp_analyze::opt;
-use pmp_analyze::{verifier, AnalyzeOptions, Severity};
-use pmp_prose::{PortableAspect, PortableClass, PortableMethod};
-use pmp_vm::op::{BytecodeBody, Const, Op};
+use pmp_vm::op::{Const, Op};
 use pmp_vm::prelude::*;
-use proptest::prelude::*;
+use programs::{admitted, aspect_for, check_seed, run};
 
-const EXTRA_LOCALS: u16 = 2;
-const FUEL: u64 = 10_000;
-
-/// Decodes one raw triple into an op. Weighted toward pushes and
-/// foldable arithmetic so many programs verify and many optimize.
-fn decode(sel: u8, imm: i64, raw_target: u32, len: usize) -> Op {
-    let target = (raw_target as usize % (len + 2)) as u32;
-    match sel % 26 {
-        0..=4 => Op::Const(Const::Int(imm)),
-        5 => Op::Const(Const::Bool(imm & 1 == 0)),
-        6 => Op::Const(Const::Str(format!("s{}", imm.rem_euclid(3)))),
-        7 => Op::Dup,
-        8 => Op::Pop,
-        9 => Op::Swap,
-        10 => Op::Add,
-        11 => Op::Mul,
-        12 => Op::Eq,
-        13 => Op::Lt,
-        14 => Op::Not,
-        15 => Op::Neg,
-        16 => Op::Concat,
-        17 => Op::ToStr,
-        18 => Op::Jump(target),
-        19 => Op::JumpIf(target),
-        20 => Op::JumpIfNot(target),
-        21 => Op::Load((raw_target % 4) as u16),
-        22 => Op::Store((raw_target % 4) as u16),
-        23 => Op::CallV {
-            method: "limit".into(),
-            argc: 0,
-        },
-        24 => Op::GetField {
-            class: "T".into(),
-            field: "f".into(),
-        },
-        _ => Op::Nop,
-    }
-}
-
-fn program(raw: &[(u8, i64, u32)], trailing_ret: bool) -> Vec<Op> {
-    let len = raw.len() + usize::from(trailing_ret);
-    let mut ops: Vec<Op> = raw
-        .iter()
-        .map(|(sel, imm, t)| decode(*sel, *imm, *t, len))
-        .collect();
-    if trailing_ret {
-        ops.push(Op::Ret);
-    }
-    ops
-}
-
-/// The constant sibling: `limit() -> 9`, the target for
-/// devirtualisation and interprocedural constant inlining.
-fn limit_method() -> PortableMethod {
-    PortableMethod {
-        name: "limit".into(),
-        params: vec![],
-        ret: "int".into(),
-        body: BytecodeBody {
-            extra_locals: 0,
-            ops: vec![Op::Const(Const::Int(9)), Op::RetVal],
-            handlers: vec![],
-        },
-    }
-}
-
-fn aspect_for(ops: &[Op]) -> PortableAspect {
-    PortableAspect {
-        name: "t".into(),
-        class: PortableClass {
-            name: "T".into(),
-            fields: vec![("f".into(), "int".into())],
-            methods: vec![
-                PortableMethod {
-                    name: "m".into(),
-                    params: vec![],
-                    ret: "any".into(),
-                    body: BytecodeBody {
-                        extra_locals: EXTRA_LOCALS,
-                        ops: ops.to_vec(),
-                        handlers: vec![],
-                    },
-                },
-                limit_method(),
-            ],
-        },
-        bindings: vec![],
-    }
-}
+/// Cases; most of them pass the verifier and get compared.
+const CASES: u64 = 256;
 
 fn canon(v: &Value) -> String {
     match v {
@@ -120,61 +30,79 @@ fn canon(v: &Value) -> String {
     }
 }
 
-/// Runs `class.m` under finite fuel; `Err(())` means fuel exhaustion
-/// (discard), otherwise the canonical (result, field-f) observables.
-fn run_class(class: &PortableClass) -> Result<(String, String), ()> {
-    let mut vm = Vm::new(VmConfig::default());
-    let def = class.to_class_def().expect("class def");
-    vm.register_class(def).expect("register");
-    let this = vm.new_object("T").expect("object");
-    let scope = vm.begin_advice(Permissions::all(), Some(FUEL));
-    let result = vm.call("T", "m", this.clone(), vec![]);
-    vm.end_advice(scope);
-    if let Err(VmError::Limit(_)) = &result {
-        // Fuel/limit exhaustion: optimization may only reduce resource
-        // use, so limits are not a comparable observable.
-        return Err(());
-    }
-    let rendered = match &result {
-        Ok(v) => format!("Ok({})", canon(v)),
+/// A run's result and `f`, heap ids compared opaquely; `None` when a
+/// limit (fuel) stopped it.
+fn observed((result, f): (Result<Value, VmError>, Value)) -> Option<(String, String)> {
+    let result = match result {
+        Err(VmError::Limit(_)) => return None,
+        Ok(v) => format!("Ok({})", canon(&v)),
         Err(e) => format!("Err({e})"),
     };
-    let f = vm
-        .get_field(this.as_ref_id().expect("ref"), "T", "f")
-        .map_or_else(|e| format!("<{e}>"), |v| canon(&v));
-    Ok((rendered, f))
+    Some((result, canon(&f)))
 }
 
-proptest! {
-    #[test]
-    fn optimized_programs_behave_identically(
-        raw in prop::collection::vec((any::<u8>(), -8i64..8, any::<u32>()), 1..24),
-        trailing_ret in prop::bool::weighted(0.9),
-    ) {
-        let ops = program(&raw, trailing_ret);
-        let aspect = aspect_for(&ops);
-        let findings = verifier::verify_class(&aspect.class, &AnalyzeOptions::default());
-        if findings.iter().any(|f| f.severity >= Severity::Error) {
-            // Rejected: admission would refuse it; nothing to compare.
-            return Ok(());
-        }
-
-        let (optimized, report) = opt::optimize_aspect(&aspect);
-        prop_assert!(
-            report.all_validated(),
-            "translation validation reverted a verifier-accepted program: {ops:?}\n{report}"
-        );
-
-        match (run_class(&aspect.class), run_class(&optimized.class)) {
-            // Fuel exhaustion on either leg: optimization may only
-            // *reduce* fuel use, so original-exhausts/optimized-runs is
-            // legitimate; compare nothing.
-            (Err(()), _) | (_, Err(())) => {}
-            (Ok(a), Ok(b)) => prop_assert_eq!(
-                a, b,
-                "optimized program diverged\n  ops: {:?}\n  optimized: {:?}",
-                ops, optimized.class.methods[0].body.ops
-            ),
-        }
+/// Checks one program as admission and the optimizer see it. Returns
+/// whether its two runs were compared: a program the verifier rejects
+/// or whose run a limit stopped is not.
+fn behaves_identically(ops: &[Op]) -> bool {
+    let aspect = aspect_for(ops);
+    if !admitted(&aspect) {
+        return false; // admission would refuse it: nothing to compare
     }
+    let (optimized, report) = opt::optimize_aspect(&aspect);
+    assert!(
+        report.all_validated(),
+        "translation validation reverted a verifier-accepted program: {ops:?}\n{report}"
+    );
+    let (Some(before), Some(after)) = (
+        observed(run(&aspect.class)),
+        observed(run(&optimized.class)),
+    ) else {
+        return false;
+    };
+    assert_eq!(
+        before, after,
+        "optimized program diverged\n  ops: {ops:?}\n  optimized: {:?}",
+        optimized.class.methods[0].body.ops
+    );
+    true
+}
+
+#[test]
+fn optimized_programs_behave_identically() {
+    let compared = (0..CASES)
+        .filter(|&seed| check_seed(seed, behaves_identically))
+        .count() as u64;
+    // A generator that stops yielding comparable programs would leave
+    // the property checking nothing.
+    assert!(
+        2 * compared >= CASES,
+        "only {compared} of {CASES} programs compared"
+    );
+}
+
+/// Seed 128, shrunk: constant propagation once folded `5 * 3` across a
+/// `Swap` and deleted the `5` the `Swap` still moved, so the optimized
+/// body passed the verifier but returned `"null2150"`, not
+/// `"2null150"`.
+#[test]
+fn a_fold_after_a_swap_keeps_the_stack_order() {
+    let ops = [
+        Op::Const(Const::Int(2)),
+        Op::Const(Const::Int(5)),
+        Op::Load(1),
+        Op::Swap,
+        Op::Const(Const::Int(3)),
+        Op::Mul,
+        Op::Load(0),
+        Op::GetField {
+            class: "T".into(),
+            field: "f".into(),
+        },
+        Op::Concat,
+        Op::Concat,
+        Op::Concat,
+        Op::RetVal,
+    ];
+    assert!(behaves_identically(&ops));
 }

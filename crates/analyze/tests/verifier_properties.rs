@@ -1,105 +1,42 @@
-//! Property-based soundness check for the bytecode verifier: any
-//! random program the verifier *accepts* must execute in the real VM
-//! without hitting the faults the verifier claims to rule out — no
-//! operand-stack underflow, no bad local slot, no out-of-range jump
-//! (all surfaced by the interpreter as `VmError::Link`). Type
-//! exceptions and fuel exhaustion are allowed: the verifier tracks
-//! stack *depth*, not types, and loops are bounded by fuel, not
-//! rejected.
-//!
-//! Needs the external `proptest` crate; the offline default build gates
-//! the whole file behind the (empty) `proptest` feature.
-#![cfg(feature = "proptest")]
+//! Seeded soundness check for the bytecode verifier: any random program
+//! the verifier *accepts* must execute in the real VM without the
+//! faults the verifier claims to rule out: no operand-stack underflow,
+//! no bad local slot, no out-of-range jump (all surfaced by the JIT or
+//! the interpreter as `VmError::Link`). Type exceptions and fuel
+//! exhaustion are allowed: the verifier tracks stack *depth*, not
+//! types, and loops are bounded by fuel, not rejected.
 
-use pmp_analyze::{verifier, AnalyzeOptions, Severity};
-use pmp_vm::builder::MethodBuilder;
-use pmp_vm::class::ClassDef;
-use pmp_vm::op::{BytecodeBody, Op};
+mod programs;
+
+use pmp_vm::op::Op;
 use pmp_vm::prelude::*;
-use proptest::prelude::*;
+use programs::{admitted, aspect_for, check_seed, run};
 
-const EXTRA_LOCALS: u16 = 2;
+/// Cases; the verifier accepts most and rejects the rest.
+const CASES: u64 = 256;
 
-/// Decodes one (selector, payload-int, payload-target) triple into an
-/// op from the stack-pure alphabet. Selector weights favour pushes so
-/// a useful fraction of random programs stay depth-consistent and pass
-/// the verifier.
-fn decode(sel: u8, imm: i64, raw_target: u32, len: usize) -> Op {
-    // Targets land in 0..len+2: mostly valid, occasionally out of
-    // range so the verifier's jump check gets exercised too.
-    let target = (raw_target as usize % (len + 2)) as u32;
-    match sel % 20 {
-        0..=4 => Op::Const(Const::Int(imm)),
-        5 | 6 => Op::Const(Const::Bool(imm & 1 == 0)),
-        7 => Op::Dup,
-        8 => Op::Pop,
-        9 => Op::Swap,
-        10 => Op::Add,
-        11 => Op::Eq,
-        12 => Op::Not,
-        13 => Op::Neg,
-        14 => Op::Jump(target),
-        15 => Op::JumpIf(target),
-        16 => Op::JumpIfNot(target),
-        // Slots 0..4 on a method with 3 slots: sometimes out of range.
-        17 => Op::Load((raw_target % 4) as u16),
-        18 => Op::Store((raw_target % 4) as u16),
-        _ => Op::Nop,
+/// Whether admission accepts `ops`; an accepted program must not
+/// link-fault when called.
+fn accepted_and_sound(ops: &[Op]) -> bool {
+    let aspect = aspect_for(ops);
+    if !admitted(&aspect) {
+        return false; // admission would refuse it
     }
+    if let (Err(VmError::Link(msg)), _) = run(&aspect.class) {
+        panic!("verifier accepted {ops:?} but execution link-faulted: {msg}");
+    }
+    true
 }
 
-fn program(raw: &[(u8, i64, u32)], trailing_ret: bool) -> Vec<Op> {
-    let len = raw.len() + usize::from(trailing_ret);
-    let mut ops: Vec<Op> = raw
-        .iter()
-        .map(|(sel, imm, t)| decode(*sel, *imm, *t, len))
-        .collect();
-    if trailing_ret {
-        ops.push(Op::Ret);
-    }
-    ops
-}
-
-proptest! {
-    #[test]
-    fn accepted_programs_never_link_fault(
-        raw in prop::collection::vec((any::<u8>(), -8i64..8, any::<u32>()), 1..24),
-        trailing_ret in prop::bool::weighted(0.9),
-    ) {
-        let ops = program(&raw, trailing_ret);
-        let body = BytecodeBody {
-            extra_locals: EXTRA_LOCALS,
-            ops: ops.clone(),
-            handlers: vec![],
-        };
-        let findings = verifier::verify_body("m", 0, &body, &AnalyzeOptions::default());
-        if findings.iter().any(|f| f.severity >= Severity::Error) {
-            // Rejected: nothing to check — admission would refuse it.
-            return Ok(());
-        }
-
-        // Accepted: the program must register (the JIT re-checks jump
-        // targets) and run without any link fault.
-        let mut vm = Vm::new(VmConfig::default());
-        vm.register_class(
-            ClassDef::build("T")
-                .method("m", [], TypeSig::Void, |b: &mut MethodBuilder| {
-                    b.locals(EXTRA_LOCALS);
-                    for op in &ops {
-                        b.op(op.clone());
-                    }
-                })
-                .done(),
-        )
-        .unwrap_or_else(|e| panic!("verifier accepted {ops:?} but JIT refused: {e}"));
-
-        let this = vm.new_object("T").unwrap();
-        // Finite fuel bounds verifier-accepted loops.
-        let scope = vm.begin_advice(Permissions::all(), Some(10_000));
-        let result = vm.call("T", "m", this, vec![]);
-        vm.end_advice(scope);
-        if let Err(VmError::Link(msg)) = &result {
-            panic!("verifier accepted {ops:?} but execution link-faulted: {msg}");
-        }
-    }
+#[test]
+fn accepted_programs_never_link_fault() {
+    let accepted = (0..CASES)
+        .filter(|&seed| check_seed(seed, accepted_and_sound))
+        .count() as u64;
+    // Both verdicts must stay common: at least half the programs
+    // accepted and an eighth rejected.
+    assert!(
+        2 * accepted >= CASES && 8 * (CASES - accepted) >= CASES,
+        "{accepted} of {CASES} programs accepted"
+    );
 }

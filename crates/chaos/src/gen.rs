@@ -14,7 +14,7 @@ use crate::script::{
     CatalogEntry, ExtKind, Op, Scenario, Step, Topology, ALL_KINDS, MAX_NODES, MAX_SUBS,
     STREAM_NAMESPACES,
 };
-use pmp_net::SimRng;
+use pmp_telemetry::SimRng;
 use std::collections::BTreeMap;
 
 /// Generation knobs.
@@ -105,13 +105,13 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Scenario {
         t_ms += 100 + rng.range_u64(900);
         let at_ms = t_ms as u32;
         let hall_of = |rng: &mut SimRng| rng.range_u64(u64::from(halls)) as u8;
-        let kind_of = |rng: &mut SimRng| ALL_KINDS[rng.range_u64(ALL_KINDS.len() as u64) as usize];
+        let kind_of = |rng: &mut SimRng| *rng.pick(&ALL_KINDS);
         // Bases that may still take a directory parent (base 0 is
         // every tree's root).
         let orphans: Vec<u8> = (1..halls).filter(|&i| !parented[usize::from(i)]).collect();
         let op = match rng.range_u64(100) {
             13..=14 if !orphans.is_empty() => {
-                let child = orphans[rng.range_u64(orphans.len() as u64) as usize];
+                let child = *rng.pick(&orphans);
                 parented[usize::from(child)] = true;
                 Op::DirParent {
                     child,

@@ -15,7 +15,7 @@
 //! ceiling, then ddmin-shrinks like any other failure.
 
 use crate::script::{CatalogEntry, ExtKind, Op, Scenario, Step, Topology};
-use pmp_net::SimRng;
+use pmp_telemetry::SimRng;
 
 /// Decorrelates soak scheduling jitter from both the generator's
 /// script stream and the platform's link RNG.

@@ -29,7 +29,8 @@
 
 use crate::wiring::RpcMsg;
 use pmp_durable::{DurableError, DurableHub, Store};
-use pmp_net::{NetPort, NodeId, SimRng};
+use pmp_net::{NetPort, NodeId};
+use pmp_telemetry::SimRng;
 use pmp_wire::{wire_enum, wire_struct, Reader, Wire, Writer};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -553,14 +554,14 @@ mod tests {
     /// and cap + jitter above, for any request id and attempt.
     #[test]
     fn backoff_is_pure_and_bounded() {
-        let mut rng = SimRng::new(0xB0FF);
-        for case in 0..CASES {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
             let req = rng.next_u64();
             let attempt = 1 + rng.range_u64(15) as u32;
             let a = backoff_delay(req, attempt);
-            assert_eq!(a, backoff_delay(req, attempt), "case {case}: impure");
-            assert!(a >= RPC_TIMEOUT_NS, "case {case}: {a}");
-            assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS, "case {case}: {a}");
+            assert_eq!(a, backoff_delay(req, attempt), "seed {seed}: impure");
+            assert!(a >= RPC_TIMEOUT_NS, "seed {seed}: {a}");
+            assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS, "seed {seed}: {a}");
         }
         // Doubling dominates the jitter for early attempts.
         let d1 = backoff_delay(5, 1);

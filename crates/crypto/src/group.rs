@@ -58,6 +58,7 @@ pub fn in_group(x: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     #[test]
     fn constants_are_consistent() {
@@ -85,39 +86,54 @@ mod tests {
         inv_mod(0);
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-        proptest! {
-            #[test]
-            fn prop_pow_laws(a in 1..Q, b in 1..Q) {
-                // g^a * g^b == g^(a+b mod Q)
-                let lhs = mul_mod(pow_mod(G, a), pow_mod(G, b));
-                let rhs = pow_mod(G, add_mod_q(a, b));
-                prop_assert_eq!(lhs, rhs);
-            }
+    /// A value in `[1, n)`; one draw in four is an end of that range.
+    fn nonzero_below(rng: &mut SimRng, n: u64) -> u64 {
+        match rng.range_u64(8) {
+            0 => 1,
+            1 => n - 1,
+            _ => 1 + rng.range_u64(n - 1),
+        }
+    }
 
-            #[test]
-            fn prop_pow_of_pow(a in 1..Q, b in 1..Q) {
-                // (g^a)^b == g^(a*b mod Q)
-                let lhs = pow_mod(pow_mod(G, a), b);
-                let rhs = pow_mod(G, mul_mod_q(a, b));
-                prop_assert_eq!(lhs, rhs);
-            }
+    #[test]
+    fn prop_pow_laws() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let (a, b) = (nonzero_below(&mut rng, Q), nonzero_below(&mut rng, Q));
+            // g^a * g^b == g^(a+b mod Q)
+            let lhs = mul_mod(pow_mod(G, a), pow_mod(G, b));
+            assert_eq!(lhs, pow_mod(G, add_mod_q(a, b)), "seed {seed}: a={a} b={b}");
+        }
+    }
 
-            #[test]
-            fn prop_group_membership(a in 1..Q) {
-                prop_assert!(in_group(pow_mod(G, a)));
-            }
+    #[test]
+    fn prop_pow_of_pow() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let (a, b) = (nonzero_below(&mut rng, Q), nonzero_below(&mut rng, Q));
+            // (g^a)^b == g^(a*b mod Q)
+            let lhs = pow_mod(pow_mod(G, a), b);
+            assert_eq!(lhs, pow_mod(G, mul_mod_q(a, b)), "seed {seed}: a={a} b={b}");
+        }
+    }
 
-            #[test]
-            fn prop_mul_commutes(a in 1..P, b in 1..P) {
-                prop_assert_eq!(mul_mod(a, b), mul_mod(b, a));
-            }
+    #[test]
+    fn prop_group_membership() {
+        for seed in 0..CASES {
+            let a = nonzero_below(&mut SimRng::new(seed), Q);
+            assert!(in_group(pow_mod(G, a)), "seed {seed}: a={a}");
+        }
+    }
+
+    #[test]
+    fn prop_mul_commutes() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let (a, b) = (nonzero_below(&mut rng, P), nonzero_below(&mut rng, P));
+            assert_eq!(mul_mod(a, b), mul_mod(b, a), "seed {seed}: a={a} b={b}");
         }
     }
 }

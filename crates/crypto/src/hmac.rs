@@ -37,6 +37,7 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     // RFC 4231 test vectors.
     #[test]
@@ -68,31 +69,63 @@ mod tests {
         );
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn keys_equal_after_zero_padding_are_one_key() {
+        // RFC 2104 zero-pads a key to the block, so trailing zero bytes
+        // do not change it.
+        let msg = b"what do ya want for nothing?";
+        assert_eq!(hmac_sha256(&[1], msg), hmac_sha256(&[1, 0], msg));
+        assert_ne!(hmac_sha256(&[1], msg), hmac_sha256(&[1, 1], msg));
+    }
 
-        proptest! {
-            #[test]
-            fn prop_key_sensitivity(
-                k1 in proptest::collection::vec(any::<u8>(), 1..64),
-                k2 in proptest::collection::vec(any::<u8>(), 1..64),
-                msg in proptest::collection::vec(any::<u8>(), 0..128),
-            ) {
-                prop_assume!(k1 != k2);
-                prop_assert_ne!(hmac_sha256(&k1, &msg), hmac_sha256(&k2, &msg));
-            }
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-            #[test]
-            fn prop_deterministic(
-                key in proptest::collection::vec(any::<u8>(), 0..200),
-                msg in proptest::collection::vec(any::<u8>(), 0..200),
-            ) {
-                prop_assert_eq!(hmac_sha256(&key, &msg), hmac_sha256(&key, &msg));
+    /// A short key as HMAC uses it: zero-padded to the block.
+    fn padded(key: &[u8]) -> [u8; BLOCK] {
+        let mut k = [0u8; BLOCK];
+        k[..key.len()].copy_from_slice(key);
+        k
+    }
+
+    /// Keys that differ after zero-padding give different tags: another
+    /// key, one bit flipped, or one non-zero byte appended.
+    #[test]
+    fn prop_key_sensitivity() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let k1 = rng.bytes(1..64);
+            let mut k2 = k1.clone();
+            match rng.range_u64(3) {
+                0 => k2 = rng.bytes(1..64),
+                1 => {
+                    let i = rng.below(k2.len());
+                    k2[i] ^= 1 << rng.below(8);
+                }
+                _ => k2.push(1 + rng.range_u64(255) as u8),
             }
+            if padded(&k1) == padded(&k2) {
+                continue; // one key, see the test above
+            }
+            let msg = rng.bytes(0..128);
+            assert_ne!(
+                hmac_sha256(&k1, &msg),
+                hmac_sha256(&k2, &msg),
+                "seed {seed}: {k1:?} vs {k2:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn prop_deterministic() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let (key, msg) = (rng.bytes(0..200), rng.bytes(0..200));
+            assert_eq!(
+                hmac_sha256(&key, &msg),
+                hmac_sha256(&key, &msg),
+                "seed {seed}"
+            );
         }
     }
 }

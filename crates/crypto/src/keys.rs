@@ -126,6 +126,7 @@ impl KeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     #[test]
     fn seed_determinism() {
@@ -155,20 +156,13 @@ mod tests {
         assert_eq!(format!("{:?}", pair.secret_key()), "SecretKey(<redacted>)");
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_public_key_roundtrip(seed in proptest::collection::vec(any::<u8>(), 1..32)) {
-                let pk = KeyPair::from_seed(&seed).public_key();
-                let bytes = pmp_wire::to_bytes(&pk);
-                prop_assert_eq!(pmp_wire::from_bytes::<PublicKey>(&bytes).unwrap(), pk);
-            }
+    #[test]
+    fn prop_public_key_roundtrip() {
+        for seed in 0..256 {
+            let key_seed = SimRng::new(seed).bytes(1..32);
+            let pk = KeyPair::from_seed(&key_seed).public_key();
+            let bytes = pmp_wire::to_bytes(&pk);
+            assert_eq!(pmp_wire::from_bytes(&bytes), Ok(pk), "seed {seed}");
         }
     }
 }

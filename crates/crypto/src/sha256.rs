@@ -206,6 +206,7 @@ pub fn sha256_parts(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     fn hex(d: &Digest) -> String {
         d.to_string()
@@ -251,49 +252,58 @@ mod tests {
         }
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-        proptest! {
-            #[test]
-            fn prop_incremental_equals_oneshot(
-                data in proptest::collection::vec(any::<u8>(), 0..2048),
-                splits in proptest::collection::vec(0usize..2048, 0..8),
-            ) {
-                let mut h = Sha256::new();
-                let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
-                cuts.sort_unstable();
-                let mut prev = 0;
-                for c in cuts {
-                    h.update(&data[prev..c]);
-                    prev = c;
+    #[test]
+    fn prop_incremental_equals_oneshot() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let data = rng.bytes(0..2048);
+            let mut cuts: Vec<usize> = (0..rng.below(8))
+                .map(|_| rng.below(data.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut prev = 0;
+            for c in &cuts {
+                h.update(&data[prev..*c]);
+                prev = *c;
+            }
+            h.update(&data[prev..]);
+            assert_eq!(h.finalize(), sha256(&data), "seed {seed}: cuts {cuts:?}");
+        }
+    }
+
+    /// Distinct inputs, half of them one byte apart, hash apart.
+    #[test]
+    fn prop_distinct_inputs_distinct_digests() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let a = rng.bytes(0..64);
+            let mut b = a.clone();
+            match rng.range_u64(4) {
+                0 if !b.is_empty() => {
+                    let i = rng.below(b.len());
+                    b[i] ^= 1 << rng.below(8);
                 }
-                h.update(&data[prev..]);
-                prop_assert_eq!(h.finalize(), sha256(&data));
+                1 => b.push(rng.next_u64() as u8),
+                _ => b = rng.bytes(0..64),
             }
+            if a == b {
+                continue;
+            }
+            assert_ne!(sha256(&a), sha256(&b), "seed {seed}: {a:?} vs {b:?}");
+        }
+    }
 
-            #[test]
-            fn prop_distinct_inputs_distinct_digests(
-                a in proptest::collection::vec(any::<u8>(), 0..64),
-                b in proptest::collection::vec(any::<u8>(), 0..64),
-            ) {
-                prop_assume!(a != b);
-                prop_assert_ne!(sha256(&a), sha256(&b));
-            }
-
-            #[test]
-            fn prop_parts_equals_concat(
-                a in proptest::collection::vec(any::<u8>(), 0..128),
-                b in proptest::collection::vec(any::<u8>(), 0..128),
-            ) {
-                let mut cat = a.clone();
-                cat.extend_from_slice(&b);
-                prop_assert_eq!(sha256_parts(&[&a, &b]), sha256(&cat));
-            }
+    #[test]
+    fn prop_parts_equals_concat() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let (a, b) = (rng.bytes(0..128), rng.bytes(0..128));
+            let cat = [a.as_slice(), b.as_slice()].concat();
+            assert_eq!(sha256_parts(&[&a, &b]), sha256(&cat), "seed {seed}");
         }
     }
 }

@@ -63,6 +63,7 @@ pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
 mod tests {
     use super::*;
     use crate::keys::KeyPair;
+    use pmp_telemetry::SimRng;
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -108,47 +109,50 @@ mod tests {
         assert_eq!(pmp_wire::from_bytes::<Signature>(&bytes).unwrap(), sig);
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-        proptest! {
-            #[test]
-            fn prop_roundtrip(seed in proptest::collection::vec(any::<u8>(), 1..16),
-                              msg in proptest::collection::vec(any::<u8>(), 0..256)) {
-                let pair = KeyPair::from_seed(&seed);
-                let sig = pair.sign(&msg);
-                prop_assert!(verify(&pair.public_key(), &msg, &sig));
-            }
+    #[test]
+    fn prop_roundtrip() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let pair = KeyPair::from_seed(&rng.bytes(1..16));
+            let msg = rng.bytes(0..256);
+            let sig = pair.sign(&msg);
+            assert!(verify(&pair.public_key(), &msg, &sig), "seed {seed}");
+        }
+    }
 
-            #[test]
-            fn prop_tampered_message_rejected(
-                seed in proptest::collection::vec(any::<u8>(), 1..16),
-                msg in proptest::collection::vec(any::<u8>(), 1..256),
-                flip_byte in 0usize..256,
-            ) {
-                let pair = KeyPair::from_seed(&seed);
-                let sig = pair.sign(&msg);
-                let mut tampered = msg.clone();
-                let i = flip_byte % tampered.len();
-                tampered[i] ^= 0x01;
-                prop_assert!(!verify(&pair.public_key(), &tampered, &sig));
-            }
+    #[test]
+    fn prop_tampered_message_rejected() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let pair = KeyPair::from_seed(&rng.bytes(1..16));
+            let msg = rng.bytes(1..256);
+            let sig = pair.sign(&msg);
+            let mut tampered = msg.clone();
+            let i = rng.below(tampered.len());
+            tampered[i] ^= 1 << rng.below(8);
+            assert!(
+                !verify(&pair.public_key(), &tampered, &sig),
+                "seed {seed}: byte {i}"
+            );
+        }
+    }
 
-            #[test]
-            fn prop_tampered_signature_rejected(
-                seed in proptest::collection::vec(any::<u8>(), 1..16),
-                msg in proptest::collection::vec(any::<u8>(), 0..128),
-                delta in 1u64..1000,
-            ) {
-                let pair = KeyPair::from_seed(&seed);
-                let mut sig = pair.sign(&msg);
-                sig.s = (sig.s + delta) % Q;
-                prop_assert!(!verify(&pair.public_key(), &msg, &sig));
-            }
+    #[test]
+    fn prop_tampered_signature_rejected() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let pair = KeyPair::from_seed(&rng.bytes(1..16));
+            let msg = rng.bytes(0..128);
+            let mut sig = pair.sign(&msg);
+            let delta = 1 + rng.range_u64(999);
+            sig.s = (sig.s + delta) % Q;
+            assert!(
+                !verify(&pair.public_key(), &msg, &sig),
+                "seed {seed}: delta {delta}"
+            );
         }
     }
 }

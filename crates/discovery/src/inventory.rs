@@ -117,7 +117,7 @@ pub fn digest(parts: &[&Inventory]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmp_net::SimRng;
+    use pmp_telemetry::SimRng;
 
     /// A small random inventory: few keys and versions, so two draws
     /// often overlap, share keys at other versions, or are equal.

@@ -172,6 +172,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     #[test]
     fn known_vectors() {
@@ -201,18 +202,9 @@ mod tests {
         !bytewise(!0, bytes)
     }
 
-    /// Deterministic test bytes (splitmix64).
+    /// Deterministic test bytes.
     fn noise(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
-            })
-            .collect()
+        SimRng::new(seed).bytes(len..len + 1)
     }
 
     #[test]

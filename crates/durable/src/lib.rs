@@ -389,89 +389,108 @@ mod tests {
         assert_eq!(hub.commit(), 1);
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
+    /// Seeded properties of the WAL frame decoder.
+    mod frames {
         use crate::record::{decode_record, framed_record, FrameError, WalRecord};
-        use proptest::prelude::*;
+        use pmp_telemetry::SimRng;
 
-        proptest! {
-            /// The satellite property: encode a WAL record, corrupt any
-            /// single byte, decode. The decoder never panics; it either
-            /// round-trips (impossible here — every flip changes some
-            /// bit) or reports an error anchored at the frame start.
-            #[test]
-            fn prop_corrupt_one_byte_never_panics(
-                seq in any::<u64>(),
-                ns in "[a-z.]{1,24}",
-                payload in proptest::collection::vec(any::<u8>(), 0..128),
-                flip_pos in any::<proptest::sample::Index>(),
-                flip_bit in 0u8..8,
-            ) {
-                let rec = WalRecord { seq, ns, payload };
+        /// Cases per property below.
+        const CASES: u64 = 256;
+
+        /// A record with a namespace of 1–24 chars from `[a-z.]`.
+        fn record(rng: &mut SimRng, max_payload: usize) -> WalRecord {
+            const NS: &[u8] = b"abcdefghijklmnopqrstuvwxyz.";
+            WalRecord {
+                seq: rng.any_i64() as u64,
+                ns: (0..1 + rng.below(24))
+                    .map(|_| char::from(*rng.pick(NS)))
+                    .collect(),
+                payload: rng.bytes(0..max_payload),
+            }
+        }
+
+        /// Encode a WAL record, flip any one bit, decode. The decoder
+        /// never panics; it either round-trips (impossible here: every
+        /// flip changes some bit) or reports an error anchored at the
+        /// frame start.
+        #[test]
+        fn prop_corrupt_one_byte_never_panics() {
+            for seed in 0..CASES {
+                let mut rng = SimRng::new(seed);
+                let rec = record(&mut rng, 128);
                 let mut buf = framed_record(&rec);
-                let i = flip_pos.index(buf.len());
-                buf[i] ^= 1 << flip_bit;
-
-                match decode_record(&buf, 0) {
+                let i = rng.below(buf.len());
+                buf[i] ^= 1 << rng.below(8);
+                let decoded = std::panic::catch_unwind(|| decode_record(&buf, 0))
+                    .unwrap_or_else(|_| panic!("seed {seed}: the decoder panicked"));
+                match decoded {
+                    // Only reachable if the flip cancelled out; it
+                    // cannot, but stay honest about the contract.
                     Ok(Some((back, next))) => {
-                        // Only reachable if the flip cancelled out —
-                        // it cannot, but stay honest about the contract.
-                        prop_assert_eq!(back, rec);
-                        prop_assert_eq!(next, buf.len());
+                        assert_eq!(back, rec, "seed {seed}");
+                        assert_eq!(next, buf.len(), "seed {seed}");
                     }
-                    Ok(None) => prop_assert!(false, "non-empty input decoded as end"),
+                    Ok(None) => panic!("seed {seed}: non-empty input decoded as end"),
                     Err(err) => {
-                        prop_assert_eq!(err.offset(), 0, "error must carry the frame offset");
-                        prop_assert!(
+                        assert_eq!(
+                            err.offset(),
+                            0,
+                            "seed {seed}: error must carry the frame offset"
+                        );
+                        assert!(
                             !matches!(err, FrameError::Malformed { .. }),
-                            "checksum must catch the flip before the wire decoder: {}", err
+                            "seed {seed}: checksum must catch the flip before the wire decoder: {err}"
                         );
                     }
                 }
             }
+        }
 
-            /// Un-corrupted frames always round-trip.
-            #[test]
-            fn prop_clean_records_roundtrip(
-                seq in any::<u64>(),
-                ns in "[a-z.]{1,24}",
-                payload in proptest::collection::vec(any::<u8>(), 0..128),
-            ) {
-                let rec = WalRecord { seq, ns, payload };
+        /// Un-corrupted frames always round-trip.
+        #[test]
+        fn prop_clean_records_roundtrip() {
+            for seed in 0..CASES {
+                let rec = record(&mut SimRng::new(seed), 128);
                 let buf = framed_record(&rec);
-                let (back, next) = decode_record(&buf, 0).unwrap().unwrap();
-                prop_assert_eq!(back, rec);
-                prop_assert_eq!(next, buf.len());
+                assert_eq!(
+                    decode_record(&buf, 0),
+                    Ok(Some((rec, buf.len()))),
+                    "seed {seed}"
+                );
             }
+        }
 
-            /// Arbitrary garbage never panics the frame decoder.
-            #[test]
-            fn prop_decoding_random_bytes_never_panics(
-                b in proptest::collection::vec(any::<u8>(), 0..256),
-            ) {
-                let _ = decode_record(&b, 0);
+        /// Arbitrary garbage never panics the frame decoder.
+        #[test]
+        fn prop_decoding_random_bytes_never_panics() {
+            for seed in 0..CASES {
+                let b = SimRng::new(seed).bytes(0..256);
+                let decode = std::panic::catch_unwind(|| decode_record(&b, 0));
+                assert!(decode.is_ok(), "seed {seed}: the decoder panicked");
             }
+        }
 
-            /// Truncating a valid frame anywhere yields Torn at offset 0
-            /// (or a length complaint if the prefix itself is cut).
-            #[test]
-            fn prop_truncation_reports_torn(
-                seq in any::<u64>(),
-                payload in proptest::collection::vec(any::<u8>(), 0..64),
-                cut in any::<proptest::sample::Index>(),
-            ) {
-                let rec = WalRecord { seq, ns: "ns".into(), payload };
+        /// Truncating a valid frame anywhere yields Torn at offset 0
+        /// (or a length complaint if the prefix itself is cut).
+        #[test]
+        fn prop_truncation_reports_torn() {
+            for seed in 0..CASES {
+                let mut rng = SimRng::new(seed);
+                let rec = record(&mut rng, 64);
                 let mut buf = framed_record(&rec);
-                let keep = cut.index(buf.len()); // strictly less than full
+                let keep = rng.below(buf.len()); // strictly less than full
                 buf.truncate(keep);
                 if keep == 0 {
-                    prop_assert_eq!(decode_record(&buf, 0), Ok(None));
+                    assert_eq!(decode_record(&buf, 0), Ok(None), "seed {seed}");
                 } else {
-                    let err = decode_record(&buf, 0).unwrap_err();
-                    prop_assert!(err.is_torn() || matches!(err, FrameError::BadLength { .. }));
-                    prop_assert_eq!(err.offset(), 0);
+                    let Err(err) = decode_record(&buf, 0) else {
+                        panic!("seed {seed}: a frame cut to {keep} bytes decoded");
+                    };
+                    assert!(
+                        err.is_torn() || matches!(err, FrameError::BadLength { .. }),
+                        "seed {seed}: {err}"
+                    );
+                    assert_eq!(err.offset(), 0, "seed {seed}");
                 }
             }
         }

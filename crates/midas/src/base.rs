@@ -5,7 +5,7 @@
 use crate::catalog::Catalog;
 use crate::durable::BaseWalOp;
 use crate::package::SignedExtension;
-use crate::proto::{MidasMsg, CHANNEL};
+use crate::proto::{MidasMsg, ACK_RELEASED, ACK_UNKNOWN_GRANT, CHANNEL};
 use pmp_discovery::{
     inventory, Diff, DiscoveryClient, DiscoveryEvent, Inventory, ServiceItem, ServiceQuery,
 };
@@ -477,15 +477,8 @@ impl ExtensionBase {
             let Some(ext) = self.catalog.get(&id).cloned() else {
                 continue;
             };
-            let grant = self.fresh_grant();
-            grants.insert(id.clone(), grant);
-            let msg = MidasMsg::Deliver {
-                ext,
-                lease_ns: self.lease_ns,
-                grant,
-            };
-            let ctx = self.note_ship(sim, &id, node);
-            self.send(sim, node, &msg, ctx);
+            let grant = self.ship(sim, node, &id, ext, None);
+            grants.insert(id, grant);
             delivered += 1;
         }
         self.commit_op(BaseWalOp::NodeAdapted {
@@ -545,21 +538,44 @@ impl ExtensionBase {
         sim.send(self.node, to, CHANNEL, ctx.wrap(msg));
     }
 
+    /// Delivers extension `id` (`ext`) to `to` under a fresh grant
+    /// and returns it. With `holder`, the grant is logged as that
+    /// node's `GrantSet` before the send; without, the caller logs it
+    /// in the node's `NodeAdapted`.
+    fn ship(
+        &mut self,
+        sim: &mut dyn NetPort,
+        to: NodeId,
+        id: &str,
+        ext: SignedExtension,
+        holder: Option<&str>,
+    ) -> u64 {
+        let grant = self.fresh_grant();
+        if let Some(name) = holder {
+            self.commit_op(BaseWalOp::GrantSet {
+                name: name.to_string(),
+                ext_id: id.to_string(),
+                grant,
+            });
+        }
+        let msg = MidasMsg::Deliver {
+            ext,
+            lease_ns: self.lease_ns,
+            grant,
+        };
+        let ctx = self.note_ship(sim, id, to);
+        self.send(sim, to, &msg, ctx);
+        grant
+    }
+
     fn deliver_catalog(&mut self, sim: &mut dyn NetPort, node: NodeId, node_name: &str) -> usize {
         let order = self.catalog.delivery_order();
         let mut grants = BTreeMap::new();
         let mut count = 0;
         for id in order {
             if let Some(ext) = self.catalog.get(&id).cloned() {
-                let grant = self.fresh_grant();
-                grants.insert(id.clone(), grant);
-                let msg = MidasMsg::Deliver {
-                    ext,
-                    lease_ns: self.lease_ns,
-                    grant,
-                };
-                let ctx = self.note_ship(sim, &id, node);
-                self.send(sim, node, &msg, ctx);
+                let grant = self.ship(sim, node, &id, ext, None);
+                grants.insert(id, grant);
                 count += 1;
             }
         }
@@ -845,19 +861,7 @@ impl ExtensionBase {
                     let Some(ext) = self.catalog.get(&id).cloned() else {
                         continue;
                     };
-                    let grant = self.fresh_grant();
-                    self.commit_op(BaseWalOp::GrantSet {
-                        name: name.clone(),
-                        ext_id: id.clone(),
-                        grant,
-                    });
-                    let msg = MidasMsg::Deliver {
-                        ext,
-                        lease_ns: self.lease_ns,
-                        grant,
-                    };
-                    let ship = self.note_ship(sim, &id, node);
-                    self.send(sim, node, &msg, ship);
+                    self.ship(sim, node, &id, ext, Some(&name));
                 }
             }
         }
@@ -871,7 +875,7 @@ impl ExtensionBase {
                 ok,
                 reason,
             } => {
-                if !ok && reason == "released" {
+                if !ok && reason == ACK_RELEASED {
                     // The receiver dropped this grant on purpose
                     // (implicit dep released, upgrade, revocation):
                     // stop renewing it.
@@ -880,7 +884,7 @@ impl ExtensionBase {
                     }
                     return;
                 }
-                if !ok && reason == "unknown grant" {
+                if !ok && reason == ACK_UNKNOWN_GRANT {
                     // The receiver no longer holds this grant (lost
                     // delivery, or our outage outlived its leases):
                     // redeliver that extension with a fresh grant.
@@ -901,19 +905,7 @@ impl ExtensionBase {
                             .cloned()
                             .or_else(|| self.foreign.get(&id).cloned());
                         if let Some(ext) = ext {
-                            let fresh = self.fresh_grant();
-                            self.commit_op(BaseWalOp::GrantSet {
-                                name,
-                                ext_id: id.clone(),
-                                grant: fresh,
-                            });
-                            let msg = MidasMsg::Deliver {
-                                ext,
-                                lease_ns: self.lease_ns,
-                                grant: fresh,
-                            };
-                            let ship = self.note_ship(sim, &id, from);
-                            self.send(sim, from, &msg, ship);
+                            self.ship(sim, from, &id, ext, Some(&name));
                         }
                     }
                     return;
@@ -935,19 +927,7 @@ impl ExtensionBase {
                 };
                 for id in self.catalog.closure_of(&ext_id) {
                     if let Some(ext) = self.catalog.get(&id).cloned() {
-                        let grant = self.fresh_grant();
-                        self.commit_op(BaseWalOp::GrantSet {
-                            name: name.clone(),
-                            ext_id: id.clone(),
-                            grant,
-                        });
-                        let msg = MidasMsg::Deliver {
-                            ext,
-                            lease_ns: self.lease_ns,
-                            grant,
-                        };
-                        let ship = self.note_ship(sim, &id, from);
-                        self.send(sim, from, &msg, ship);
+                        self.ship(sim, from, &id, ext, Some(&name));
                     }
                 }
             }

@@ -8,6 +8,16 @@ use std::collections::BTreeMap;
 /// Channel name for all MIDAS traffic.
 pub const CHANNEL: &str = "midas";
 
+/// The [`MidasMsg::Ack`] reason of a receiver that dropped a grant on
+/// purpose (an implicit dependency released, an upgrade, a
+/// revocation): the base stops renewing it.
+pub const ACK_RELEASED: &str = "released";
+
+/// The [`MidasMsg::Ack`] reason of a receiver asked to renew or rebind
+/// a grant it does not hold: the base redelivers that extension under
+/// a fresh grant.
+pub const ACK_UNKNOWN_GRANT: &str = "unknown grant";
+
 /// A MIDAS protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MidasMsg {

@@ -4,7 +4,7 @@
 
 use crate::package::{ExtensionPackage, SignedExtension};
 use crate::policy::ReceiverPolicy;
-use crate::proto::{MidasMsg, CHANNEL};
+use crate::proto::{MidasMsg, ACK_RELEASED, ACK_UNKNOWN_GRANT, CHANNEL};
 use pmp_analyze::{perms, termination, verifier};
 use pmp_analyze::{AnalysisReport, AnalyzeOptions, SysPerm};
 use pmp_discovery::{DiscoveryClient, DiscoveryEvent, Lease, ServiceItem};
@@ -309,7 +309,7 @@ impl AdaptationService {
                         ext_id: String::new(),
                         grant,
                         ok: false,
-                        reason: "unknown grant".into(),
+                        reason: ACK_UNKNOWN_GRANT.into(),
                     };
                     sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
                 }
@@ -364,7 +364,7 @@ impl AdaptationService {
                             ext_id,
                             grant: new,
                             ok: false,
-                            reason: "unknown grant".into(),
+                            reason: ACK_UNKNOWN_GRANT.into(),
                         };
                         sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
                     }
@@ -797,7 +797,7 @@ impl AdaptationService {
                 ext_id: ext_id.to_string(),
                 grant: inst.grant,
                 ok: false,
-                reason: "released".into(),
+                reason: ACK_RELEASED.into(),
             };
             sim.send(self.node, inst.base, CHANNEL, TraceCtx::NIL.wrap(&msg));
         }

@@ -33,7 +33,6 @@ pub mod geo;
 pub mod link;
 pub mod node;
 pub mod port;
-pub mod rng;
 pub mod sim;
 
 pub use clock::{ClockHandle, SimTime};
@@ -42,7 +41,6 @@ pub use geo::{Area, AreaId, Position};
 pub use link::LinkModel;
 pub use node::{Incoming, NodeId, SimNode};
 pub use port::{NetCmd, NetPort, PortBuf};
-pub use rng::SimRng;
 pub use sim::{Epoch, Simulator, TimedIncoming};
 
 /// Common imports for simulator users.

@@ -1,7 +1,7 @@
 //! Wireless link model: latency, jitter, and loss.
 
 use crate::clock::SimTime;
-use crate::rng::SimRng;
+use pmp_telemetry::SimRng;
 
 /// Parameters of the (shared) wireless medium.
 #[derive(Debug, Clone)]

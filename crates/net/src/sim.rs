@@ -7,8 +7,7 @@ use crate::geo::{Area, AreaId, Position};
 use crate::link::LinkModel;
 use crate::node::{Incoming, NodeId, SimNode};
 use crate::port::{NetCmd, NetPort};
-use crate::rng::SimRng;
-use pmp_telemetry::Shared;
+use pmp_telemetry::{Shared, SimRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;

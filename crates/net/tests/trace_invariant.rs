@@ -17,7 +17,7 @@
 //! [`SimRng`], so each of these cases is exactly reproducible by seed.
 
 use pmp_net::prelude::*;
-use pmp_net::SimRng;
+use pmp_telemetry::SimRng;
 
 /// How a run's effects reach the scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -88,7 +88,7 @@ fn randomized_run(seed: u64, entry: Entry) -> (NetStats, u64) {
             sim.add_node(format!("n{i}"), Position::new(x, y), 60.0)
         })
         .collect();
-    let pick = |r: &mut SimRng| nodes[r.range_u64(n_nodes as u64) as usize];
+    let pick = |r: &mut SimRng| *r.pick(&nodes);
     for _ in 0..r.range_u64(3) {
         let (a, b) = (pick(&mut r), pick(&mut r));
         sim.add_wired_link(a, b);

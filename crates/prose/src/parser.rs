@@ -143,6 +143,7 @@ pub fn parse_field_pattern(input: &str) -> Result<FieldPattern, ParsePatternErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
     use pmp_vm::types::TypeSig;
 
     #[test]
@@ -225,58 +226,85 @@ mod tests {
         assert!(parse_field_pattern("justaname").is_err());
         assert!(parse_field_pattern(".x").is_err());
     }
-}
 
-// Property tests need the external `proptest` crate; the offline
-// default build gates them behind the (empty) `proptest` feature.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-    fn name_pat_strategy() -> impl Strategy<Value = String> {
-        // Identifier-ish segments with optional stars.
-        proptest::string::string_regex(r"\*?[A-Za-z][A-Za-z0-9_]{0,6}\*?|\*").unwrap()
+    const UPPER: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    const LETTERS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+    const IDENT: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_";
+
+    /// One char from `first`, then up to six from `rest`.
+    fn word(rng: &mut SimRng, first: &[u8], rest: &[u8]) -> String {
+        let mut w = String::from(char::from(*rng.pick(first)));
+        w.extend((0..rng.below(7)).map(|_| char::from(*rng.pick(rest))));
+        w
     }
 
-    fn type_strategy() -> impl Strategy<Value = String> {
-        prop_oneof![
-            Just("void".to_string()),
-            Just("int".to_string()),
-            Just("bool".to_string()),
-            Just("float".to_string()),
-            Just("str".to_string()),
-            Just("byte[]".to_string()),
-            Just("any".to_string()),
-            Just("*".to_string()),
-            proptest::string::string_regex(r"[A-Z][A-Za-z0-9]{0,6}").unwrap(),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn prop_parse_display_roundtrip(
-            ret in type_strategy(),
-            class in name_pat_strategy(),
-            name in name_pat_strategy(),
-            params in proptest::collection::vec(type_strategy(), 0..4),
-            rest: bool,
-        ) {
-            let mut parts = params.clone();
-            if rest {
-                parts.push("..".to_string());
-            }
-            let src = format!("{ret} {class}.{name}({})", parts.join(", "));
-            let parsed = parse_method_pattern(&src).expect("parses");
-            let reparsed = parse_method_pattern(&parsed.to_string()).expect("reparses");
-            prop_assert_eq!(parsed, reparsed);
+    /// A primitive type, `*`, or a class name.
+    fn type_name(rng: &mut SimRng) -> String {
+        const PRIMS: &[&str] = &["void", "int", "bool", "float", "str", "byte[]", "any", "*"];
+        if rng.chance(0.5) {
+            rng.pick(PRIMS).to_string()
+        } else {
+            word(rng, UPPER, &IDENT[..62])
         }
+    }
 
-        #[test]
-        fn prop_parser_never_panics(s in ".{0,60}") {
-            let _ = parse_method_pattern(&s);
-            let _ = parse_field_pattern(&s);
-            let _ = crate::crosscut::Crosscut::parse(&s);
+    /// `*`, or an identifier with optional stars around it.
+    fn name_pat(rng: &mut SimRng) -> String {
+        if rng.below(5) == 0 {
+            return "*".into();
+        }
+        let star = |rng: &mut SimRng| if rng.chance(0.5) { "*" } else { "" };
+        format!("{}{}{}", star(rng), word(rng, LETTERS, IDENT), star(rng))
+    }
+
+    /// The source of a valid method pattern.
+    fn method_src(rng: &mut SimRng) -> String {
+        let mut params: Vec<String> = (0..rng.below(4)).map(|_| type_name(rng)).collect();
+        if rng.chance(0.5) {
+            params.push("..".into());
+        }
+        let (ret, class, name) = (type_name(rng), name_pat(rng), name_pat(rng));
+        format!("{ret} {class}.{name}({})", params.join(", "))
+    }
+
+    #[test]
+    fn prop_parse_display_roundtrip() {
+        for seed in 0..CASES {
+            let src = method_src(&mut SimRng::new(seed));
+            let parsed = parse_method_pattern(&src)
+                .unwrap_or_else(|e| panic!("seed {seed}: {src:?} does not parse: {e:?}"));
+            let shown = parsed.to_string();
+            let reparsed = parse_method_pattern(&shown)
+                .unwrap_or_else(|e| panic!("seed {seed}: {shown:?} does not reparse: {e:?}"));
+            assert_eq!(parsed, reparsed, "seed {seed}: {src:?}");
+        }
+    }
+
+    /// Arbitrary text, or a crosscut with a stretch of it replaced.
+    #[test]
+    fn prop_parser_never_panics() {
+        const KINDS: &[&str] = &["", "before ", "after ", "get ", "set ", "throw ", "catch "];
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let s: String = if rng.chance(0.5) {
+                rng.string(0..61)
+            } else {
+                let src = format!("{}{}", rng.pick(KINDS), method_src(&mut rng));
+                let mut chars: Vec<char> = src.chars().collect();
+                let at = rng.below(chars.len() + 1);
+                let cut = rng.below(chars.len() - at + 1);
+                chars.splice(at..at + cut, rng.string(0..4).chars());
+                chars.into_iter().collect()
+            };
+            let parse = std::panic::catch_unwind(|| {
+                let _ = parse_method_pattern(&s);
+                let _ = parse_field_pattern(&s);
+                let _ = crate::crosscut::Crosscut::parse(&s);
+            });
+            assert!(parse.is_ok(), "seed {seed}: parsing {s:?} panicked");
         }
     }
 }

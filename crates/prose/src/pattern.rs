@@ -262,6 +262,7 @@ impl fmt::Display for FieldPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
     use std::sync::Arc;
 
     fn sig(ret: TypeSig, class: &str, name: &str, params: Vec<TypeSig>) -> MethodSig {
@@ -378,38 +379,65 @@ mod tests {
         assert_eq!(p.to_string(), "void *.send*(byte[], ..)");
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-        proptest! {
-            #[test]
-            fn prop_literal_patterns_match_themselves(name in "[a-zA-Z0-9_]{0,20}") {
-                prop_assert!(NamePat::new(name.clone()).matches(&name));
-            }
+    /// A name over `[a-z]`, 1–20 chars.
+    fn lower_name(rng: &mut SimRng) -> String {
+        (0..1 + rng.below(20))
+            .map(|_| char::from(b'a' + rng.below(26) as u8))
+            .collect()
+    }
 
-            #[test]
-            fn prop_wildcard_matches_everything(name in ".{0,40}") {
-                prop_assert!(NamePat::any().matches(&name));
-            }
+    #[test]
+    fn prop_literal_patterns_match_themselves() {
+        for seed in 0..CASES {
+            let name = SimRng::new(seed).string(0..21).replace('*', "");
+            assert!(
+                NamePat::new(name.clone()).matches(&name),
+                "seed {seed}: {name:?}"
+            );
+        }
+    }
 
-            #[test]
-            fn prop_star_prefix_suffix(name in "[a-z]{1,20}") {
-                let prefix = format!("{name}*");
-                let suffix = format!("*{name}");
-                let both = format!("*{name}*");
-                prop_assert!(NamePat::new(prefix).matches(&name));
-                prop_assert!(NamePat::new(suffix).matches(&name));
-                prop_assert!(NamePat::new(both).matches(&name));
-            }
+    #[test]
+    fn prop_wildcard_matches_everything() {
+        for seed in 0..CASES {
+            let name = SimRng::new(seed).string(0..41);
+            assert!(NamePat::any().matches(&name), "seed {seed}: {name:?}");
+        }
+    }
 
-            #[test]
-            fn prop_glob_never_panics(pat in ".{0,20}", text in ".{0,40}") {
-                let _ = NamePat::new(pat).matches(&text);
+    #[test]
+    fn prop_star_prefix_suffix() {
+        for seed in 0..CASES {
+            let name = lower_name(&mut SimRng::new(seed));
+            for pat in [format!("{name}*"), format!("*{name}"), format!("*{name}*")] {
+                assert!(
+                    NamePat::new(pat.clone()).matches(&name),
+                    "seed {seed}: {pat}"
+                );
             }
+        }
+    }
+
+    /// Globs over any Unicode, with `*`s between multi-byte chars.
+    #[test]
+    fn prop_glob_never_panics() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let pat: String = (0..rng.below(21))
+                .map(|_| {
+                    if rng.chance(0.3) {
+                        "*".to_string()
+                    } else {
+                        rng.string(1..2)
+                    }
+                })
+                .collect();
+            let text = rng.string(0..41);
+            let glob = std::panic::catch_unwind(|| NamePat::new(pat.as_str()).matches(&text));
+            assert!(glob.is_ok(), "seed {seed}: {pat:?} on {text:?} panicked");
         }
     }
 }

@@ -700,6 +700,7 @@ mod tests {
     use super::*;
     use crate::aspect::{PortableClass, PortableMethod};
     use crate::weaver::{Prose, WeaveOptions};
+    use pmp_telemetry::SimRng;
     use pmp_vm::builder::MethodBuilder;
     use pmp_vm::class::ClassDef;
     use pmp_vm::hooks::{HOOK_CATCH, HOOK_THROW};
@@ -864,19 +865,6 @@ mod tests {
         );
     }
 
-    /// splitmix64.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-    }
-
     /// Crosscuts of all six kinds over the application classes `C<n>`
     /// and the script aspect classes `Asp<k>`.
     const CROSSCUTS: &[&str] = &[
@@ -898,17 +886,17 @@ mod tests {
     const PRIORITIES: &[i32] = &[-1, 0, 0, 1];
 
     /// One to three bindings; often two of them on one crosscut.
-    fn bindings(rng: &mut Rng) -> Vec<(Crosscut, i32)> {
+    fn bindings(rng: &mut SimRng) -> Vec<(Crosscut, i32)> {
         let n = 1 + rng.below(3);
         let mut out: Vec<(Crosscut, i32)> = Vec::new();
         for i in 0..n {
             let src = if i > 0 && rng.below(3) == 0 {
                 out[0].0.to_string()
             } else {
-                CROSSCUTS[rng.below(CROSSCUTS.len())].to_string()
+                rng.pick(CROSSCUTS).to_string()
             };
             let cut = Crosscut::parse(&src).expect("test crosscut parses");
-            out.push((cut, PRIORITIES[rng.below(PRIORITIES.len())]));
+            out.push((cut, *rng.pick(PRIORITIES)));
         }
         out
     }
@@ -995,8 +983,8 @@ mod tests {
     /// reference.
     #[test]
     fn in_place_updates_equal_the_rebuild_reference() {
-        for seed in 0..256u64 {
-            let mut rng = Rng(seed);
+        for seed in 0..256 {
+            let mut rng = SimRng::new(seed);
             let mut vm = Vm::new(VmConfig::default());
             register_app_class(&mut vm, 0);
             let prose = Prose::attach(&mut vm);

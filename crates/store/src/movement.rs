@@ -195,6 +195,7 @@ impl MovementStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     fn rec(robot: &str, cmd: &str, arg: i64, at: u64) -> MovementRecord {
         MovementRecord {
@@ -204,19 +205,6 @@ mod tests {
             args: vec![arg],
             issued_at: at,
             duration_ns: 100,
-        }
-    }
-
-    /// splitmix64.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
         }
     }
 
@@ -233,35 +221,38 @@ mod tests {
         assert_eq!(s.robots(), ["r1", "r2"]);
     }
 
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
+
     #[test]
     fn ids_are_dense_and_stable() {
-        for seed in 0..32 {
-            let mut rng = Rng(seed);
-            let n = rng.below(100) as usize;
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let n = rng.below(100);
             let mut s = MovementStore::new();
             let mut appended = Vec::new();
             for i in 0..n {
                 let r = rec(&format!("r{}", rng.below(4)), "rotate", i as i64, i as u64);
-                assert_eq!(s.append(r.clone()), RecordId(i as u64));
+                assert_eq!(s.append(r.clone()), RecordId(i as u64), "seed {seed}");
                 appended.push(r);
             }
-            assert_eq!(s.len(), n);
+            assert_eq!(s.len(), n, "seed {seed}");
             assert_eq!(s.range(0, u64::MAX), appended, "seed {seed}");
         }
     }
 
     #[test]
     fn range_equals_a_filter_over_issue_times() {
-        for seed in 0..64 {
-            let mut rng = Rng(seed);
-            let mut times: Vec<u64> = (0..rng.below(50)).map(|_| rng.below(1000)).collect();
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let mut times: Vec<u64> = (0..rng.below(50)).map(|_| rng.range_u64(1000)).collect();
             times.sort_unstable();
             let mut s = MovementStore::new();
             for &at in &times {
                 s.append(rec("r", "rotate", at as i64, at));
             }
-            let from = rng.below(1000);
-            let to = from.saturating_add(rng.below(1000));
+            let from = rng.range_u64(1000);
+            let to = from.saturating_add(rng.range_u64(1000));
             let via_range: Vec<u64> = s.range(from, to).iter().map(|r| r.issued_at).collect();
             let via_filter: Vec<u64> = times
                 .into_iter()

@@ -18,6 +18,9 @@
 //! * [`Stopwatch`] — the platform's only wall-clock read; it ends only
 //!   by recording into a named histogram, so a wall time never reaches
 //!   simulated state, a journal event or a digest.
+//! * [`SimRng`] — the one deterministic generator, beside [`Fnv64`]:
+//!   the simulator, the chaos generator, RPC backoff and every seeded
+//!   property test draw from it.
 //! * [`sync`] — tiny `std::sync` wrappers with a `parking_lot`-style
 //!   API (`lock()` returns the guard directly), keeping the workspace
 //!   free of external dependencies so it builds fully offline.
@@ -38,6 +41,7 @@ pub mod digest;
 pub mod export;
 pub mod journal;
 pub mod registry;
+pub mod rng;
 pub mod sink;
 pub mod stopwatch;
 pub mod sync;
@@ -45,6 +49,7 @@ pub mod sync;
 pub use digest::Fnv64;
 pub use journal::{Event, Journal, Subsystem};
 pub use registry::{CounterId, GaugeId, Histogram, HistogramId, Registry, MISSES_COUNTER};
+pub use rng::SimRng;
 pub use sink::{PendingEvent, Sink};
 pub use stopwatch::Stopwatch;
 

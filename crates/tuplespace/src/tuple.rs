@@ -185,6 +185,7 @@ wire_struct!(Pattern { fields: Vec<PatternField> });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     fn t(fields: Vec<Field>) -> Tuple {
         Tuple::new(fields)
@@ -225,27 +226,20 @@ mod tests {
         assert_eq!(pmp_wire::from_bytes::<Pattern>(&bytes).unwrap(), p);
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_exact_pattern_matches_own_tuple(
-                ints in proptest::collection::vec(any::<i64>(), 0..6)
-            ) {
-                let tuple = Tuple::new(ints.iter().map(|i| Field::Int(*i)).collect());
-                let pattern = Pattern::new(
-                    ints.iter().map(|i| PatternField::Exact(Field::Int(*i))).collect()
-                );
-                prop_assert!(pattern.matches(&tuple));
-                // All-formals of the right arity matches too.
-                let formals = Pattern::new(ints.iter().map(|_| PatternField::Any).collect());
-                prop_assert!(formals.matches(&tuple));
-            }
+    #[test]
+    fn prop_exact_pattern_matches_own_tuple() {
+        for seed in 0..256 {
+            let mut rng = SimRng::new(seed);
+            let ints: Vec<i64> = (0..rng.below(6)).map(|_| rng.any_i64()).collect();
+            let tuple = Tuple::new(ints.iter().map(|i| Field::Int(*i)).collect());
+            let exact = ints.iter().map(|i| PatternField::Exact(Field::Int(*i)));
+            assert!(
+                Pattern::new(exact.collect()).matches(&tuple),
+                "seed {seed}: {ints:?}"
+            );
+            // All-formals of the right arity matches too.
+            let formals = Pattern::new(ints.iter().map(|_| PatternField::Any).collect());
+            assert!(formals.matches(&tuple), "seed {seed}: {ints:?}");
         }
     }
 }

@@ -63,13 +63,12 @@ pub(crate) fn compile(vm: &mut Vm, mid: MethodId) -> Result<(), VmError> {
 
 fn resolve_op(vm: &Vm, mid: MethodId, pc: usize, op: &Op, len: u32) -> Result<CompiledOp, VmError> {
     let ctx = || format!("{} @{pc}", vm.method_sig(mid));
-    let check_target = |t: u32| -> Result<u32, VmError> {
-        if t < len {
-            Ok(t)
-        } else {
-            Err(VmError::link(format!("{}: jump target {t} out of range", ctx())))
-        }
-    };
+    if let Some(t) = op.wild_target(len as usize) {
+        return Err(VmError::link(format!(
+            "{}: jump target {t} out of range",
+            ctx()
+        )));
+    }
     Ok(match op {
         Op::Const(c) => CompiledOp::Const(c.to_value()),
         Op::Load(i) => CompiledOp::Load(*i),
@@ -95,9 +94,9 @@ fn resolve_op(vm: &Vm, mid: MethodId, pc: usize, op: &Op, len: u32) -> Result<Co
         Op::Gt => CompiledOp::Gt,
         Op::Ge => CompiledOp::Ge,
         Op::Not => CompiledOp::Not,
-        Op::Jump(t) => CompiledOp::Jump(check_target(*t)?),
-        Op::JumpIf(t) => CompiledOp::JumpIf(check_target(*t)?),
-        Op::JumpIfNot(t) => CompiledOp::JumpIfNot(check_target(*t)?),
+        Op::Jump(t) => CompiledOp::Jump(*t),
+        Op::JumpIf(t) => CompiledOp::JumpIf(*t),
+        Op::JumpIfNot(t) => CompiledOp::JumpIfNot(*t),
         Op::Ret => CompiledOp::Ret,
         Op::RetVal => CompiledOp::RetVal,
         Op::New(name) => {

@@ -215,6 +215,19 @@ pub enum Op {
     Nop,
 }
 
+impl Op {
+    /// The one jump-target rule the JIT and the admission verifier
+    /// share: a `Jump`, `JumpIf` or `JumpIfNot` must land on one of its
+    /// body's `len` ops, whether or not any path reaches the jump.
+    /// Returns the target that breaks the rule.
+    pub fn wild_target(&self, len: usize) -> Option<u32> {
+        match self {
+            Op::Jump(t) | Op::JumpIf(t) | Op::JumpIfNot(t) if *t as usize >= len => Some(*t),
+            _ => None,
+        }
+    }
+}
+
 wire_enum!(Op {
     0 => Const(Const),
     1 => Load(u16),

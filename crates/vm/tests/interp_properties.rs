@@ -1,16 +1,15 @@
-//! Property-based interpreter validation: random expression trees are
+//! Seeded interpreter validation: random expression trees are
 //! compiled to bytecode and must evaluate exactly like the Rust
 //! reference (wrapping integer semantics).
-//!
-//! Needs the external `proptest` crate; the offline default build gates
-//! the whole file behind the (empty) `proptest` feature.
-#![cfg(feature = "proptest")]
 
+use pmp_telemetry::SimRng;
 use pmp_vm::builder::MethodBuilder;
 use pmp_vm::class::ClassDef;
 use pmp_vm::op::Op;
 use pmp_vm::prelude::*;
-use proptest::prelude::*;
+
+/// Cases per seeded property below.
+const CASES: u64 = 256;
 
 #[derive(Debug, Clone)]
 enum Expr {
@@ -81,28 +80,29 @@ impl Expr {
     }
 }
 
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = any::<i64>().prop_map(Expr::Const);
-    leaf.prop_recursive(4, 64, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Xor(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
-            inner.prop_map(|a| Expr::Neg(Box::new(a))),
-        ]
-    })
+/// An expression tree at most `depth` operators deep, over edge-heavy
+/// constants.
+fn expr(rng: &mut SimRng, depth: u32) -> Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return Expr::Const(rng.any_i64());
+    }
+    let a = Box::new(expr(rng, depth - 1));
+    if rng.below(7) == 0 {
+        return Expr::Neg(a);
+    }
+    let b = Box::new(expr(rng, depth - 1));
+    match rng.below(6) {
+        0 => Expr::Add(a, b),
+        1 => Expr::Sub(a, b),
+        2 => Expr::Mul(a, b),
+        3 => Expr::Xor(a, b),
+        4 => Expr::And(a, b),
+        _ => Expr::Or(a, b),
+    }
 }
 
-fn run_expr(expr: &Expr, hooks: bool) -> i64 {
+/// Compiles `expr` into `E.eval` and calls it.
+fn run_expr(expr: &Expr, hooks: bool) -> Result<Value, VmError> {
     let mut vm = Vm::new(if hooks {
         VmConfig::default()
     } else {
@@ -116,68 +116,91 @@ fn run_expr(expr: &Expr, hooks: bool) -> i64 {
         ClassDef::build("E")
             .method_body("eval", [], TypeSig::Int, body)
             .done(),
-    )
-    .unwrap();
+    )?;
     vm.call("E", "eval", Value::Null, vec![])
-        .unwrap()
-        .as_int()
-        .unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn prop_bytecode_matches_rust_semantics(expr in expr_strategy()) {
-        prop_assert_eq!(run_expr(&expr, true), expr.eval());
+#[test]
+fn prop_bytecode_matches_rust_semantics() {
+    for seed in 0..CASES {
+        let e = expr(&mut SimRng::new(seed), 4);
+        assert_eq!(
+            run_expr(&e, true),
+            Ok(Value::Int(e.eval())),
+            "seed {seed}: {e:?}"
+        );
     }
+}
 
-    #[test]
-    fn prop_stubs_do_not_change_results(expr in expr_strategy()) {
-        prop_assert_eq!(run_expr(&expr, true), run_expr(&expr, false));
+#[test]
+fn prop_stubs_do_not_change_results() {
+    for seed in 0..CASES {
+        let e = expr(&mut SimRng::new(seed), 4);
+        assert_eq!(
+            run_expr(&e, true),
+            run_expr(&e, false),
+            "seed {seed}: {e:?}"
+        );
     }
+}
 
-    #[test]
-    fn prop_comparisons_match(a: i64, b: i64) {
-        let mut vm = Vm::new(VmConfig::default());
-        vm.register_class(
-            ClassDef::build("C")
-                .method("lt", [TypeSig::Int, TypeSig::Int], TypeSig::Bool, |m| {
-                    m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Lt).op(Op::RetVal);
-                })
-                .method("ge", [TypeSig::Int, TypeSig::Int], TypeSig::Bool, |m| {
-                    m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Ge).op(Op::RetVal);
-                })
-                .method("div", [TypeSig::Int, TypeSig::Int], TypeSig::Int, |m| {
-                    m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Div).op(Op::RetVal);
-                })
-                .done(),
-        )
-        .unwrap();
-        let lt = vm.call("C", "lt", Value::Null, vec![a.into(), b.into()]).unwrap();
-        prop_assert_eq!(lt, Value::Bool(a < b));
-        let ge = vm.call("C", "ge", Value::Null, vec![a.into(), b.into()]).unwrap();
-        prop_assert_eq!(ge, Value::Bool(a >= b));
-        let div = vm.call("C", "div", Value::Null, vec![a.into(), b.into()]);
+#[test]
+fn prop_comparisons_match() {
+    let mut vm = Vm::new(VmConfig::default());
+    vm.register_class(
+        ClassDef::build("C")
+            .method("lt", [TypeSig::Int, TypeSig::Int], TypeSig::Bool, |m| {
+                m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Lt).op(Op::RetVal);
+            })
+            .method("ge", [TypeSig::Int, TypeSig::Int], TypeSig::Bool, |m| {
+                m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Ge).op(Op::RetVal);
+            })
+            .method("div", [TypeSig::Int, TypeSig::Int], TypeSig::Int, |m| {
+                m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Div).op(Op::RetVal);
+            })
+            .done(),
+    )
+    .unwrap();
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let (a, b) = (rng.any_i64(), rng.any_i64());
+        let args = || vec![a.into(), b.into()];
+        let lt = vm.call("C", "lt", Value::Null, args());
+        assert_eq!(lt, Ok(Value::Bool(a < b)), "seed {seed}: {a} < {b}");
+        let ge = vm.call("C", "ge", Value::Null, args());
+        assert_eq!(ge, Ok(Value::Bool(a >= b)), "seed {seed}: {a} >= {b}");
+        let div = vm.call("C", "div", Value::Null, args());
         if b == 0 {
-            prop_assert!(div.is_err());
+            assert!(div.is_err(), "seed {seed}: {a} / 0");
         } else {
-            prop_assert_eq!(div.unwrap(), Value::Int(a.wrapping_div(b)));
+            assert_eq!(
+                div,
+                Ok(Value::Int(a.wrapping_div(b))),
+                "seed {seed}: {a} / {b}"
+            );
         }
     }
+}
 
-    #[test]
-    fn prop_shifts_mask_like_jvm(a: i64, s in 0i64..200) {
-        let mut vm = Vm::new(VmConfig::default());
-        vm.register_class(
-            ClassDef::build("S")
-                .method("shl", [TypeSig::Int, TypeSig::Int], TypeSig::Int, |m| {
-                    m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Shl).op(Op::RetVal);
-                })
-                .done(),
-        )
-        .unwrap();
-        let got = vm.call("S", "shl", Value::Null, vec![a.into(), s.into()]).unwrap();
-        prop_assert_eq!(got, Value::Int(a.wrapping_shl(s as u32 & 63)));
+#[test]
+fn prop_shifts_mask_like_jvm() {
+    let mut vm = Vm::new(VmConfig::default());
+    vm.register_class(
+        ClassDef::build("S")
+            .method("shl", [TypeSig::Int, TypeSig::Int], TypeSig::Int, |m| {
+                m.op(Op::Load(1)).op(Op::Load(2)).op(Op::Shl).op(Op::RetVal);
+            })
+            .done(),
+    )
+    .unwrap();
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let (a, s) = (rng.any_i64(), rng.range_u64(200) as i64);
+        let got = vm.call("S", "shl", Value::Null, vec![a.into(), s.into()]);
+        assert_eq!(
+            got,
+            Ok(Value::Int(a.wrapping_shl(s as u32 & 63))),
+            "seed {seed}: {a} << {s}"
+        );
     }
 }

@@ -355,6 +355,7 @@ macro_rules! wire_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_telemetry::SimRng;
 
     #[derive(Debug, PartialEq, Clone)]
     struct Sample {
@@ -494,59 +495,82 @@ mod tests {
         assert!(crate::from_bytes::<BTreeMap<String, u32>>(&bytes).is_err());
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    /// Cases per seeded property below.
+    const CASES: u64 = 256;
 
-        proptest! {
-            #[test]
-            fn prop_u64_roundtrip(v: u64) {
-                prop_assert_eq!(crate::from_bytes::<u64>(&crate::to_bytes(&v)).unwrap(), v);
-            }
+    fn roundtrips<T: Wire + PartialEq + std::fmt::Debug>(v: &T, seed: u64) {
+        let back = crate::from_bytes::<T>(&crate::to_bytes(v));
+        assert_eq!(back.as_ref(), Ok(v), "seed {seed}");
+    }
 
-            #[test]
-            fn prop_i64_roundtrip(v: i64) {
-                prop_assert_eq!(crate::from_bytes::<i64>(&crate::to_bytes(&v)).unwrap(), v);
-            }
+    #[test]
+    fn prop_u64_roundtrip() {
+        for seed in 0..CASES {
+            roundtrips(&(SimRng::new(seed).any_i64() as u64), seed);
+        }
+    }
 
-            #[test]
-            fn prop_string_roundtrip(s in ".*") {
-                let s: String = s;
-                prop_assert_eq!(crate::from_bytes::<String>(&crate::to_bytes(&s)).unwrap(), s);
-            }
+    #[test]
+    fn prop_i64_roundtrip() {
+        for seed in 0..CASES {
+            roundtrips(&SimRng::new(seed).any_i64(), seed);
+        }
+    }
 
-            #[test]
-            fn prop_bytes_roundtrip(b in proptest::collection::vec(any::<u8>(), 0..512)) {
-                prop_assert_eq!(crate::from_bytes::<Vec<u8>>(&crate::to_bytes(&b)).unwrap(), b);
-            }
+    #[test]
+    fn prop_string_roundtrip() {
+        for seed in 0..CASES {
+            roundtrips(&SimRng::new(seed).string(0..64), seed);
+        }
+    }
 
-            #[test]
-            fn prop_vec_string_roundtrip(v in proptest::collection::vec(".*", 0..16)) {
-                let v: Vec<String> = v;
-                prop_assert_eq!(crate::from_bytes::<Vec<String>>(&crate::to_bytes(&v)).unwrap(), v);
-            }
+    #[test]
+    fn prop_bytes_roundtrip() {
+        for seed in 0..CASES {
+            roundtrips(&SimRng::new(seed).bytes(0..512), seed);
+        }
+    }
 
-            #[test]
-            fn prop_map_roundtrip(m in proptest::collection::btree_map(any::<u64>(), ".*", 0..16)) {
-                let m: BTreeMap<u64, String> = m;
-                prop_assert_eq!(crate::from_bytes::<BTreeMap<u64, String>>(&crate::to_bytes(&m)).unwrap(), m);
-            }
+    #[test]
+    fn prop_vec_string_roundtrip() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let v: Vec<String> = (0..rng.below(16)).map(|_| rng.string(0..64)).collect();
+            roundtrips(&v, seed);
+        }
+    }
 
-            #[test]
-            fn prop_decoding_random_bytes_never_panics(b in proptest::collection::vec(any::<u8>(), 0..256)) {
+    #[test]
+    fn prop_map_roundtrip() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let m: BTreeMap<u64, String> = (0..rng.below(16))
+                .map(|_| (rng.any_i64() as u64, rng.string(0..64)))
+                .collect();
+            roundtrips(&m, seed);
+        }
+    }
+
+    #[test]
+    fn prop_decoding_random_bytes_never_panics() {
+        for seed in 0..CASES {
+            let b = SimRng::new(seed).bytes(0..256);
+            let decode = std::panic::catch_unwind(|| {
                 let _ = crate::from_bytes::<Sample>(&b);
                 let _ = crate::from_bytes::<Vec<String>>(&b);
                 let _ = crate::from_bytes::<BTreeMap<String, u64>>(&b);
-            }
+            });
+            assert!(decode.is_ok(), "seed {seed}: the decoder panicked");
+        }
+    }
 
-            #[test]
-            fn prop_canonical_equal_values_equal_bytes(v1 in proptest::collection::vec(any::<i64>(), 0..32)) {
-                let v2 = v1.clone();
-                prop_assert_eq!(crate::to_bytes(&v1), crate::to_bytes(&v2));
-            }
+    #[test]
+    fn prop_canonical_equal_values_equal_bytes() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let v1: Vec<i64> = (0..rng.below(32)).map(|_| rng.any_i64()).collect();
+            let v2 = v1.clone();
+            assert_eq!(crate::to_bytes(&v1), crate::to_bytes(&v2), "seed {seed}");
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Deterministic decode-fuzz smoke test (ISSUE 5 satellite).
+//! Deterministic decode-fuzz smoke test.
 //!
-//! The feature-gated proptests throw random bytes at the decoders, but
-//! the offline default build never runs them. This suite pins the error
-//! *positions* instead: a fixed probe message is truncated at every
+//! The seeded properties in `src/traits.rs` throw random bytes at the
+//! decoders and check only that they never panic. This suite pins the
+//! error *positions*: a fixed probe message is truncated at every
 //! interesting boundary and patched with bad tag bytes, and each case
 //! asserts the exact `UnexpectedEof { offset, needed, have }` /
 //! `InvalidTag { offset, .. }` the decoder must report. Offsets are what

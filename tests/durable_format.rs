@@ -22,8 +22,9 @@ mod store_ops;
 use pmp_core::rpc::RpcEngine;
 use pmp_durable::{Durable, DurableEngine, EngineConfig, Store};
 use pmp_midas::ExtensionBase;
-use pmp_net::{NodeId, SimRng};
+use pmp_net::NodeId;
 use pmp_store::MovementStore;
+use pmp_telemetry::SimRng;
 use pmp_telemetry::{Fnv64, Shared, Sink};
 use pmp_trace::FlightRecorder;
 

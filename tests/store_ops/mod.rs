@@ -7,15 +7,11 @@
 use pmp_core::rpc::{CallOp, InvocationSemantics, PendingCall};
 use pmp_midas::durable::BaseWalOp;
 use pmp_midas::{ExtensionMeta, ExtensionPackage, SignedExtension};
-use pmp_net::SimRng;
 use pmp_prose::{Aspect, PortableAspect, PortableClass};
 use pmp_store::MovementRecord;
+use pmp_telemetry::SimRng;
 use pmp_trace::{FlightEntry, SpanRecord};
 use std::collections::BTreeMap;
-
-fn pick<'a, T>(rng: &mut SimRng, xs: &'a [T]) -> &'a T {
-    &xs[rng.range_u64(xs.len() as u64) as usize]
-}
 
 fn signed(id: &str, version: u32) -> SignedExtension {
     let aspect = Aspect::script(
@@ -50,7 +46,7 @@ const NODES: [&str; 3] = ["robot:1:1", "robot:2:2", "robot:3:3"];
 
 fn grants(rng: &mut SimRng) -> BTreeMap<String, u64> {
     (0..rng.range_u64(3))
-        .map(|_| (pick(rng, &EXT_IDS).to_string(), 1 + rng.range_u64(40)))
+        .map(|_| (rng.pick(&EXT_IDS).to_string(), 1 + rng.range_u64(40)))
         .collect()
 }
 
@@ -62,11 +58,11 @@ pub fn base_ops() -> impl FnMut(&mut SimRng) -> BaseWalOp {
         .flat_map(|id| (1..=2).map(move |v| signed(id, v)))
         .collect();
     move |rng| {
-        let name = pick(rng, &NODES).to_string();
-        let ext_id = pick(rng, &EXT_IDS).to_string();
+        let name = rng.pick(&NODES).to_string();
+        let ext_id = rng.pick(&EXT_IDS).to_string();
         match rng.range_u64(9) {
             0 => BaseWalOp::CatalogPut {
-                ext: pick(rng, &pool).clone(),
+                ext: rng.pick(&pool).clone(),
             },
             1 => BaseWalOp::Revoked { ext_id },
             2 => BaseWalOp::NodeAdapted {
@@ -92,13 +88,13 @@ pub fn base_ops() -> impl FnMut(&mut SimRng) -> BaseWalOp {
                 from: rng.range_u64(4) as u32,
                 grants: grants(rng),
                 exts: (0..rng.range_u64(3))
-                    .map(|_| pick(rng, &pool).clone())
+                    .map(|_| rng.pick(&pool).clone())
                     .collect(),
                 seq: rng.range_u64(32),
             },
             7 => BaseWalOp::RoamDrop { name },
             _ => BaseWalOp::ForeignPut {
-                ext: pick(rng, &pool).clone(),
+                ext: rng.pick(&pool).clone(),
             },
         }
     }
@@ -133,7 +129,7 @@ pub fn rpc_op(rng: &mut SimRng) -> CallOp {
 /// One movement-store record.
 pub fn movement_op(rng: &mut SimRng) -> MovementRecord {
     MovementRecord {
-        robot: pick(rng, &NODES).to_string(),
+        robot: rng.pick(&NODES).to_string(),
         device: "motor:x".into(),
         command: "Motor.rotate".into(),
         args: vec![rng.range_u64(360) as i64 - 180],
