@@ -7,7 +7,7 @@
 //! module builds that region structure once so every `opt` pass shares
 //! the same notion of leaders, blocks, and successors.
 
-use pmp_vm::op::{BytecodeBody, Op};
+use pmp_vm::op::{BytecodeBody, Flow, Op};
 use std::collections::BTreeSet;
 
 /// A basic block: the half-open pc range `[start, end)`. The op at
@@ -32,11 +32,11 @@ pub struct Cfg {
 
 /// Where control can go after the op at `pc`.
 pub fn successors(op: &Op, pc: usize) -> Vec<usize> {
-    match op {
-        Op::Jump(t) => vec![*t as usize],
-        Op::JumpIf(t) | Op::JumpIfNot(t) => vec![*t as usize, pc + 1],
-        Op::Ret | Op::RetVal | Op::Throw(_) => vec![],
-        _ => vec![pc + 1],
+    match op.effect().2 {
+        Flow::Next => vec![pc + 1],
+        Flow::Jump(t) => vec![t as usize],
+        Flow::Branch(t) => vec![t as usize, pc + 1],
+        Flow::Exit => vec![],
     }
 }
 
@@ -48,19 +48,15 @@ impl Cfg {
         let mut leaders: BTreeSet<usize> = BTreeSet::new();
         leaders.insert(0);
         for (pc, op) in body.ops.iter().enumerate() {
-            match op {
-                Op::Jump(t) => {
-                    leaders.insert(*t as usize);
+            match op.effect().2 {
+                Flow::Next => {}
+                Flow::Jump(t) | Flow::Branch(t) => {
+                    leaders.insert(t as usize);
                     leaders.insert(pc + 1);
                 }
-                Op::JumpIf(t) | Op::JumpIfNot(t) => {
-                    leaders.insert(*t as usize);
+                Flow::Exit => {
                     leaders.insert(pc + 1);
                 }
-                Op::Ret | Op::RetVal | Op::Throw(_) => {
-                    leaders.insert(pc + 1);
-                }
-                _ => {}
             }
         }
         for h in &body.handlers {

@@ -242,9 +242,6 @@ fn transfer(op: &Op, state: &AbsState) -> Option<AbsState> {
             let v = s.stack.last()?.clone();
             s.stack.push(v);
         }
-        Op::Pop => {
-            popn(&mut s, 1)?;
-        }
         Op::Swap => {
             let n = s.stack.len();
             if n < 2 {
@@ -252,50 +249,22 @@ fn transfer(op: &Op, state: &AbsState) -> Option<AbsState> {
             }
             s.stack.swap(n - 1, n - 2);
         }
-        Op::JumpIf(_) | Op::JumpIfNot(_) => {
-            popn(&mut s, 1)?;
-        }
-        Op::Jump(_) | Op::Ret | Op::Nop => {}
-        Op::RetVal | Op::Throw(_) => {
-            popn(&mut s, 1)?;
-        }
-        Op::New(_) => s.stack.push(AbsVal::Any),
-        Op::GetField { .. } => {
-            popn(&mut s, 1)?;
-            s.stack.push(AbsVal::Any);
-        }
-        Op::PutField { .. } => {
-            popn(&mut s, 2)?;
-        }
-        Op::CallV { argc, .. } | Op::CallDirect { argc, .. } => {
-            popn(&mut s, *argc as usize + 1)?;
-            s.stack.push(AbsVal::Any);
-        }
-        Op::CallStatic { argc, .. } | Op::Sys { argc, .. } => {
-            popn(&mut s, *argc as usize)?;
-            s.stack.push(AbsVal::Any);
-        }
-        Op::NewArray | Op::NewBuffer | Op::ArrLen | Op::BufLen => {
-            popn(&mut s, 1)?;
-            s.stack.push(AbsVal::Any);
-        }
-        Op::ArrGet | Op::BufGet => {
-            popn(&mut s, 2)?;
-            s.stack.push(AbsVal::Any);
-        }
-        Op::ArrSet | Op::BufSet => {
-            popn(&mut s, 3)?;
-        }
-        other => {
+        pure if pure_arity(pure).is_some() => {
             // Pure value ops: pop operands, push the fold (or Any).
-            let n = pure_arity(other)?;
-            let operands = popn(&mut s, n)?;
+            let operands = popn(&mut s, pure_arity(pure)?)?;
             let consts: Option<Vec<Const>> =
                 operands.iter().map(|v| v.as_const().cloned()).collect();
             let out = consts
-                .and_then(|cs| fold(other, &cs))
+                .and_then(|cs| fold(pure, &cs))
                 .map_or(AbsVal::Any, AbsVal::Const);
             s.stack.push(out);
+        }
+        opaque => {
+            // Everything else: pop operands, push unknowns.
+            let (pops, pushes, _) = opaque.effect();
+            popn(&mut s, pops as usize)?;
+            s.stack
+                .extend(std::iter::repeat_n(AbsVal::Any, pushes as usize));
         }
     }
     Some(s)

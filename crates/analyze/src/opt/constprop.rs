@@ -358,8 +358,8 @@ pub fn propagate(
                     }
                 }
                 other => {
-                    let (pops, pushes) = opaque_effect(other);
-                    if !pop_push(&mut sim, pops, pushes) {
+                    let (pops, pushes, _) = other.effect();
+                    if !pop_push(&mut sim, pops as usize, pushes as usize) {
                         break 'ops;
                     }
                 }
@@ -393,21 +393,6 @@ fn pop_push(sim: &mut Vec<Slot>, pops: usize, pushes: usize) -> bool {
     sim.truncate(sim.len() - pops);
     sim.extend(std::iter::repeat_with(|| Slot::Opaque).take(pushes));
     true
-}
-
-/// Stack effect of ops the pass treats as opaque (no provenance out).
-fn opaque_effect(op: &Op) -> (usize, usize) {
-    match op {
-        Op::New(_) => (0, 1),
-        Op::GetField { .. } => (1, 1),
-        Op::PutField { .. } => (2, 0),
-        Op::CallV { argc, .. } | Op::CallDirect { argc, .. } => (*argc as usize + 1, 1),
-        Op::CallStatic { argc, .. } | Op::Sys { argc, .. } => (*argc as usize, 1),
-        Op::NewArray | Op::NewBuffer | Op::ArrLen | Op::BufLen => (1, 1),
-        Op::ArrGet | Op::BufGet => (2, 1),
-        Op::ArrSet | Op::BufSet => (3, 0),
-        _ => (0, 0),
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! Handlers whose guarded range compacts to nothing are dropped.
 
 use crate::cfg::reachable_ops;
-use pmp_vm::op::{BytecodeBody, Op};
+use pmp_vm::op::{BytecodeBody, Flow, Op};
 
 /// Removes unreachable code and compacts `Nop`s out of `body`.
 /// Returns the number of ops removed. On any internal inconsistency
@@ -55,8 +55,8 @@ pub fn eliminate(body: &mut BytecodeBody) -> usize {
         if !keep[pc] {
             continue;
         }
-        let t = match op {
-            Op::Jump(t) | Op::JumpIf(t) | Op::JumpIfNot(t) => *t as usize,
+        let t = match op.effect().2 {
+            Flow::Jump(t) | Flow::Branch(t) => t as usize,
             _ => continue,
         };
         if t > len || remap[t] == usize::MAX || remap[t] >= remap[len] {

@@ -13,12 +13,11 @@
 //!   bounded by fuel; reported as [`Severity::Info`] so operators can
 //!   see which extensions loop.
 //! * no fuel budget — the loop may never terminate; reported as
-//!   [`Severity::Warning`] (raise the policy threshold to `Warning`
-//!   to make it fatal).
+//!   [`Severity::Warning`].
 
 use crate::{AnalyzeOptions, Finding, Pass, Severity};
 use pmp_prose::{PortableClass, PortableMethod};
-use pmp_vm::op::Op;
+use pmp_vm::op::Flow;
 
 /// Scans every method of a shipped class for back-edges.
 pub fn check_class(class: &PortableClass, opts: &AnalyzeOptions) -> Vec<Finding> {
@@ -33,8 +32,8 @@ pub fn check_class(class: &PortableClass, opts: &AnalyzeOptions) -> Vec<Finding>
 pub fn check_method(method: &PortableMethod, opts: &AnalyzeOptions) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (pc, op) in method.body.ops.iter().enumerate() {
-        let target = match op {
-            Op::Jump(t) | Op::JumpIf(t) | Op::JumpIfNot(t) => *t as usize,
+        let target = match op.effect().2 {
+            Flow::Jump(t) | Flow::Branch(t) => t as usize,
             _ => continue,
         };
         if target <= pc {
@@ -61,7 +60,7 @@ pub fn check_method(method: &PortableMethod, opts: &AnalyzeOptions) -> Vec<Findi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmp_vm::op::BytecodeBody;
+    use pmp_vm::op::{BytecodeBody, Op};
 
     fn method(ops: Vec<Op>) -> PortableMethod {
         PortableMethod {

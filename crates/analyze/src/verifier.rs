@@ -27,62 +27,7 @@
 
 use crate::{AnalyzeOptions, Finding, Pass, Severity};
 use pmp_prose::{PortableClass, PortableMethod};
-use pmp_vm::op::{BytecodeBody, Op};
-
-/// Where control can go after one instruction.
-enum Flow {
-    /// Fall through to `pc + 1`.
-    Next,
-    /// Unconditional jump.
-    Jump(u32),
-    /// Conditional: fall through or jump.
-    Branch(u32),
-    /// Leaves the method (return or throw).
-    Exit,
-}
-
-/// `(pops, pushes, flow)` of one instruction — mirrors
-/// `vm::interp::exec_op` and must stay in sync with it.
-fn effect(op: &Op) -> (u32, u32, Flow) {
-    match op {
-        Op::Const(_) | Op::New(_) => (0, 1, Flow::Next),
-        Op::Load(_) => (0, 1, Flow::Next),
-        Op::Store(_) | Op::Pop => (1, 0, Flow::Next),
-        Op::Dup => (1, 2, Flow::Next),
-        Op::Swap => (2, 2, Flow::Next),
-        Op::Add
-        | Op::Sub
-        | Op::Mul
-        | Op::Div
-        | Op::Rem
-        | Op::Shl
-        | Op::Shr
-        | Op::BitAnd
-        | Op::BitOr
-        | Op::BitXor
-        | Op::Eq
-        | Op::Ne
-        | Op::Lt
-        | Op::Le
-        | Op::Gt
-        | Op::Ge
-        | Op::Concat => (2, 1, Flow::Next),
-        Op::Neg | Op::Not | Op::ToStr | Op::ToInt | Op::ToFloat => (1, 1, Flow::Next),
-        Op::Jump(t) => (0, 0, Flow::Jump(*t)),
-        Op::JumpIf(t) | Op::JumpIfNot(t) => (1, 0, Flow::Branch(*t)),
-        Op::Ret => (0, 0, Flow::Exit),
-        Op::RetVal => (1, 0, Flow::Exit),
-        Op::GetField { .. } => (1, 1, Flow::Next),
-        Op::PutField { .. } => (2, 0, Flow::Next),
-        Op::CallV { argc, .. } | Op::CallDirect { argc, .. } => (u32::from(*argc) + 1, 1, Flow::Next),
-        Op::CallStatic { argc, .. } | Op::Sys { argc, .. } => (u32::from(*argc), 1, Flow::Next),
-        Op::NewArray | Op::ArrLen | Op::NewBuffer | Op::BufLen => (1, 1, Flow::Next),
-        Op::ArrGet | Op::BufGet => (2, 1, Flow::Next),
-        Op::ArrSet | Op::BufSet => (3, 0, Flow::Next),
-        Op::Throw(_) => (1, 0, Flow::Exit),
-        Op::Nop => (0, 0, Flow::Next),
-    }
-}
+use pmp_vm::op::{BytecodeBody, Flow, Op};
 
 /// Verifies every method of a shipped class, including the cross-method
 /// arity checks for calls that resolve within the class itself.
@@ -166,7 +111,7 @@ pub fn verify_body(
             None => depth[pc] = Some(d),
         }
         let op = &body.ops[pc];
-        let (pops, pushes, flow) = effect(op);
+        let (pops, pushes, flow) = op.effect();
         if d < pops {
             findings.push(err(
                 Some(pc),

@@ -127,20 +127,14 @@ fn run_all(pkg: &ExtensionPackage) -> Result<Vec<Outcome>, String> {
             })
             .collect()
     };
-    // register_session_blackboard hands back a HashMap; sort here so
-    // the comparison is order-independent.
     let snapshot_board = || -> Vec<(String, String)> {
         match &board {
             None => Vec::new(),
-            Some(b) => {
-                let mut entries: Vec<(String, String)> = b
-                    .lock()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), canon(v)))
-                    .collect();
-                entries.sort();
-                entries
-            }
+            Some(b) => b
+                .lock()
+                .iter()
+                .map(|(k, v)| (k.clone(), canon(v)))
+                .collect(),
         }
     };
 

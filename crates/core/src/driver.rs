@@ -94,7 +94,7 @@ impl NodeCell<'_> {
                     dispatch_base(station, &mut self.state.port, &mut self.rpc, &item.incoming);
                 }
                 CellBody::Mobile(node) => {
-                    dispatch_mobile(node, &mut self.state.port, &mut self.rpc, &item.incoming);
+                    dispatch_mobile(node, &mut self.state.port, &item.incoming);
                 }
             }
         }
@@ -296,7 +296,7 @@ fn handle_base_federation(station: &mut BaseStation, port: &mut dyn NetPort, evs
                 }
             }
             BaseEvent::MovementImport { node_name, records } => {
-                let seen: std::collections::HashSet<u64> =
+                let seen: std::collections::BTreeSet<u64> =
                     station.store.rows_of(node_name).map(|(at, _)| at).collect();
                 for raw in records {
                     let Ok(rec) = pmp_wire::from_bytes::<MovementRecord>(raw) else {
@@ -314,12 +314,7 @@ fn handle_base_federation(station: &mut BaseStation, port: &mut dyn NetPort, evs
 
 /// Feeds one incoming event through a mobile node's stack, then flushes
 /// anything the handlers queued on the host outbox.
-pub(crate) fn dispatch_mobile(
-    node: &mut MobileNode,
-    port: &mut PortBuf,
-    rpc: &mut Vec<RpcOutcome>,
-    inc: &Incoming,
-) {
+pub(crate) fn dispatch_mobile(node: &mut MobileNode, port: &mut PortBuf, inc: &Incoming) {
     let evs = node
         .receiver
         .handle(port, &mut node.vm, &node.prose, inc);
@@ -333,7 +328,7 @@ pub(crate) fn dispatch_mobile(
         }
     }
     node.events.extend(evs);
-    handle_node_channels(node, port, rpc, inc);
+    handle_node_channels(node, port, inc);
     // Any advice dispatch this event caused closes armed
     // first-interception watches (the `midas.intercept` leaf span).
     node.receiver
@@ -423,12 +418,7 @@ fn handle_base_app(
     }
 }
 
-fn handle_node_channels(
-    node: &mut MobileNode,
-    port: &mut dyn NetPort,
-    rpc: &mut Vec<RpcOutcome>,
-    inc: &Incoming,
-) {
+fn handle_node_channels(node: &mut MobileNode, port: &mut dyn NetPort, inc: &Incoming) {
     let Incoming::Message {
         from,
         channel,
@@ -499,14 +489,8 @@ fn handle_node_channels(
             let reply = RpcMsg::Reply { req, ok, value };
             port.send(node.node, *from, RPC_CHANNEL, ctx.wrap(&reply));
         }
-        RpcMsg::Reply { req, ok, value } => {
-            rpc.push(RpcOutcome {
-                req,
-                ok,
-                value,
-                at: port.now().0,
-            });
-        }
+        // Calls come from a base, so replies go back to a base.
+        RpcMsg::Reply { .. } => {}
     }
 }
 

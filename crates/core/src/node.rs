@@ -16,7 +16,7 @@ use pmp_robot::{new_handle, register_robot_classes, spawn_motor, spawn_plotter, 
 use pmp_store::{MovementRecord, MovementStore};
 use pmp_vm::class::ClassDef;
 use pmp_vm::prelude::{TypeSig, Value, Vm, VmConfig, VmError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A mobile node: the paper's Fig. 2b stack (application + VM + PROSE +
@@ -37,11 +37,11 @@ pub struct MobileNode {
     /// Robot hardware, if attached.
     pub robot: Option<RobotHandle>,
     /// Motor proxies by device name (mirror/replay targets).
-    pub motors: HashMap<String, Value>,
+    pub motors: BTreeMap<String, Value>,
     /// The plotter proxy, if a robot is attached.
     pub plotter: Option<Value>,
     /// Exposed service objects by class name (RPC targets).
-    pub services: HashMap<String, Value>,
+    pub services: BTreeMap<String, Value>,
     /// Accumulated receiver events.
     pub events: Vec<ReceiverEvent>,
     /// Where app traffic is sent (the base that adapted us last).
@@ -153,9 +153,9 @@ impl MobileNode {
         install_node_sys(&mut vm, &name, &wiring);
 
         let mut robot = None;
-        let mut motors = HashMap::new();
+        let mut motors = BTreeMap::new();
         let mut plotter = None;
-        let mut services = HashMap::new();
+        let mut services = BTreeMap::new();
         if with_robot {
             let handle = new_handle();
             handle.lock().rcx.set_clock(clock);
@@ -218,7 +218,7 @@ pub struct BaseStation {
     /// Billing settlements `(robot, reason, amount)`.
     pub charges: Vec<(String, String, i64)>,
     /// Mirror routes: source robot name → `(replica node, num, den)`.
-    pub mirrors: HashMap<String, Vec<(NodeId, i64, i64)>>,
+    pub mirrors: BTreeMap<String, Vec<(NodeId, i64, i64)>>,
     /// The storage engine under this base: movement log + extension
     /// base state are WAL'd through it and survive a crash.
     pub durable: DurableHub,
@@ -266,7 +266,7 @@ impl BaseStation {
             store: MovementStore::new(),
             persisted: Vec::new(),
             charges: Vec::new(),
-            mirrors: HashMap::new(),
+            mirrors: BTreeMap::new(),
             durable,
             flight: pmp_trace::FlightRecorder::new(pmp_trace::DEFAULT_FLIGHT_CAP),
             crashed: false,

@@ -5,7 +5,7 @@ use crate::proto::{DiscoveryMsg, CHANNEL};
 use crate::service::{ServiceId, ServiceItem, ServiceQuery};
 use pmp_net::{Incoming, NetPort, NodeId, SimTime};
 use pmp_telemetry::Sink;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const RENEW_TAG: &str = "disc.renew";
 const REGCHECK_TAG: &str = "disc.regcheck";
@@ -86,7 +86,7 @@ struct KnownRegistrar {
 #[derive(Debug)]
 pub struct DiscoveryClient {
     node: NodeId,
-    registrars: HashMap<NodeId, KnownRegistrar>,
+    registrars: BTreeMap<NodeId, KnownRegistrar>,
     registrations: Vec<Registration>,
     next_req: u64,
     /// A registrar is lost after this long without an announcement.
@@ -107,7 +107,7 @@ impl DiscoveryClient {
     pub fn new(node: NodeId) -> Self {
         Self {
             node,
-            registrars: HashMap::new(),
+            registrars: BTreeMap::new(),
             registrations: Vec::new(),
             next_req: 1,
             registrar_timeout_ns: 1_600_000_000, // ≈3 announce periods
@@ -167,15 +167,13 @@ impl DiscoveryClient {
         r
     }
 
-    /// Registrars currently believed alive, as `(node, name)`.
+    /// Registrars currently believed alive, as `(node, name)`, in node
+    /// order.
     pub fn known_registrars(&self) -> Vec<(NodeId, String)> {
-        let mut known: Vec<(NodeId, String)> = self
-            .registrars
+        self.registrars
             .iter()
             .map(|(n, k)| (*n, k.name.clone()))
-            .collect();
-        known.sort_by(|a, b| (a.0 .0, &a.1).cmp(&(b.0 .0, &b.1)));
-        known
+            .collect()
     }
 
     /// Registers `item` with `registrar` under a lease of `lease_ns`;
@@ -408,19 +406,11 @@ impl DiscoveryClient {
 
     fn check_registrars(&mut self, now: SimTime, events: &mut Vec<DiscoveryEvent>) {
         let timeout = self.registrar_timeout_ns;
-        let mut lost: Vec<NodeId> = self
-            .registrars
-            .iter()
-            .filter(|(_, k)| k.announced && now.since(k.last_seen) > timeout)
-            .map(|(n, _)| *n)
-            .collect();
-        // Event order must not follow hash order.
-        lost.sort_by_key(|n| n.0);
-        for node in lost {
-            if let Some(k) = self.registrars.get_mut(&node) {
+        for (node, k) in &mut self.registrars {
+            if k.announced && now.since(k.last_seen) > timeout {
                 k.announced = false;
+                events.push(DiscoveryEvent::RegistrarLost { node: *node });
             }
-            events.push(DiscoveryEvent::RegistrarLost { node });
         }
     }
 }

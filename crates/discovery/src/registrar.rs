@@ -243,8 +243,8 @@ impl Registrar {
                     .filter(|(item, _)| query.matches(item))
                     .map(|(item, _)| item.clone())
                     .collect();
-                // Stable result order: the items travel inside the
-                // reply payload, so hash order would be byte-observable.
+                // Name order, not service-id order: the items travel
+                // inside the reply payload.
                 items.sort_by(|a, b| (&a.name, a.provider).cmp(&(&b.name, b.provider)));
                 let reply = DiscoveryMsg::LookupResult { items, req };
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&reply));

@@ -6,7 +6,7 @@
 
 use pmp_store::{MovementRecord, MovementStore};
 use pmp_vm::prelude::{Value, Vm, VmError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One step of a replay plan: wait `delay_ns` (relative to the previous
 /// step), then apply the record.
@@ -38,7 +38,7 @@ pub fn plan(store: &MovementStore, robot: &str) -> Vec<ReplayStep> {
 /// Any [`VmError`] from the motor proxies.
 pub fn apply_plan(
     vm: &mut Vm,
-    motors: &HashMap<String, Value>,
+    motors: &BTreeMap<String, Value>,
     steps: &[ReplayStep],
 ) -> Result<usize, VmError> {
     let mut applied = 0;
@@ -57,7 +57,7 @@ pub fn apply_plan(
 /// Any [`VmError`] from the motor proxies.
 pub fn apply_step(
     vm: &mut Vm,
-    motors: &HashMap<String, Value>,
+    motors: &BTreeMap<String, Value>,
     step: &ReplayStep,
 ) -> Result<bool, VmError> {
     let Some(motor) = motors.get(&step.record.device) else {
@@ -118,7 +118,7 @@ mod tests {
         let mut vm = Vm::new(VmConfig::default());
         let handle = new_handle();
         register_robot_classes(&mut vm, &handle).unwrap();
-        let mut motors = HashMap::new();
+        let mut motors = BTreeMap::new();
         for port in Port::MOTORS {
             motors.insert(format!("motor:{port}"), spawn_motor(&mut vm, port).unwrap());
         }

@@ -7,7 +7,7 @@ use crate::monitoring;
 use pmp_midas::ExtensionPackage;
 use pmp_store::MovementRecord;
 use pmp_vm::prelude::{Value, Vm, VmError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Extension id.
 pub const ID: &str = "ext/replication";
@@ -38,7 +38,7 @@ pub fn package(version: u32) -> ExtensionPackage {
 /// Panics if `den == 0`.
 pub fn mirror_record(
     vm: &mut Vm,
-    motors: &HashMap<String, Value>,
+    motors: &BTreeMap<String, Value>,
     record: &MovementRecord,
     num: i64,
     den: i64,
@@ -75,7 +75,7 @@ pub fn mirror_record(
 /// Any [`VmError`] from the replica's motor proxies.
 pub fn mirror_log(
     vm: &mut Vm,
-    motors: &HashMap<String, Value>,
+    motors: &BTreeMap<String, Value>,
     records: &[MovementRecord],
     num: i64,
     den: i64,
@@ -96,11 +96,11 @@ mod tests {
     use pmp_robot::{new_handle, register_robot_classes, spawn_motor, Port};
     use pmp_vm::prelude::*;
 
-    fn replica() -> (Vm, pmp_robot::RobotHandle, HashMap<String, Value>) {
+    fn replica() -> (Vm, pmp_robot::RobotHandle, BTreeMap<String, Value>) {
         let mut vm = Vm::new(VmConfig::default());
         let handle = new_handle();
         register_robot_classes(&mut vm, &handle).unwrap();
-        let mut motors = HashMap::new();
+        let mut motors = BTreeMap::new();
         for port in Port::MOTORS {
             let m = spawn_motor(&mut vm, port).unwrap();
             motors.insert(format!("motor:{port}"), m);

@@ -4,7 +4,7 @@
 use pmp_telemetry::sync::Mutex;
 use pmp_vm::perm::Permission;
 use pmp_vm::prelude::{Value, Vm};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The 5-parameter advice signature, in display form
@@ -32,8 +32,8 @@ pub fn versioned_class(base: &str, version: u32) -> String {
 /// extensions like access control (paper §3.3).
 ///
 /// Returns the shared map so the host can inspect or pre-seed it.
-pub fn register_session_blackboard(vm: &mut Vm) -> Arc<Mutex<HashMap<String, Value>>> {
-    let board: Arc<Mutex<HashMap<String, Value>>> = Arc::new(Mutex::new(HashMap::new()));
+pub fn register_session_blackboard(vm: &mut Vm) -> Arc<Mutex<BTreeMap<String, Value>>> {
+    let board: Arc<Mutex<BTreeMap<String, Value>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let b1 = board.clone();
     vm.register_sys(
         "session.set",

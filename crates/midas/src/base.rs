@@ -13,7 +13,7 @@ use pmp_durable::{DurableHub, Store};
 use pmp_net::{Incoming, NetPort, NodeId};
 use pmp_telemetry::{Fnv64, Sink, Subsystem};
 use pmp_trace::{TraceCtx, Traced, Tracer};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 const SCAN_TAG: &str = "midas.scan";
 
@@ -87,7 +87,7 @@ pub struct RoamEntry {
 #[derive(Debug)]
 pub(crate) struct AdaptedNode {
     pub(crate) node: NodeId,
-    pub(crate) grants: HashMap<String, u64>,
+    pub(crate) grants: BTreeMap<String, u64>,
     pub(crate) present: bool,
 }
 
@@ -102,7 +102,7 @@ pub struct ExtensionBase {
     pub catalog: Catalog,
     lease_ns: u64,
     scan_interval_ns: u64,
-    pub(crate) adapted: HashMap<String, AdaptedNode>,
+    pub(crate) adapted: BTreeMap<String, AdaptedNode>,
     neighbors: Vec<NodeId>,
     pub(crate) next_grant: u64,
     pending_scan: Option<u64>,
@@ -133,7 +133,7 @@ pub struct ExtensionBase {
     /// Root context of the publish that last put each extension in the
     /// catalog, so every later ship of it (catalog delivery, dependency
     /// request, redelivery) joins the same adaptation span tree.
-    publish_ctx: HashMap<String, TraceCtx>,
+    publish_ctx: BTreeMap<String, TraceCtx>,
     /// Answers to the host's federated lookups, until drained.
     fed_lookups: Vec<DiscoveryEvent>,
 }
@@ -149,7 +149,7 @@ impl ExtensionBase {
             catalog: Catalog::new(),
             lease_ns: 4_000_000_000,      // 4 s extension leases
             scan_interval_ns: 1_000_000_000, // 1 s scan
-            adapted: HashMap::new(),
+            adapted: BTreeMap::new(),
             neighbors: Vec::new(),
             next_grant: 1,
             pending_scan: None,
@@ -165,7 +165,7 @@ impl ExtensionBase {
             telemetry: Sink::default(),
             durable: None,
             tracer: Tracer::new(node.0),
-            publish_ctx: HashMap::new(),
+            publish_ctx: BTreeMap::new(),
             fed_lookups: Vec::new(),
         }
     }
@@ -364,37 +364,22 @@ impl ExtensionBase {
     /// The catalog as an inventory: extension id → package version.
     fn catalog_inventory(&self) -> Inventory {
         self.catalog
-            .ids()
-            .into_iter()
-            .map(|id| {
-                let version = self
-                    .catalog
-                    .get(&id)
-                    .and_then(|e| e.open().ok())
-                    .map_or(0, |p| p.meta.version);
-                (id, u64::from(version))
+            .by_id
+            .iter()
+            .map(|(id, e)| {
+                let version = e.open().map_or(0, |p| p.meta.version);
+                (id.clone(), u64::from(version))
             })
             .collect()
     }
 
-    /// The live lease table (present nodes only): name → (network id,
-    /// grants).
-    fn lease_entries(&self) -> BTreeMap<String, (u32, BTreeMap<String, u64>)> {
+    /// The live lease table (present nodes only) as an inventory:
+    /// name → [`lease_version`].
+    fn lease_inventory(&self) -> Inventory {
         self.adapted
             .iter()
             .filter(|(_, a)| a.present)
-            .map(|(name, a)| {
-                let grants = a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
-                (name.clone(), (a.node.0, grants))
-            })
-            .collect()
-    }
-
-    /// The live lease table as an inventory: name → [`lease_version`].
-    fn lease_inventory(&self) -> Inventory {
-        self.lease_entries()
-            .iter()
-            .map(|(name, (node, grants))| (name.clone(), lease_version(*node, grants)))
+            .map(|(name, a)| (name.clone(), lease_version(a.node.0, &a.grants)))
             .collect()
     }
 
@@ -613,14 +598,12 @@ impl ExtensionBase {
             self.publish_ctx.insert(id.clone(), ctx);
         }
         self.put_catalog(sim, ext.clone(), None);
-        let mut targets: Vec<(String, NodeId)> = self
+        let targets: Vec<(String, NodeId)> = self
             .adapted
             .iter()
             .filter(|(_, a)| a.present && a.grants.contains_key(&id))
             .map(|(name, a)| (name.clone(), a.node))
             .collect();
-        // Name order: replacement sends must not follow hash order.
-        targets.sort();
         for (name, node) in targets {
             let grant = self.fresh_grant();
             let msg = MidasMsg::Replace {
@@ -648,7 +631,7 @@ impl ExtensionBase {
             .filter(|a| a.present && a.grants.contains_key(ext_id))
             .map(|a| a.node)
             .collect();
-        // Node order: revocation sends must not follow hash order.
+        // Node order, not name order: revocation sends go out by id.
         targets.sort_by_key(|n| n.0);
         self.commit_op(BaseWalOp::Revoked {
             ext_id: ext_id.to_string(),
@@ -707,18 +690,16 @@ impl ExtensionBase {
         }
         self.pending_scan = None;
         // Mark presence.
-        let mut present: HashMap<String, NodeId> = HashMap::new();
+        let mut present: BTreeMap<String, NodeId> = BTreeMap::new();
         for item in items {
             present.insert(item.name.clone(), NodeId(item.provider));
         }
-        // New nodes: deliver the catalog.
-        let mut new_nodes: Vec<(String, NodeId)> = present
+        // New nodes, in name order: deliver the catalog.
+        let new_nodes: Vec<(String, NodeId)> = present
             .iter()
             .filter(|(name, _)| self.adapted.get(*name).is_none_or(|a| !a.present))
             .map(|(n, id)| (n.clone(), *id))
             .collect();
-        // Deliver in name order — catalog sends are observable.
-        new_nodes.sort();
         for (name, node) in new_nodes {
             if let Some(entry) = self.roaming_cache.get(&name).cloned() {
                 // The node roamed here with a migratable record:
@@ -758,26 +739,21 @@ impl ExtensionBase {
             }
         }
         // Departed nodes: mark, event, and roam.
-        let mut departed: Vec<String> = self
+        let departed: Vec<String> = self
             .adapted
             .iter()
             .filter(|(name, a)| a.present && !present.contains_key(*name))
             .map(|(name, _)| name.clone())
             .collect();
-        departed.sort();
         for name in departed {
             let Some(a) = self.adapted.get(&name) else {
                 continue;
             };
-            // Sorted map: the grants travel inside the handoff
-            // payload, so their order is byte-observable.
-            let grants: BTreeMap<String, u64> =
-                a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
             // Migratable handoff: the leases *and* the signed
             // packages behind them, so the adopting base can take
             // over without re-delivering anything.
             let mut exts = Vec::new();
-            for id in grants.keys() {
+            for id in a.grants.keys() {
                 let ext = self
                     .catalog
                     .get(id)
@@ -787,14 +763,13 @@ impl ExtensionBase {
                     exts.push(ext);
                 }
             }
-            let neighbors = self.neighbors.clone();
-            for nb in neighbors {
+            for nb in &self.neighbors {
                 let msg = MidasMsg::HandoffState {
                     node_name: name.clone(),
-                    grants: grants.clone(),
+                    grants: a.grants.clone(),
                     exts: exts.clone(),
                 };
-                self.send(sim, nb, &msg, TraceCtx::NIL);
+                self.send(sim, *nb, &msg, TraceCtx::NIL);
                 self.telemetry.inc("midas.base.handoffs_sent");
             }
             self.commit_op(BaseWalOp::Presence {
@@ -845,13 +820,12 @@ impl ExtensionBase {
         }
         if merged {
             // Replicated policy reaches robots already here.
-            let mut names: Vec<String> = self
+            let names: Vec<String> = self
                 .adapted
                 .iter()
                 .filter(|(_, a)| a.present)
                 .map(|(n, _)| n.clone())
                 .collect();
-            names.sort();
             for name in names {
                 let node = self.adapted[&name].node;
                 for id in self.catalog.delivery_order() {
@@ -976,11 +950,10 @@ impl ExtensionBase {
                 // Lease half: the difference, each put with its entry.
                 let diff = self.lease_inventory().diff(&leases);
                 if !diff.is_empty() {
-                    let mut entries = self.lease_entries();
                     let mut put = Vec::new();
                     for (name, _) in diff.put {
-                        if let Some((node, grants)) = entries.remove(&name) {
-                            put.push((name, node, grants));
+                        if let Some(a) = self.adapted.get(&name) {
+                            put.push((name, a.node.0, a.grants.clone()));
                         }
                     }
                     let msg = MidasMsg::LeasePush {

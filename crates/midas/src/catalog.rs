@@ -1,13 +1,13 @@
 //! The base station's extension catalog.
 
 use crate::package::SignedExtension;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Holds the signed extensions a base distributes, with dependency
 /// resolution and versioning.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    by_id: HashMap<String, SignedExtension>,
+    pub(crate) by_id: BTreeMap<String, SignedExtension>,
 }
 
 impl Catalog {
@@ -44,9 +44,7 @@ impl Catalog {
 
     /// All ids, sorted.
     pub fn ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.by_id.keys().cloned().collect();
-        ids.sort();
-        ids
+        self.by_id.keys().cloned().collect()
     }
 
     /// Number of catalogued extensions.
@@ -69,15 +67,10 @@ impl Catalog {
     /// the session management extension is automatically also added").
     pub fn delivery_order(&self) -> Vec<String> {
         let mut order = Vec::new();
-        let mut visiting = std::collections::HashSet::new();
-        let mut done = std::collections::HashSet::new();
-        let ids = self.ids();
-        for id in &ids {
-            let implicit = self
-                .by_id
-                .get(id)
-                .and_then(|e| e.open().ok())
-                .is_some_and(|p| p.meta.implicit);
+        let mut visiting = BTreeSet::new();
+        let mut done = BTreeSet::new();
+        for (id, ext) in &self.by_id {
+            let implicit = ext.open().is_ok_and(|p| p.meta.implicit);
             if !implicit {
                 self.visit(id, &mut visiting, &mut done, &mut order);
             }
@@ -88,8 +81,8 @@ impl Catalog {
     /// The delivery order for one extension and its dependency closure.
     pub fn closure_of(&self, id: &str) -> Vec<String> {
         let mut order = Vec::new();
-        let mut visiting = std::collections::HashSet::new();
-        let mut done = std::collections::HashSet::new();
+        let mut visiting = BTreeSet::new();
+        let mut done = BTreeSet::new();
         self.visit(id, &mut visiting, &mut done, &mut order);
         order
     }
@@ -97,8 +90,8 @@ impl Catalog {
     fn visit(
         &self,
         id: &str,
-        visiting: &mut std::collections::HashSet<String>,
-        done: &mut std::collections::HashSet<String>,
+        visiting: &mut BTreeSet<String>,
+        done: &mut BTreeSet<String>,
         order: &mut Vec<String>,
     ) {
         if done.contains(id) || !visiting.insert(id.to_string()) {

@@ -5,8 +5,8 @@
 //! cache. Every mutation point in [`ExtensionBase`] decides on one
 //! [`BaseWalOp`] and commits it; [`Store::apply`] is the only code that
 //! changes the state, so replaying the ops in sequence order reproduces
-//! it exactly. Snapshots capture it wholesale in canonical (sorted)
-//! form.
+//! it exactly. A snapshot is the tables themselves, each map encoded
+//! in key order.
 //!
 //! What is deliberately *not* durable: scan timers, pending lookups,
 //! undelivered [`crate::BaseEvent`]s, and the discovery client — all
@@ -19,7 +19,7 @@ use crate::catalog::Catalog;
 use crate::package::SignedExtension;
 use pmp_durable::{DurableError, Store};
 use pmp_net::NodeId;
-use pmp_wire::{wire_enum, wire_struct};
+use pmp_wire::{wire_enum, wire_struct, Reader, Wire, Writer};
 use std::collections::BTreeMap;
 
 /// The WAL namespace owned by the extension base.
@@ -118,54 +118,17 @@ wire_enum!(BaseWalOp {
     9 => ForeignPut { ext: SignedExtension },
 });
 
-/// One adapted node's durable form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AdaptedSnap {
-    node: u32,
-    present: bool,
-    grants: BTreeMap<String, u64>,
-}
-
-wire_struct!(AdaptedSnap {
-    node: u32,
+wire_struct!(AdaptedNode {
+    node: NodeId,
     present: bool,
     grants: BTreeMap<String, u64>,
 });
 
-/// One roaming record's durable form.
-#[derive(Debug, Clone, PartialEq)]
-struct RoamSnap {
+wire_struct!(RoamEntry {
     from: u32,
     grants: BTreeMap<String, u64>,
     exts: Vec<SignedExtension>,
     seq: u64,
-}
-
-wire_struct!(RoamSnap {
-    from: u32,
-    grants: BTreeMap<String, u64>,
-    exts: Vec<SignedExtension>,
-    seq: u64,
-});
-
-/// The base's full durable state in canonical (sorted) form.
-#[derive(Debug, Clone, PartialEq)]
-struct BaseSnapshot {
-    next_grant: u64,
-    catalog: BTreeMap<String, SignedExtension>,
-    adapted: BTreeMap<String, AdaptedSnap>,
-    roaming: BTreeMap<String, RoamSnap>,
-    foreign: BTreeMap<String, SignedExtension>,
-    roam_seq: u64,
-}
-
-wire_struct!(BaseSnapshot {
-    next_grant: u64,
-    catalog: BTreeMap<String, SignedExtension>,
-    adapted: BTreeMap<String, AdaptedSnap>,
-    roaming: BTreeMap<String, RoamSnap>,
-    foreign: BTreeMap<String, SignedExtension>,
-    roam_seq: u64,
 });
 
 impl ExtensionBase {
@@ -176,11 +139,7 @@ impl ExtensionBase {
     pub fn lease_table(&self) -> BTreeMap<String, (u32, bool, BTreeMap<String, u64>)> {
         self.adapted
             .iter()
-            .map(|(name, a)| {
-                let grants: BTreeMap<String, u64> =
-                    a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect();
-                (name.clone(), (a.node.0, a.present, grants))
-            })
+            .map(|(name, a)| (name.clone(), (a.node.0, a.present, a.grants.clone())))
             .collect()
     }
 
@@ -189,94 +148,42 @@ impl ExtensionBase {
     }
 }
 
+/// A snapshot is the base's tables in order: the grant counter, the
+/// catalog, the lease table, the roaming cache, the foreign packages and
+/// the roaming sequence, each map in key order.
 impl Store for ExtensionBase {
     const NAMESPACE: &'static str = NAMESPACE;
     type Op = BaseWalOp;
 
     fn encode_state(&self) -> Vec<u8> {
-        let catalog: BTreeMap<String, SignedExtension> = self
-            .catalog
-            .ids()
-            .into_iter()
-            .filter_map(|id| self.catalog.get(&id).cloned().map(|e| (id, e)))
-            .collect();
-        let adapted: BTreeMap<String, AdaptedSnap> = self
-            .adapted
-            .iter()
-            .map(|(name, a)| {
-                (
-                    name.clone(),
-                    AdaptedSnap {
-                        node: a.node.0,
-                        present: a.present,
-                        grants: a.grants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                    },
-                )
-            })
-            .collect();
-        let snap = BaseSnapshot {
-            next_grant: self.next_grant,
-            catalog,
-            adapted,
-            roaming: self
-                .roaming_cache
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        RoamSnap {
-                            from: v.from,
-                            grants: v.grants.clone(),
-                            exts: v.exts.clone(),
-                            seq: v.seq,
-                        },
-                    )
-                })
-                .collect(),
-            foreign: self.foreign.clone(),
-            roam_seq: self.roam_seq,
-        };
-        pmp_wire::to_bytes(&snap)
+        let mut w = Writer::new();
+        self.next_grant.encode(&mut w);
+        self.catalog.by_id.encode(&mut w);
+        self.adapted.encode(&mut w);
+        self.roaming_cache.encode(&mut w);
+        self.foreign.encode(&mut w);
+        self.roam_seq.encode(&mut w);
+        w.into_bytes()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
-        let snap: BaseSnapshot = pmp_wire::from_bytes(bytes)?;
+        let mut r = Reader::new(bytes);
+        let next_grant = u64::decode(&mut r)?;
+        let catalog = BTreeMap::<String, SignedExtension>::decode(&mut r)?;
+        let adapted = BTreeMap::decode(&mut r)?;
+        let roaming_cache = BTreeMap::decode(&mut r)?;
+        let foreign = BTreeMap::decode(&mut r)?;
+        let roam_seq = u64::decode(&mut r)?;
+        r.finish()?;
         self.catalog = Catalog::new();
-        for ext in snap.catalog.into_values() {
+        for ext in catalog.into_values() {
             self.catalog.put(ext);
         }
-        self.adapted = snap
-            .adapted
-            .into_iter()
-            .map(|(name, a)| {
-                (
-                    name,
-                    AdaptedNode {
-                        node: NodeId(a.node),
-                        grants: a.grants.into_iter().collect(),
-                        present: a.present,
-                    },
-                )
-            })
-            .collect();
-        self.roaming_cache = snap
-            .roaming
-            .into_iter()
-            .map(|(name, r)| {
-                (
-                    name,
-                    RoamEntry {
-                        from: r.from,
-                        grants: r.grants,
-                        exts: r.exts,
-                        seq: r.seq,
-                    },
-                )
-            })
-            .collect();
-        self.foreign = snap.foreign;
-        self.roam_seq = snap.roam_seq;
-        self.next_grant = snap.next_grant;
+        self.adapted = adapted;
+        self.roaming_cache = roaming_cache;
+        self.foreign = foreign;
+        self.roam_seq = roam_seq;
+        self.next_grant = next_grant;
         Ok(())
     }
 
@@ -302,7 +209,7 @@ impl Store for ExtensionBase {
                     name,
                     AdaptedNode {
                         node: NodeId(node),
-                        grants: grants.into_iter().collect(),
+                        grants,
                         present: true,
                     },
                 );

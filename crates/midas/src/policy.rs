@@ -1,10 +1,9 @@
 //! Receiver-side security policy: which signers are trusted and how
 //! many permissions each may grant its extensions.
 
-use pmp_analyze::Severity;
 use pmp_crypto::TrustStore;
 use pmp_vm::perm::Permissions;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How the receiver runs the static-analysis admission gate
 /// (`pmp-analyze`) on verified packages, before weaving.
@@ -13,11 +12,6 @@ pub struct AnalysisPolicy {
     /// Run the gate at all. Off reproduces the paper's behaviour:
     /// cryptographic trust plus the run-time sandbox, nothing static.
     pub enabled: bool,
-    /// Findings at or above this severity reject the package. The
-    /// default (`Error`) rejects malformed bytecode and undeclared
-    /// permissions while letting lints (unknown sys ops, fuel-bounded
-    /// loops) through; lower it to `Warning` for paranoid nodes.
-    pub reject_at: Severity,
     /// Treat post-weave aspect interference (shared field writes,
     /// equal-priority ordering) as fatal: the newcomer is unwoven
     /// again and nacked. Off by default — interference is usually a
@@ -29,7 +23,6 @@ impl Default for AnalysisPolicy {
     fn default() -> Self {
         Self {
             enabled: true,
-            reject_at: Severity::Error,
             reject_on_interference: false,
         }
     }
@@ -45,7 +38,7 @@ pub struct ReceiverPolicy {
     /// The static-analysis admission gate.
     pub analysis: AnalysisPolicy,
     default_cap: Permissions,
-    per_signer: HashMap<String, Permissions>,
+    per_signer: BTreeMap<String, Permissions>,
 }
 
 impl ReceiverPolicy {
@@ -105,10 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn analysis_gate_defaults_to_rejecting_errors_only() {
+    fn analysis_gate_is_on_and_interference_advisory_by_default() {
         let p = ReceiverPolicy::new();
         assert!(p.analysis.enabled);
-        assert_eq!(p.analysis.reject_at, Severity::Error);
         assert!(!p.analysis.reject_on_interference);
     }
 

@@ -6,7 +6,7 @@ use crate::package::{ExtensionPackage, SignedExtension};
 use crate::policy::ReceiverPolicy;
 use crate::proto::{MidasMsg, ACK_RELEASED, ACK_UNKNOWN_GRANT, CHANNEL};
 use pmp_analyze::{perms, termination, verifier};
-use pmp_analyze::{AnalysisReport, AnalyzeOptions, SysPerm};
+use pmp_analyze::{AnalysisReport, AnalyzeOptions, Severity, SysPerm};
 use pmp_discovery::{DiscoveryClient, DiscoveryEvent, Lease, ServiceItem};
 use pmp_net::{Incoming, NetPort, NodeId};
 use pmp_prose::{Aspect, AspectId, Prose, WeaveOptions};
@@ -14,7 +14,7 @@ use pmp_telemetry::{Sink, Stopwatch, Subsystem};
 use pmp_trace::{TraceCtx, Traced, Tracer};
 use pmp_vm::perm::Permissions;
 use pmp_vm::Vm;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 const EXPIRY_TAG: &str = "midas.expiry";
 /// Presence (discovery) lease the receiver advertises under.
@@ -72,7 +72,7 @@ struct Installed {
     lease: Lease,
     implicit: bool,
     requires: Vec<String>,
-    dependents: HashSet<String>,
+    dependents: BTreeSet<String>,
 }
 
 #[derive(Debug)]
@@ -94,7 +94,7 @@ pub struct AdaptationService {
     /// Trust store and permission caps.
     pub policy: ReceiverPolicy,
     discovery: DiscoveryClient,
-    installed: HashMap<String, Installed>,
+    installed: BTreeMap<String, Installed>,
     pending: Vec<PendingInstall>,
     expiry_check_ns: u64,
     expiry_token: Option<u64>,
@@ -113,7 +113,7 @@ impl AdaptationService {
             name: name.into(),
             policy,
             discovery: DiscoveryClient::new(node),
-            installed: HashMap::new(),
+            installed: BTreeMap::new(),
             pending: Vec::new(),
             expiry_check_ns: 500_000_000, // 0.5 s sweep
             expiry_token: None,
@@ -167,9 +167,7 @@ impl AdaptationService {
 
     /// Ids of currently installed extensions, sorted.
     pub fn installed_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.installed.keys().cloned().collect();
-        ids.sort();
-        ids
+        self.installed.keys().cloned().collect()
     }
 
     /// Is the extension installed?
@@ -182,13 +180,10 @@ impl AdaptationService {
     /// may outlive its lease: one sweep interval after the deadline the
     /// sweep must have withdrawn it.
     pub fn lease_deadlines(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .installed
+        self.installed
             .iter()
             .map(|(id, inst)| (id.clone(), inst.lease.expires.0))
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// The lease-sweep period: the slack an oracle must grant before
@@ -205,13 +200,10 @@ impl AdaptationService {
     /// `(extension id, grant)` per installed extension, sorted by id.
     /// Federation oracles compare these across a roaming handoff.
     pub fn grants(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .installed
+        self.installed
             .iter()
             .map(|(id, i)| (id.clone(), i.grant))
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// The base currently holding an installed extension's lease.
@@ -416,15 +408,13 @@ impl AdaptationService {
     /// Runs the static passes of the admission gate (bytecode
     /// verification, permission inference, termination) over a
     /// signature-verified package, timing each pass. `Err` carries the
-    /// offending pass's name and the first finding at or above the
-    /// policy threshold.
+    /// offending pass's name and its first error.
     fn analyze_package(
         &mut self,
         vm: &Vm,
         pkg: &ExtensionPackage,
     ) -> Result<(), (String, String)> {
-        let policy = self.policy.analysis;
-        if !policy.enabled {
+        if !self.policy.analysis.enabled {
             return Ok(());
         }
         let declared = Permissions::from_names(pkg.meta.permissions.iter().map(String::as_str));
@@ -460,7 +450,9 @@ impl AdaptationService {
         findings.extend(inference.findings);
         let report = AnalysisReport { findings, required };
 
-        if let Some(f) = report.first_at(policy.reject_at) {
+        // An error rejects (malformed bytecode, undeclared permissions);
+        // lints (unknown sys ops, fuel-bounded loops) pass.
+        if let Some(f) = report.first_at(Severity::Error) {
             let mut detail = String::new();
             if !f.method.is_empty() {
                 detail.push_str(&f.method);
@@ -700,7 +692,7 @@ impl AdaptationService {
                         lease: Lease::grant(sim.now(), lease_ns),
                         implicit: pkg.meta.implicit,
                         requires: pkg.meta.requires.clone(),
-                        dependents: HashSet::new(),
+                        dependents: BTreeSet::new(),
                     },
                 );
                 self.telemetry.inc("midas.receiver.installed");
@@ -770,10 +762,9 @@ impl AdaptationService {
             return;
         };
         // Cascade to dependents first (they rely on this extension),
-        // in id order — removal order is observable (unweave journal
-        // events, Removed reasons) and must not depend on hash order.
-        let mut dependents: Vec<String> = inst.dependents.iter().cloned().collect();
-        dependents.sort();
+        // in id order: removal order is observable (unweave journal
+        // events, Removed reasons).
+        let dependents: Vec<String> = inst.dependents.iter().cloned().collect();
         for d in dependents {
             self.uninstall(
                 sim,
@@ -825,16 +816,14 @@ impl AdaptationService {
     /// "immediately withdrawn from the system" (paper §3.2).
     fn sweep(&mut self, sim: &mut dyn NetPort, vm: &mut Vm, prose: &Prose) {
         let now = sim.now();
-        let mut expired: Vec<String> = self
+        // Sweep in id order: which lease "expires first" within one
+        // sweep is observable through cascade reasons.
+        let expired: Vec<String> = self
             .installed
             .iter()
             .filter(|(_, i)| i.lease.expired(now))
             .map(|(id, _)| id.clone())
             .collect();
-        // Sweep in id order: which lease "expires first" within one
-        // sweep is observable through cascade reasons and must be
-        // hash-order independent.
-        expired.sort();
         for id in expired {
             self.telemetry.inc("midas.receiver.lease_expiries");
             self.uninstall(sim, vm, prose, &id, "lease expired", false);

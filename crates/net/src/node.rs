@@ -2,6 +2,7 @@
 
 use crate::clock::SimTime;
 use crate::geo::Position;
+use pmp_wire::{Reader, Wire, WireError, Writer};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -13,6 +14,16 @@ pub struct NodeId(pub u32);
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node#{}", self.0)
+    }
+}
+
+/// A node id travels as its `u32`.
+impl Wire for NodeId {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+    }
+    fn decode(r: &mut Reader) -> Result<Self, WireError> {
+        u32::decode(r).map(NodeId)
     }
 }
 

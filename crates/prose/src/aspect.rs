@@ -11,7 +11,7 @@ use crate::parser::ParsePatternError;
 use pmp_vm::class::ClassDef;
 use pmp_vm::op::BytecodeBody;
 use pmp_vm::types::TypeSig;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -287,8 +287,8 @@ impl AspectBuilder {
 
 /// Helper: collect the advice methods a script aspect's bindings refer
 /// to, to validate they exist on the shipped class.
-pub(crate) fn script_advice_methods(aspect: &Aspect) -> HashMap<Arc<str>, usize> {
-    let mut out = HashMap::new();
+pub(crate) fn script_advice_methods(aspect: &Aspect) -> BTreeMap<Arc<str>, usize> {
+    let mut out = BTreeMap::new();
     for b in &aspect.bindings {
         if let AdviceBody::Script { method } = &b.advice {
             *out.entry(method.clone()).or_insert(0) += 1;

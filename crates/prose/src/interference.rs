@@ -125,7 +125,9 @@ pub(crate) fn report(state: &State, vm: &Vm, only: Option<AspectId>) -> Vec<Inte
             .chain(state.exit.keys().map(|m| Site::Exit(*m)))
             .collect(),
     };
-    // The tables are hash maps: sort so the report's order is the sites'.
+    // An aspect's sites are in the order it was added at them, with a
+    // site two bindings match listed twice: sort and dedup so the
+    // report follows site order.
     sites.sort_unstable();
     sites.dedup();
 

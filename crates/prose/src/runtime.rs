@@ -16,9 +16,8 @@ use pmp_vm::types::MethodSig;
 use pmp_vm::value::{ObjId, Value};
 use pmp_vm::vm::Vm;
 use pmp_vm::{VmError, VmException};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// What happens when advice itself fails.
@@ -100,10 +99,10 @@ pub(crate) struct Woven {
 pub(crate) struct State {
     pub(crate) next_id: u64,
     pub(crate) woven: BTreeMap<u64, Woven>,
-    pub(crate) entry: HashMap<MethodId, Vec<AdviceRef>>,
-    pub(crate) exit: HashMap<MethodId, Vec<AdviceRef>>,
-    pub(crate) field_get: HashMap<FieldId, Vec<AdviceRef>>,
-    pub(crate) field_set: HashMap<FieldId, Vec<AdviceRef>>,
+    pub(crate) entry: BTreeMap<MethodId, Vec<AdviceRef>>,
+    pub(crate) exit: BTreeMap<MethodId, Vec<AdviceRef>>,
+    pub(crate) field_get: BTreeMap<FieldId, Vec<AdviceRef>>,
+    pub(crate) field_set: BTreeMap<FieldId, Vec<AdviceRef>>,
     pub(crate) throw: Vec<(NamePat, AdviceRef)>,
     pub(crate) catch: Vec<(NamePat, AdviceRef)>,
     /// High-water marks of the VM's dense method and field ids: every
@@ -111,7 +110,7 @@ pub(crate) struct State {
     methods_seen: usize,
     fields_seen: usize,
     /// Aspect classes this runtime registered in the VM.
-    pub(crate) registered_classes: HashSet<String>,
+    pub(crate) registered_classes: BTreeSet<String>,
     /// Faults recorded under [`ErrorPolicy::Isolate`].
     pub(crate) faults: Vec<String>,
 }
@@ -281,11 +280,7 @@ fn insert_ordered<T>(list: &mut Vec<T>, entry: T, priority: fn(&T) -> i32) -> bo
 
 /// Drops aspect `id`'s entries at `key`, removing the site when that
 /// empties it; `true` if it did.
-fn remove_entries<K: Eq + Hash>(
-    table: &mut HashMap<K, Vec<AdviceRef>>,
-    key: K,
-    id: AspectId,
-) -> bool {
+fn remove_entries<K: Ord>(table: &mut BTreeMap<K, Vec<AdviceRef>>, key: K, id: AspectId) -> bool {
     let Entry::Occupied(mut site) = table.entry(key) else {
         return false;
     };
@@ -367,7 +362,7 @@ impl ProseRuntime {
 
     fn advice_for_method(
         &self,
-        table: fn(&State) -> &HashMap<MethodId, Vec<AdviceRef>>,
+        table: fn(&State) -> &BTreeMap<MethodId, Vec<AdviceRef>>,
         mid: MethodId,
     ) -> Vec<AdviceRef> {
         let s = self.state.lock();
@@ -376,7 +371,7 @@ impl ProseRuntime {
 
     fn advice_for_field(
         &self,
-        table: fn(&State) -> &HashMap<FieldId, Vec<AdviceRef>>,
+        table: fn(&State) -> &BTreeMap<FieldId, Vec<AdviceRef>>,
         fid: FieldId,
     ) -> Vec<AdviceRef> {
         let s = self.state.lock();
@@ -711,10 +706,10 @@ mod tests {
     /// What the in-place updates must leave behind.
     #[derive(Default)]
     struct Reference {
-        entry: HashMap<MethodId, Vec<AdviceRef>>,
-        exit: HashMap<MethodId, Vec<AdviceRef>>,
-        field_get: HashMap<FieldId, Vec<AdviceRef>>,
-        field_set: HashMap<FieldId, Vec<AdviceRef>>,
+        entry: BTreeMap<MethodId, Vec<AdviceRef>>,
+        exit: BTreeMap<MethodId, Vec<AdviceRef>>,
+        field_get: BTreeMap<FieldId, Vec<AdviceRef>>,
+        field_set: BTreeMap<FieldId, Vec<AdviceRef>>,
         throw: Vec<(NamePat, AdviceRef)>,
         catch: Vec<(NamePat, AdviceRef)>,
         join_points: BTreeMap<u64, usize>,
@@ -817,7 +812,7 @@ mod tests {
 
     type Keys = Vec<(u64, i32, String)>;
 
-    fn table_keys<K: Copy + Ord>(t: &HashMap<K, Vec<AdviceRef>>) -> BTreeMap<K, Keys> {
+    fn table_keys<K: Copy + Ord>(t: &BTreeMap<K, Vec<AdviceRef>>) -> BTreeMap<K, Keys> {
         t.iter()
             .map(|(k, list)| (*k, list.iter().map(entry_key).collect()))
             .collect()

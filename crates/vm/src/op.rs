@@ -215,14 +215,73 @@ pub enum Op {
     Nop,
 }
 
+/// Where control can go after one instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Fall through to `pc + 1`.
+    Next,
+    /// Unconditional jump.
+    Jump(u32),
+    /// Conditional: jump or fall through.
+    Branch(u32),
+    /// Leaves the method (return or throw).
+    Exit,
+}
+
 impl Op {
-    /// The one jump-target rule the JIT and the admission verifier
-    /// share: a `Jump`, `JumpIf` or `JumpIfNot` must land on one of its
-    /// body's `len` ops, whether or not any path reaches the jump.
-    /// Returns the target that breaks the rule.
-    pub fn wild_target(&self, len: usize) -> Option<u32> {
+    /// `(pops, pushes, flow)`: the operand-stack slots the instruction
+    /// takes and leaves, and where control goes next. This is the one
+    /// statement of the interpreter's stack discipline (`exec_op`) that
+    /// the analyzers read: the admission verifier, the control-flow
+    /// graph, the termination pass and the optimizer's opaque ops.
+    pub fn effect(&self) -> (u32, u32, Flow) {
         match self {
-            Op::Jump(t) | Op::JumpIf(t) | Op::JumpIfNot(t) if *t as usize >= len => Some(*t),
+            Op::Const(_) | Op::New(_) | Op::Load(_) => (0, 1, Flow::Next),
+            Op::Store(_) | Op::Pop => (1, 0, Flow::Next),
+            Op::Dup => (1, 2, Flow::Next),
+            Op::Swap => (2, 2, Flow::Next),
+            Op::Add
+            | Op::Sub
+            | Op::Mul
+            | Op::Div
+            | Op::Rem
+            | Op::Shl
+            | Op::Shr
+            | Op::BitAnd
+            | Op::BitOr
+            | Op::BitXor
+            | Op::Eq
+            | Op::Ne
+            | Op::Lt
+            | Op::Le
+            | Op::Gt
+            | Op::Ge
+            | Op::Concat => (2, 1, Flow::Next),
+            Op::Neg | Op::Not | Op::ToStr | Op::ToInt | Op::ToFloat => (1, 1, Flow::Next),
+            Op::Jump(t) => (0, 0, Flow::Jump(*t)),
+            Op::JumpIf(t) | Op::JumpIfNot(t) => (1, 0, Flow::Branch(*t)),
+            Op::Ret => (0, 0, Flow::Exit),
+            Op::RetVal | Op::Throw(_) => (1, 0, Flow::Exit),
+            Op::GetField { .. } => (1, 1, Flow::Next),
+            Op::PutField { .. } => (2, 0, Flow::Next),
+            Op::CallV { argc, .. } | Op::CallDirect { argc, .. } => {
+                (u32::from(*argc) + 1, 1, Flow::Next)
+            }
+            Op::CallStatic { argc, .. } | Op::Sys { argc, .. } => (u32::from(*argc), 1, Flow::Next),
+            Op::NewArray | Op::ArrLen | Op::NewBuffer | Op::BufLen => (1, 1, Flow::Next),
+            Op::ArrGet | Op::BufGet => (2, 1, Flow::Next),
+            Op::ArrSet | Op::BufSet => (3, 0, Flow::Next),
+            Op::Nop => (0, 0, Flow::Next),
+        }
+    }
+
+    /// The one jump-target rule the JIT and the admission verifier
+    /// share: a jump or branch must land on one of its body's `len`
+    /// ops, whether or not any path reaches it. Returns the target that
+    /// breaks the rule.
+    pub fn wild_target(&self, len: usize) -> Option<u32> {
+        match self.effect().2 {
+            Flow::Jump(t) | Flow::Branch(t) if t as usize >= len => Some(t),
             _ => None,
         }
     }

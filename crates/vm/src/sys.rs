@@ -10,7 +10,7 @@ use crate::error::{exception_class, VmError};
 use crate::perm::Permission;
 use crate::value::Value;
 use crate::vm::Vm;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ impl fmt::Debug for SysEntry {
 /// Registry of named system operations.
 #[derive(Debug, Default)]
 pub struct SysRegistry {
-    by_name: HashMap<Arc<str>, u32>,
+    by_name: BTreeMap<Arc<str>, u32>,
     entries: Vec<SysEntry>,
 }
 

@@ -13,7 +13,7 @@ use crate::sys::{security_violation, SysFn, SysRegistry};
 use crate::types::{MethodSig, TypeSig};
 use crate::value::{ObjId, Value};
 use pmp_telemetry::{CounterId, Subsystem, Telemetry};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -140,8 +140,16 @@ pub(crate) struct ClassRt {
     pub(crate) name: Arc<str>,
     pub(crate) superclass: Option<ClassId>,
     pub(crate) field_slots: Vec<FieldRt>,
-    pub(crate) field_by_name: HashMap<Arc<str>, u16>,
-    pub(crate) method_by_name: HashMap<Arc<str>, MethodId>,
+    // Filled once at registration and then only searched: sorted by
+    // name for `by_name`'s binary search.
+    pub(crate) field_by_name: Box<[(Arc<str>, u16)]>,
+    pub(crate) method_by_name: Box<[(Arc<str>, MethodId)]>,
+}
+
+/// The value filed under `name` in a table sorted by name.
+fn by_name<T: Copy>(table: &[(Arc<str>, T)], name: &str) -> Option<T> {
+    let at = table.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
+    Some(table[at].1)
 }
 
 pub(crate) struct MethodRt {
@@ -188,7 +196,7 @@ pub struct AdviceScope {
 /// ```
 pub struct Vm {
     classes: Vec<ClassRt>,
-    class_by_name: HashMap<Arc<str>, ClassId>,
+    class_by_name: BTreeMap<Arc<str>, ClassId>,
     methods: Vec<MethodRt>,
     heap: Heap,
     hooks: HookRegistry,
@@ -231,7 +239,7 @@ impl Vm {
         let ids = VmMetricIds::register(&mut telemetry);
         let mut vm = Self {
             classes: Vec::new(),
-            class_by_name: HashMap::new(),
+            class_by_name: BTreeMap::new(),
             methods: Vec::new(),
             heap: Heap::new(),
             hooks: HookRegistry::new(),
@@ -460,7 +468,7 @@ impl Vm {
 
         // Field layout: inherited slots first, then declared.
         let mut field_slots: Vec<FieldRt> = Vec::new();
-        let mut field_by_name: HashMap<Arc<str>, u16> = HashMap::new();
+        let mut field_by_name: BTreeMap<Arc<str>, u16> = BTreeMap::new();
         if let Some(sup) = superclass {
             for f in &self.classes[sup.0 as usize].field_slots {
                 field_by_name.insert(f.name.clone(), field_slots.len() as u16);
@@ -496,10 +504,9 @@ impl Vm {
         // found by walking the superclass chain at resolution time
         // (`resolve_virtual`), so loading a subclass costs O(own
         // methods) instead of cloning the parent's whole table.
-        let mut method_by_name: HashMap<Arc<str>, MethodId> = HashMap::new();
-        let mut declared: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        let mut method_by_name: BTreeMap<Arc<str>, MethodId> = BTreeMap::new();
         for m in &def.methods {
-            if !declared.insert(m.name.as_str()) {
+            if method_by_name.contains_key(m.name.as_str()) {
                 return Err(VmError::link(format!(
                     "duplicate method {}.{}",
                     name, m.name
@@ -527,8 +534,8 @@ impl Vm {
             name,
             superclass,
             field_slots,
-            field_by_name,
-            method_by_name,
+            field_by_name: field_by_name.into_iter().collect(),
+            method_by_name: method_by_name.into_iter().collect(),
         });
         Ok(cid)
     }
@@ -623,7 +630,7 @@ impl Vm {
     pub fn resolve_field(&self, class: &str, field: &str) -> Option<(u16, FieldId)> {
         let cid = self.class_id(class)?;
         let c = &self.classes[cid.0 as usize];
-        let slot = *c.field_by_name.get(field)?;
+        let slot = by_name(&c.field_by_name, field)?;
         Some((slot, c.field_slots[slot as usize].fid))
     }
 
@@ -671,8 +678,8 @@ impl Vm {
         let mut cur = Some(cid);
         while let Some(c) = cur {
             let class = &self.classes[c.0 as usize];
-            if let Some(mid) = class.method_by_name.get(method) {
-                return Some(*mid);
+            if let Some(mid) = by_name(&class.method_by_name, method) {
+                return Some(mid);
             }
             cur = class.superclass;
         }

@@ -11,7 +11,7 @@ use pmp::core::Platform;
 use pmp::extensions;
 use pmp::net::Position;
 use pmp::vm::prelude::{Permission, Permissions};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const SEC: u64 = 1_000_000_000;
 
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut vm = pmp::vm::Vm::new(pmp::vm::VmConfig::default());
     let handle = pmp::robot::new_handle();
     pmp::robot::register_robot_classes(&mut vm, &handle)?;
-    let mut motors = HashMap::new();
+    let mut motors = BTreeMap::new();
     for port in pmp::robot::Port::MOTORS {
         motors.insert(format!("motor:{port}"), pmp::robot::spawn_motor(&mut vm, port)?);
     }

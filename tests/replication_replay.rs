@@ -6,7 +6,7 @@ use pmp::core::{Platform, ProductionHalls};
 use pmp::extensions;
 use pmp::net::Position;
 use pmp::vm::prelude::{Permission, Permissions};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const SEC: u64 = 1_000_000_000;
 
@@ -148,7 +148,7 @@ fn replay_from_the_hall_database_reproduces_the_figure() {
     let mut vm = pmp::vm::Vm::new(pmp::vm::VmConfig::default());
     let handle = pmp::robot::new_handle();
     pmp::robot::register_robot_classes(&mut vm, &handle).unwrap();
-    let mut motors = HashMap::new();
+    let mut motors = BTreeMap::new();
     for port in pmp::robot::Port::MOTORS {
         motors.insert(
             format!("motor:{port}"),
