@@ -92,25 +92,42 @@ fn parse_args() -> Args {
     args
 }
 
+/// The three end-of-run digests a sweep line prints.
+#[derive(Clone, Copy, Default)]
+struct Digests {
+    trace: u64,
+    journal: u64,
+    span: u64,
+}
+
+impl Digests {
+    fn of(r: &exec::RunReport) -> Digests {
+        Digests {
+            trace: r.trace,
+            journal: r.journal,
+            span: r.span_digest,
+        }
+    }
+}
+
 /// Runs a scenario, catching panics so a crashed run is a *failure
 /// report*, not a dead process — panics must be shrinkable too.
-fn run_checked(sc: &Scenario, driver: Option<DriverKind>) -> (Vec<String>, u64, u64) {
+fn run_checked(sc: &Scenario, driver: Option<DriverKind>) -> (Vec<String>, Digests) {
+    let died = || (vec!["[panicked] run died".into()], Digests::default());
     match driver {
         Some(d) => match catch_unwind(AssertUnwindSafe(|| exec::run(sc, d))) {
             Ok(r) => (
                 r.violations.iter().map(ToString::to_string).collect(),
-                r.trace,
-                r.journal,
+                Digests::of(&r),
             ),
-            Err(_) => (vec!["[panicked] run died".into()], 0, 0),
+            Err(_) => died(),
         },
         None => match catch_unwind(AssertUnwindSafe(|| exec::run_cross(sc))) {
             Ok(c) => (
                 c.violations.iter().map(ToString::to_string).collect(),
-                c.serial.trace,
-                c.serial.journal,
+                Digests::of(&c.serial),
             ),
-            Err(_) => (vec!["[panicked] run died".into()], 0, 0),
+            Err(_) => died(),
         },
     }
 }
@@ -119,7 +136,7 @@ fn run_checked(sc: &Scenario, driver: Option<DriverKind>) -> (Vec<String>, u64, 
 /// id (the `[...]` prefix of the violation line), or any panic when the
 /// original was a panic.
 fn still_fails(sc: &Scenario, driver: Option<DriverKind>, target: &str) -> bool {
-    let (violations, _, _) = run_checked(sc, driver);
+    let (violations, _) = run_checked(sc, driver);
     violations
         .iter()
         .any(|v| v.split(']').next() == target.split(']').next())
@@ -144,8 +161,8 @@ fn main() {
         };
         match repro::load(&bytes) {
             Ok(sc) => {
-                let (violations, trace, journal) = run_checked(&sc, args.driver);
-                report(path, trace, journal, &violations, args.quiet, &mut failures);
+                let (violations, digests) = run_checked(&sc, args.driver);
+                report(path, digests, &violations, args.quiet, &mut failures);
             }
             Err(e) => {
                 println!("replay {path}: {e}");
@@ -165,10 +182,10 @@ fn main() {
         } else {
             gen::generate(seed, &cfg)
         };
-        let (violations, trace, journal) = run_checked(&sc, args.driver);
+        let (violations, digests) = run_checked(&sc, args.driver);
         let label = format!("seed {seed}");
         let failed = !violations.is_empty();
-        report(&label, trace, journal, &violations, args.quiet, &mut failures);
+        report(&label, digests, &violations, args.quiet, &mut failures);
         if failed && args.do_shrink {
             let target = violations[0].clone();
             let mut pred = |s: &Scenario| still_fails(s, args.driver, &target);
@@ -211,17 +228,13 @@ fn main() {
     println!("all runs clean");
 }
 
-fn report(
-    label: &str,
-    trace: u64,
-    journal: u64,
-    violations: &[String],
-    quiet: bool,
-    failures: &mut usize,
-) {
+fn report(label: &str, d: Digests, violations: &[String], quiet: bool, failures: &mut usize) {
     if violations.is_empty() {
         if !quiet {
-            println!("{label}: ok trace={trace:#018x} journal={journal:#018x}");
+            println!(
+                "{label}: ok trace={:#018x} journal={:#018x} span={:#018x}",
+                d.trace, d.journal, d.span
+            );
         }
         return;
     }
