@@ -25,10 +25,101 @@ use crate::wiring::{AppMsg, RpcMsg, APP_CHANNEL, MIRROR_CHANNEL, RPC_CHANNEL};
 use pmp_midas::{BaseEvent, MidasMsg, ReceiverEvent};
 use pmp_net::{ClockHandle, Incoming, NetPort, NodeId, PortBuf, SimTime, TimedIncoming};
 use pmp_store::MovementRecord;
-use pmp_telemetry::{Shared, Sink};
+use pmp_telemetry::{DirtyList, DirtyMark, Shared, Sink};
 use pmp_trace::{Traced, Tracer};
 use pmp_vm::prelude::{Value, VmError};
 use std::sync::Arc;
+
+/// A cell's place in rank order: bases first, then mobiles, each by
+/// index. Its key on the barrier's dirty lists sorts the same way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CellId {
+    Base(usize),
+    Mobile(usize),
+}
+
+impl CellId {
+    const MOBILE: u64 = 1 << 32;
+
+    pub(crate) fn key(self) -> u64 {
+        match self {
+            CellId::Base(i) => i as u64,
+            CellId::Mobile(i) => CellId::MOBILE | i as u64,
+        }
+    }
+
+    pub(crate) fn from_key(key: u64) -> CellId {
+        let index = (key & (CellId::MOBILE - 1)) as usize;
+        if key & CellId::MOBILE == 0 {
+            CellId::Base(index)
+        } else {
+            CellId::Mobile(index)
+        }
+    }
+}
+
+/// The barrier's to-do lists, one per kind of cell buffer: each names
+/// the cells that buffered something of that kind since the barrier
+/// last drained it (see [`pmp_telemetry::DirtyList`]).
+#[derive(Debug, Default)]
+pub(crate) struct DirtyCells {
+    /// Tracers that minted a span.
+    pub(crate) spans: DirtyList,
+    /// Sinks that buffered a journal event.
+    pub(crate) events: DirtyList,
+    /// Mobile outboxes that hold queued data.
+    pub(crate) outboxes: DirtyList,
+    /// Base storage engines that appended to their WAL, and bases a
+    /// restart left with a checkpoint to check.
+    pub(crate) wal: DirtyList,
+}
+
+/// Every node cell's runtime state, bases and mobiles apart (parallel
+/// to the platform's bases and mobile nodes), and the barrier's to-do
+/// lists over them.
+#[derive(Debug, Default)]
+pub(crate) struct Cells {
+    pub(crate) bases: Vec<CellState>,
+    pub(crate) mobiles: Vec<CellState>,
+    pub(crate) dirty: DirtyCells,
+}
+
+impl Cells {
+    /// A fresh cell for `node` at `id`, marked on this set's lists. A
+    /// base's store mark goes on the WAL list, a mobile's on the outbox
+    /// list.
+    pub(crate) fn new_cell(&self, id: CellId, node: NodeId, now: SimTime, telemetry: &Shared) -> CellState {
+        let key = id.key();
+        let store = match id {
+            CellId::Base(_) => &self.dirty.wal,
+            CellId::Mobile(_) => &self.dirty.outboxes,
+        };
+        let clock = ClockHandle::new();
+        clock.set(now);
+        let c = clock.clone();
+        let sink = Sink::buffered(telemetry, Arc::new(move || c.now().0), self.dirty.events.mark(key));
+        CellState {
+            port: PortBuf::new(node, clock.clone()),
+            clock,
+            sink,
+            tracer: Tracer::marked(node.0, self.dirty.spans.mark(key)),
+            rpc: Vec::new(),
+            store_mark: store.mark(key),
+        }
+    }
+
+    pub(crate) fn get(&self, id: CellId) -> &CellState {
+        match id {
+            CellId::Base(i) => &self.bases[i],
+            CellId::Mobile(i) => &self.mobiles[i],
+        }
+    }
+
+    /// Every cell, in rank order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &CellState> {
+        self.bases.iter().chain(&self.mobiles)
+    }
+}
 
 /// Per-cell runtime state owned by the platform alongside each node's
 /// stack: the cell clock (set to the timestamp of the event being
@@ -43,21 +134,15 @@ pub(crate) struct CellState {
     /// stack's components; spans are drained at the epoch barrier in
     /// rank order into the collector and the node's flight ring.
     pub(crate) tracer: Tracer,
+    /// RPC outcomes a base cell observed this epoch, merged at the
+    /// barrier; the vector is reused epoch after epoch.
+    pub(crate) rpc: Vec<RpcOutcome>,
+    /// The mark the node's own store sets: a base's storage engine with
+    /// each WAL append, a mobile's outbox when data is queued on it.
+    pub(crate) store_mark: DirtyMark,
 }
 
 impl CellState {
-    pub(crate) fn new(node: NodeId, now: SimTime, telemetry: &Shared) -> CellState {
-        let clock = ClockHandle::new();
-        clock.set(now);
-        let c = clock.clone();
-        let sink = Sink::buffered(telemetry, Arc::new(move || c.now().0));
-        CellState {
-            port: PortBuf::new(node, clock.clone()),
-            clock,
-            sink,
-            tracer: Tracer::new(node.0),
-        }
-    }
 
     /// A `Fn() -> u64` view of the cell clock (VM/robot time source).
     pub(crate) fn clock_fn(&self) -> Arc<dyn Fn() -> u64 + Send + Sync> {
@@ -79,8 +164,8 @@ pub(crate) enum CellBody<'a> {
 pub struct NodeCell<'a> {
     pub(crate) body: CellBody<'a>,
     pub(crate) state: &'a mut CellState,
-    pub(crate) batch: Vec<TimedIncoming>,
-    pub(crate) rpc: Vec<RpcOutcome>,
+    /// The node's batch in the epoch buffer, emptied by [`NodeCell::run`].
+    pub(crate) batch: &'a mut Vec<TimedIncoming>,
 }
 
 impl NodeCell<'_> {
@@ -91,7 +176,8 @@ impl NodeCell<'_> {
             self.state.clock.set(item.at);
             match &mut self.body {
                 CellBody::Base(station) => {
-                    dispatch_base(station, &mut self.state.port, &mut self.rpc, &item.incoming);
+                    let state = &mut *self.state;
+                    dispatch_base(station, &mut state.port, &mut state.rpc, &item.incoming);
                 }
                 CellBody::Mobile(node) => {
                     dispatch_mobile(node, &mut self.state.port, &item.incoming);

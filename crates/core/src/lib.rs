@@ -33,4 +33,6 @@ pub use platform::{BaseId, MobId, Platform, RpcOutcome, StreamSub};
 pub use pmp_stream::{StreamEvent, StreamStats};
 pub use rpc::{backoff_delay, DedupTable, InvocationSemantics, RpcEngine, RpcServer};
 pub use scenario::{ProductionHalls, CORRIDOR, IN_HALL_A, IN_HALL_B};
-pub use wiring::{AppMsg, NodeWiring, RpcMsg, APP_CHANNEL, MIRROR_CHANNEL, RPC_CHANNEL};
+pub use wiring::{
+    AppMsg, NodeWiring, Outbox, OutboxGuard, RpcMsg, APP_CHANNEL, MIRROR_CHANNEL, RPC_CHANNEL,
+};

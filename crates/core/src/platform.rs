@@ -2,12 +2,12 @@
 //! protocol stacks — the glue that turns the substrate crates into the
 //! paper's running system.
 
-use crate::driver::{flush_outbox, CellBody, CellState, Driver, NodeCell};
+use crate::driver::{flush_outbox, CellBody, CellId, Cells, Driver, NodeCell};
 use crate::node::{BaseStation, MobileNode};
 use crate::wiring::RPC_CHANNEL;
 use pmp_durable::WalRecord;
 use pmp_midas::ReceiverPolicy;
-use pmp_net::{AreaId, Epoch, Position, SimTime, Simulator};
+use pmp_net::{AreaId, Epoch, NetCmd, NodeId, Position, SimTime, Simulator};
 use pmp_stream::{StreamConfig, StreamEvent, StreamHub, StreamSource, StreamStats, SubscriberId};
 use pmp_telemetry::{PendingEvent, Stopwatch};
 use pmp_vm::perm::Permissions;
@@ -94,9 +94,13 @@ pub struct Platform {
     pub sim: Simulator,
     bases: Vec<BaseStation>,
     nodes: Vec<MobileNode>,
-    /// Per-cell runtime state, parallel to `bases` / `nodes`.
-    base_cells: Vec<CellState>,
-    node_cells: Vec<CellState>,
+    /// Per-cell runtime state, parallel to `bases` / `nodes`, and the
+    /// barrier's lists of the cells that buffered something.
+    cells: Cells,
+    /// Per simulator node (indexed by `NodeId.0`), the cell that runs it.
+    cell_of: Vec<Option<CellId>>,
+    /// The epoch loop's buffers, reused window after window.
+    barrier: Barrier,
     next_req: u64,
     rpc_outcomes: Vec<RpcOutcome>,
     /// Issue time per in-flight request id, for the `rpc.latency_ns`
@@ -150,8 +154,9 @@ impl Platform {
             sim,
             bases: Vec::new(),
             nodes: Vec::new(),
-            base_cells: Vec::new(),
-            node_cells: Vec::new(),
+            cells: Cells::default(),
+            cell_of: Vec::new(),
+            barrier: Barrier::default(),
             next_req: 1,
             rpc_outcomes: Vec::new(),
             rpc_issue_at: std::collections::BTreeMap::new(),
@@ -176,7 +181,7 @@ impl Platform {
     /// bytes), but no spans are minted and the collector stays empty.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-        for cell in self.base_cells.iter().chain(&self.node_cells) {
+        for cell in self.cells.iter() {
             cell.tracer.set_enabled(on);
         }
     }
@@ -202,14 +207,14 @@ impl Platform {
     pub fn telemetry(&self) -> &pmp_telemetry::Shared {
         // Merge any cell-buffered journal events emitted since the last
         // pump barrier (direct-path operations between pumps).
-        flush_cell_events(&self.telemetry, &self.base_cells, &self.node_cells);
+        self.flush_direct_events();
         &self.telemetry
     }
 
     /// Renders the platform registry plus every node's VM registry as
     /// one text report — the per-scenario telemetry summary.
     pub fn render_telemetry(&self) -> String {
-        flush_cell_events(&self.telemetry, &self.base_cells, &self.node_cells);
+        self.flush_direct_events();
         let mut out = String::new();
         out.push_str("== platform ==\n");
         out.push_str(&self.telemetry.render_table());
@@ -229,7 +234,8 @@ impl Platform {
     /// extension base start immediately.
     pub fn add_base(&mut self, hall: &str, pos: Position, range: f64) -> BaseId {
         let node = self.sim.add_node(format!("base:{hall}"), pos, range);
-        let cell = CellState::new(node, self.sim.now(), &self.telemetry);
+        let id = CellId::Base(self.bases.len());
+        let cell = self.cells.new_cell(id, node, self.sim.now(), &self.telemetry);
         let mut station = BaseStation::build(node, hall, format!("seed:{hall}").as_bytes());
         // Engine telemetry goes direct: its journal events (snapshot/
         // compact/recover) are emitted only at main-thread barriers, so
@@ -237,6 +243,8 @@ impl Platform {
         station
             .durable
             .attach_sink(pmp_telemetry::Sink::direct(&self.telemetry));
+        // Each append lists the base for the next barrier's commit.
+        station.durable.set_append_mark(cell.store_mark.clone());
         station.registrar.attach_sink(cell.sink.clone());
         station.base.attach_sink(cell.sink.clone());
         station.base.attach_tracer(cell.tracer.clone());
@@ -254,8 +262,18 @@ impl Platform {
         self.streams.push(StreamHub::new(StreamConfig::default()));
         self.stream_taps.push(tap);
         self.bases.push(station);
-        self.base_cells.push(cell);
+        self.cells.bases.push(cell);
+        self.note_cell(node, id);
         BaseId(self.bases.len() - 1)
+    }
+
+    /// Records which cell runs simulator node `node`.
+    fn note_cell(&mut self, node: NodeId, id: CellId) {
+        let i = node.0 as usize;
+        if self.cell_of.len() <= i {
+            self.cell_of.resize(i + 1, None);
+        }
+        self.cell_of[i] = Some(id);
     }
 
     /// Kills a base station: its uncommitted WAL batch and unsynced
@@ -285,6 +303,9 @@ impl Platform {
         let station = &mut self.bases[id.0];
         let report = station.restart();
         station.start(&mut self.sim);
+        // Replayed records count toward the next checkpoint: the next
+        // barrier checks this base.
+        self.cells.bases[id.0].store_mark.set();
         // Streams: recovery may have rolled history back (a truncated
         // torn tail, a checkpoint-on-anomaly), so drop anything the tap
         // buffered before the crash, re-align publisher revs with the
@@ -384,18 +405,21 @@ impl Platform {
         with_robot: bool,
     ) -> Result<MobId, VmError> {
         let node = self.sim.add_node(name, pos, range);
+        let id = CellId::Mobile(self.nodes.len());
         // The node's whole stack (VM, robot, receiver events) reads the
         // cell clock, not the global one: during an epoch the cell sees
         // the timestamp of the event it is dispatching, wherever the
         // other cells have got to.
-        let cell = CellState::new(node, self.sim.now(), &self.telemetry);
+        let cell = self.cells.new_cell(id, node, self.sim.now(), &self.telemetry);
         let mut mobile = MobileNode::build(node, name, policy, cell.clock_fn(), with_robot)?;
+        mobile.wiring.outbox.attach_mark(cell.store_mark.clone());
         mobile.receiver.attach_sink(cell.sink.clone());
         mobile.receiver.attach_tracer(cell.tracer.clone());
         cell.tracer.set_enabled(self.tracing);
         mobile.receiver.start(&mut self.sim);
         self.nodes.push(mobile);
-        self.node_cells.push(cell);
+        self.cells.mobiles.push(cell);
+        self.note_cell(node, id);
         Ok(MobId(self.nodes.len() - 1))
     }
 
@@ -434,8 +458,10 @@ impl Platform {
         &self.bases[id.0]
     }
 
-    /// Mutable base access.
+    /// Mutable base access. The caller may append or commit out of
+    /// band, so the next barrier looks at this base.
     pub fn base_mut(&mut self, id: BaseId) -> &mut BaseStation {
+        self.cells.bases[id.0].store_mark.set();
         &mut self.bases[id.0]
     }
 
@@ -444,8 +470,11 @@ impl Platform {
         &self.nodes[id.0]
     }
 
-    /// Mutable mobile-node access.
+    /// Mutable mobile-node access. The caller may give the node a home
+    /// base for data already queued, so the next pump's start looks at
+    /// this node's outbox.
     pub fn node_mut(&mut self, id: MobId) -> &mut MobileNode {
+        self.cells.mobiles[id.0].store_mark.set();
         &mut self.nodes[id.0]
     }
 
@@ -494,7 +523,7 @@ impl Platform {
         // base mints one ship child per delivery, the receivers verify/
         // weave children of those, and the first interception closes it.
         let now = self.sim.now().0;
-        let tracer = &self.base_cells[base.0].tracer;
+        let tracer = &self.cells.bases[base.0].tracer;
         let root = tracer.root(now, "midas.publish", &pkg.meta.id);
         let sign_ctx = tracer.child(
             root,
@@ -671,7 +700,7 @@ impl Platform {
         } else {
             format!("{class}.{method} -> n{}", to.0)
         };
-        let ctx = self.base_cells[base.0]
+        let ctx = self.cells.bases[base.0]
             .tracer
             .root(now, "rpc.call", &detail);
         let call = crate::rpc::PendingCall {
@@ -731,8 +760,8 @@ impl Platform {
         // Outboxes may hold data queued by direct VM calls since the
         // last pump; ship it before the first epoch.
         self.preflush_outboxes();
-        while let Some(epoch) = self.sim.drain_epoch(until) {
-            self.run_epoch(epoch);
+        while self.sim.drain_epoch(until, &mut self.barrier.epoch) {
+            self.run_epoch();
         }
         if self.sim.now() < until {
             self.sim.run_until(until);
@@ -740,31 +769,15 @@ impl Platform {
         // Cells idle until their next event; park their clocks at the
         // global time so direct calls between pumps read current time.
         let now = self.sim.now();
-        for cell in self.base_cells.iter().chain(&self.node_cells) {
+        for cell in self.cells.iter() {
             cell.clock.set(now);
         }
         // Pump end is a quiescent barrier: drain spans minted by direct
         // calls since the last epoch, commit anything appended, and
         // take any snapshot the engine's record budget asks for.
         self.drain_spans_now();
-        for station in &mut self.bases {
-            if station.crashed {
-                continue;
-            }
-            station.durable.commit();
-            if station.durable.should_checkpoint() {
-                station.checkpoint();
-            }
-        }
-        let Platform {
-            bases,
-            streams,
-            stream_taps,
-            telemetry,
-            ..
-        } = self;
-        publish_commits(bases, streams, stream_taps, telemetry);
-        flush_cell_events(&self.telemetry, &self.base_cells, &self.node_cells);
+        self.commit_bases(true);
+        self.flush_events();
     }
 
     /// Pumps for `ms` milliseconds of simulated time.
@@ -789,7 +802,7 @@ impl Platform {
     /// node-VM journal — the observable event history of a run.
     #[must_use]
     pub fn journal_digest(&self) -> u64 {
-        flush_cell_events(&self.telemetry, &self.base_cells, &self.node_cells);
+        self.flush_direct_events();
         let mut h = pmp_telemetry::Fnv64::new();
         h.write_u64(self.telemetry.journal_digest());
         h.write_u64(self.nodes.len() as u64);
@@ -799,86 +812,108 @@ impl Platform {
         h.finish()
     }
 
-    /// Flushes every mobile node's outbox through its cell port at the
-    /// current time (rank order, so the merge stays deterministic).
+    /// Flushes the outbox of every mobile node that has data queued,
+    /// through its cell port at the current time (rank order, so the
+    /// merge stays deterministic).
     fn preflush_outboxes(&mut self) {
         let Platform {
             sim,
             nodes,
-            node_cells,
+            cells,
+            barrier,
             ..
         } = self;
+        cells.dirty.outboxes.take(&mut barrier.keys);
         let now = sim.now();
-        let mut cmds = Vec::new();
-        for (node, cell) in nodes.iter_mut().zip(node_cells.iter_mut()) {
+        for &key in &barrier.keys {
+            let CellId::Mobile(i) = CellId::from_key(key) else {
+                continue;
+            };
+            let cell = &mut cells.mobiles[i];
             cell.clock.set(now);
-            flush_outbox(node, &mut cell.port);
-            cmds.extend(cell.port.drain());
+            flush_outbox(&mut nodes[i], &mut cell.port);
+            cell.port.drain_into(&mut barrier.cmds);
         }
-        sim.apply_cmds(cmds);
+        sim.apply_cmds(barrier.cmds.drain(..));
     }
 
-    /// Runs one epoch: batch routing → driver compute → barrier merge.
-    fn run_epoch(&mut self, epoch: Epoch) {
+    /// Runs the epoch in `self.barrier.epoch`: batch routing → driver
+    /// compute → barrier merge. An epoch in which no cell computed
+    /// (only moves, or traffic to a crashed base) has no barrier.
+    fn run_epoch(&mut self) {
+        if self.compute_epoch() {
+            // Spans drain in rank order (bases first) into the collector
+            // and each node's flight ring; a base's is durable, so its
+            // spans land before the commit below and ride the same group
+            // fsync.
+            self.drain_spans_now();
+            self.commit_bases(false);
+            self.flush_events();
+        }
+    }
+
+    /// Routes the epoch's batches to their cells, runs the cells, and
+    /// merges their network commands and RPC outcomes. Returns whether
+    /// any cell ran.
+    fn compute_epoch(&mut self) -> bool {
         let Platform {
             sim,
             bases,
             nodes,
-            base_cells,
-            node_cells,
+            cells,
+            cell_of,
+            barrier,
             rpc_outcomes,
             rpc_issue_at,
             telemetry,
             driver,
-            collector,
-            streams,
-            stream_taps,
             ..
         } = self;
 
-        // Route each destination's batch to its cell, bases first —
-        // rank order fixes the merge order below.
-        let mut batches = epoch.batches;
-        let mut take = |node: pmp_net::NodeId| -> Vec<pmp_net::TimedIncoming> {
-            batches
-                .get_mut(node.0 as usize)
-                .map(std::mem::take)
-                .unwrap_or_default()
-        };
-        let mut cells: Vec<NodeCell<'_>> = Vec::new();
-        for (station, state) in bases.iter_mut().zip(base_cells.iter_mut()) {
-            let batch = take(station.node);
-            // A crashed base is a powered-off machine: traffic addressed
-            // to it is taken off the wire and dropped.
-            if !batch.is_empty() && !station.crashed {
-                cells.push(NodeCell {
-                    body: CellBody::Base(station),
-                    state,
-                    batch,
-                    rpc: Vec::new(),
-                });
+        // Route each busy destination's batch to its cell, bases first —
+        // rank order fixes the merge order below. The busy list is in
+        // node order, so within bases (and within mobiles) indices only
+        // grow, and skipping along each slice's iterator reaches a cell
+        // in O(1) without touching the idle ones.
+        let mut busy: Vec<NodeCell<'_>> = Vec::with_capacity(barrier.epoch.busy.len());
+        let mut listed_bases = 0;
+        let (mut stations, mut base_states) = (bases.iter_mut(), cells.bases.iter_mut());
+        let (mut mobiles, mut mobile_states) = (nodes.iter_mut(), cells.mobiles.iter_mut());
+        let (mut next_base, mut next_mobile) = (0, 0);
+        for (node, batch) in &mut barrier.epoch.busy {
+            match cell_of.get(node.0 as usize).copied().flatten() {
+                Some(CellId::Base(i)) => {
+                    let skip = i - next_base;
+                    next_base = i + 1;
+                    let station = stations.nth(skip).expect("a listed base exists");
+                    let state = base_states.nth(skip).expect("every base has a cell");
+                    // A crashed base is a powered-off machine: traffic
+                    // addressed to it is taken off the wire and dropped.
+                    if !station.crashed {
+                        let body = CellBody::Base(station);
+                        busy.insert(listed_bases, NodeCell { body, state, batch });
+                        listed_bases += 1;
+                    }
+                }
+                Some(CellId::Mobile(i)) => {
+                    let skip = i - next_mobile;
+                    next_mobile = i + 1;
+                    let node = mobiles.nth(skip).expect("a listed mobile exists");
+                    let state = mobile_states.nth(skip).expect("every mobile has a cell");
+                    let body = CellBody::Mobile(node);
+                    busy.push(NodeCell { body, state, batch });
+                }
+                None => debug_assert!(
+                    false,
+                    "epoch event addressed to a node the platform does not manage"
+                ),
             }
         }
-        for (node, state) in nodes.iter_mut().zip(node_cells.iter_mut()) {
-            let batch = take(node.node);
-            if !batch.is_empty() {
-                cells.push(NodeCell {
-                    body: CellBody::Mobile(node),
-                    state,
-                    batch,
-                    rpc: Vec::new(),
-                });
-            }
-        }
-        debug_assert!(
-            batches.iter().all(Vec::is_empty),
-            "epoch event addressed to a node the platform does not manage"
-        );
-        if cells.is_empty() {
-            return;
+        if busy.is_empty() {
+            return false;
         }
 
-        driver.compute(&mut cells);
+        driver.compute(&mut busy);
 
         // Barrier merge. Network commands: concatenating per-cell
         // buffers in rank order and stable-sorting by time yields
@@ -886,23 +921,21 @@ impl Platform {
         // window would have produced. Link randomness (loss, jitter) is
         // sampled here, on this thread, so it cannot depend on the
         // driver's scheduling.
-        let mut cmds = Vec::new();
-        for cell in &mut cells {
-            cmds.extend(cell.state.port.drain());
+        let Barrier { cmds, outcomes, .. } = barrier;
+        for cell in &mut busy {
+            cell.state.port.drain_into(cmds);
+            outcomes.append(&mut cell.state.rpc);
         }
-        cmds.sort_by_key(pmp_net::NetCmd::at);
-        sim.apply_cmds(cmds);
+        drop(busy);
+        cmds.sort_by_key(NetCmd::at);
+        sim.apply_cmds(cmds.drain(..));
         // RPC outcomes: merged sorted by (observation time, request
         // id). Epochs are disjoint time windows, so per-epoch sorting
         // keeps the accumulated vector globally ordered — and the
         // order is driver-invariant, where the old rank-order append
         // depended on which cell held each outcome.
-        let mut epoch_rpc: Vec<RpcOutcome> = Vec::new();
-        for cell in &mut cells {
-            epoch_rpc.append(&mut cell.rpc);
-        }
-        epoch_rpc.sort_by_key(|o| (o.at, o.req));
-        for o in &epoch_rpc {
+        outcomes.sort_by_key(|o| (o.at, o.req));
+        for o in outcomes.iter() {
             if let Some(issued) = rpc_issue_at.remove(&o.req) {
                 // Only successful calls feed the latency histogram: a
                 // timeout outcome lands at the end of the full backoff
@@ -914,41 +947,97 @@ impl Platform {
                 }
             }
         }
-        rpc_outcomes.append(&mut epoch_rpc);
-        drop(cells);
-        // Spans drain in rank order (bases first) into the collector
-        // and each node's flight ring; a base's is durable, so its spans
-        // land before the commit below and ride the same group fsync.
-        drain_spans(collector, bases, nodes, base_cells, node_cells);
-        // Group-commit each live base's WAL appends at the epoch
-        // barrier: one simulated fsync per base per epoch, and the same
-        // batch boundaries under either driver.
-        for station in bases.iter_mut() {
-            if !station.crashed {
-                station.durable.commit();
-            }
-        }
-        // Publish the freshly committed batches to each base's fan-out
-        // hub — on this thread, in rank order, so streams are identical
-        // under either driver.
-        publish_commits(bases, streams, stream_taps, telemetry);
-        // Journal events: same (time, rank, seq) merge.
-        flush_cell_events(telemetry, base_cells, node_cells);
+        rpc_outcomes.append(outcomes);
+        true
     }
 
-    /// Drains every cell tracer into the collector immediately (the
+    /// Group-commits the WAL of each live base that appended since the
+    /// last barrier — one simulated fsync per base per barrier, and the
+    /// same batch boundaries under either driver — then publishes the
+    /// freshly committed batches to each base's fan-out hub, on this
+    /// thread and in rank order, so streams are identical under either
+    /// driver. At a pump's end it also takes any snapshot the record
+    /// budget asks for, of each base a barrier of the pump looked at.
+    fn commit_bases(&mut self, pump_end: bool) {
+        let Platform {
+            bases,
+            cells,
+            barrier,
+            streams,
+            stream_taps,
+            telemetry,
+            ..
+        } = self;
+        let Barrier {
+            keys, committed, ..
+        } = barrier;
+        cells.dirty.wal.take(keys);
+        if pump_end {
+            keys.extend(committed.drain(..).map(|i| CellId::Base(i).key()));
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        for &key in keys.iter() {
+            let CellId::Base(i) = CellId::from_key(key) else {
+                continue;
+            };
+            let station = &mut bases[i];
+            if station.crashed {
+                continue;
+            }
+            station.durable.commit();
+            if pump_end {
+                if station.durable.should_checkpoint() {
+                    station.checkpoint();
+                }
+            } else if !committed.contains(&i) {
+                committed.push(i);
+            }
+        }
+        for &key in keys.iter() {
+            let CellId::Base(i) = CellId::from_key(key) else {
+                continue;
+            };
+            if bases[i].crashed {
+                // Committed-but-unpublished records of a crashed base
+                // stay in the tap until the restart rebase reconciles
+                // them.
+                continue;
+            }
+            let batch = std::mem::take(&mut *stream_taps[i].lock().unwrap());
+            if !batch.is_empty() {
+                telemetry.add("stream.delta.encoded", batch.len() as u64);
+                streams[i].publish_batch(&batch);
+            }
+        }
+    }
+
+    /// Merges the journal events the cells buffered into the shared
+    /// journal (see [`flush_cell_events`]), with the barrier's buffers.
+    fn flush_events(&mut self) {
+        let Barrier { keys, events, .. } = &mut self.barrier;
+        flush_cell_events(&self.telemetry, &self.cells, keys, events);
+    }
+
+    /// [`Platform::flush_events`] for the read-only accessors: direct
+    /// calls between pumps may have buffered events.
+    fn flush_direct_events(&self) {
+        flush_cell_events(&self.telemetry, &self.cells, &mut Vec::new(), &mut Vec::new());
+    }
+
+    /// Drains the tracers that minted spans into the collector (the
     /// same thing epoch barriers do; needed before reading traces when
     /// spans were minted by direct calls since the last pump).
     fn drain_spans_now(&mut self) {
         let Platform {
             bases,
             nodes,
-            base_cells,
-            node_cells,
+            cells,
             collector,
+            barrier,
             ..
         } = self;
-        drain_spans(collector, bases, nodes, base_cells, node_cells);
+        drain_spans(collector, bases, nodes, cells, &mut barrier.keys);
     }
 
     /// The span collector (drained up to date). Trace ids, trees, and
@@ -1026,77 +1115,134 @@ impl Platform {
     }
 }
 
-/// Barrier-time stream step, always on the merge thread: drains each
-/// live base's commit-tap buffer into its fan-out hub (assigning revs,
-/// encoding each delta once).
-fn publish_commits(
-    bases: &[BaseStation],
-    streams: &mut [StreamHub],
-    stream_taps: &[Arc<Mutex<Vec<WalRecord>>>],
-    telemetry: &pmp_telemetry::Shared,
-) {
-    for (i, station) in bases.iter().enumerate() {
-        if station.crashed {
-            // Committed-but-unpublished records of a crashed base stay
-            // in the tap until the restart rebase reconciles them.
-            continue;
-        }
-        let batch = std::mem::take(&mut *stream_taps[i].lock().unwrap());
-        if batch.is_empty() {
-            continue;
-        }
-        telemetry.add("stream.delta.encoded", batch.len() as u64);
-        streams[i].publish_batch(&batch);
-    }
+/// What the serial barrier reuses from epoch to epoch: the epoch buffer
+/// the scheduler refills, the merge vectors, and the bases the current
+/// pump's barriers committed.
+#[derive(Debug, Default)]
+struct Barrier {
+    epoch: Epoch,
+    cmds: Vec<NetCmd>,
+    outcomes: Vec<RpcOutcome>,
+    events: Vec<PendingEvent>,
+    /// Keys taken from a dirty list.
+    keys: Vec<u64>,
+    /// Bases an epoch barrier of the current pump looked at: the pump's
+    /// end checks their checkpoint budget.
+    committed: Vec<usize>,
 }
 
-/// Drains every cell tracer in rank order (bases first, then mobiles)
-/// into the collector, copying each node's spans into its flight ring
-/// on the way (a base's as one durable batch; a crashed base's are
-/// lost with it).
+/// Drains the tracers that minted spans in rank order (bases first,
+/// then mobiles) into the collector, copying each node's spans into its
+/// flight ring on the way (a base's as one durable batch; a crashed
+/// base's are lost with it).
 fn drain_spans(
     collector: &mut pmp_trace::Collector,
     bases: &mut [BaseStation],
     nodes: &mut [MobileNode],
-    base_cells: &[CellState],
-    node_cells: &[CellState],
+    cells: &Cells,
+    keys: &mut Vec<u64>,
 ) {
     use pmp_trace::FlightEntry;
-    for (station, cell) in bases.iter_mut().zip(base_cells) {
-        let spans = cell.tracer.drain();
-        if !station.crashed && !spans.is_empty() {
-            station.note_flight_batch(spans.iter().cloned().map(FlightEntry::Span).collect());
-        }
-        collector.absorb(spans);
-    }
-    for (node, cell) in nodes.iter_mut().zip(node_cells) {
-        let spans = cell.tracer.drain();
-        for span in &spans {
-            node.flight.record(FlightEntry::Span(span.clone()));
+    cells.dirty.spans.take(keys);
+    for &key in keys.iter() {
+        let id = CellId::from_key(key);
+        let spans = cells.get(id).tracer.drain();
+        match id {
+            CellId::Base(i) => {
+                let station = &mut bases[i];
+                if !station.crashed && !spans.is_empty() {
+                    station.note_flight_batch(spans.iter().cloned().map(FlightEntry::Span).collect());
+                }
+            }
+            CellId::Mobile(i) => {
+                for span in &spans {
+                    nodes[i].flight.record(FlightEntry::Span(span.clone()));
+                }
+            }
         }
         collector.absorb(spans);
     }
 }
 
-/// Merges cell-buffered journal events into the shared journal in
-/// `(time, cell rank, emission seq)` order.
+/// Merges the journal events of the cells whose sinks buffered one into
+/// the shared journal in `(time, cell rank, emission seq)` order.
 fn flush_cell_events(
     telemetry: &pmp_telemetry::Shared,
-    base_cells: &[CellState],
-    node_cells: &[CellState],
+    cells: &Cells,
+    keys: &mut Vec<u64>,
+    pending: &mut Vec<PendingEvent>,
 ) {
-    let mut pending: Vec<PendingEvent> = Vec::new();
-    for cell in base_cells.iter().chain(node_cells) {
-        if !cell.sink.pending_is_empty() {
-            pending.extend(cell.sink.take_pending());
-        }
+    cells.dirty.events.take(keys);
+    for &key in keys.iter() {
+        cells.get(CellId::from_key(key)).sink.drain_pending_into(pending);
     }
     if pending.is_empty() {
         return;
     }
     // Stable sort: within one timestamp, rank/emission order survives.
     pending.sort_by_key(|e| e.at);
-    for e in pending {
-        telemetry.event_at(e.at, e.subsystem, &e.name, e.detail);
+    telemetry.with(|t| {
+        for e in pending.drain(..) {
+            t.journal.event_at(e.at, e.subsystem, e.name, e.detail);
+        }
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmp_vm::perm::Permissions;
+
+    /// A direct call between pumps mints spans and buffers a journal
+    /// event on a base's cell; the first epoch of the next pump, run by
+    /// hand here, leaves that cell idle. Its barrier must still drain
+    /// both: a barrier that visited only busy cells would lose them.
+    #[test]
+    fn a_direct_call_on_an_idle_cell_drains_at_the_next_barrier() {
+        let mut p = Platform::new(7);
+        p.set_tracing(true);
+        p.add_area("hall-a", Position::new(0.0, 0.0), Position::new(60.0, 60.0));
+        let base = p.add_base("hall-a", Position::new(30.0, 30.0), 80.0);
+        let policy = p.trusting_policy(&[base], Permissions::all());
+        p.add_robot("robot:1:1", Position::new(40.0, 30.0), 80.0, policy)
+            .unwrap();
+        p.publish_extension(base, &pmp_extensions::monitoring::package(1));
+        p.pump_millis(3_250);
+        let ships = |p: &Platform| {
+            p.telemetry
+                .with(|t| t.journal.events().filter(|e| e.name == "midas.ship").count())
+        };
+        let flight_spans = |p: &Platform, name: &str| {
+            p.bases[base.0]
+                .flight
+                .snapshot()
+                .iter()
+                .filter(|e| matches!(e, pmp_trace::FlightEntry::Span(s) if s.name == name))
+                .count()
+        };
+        let (ships_before, publishes_before) = (ships(&p), flight_spans(&p, "midas.publish"));
+        let spans_before = p.collector.retained();
+
+        // The update ships to the adapted robot: a root, a sign and a
+        // ship span on the base's tracer, and a `midas.ship` event in
+        // its cell sink.
+        p.publish_extension(base, &pmp_extensions::monitoring::package(2));
+        let until = p.now().plus(1_000_000_000);
+        p.preflush_outboxes();
+        assert!(p.sim.drain_epoch(until, &mut p.barrier.epoch));
+        let base_node = p.bases[base.0].node;
+        assert!(
+            p.barrier.epoch.busy.iter().all(|(node, _)| *node != base_node),
+            "the base is idle in the epoch"
+        );
+        p.run_epoch();
+
+        assert_eq!(ships(&p), ships_before + 1, "the event reached the journal");
+        assert!(p.collector.retained() >= spans_before + 3, "the spans reached the collector");
+        assert_eq!(
+            flight_spans(&p, "midas.publish"),
+            publishes_before + 1,
+            "the spans reached the base's flight ring"
+        );
     }
 }

@@ -3,12 +3,14 @@
 //! that turns them into asynchronous network messages, and the
 //! app-level wire protocol between robots and base stations.
 
-use pmp_telemetry::sync::Mutex;
+use pmp_telemetry::sync::{Mutex, MutexGuard};
+use pmp_telemetry::DirtyMark;
 use pmp_store::MovementRecord;
 use pmp_vm::perm::Permission;
 use pmp_vm::prelude::{Value, Vm};
 use pmp_wire::wire_enum;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 /// Channel for application-level traffic (monitoring, billing, ...).
 pub const APP_CHANNEL: &str = "app";
@@ -125,9 +127,63 @@ pub struct NodeWiring {
     /// Messages queued by sys ops, flushed to the home base by the
     /// platform pump ("first locally stored and then asynchronously
     /// sent to a base station", §4.4).
-    pub outbox: Mutex<Vec<AppMsg>>,
+    pub outbox: Outbox,
     /// The current remote caller (set around RPC dispatch).
     pub caller: Mutex<String>,
+}
+
+/// A node's outbox. Data queued on it between pumps ships at the next
+/// pump's start, and only the outboxes that hold data are visited
+/// then: a lock released with the outbox non-empty sets the node's
+/// dirty mark, once the platform has attached one.
+#[derive(Debug, Default)]
+pub struct Outbox {
+    msgs: Mutex<Vec<AppMsg>>,
+    mark: OnceLock<DirtyMark>,
+}
+
+impl Outbox {
+    /// Locks the queued messages.
+    pub fn lock(&self) -> OutboxGuard<'_> {
+        OutboxGuard {
+            msgs: self.msgs.lock(),
+            mark: self.mark.get(),
+        }
+    }
+
+    /// Sets `mark` whenever data is left queued from now on (the first
+    /// attached mark stays).
+    pub(crate) fn attach_mark(&self, mark: DirtyMark) {
+        let _ = self.mark.set(mark);
+    }
+}
+
+/// The locked outbox; see [`Outbox`].
+pub struct OutboxGuard<'a> {
+    msgs: MutexGuard<'a, Vec<AppMsg>>,
+    mark: Option<&'a DirtyMark>,
+}
+
+impl Deref for OutboxGuard<'_> {
+    type Target = Vec<AppMsg>;
+
+    fn deref(&self) -> &Vec<AppMsg> {
+        &self.msgs
+    }
+}
+
+impl DerefMut for OutboxGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<AppMsg> {
+        &mut self.msgs
+    }
+}
+
+impl Drop for OutboxGuard<'_> {
+    fn drop(&mut self) {
+        if let (Some(mark), false) = (self.mark, self.msgs.is_empty()) {
+            mark.set();
+        }
+    }
 }
 
 /// Installs the extension-facing system operations on a mobile node's

@@ -42,7 +42,7 @@ use crate::crc::Crc32;
 use crate::disk::SimDisk;
 use crate::record::{decode_framed, decode_record, encode_framed_into, WalRecord, MAX_FRAME_BODY};
 use crate::Durable;
-use pmp_telemetry::{Sink, Stopwatch, Subsystem};
+use pmp_telemetry::{DirtyMark, Sink, Stopwatch, Subsystem};
 use pmp_wire::{wire_struct, Writer};
 use std::collections::BTreeMap;
 
@@ -201,6 +201,9 @@ pub struct DurableEngine {
     since_snapshot: u64,
     sink: Sink,
     tap: Option<CommitTap>,
+    /// Set with every append, so the owner's barrier commits this
+    /// engine only when it holds a batch.
+    append_mark: Option<DirtyMark>,
 }
 
 impl std::fmt::Debug for DurableEngine {
@@ -215,6 +218,7 @@ impl std::fmt::Debug for DurableEngine {
             .field("buffered_weightless", &self.buffered_weightless)
             .field("since_snapshot", &self.since_snapshot)
             .field("tap", &self.tap.is_some())
+            .field("append_mark", &self.append_mark.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -240,6 +244,7 @@ impl DurableEngine {
             since_snapshot: 0,
             sink: Sink::default(),
             tap: None,
+            append_mark: None,
         }
     }
 
@@ -253,6 +258,12 @@ impl DurableEngine {
     /// Installs (or replaces) the commit observer. See [`CommitTap`].
     pub fn set_commit_tap(&mut self, tap: CommitTap) {
         self.tap = Some(tap);
+    }
+
+    /// Sets `mark` with every append from now on: the owner's barrier
+    /// then visits this engine only when it has something to commit.
+    pub fn set_append_mark(&mut self, mark: DirtyMark) {
+        self.append_mark = Some(mark);
     }
 
     /// The underlying simulated disk (fault injection, inspection).
@@ -295,6 +306,9 @@ impl DurableEngine {
             ns: ns.to_string(),
             payload,
         });
+        if let Some(mark) = &self.append_mark {
+            mark.set();
+        }
         self.sink.inc("durable.wal.appends");
         self.sink.record_elapsed("durable.wal.append_ns", watch);
         seq
@@ -1165,14 +1179,9 @@ mod tests {
                 .map(|h| h.count())
         });
         assert_eq!(recover_samples, Some(1));
-        let names: Vec<String> = shared.with(|t| {
-            t.journal
-                .events()
-                .map(|e| e.name.clone())
-                .collect()
-        });
-        assert!(names.contains(&"snapshot".to_string()));
-        assert!(names.contains(&"compact".to_string()));
-        assert!(names.contains(&"recover".to_string()));
+        let names: Vec<&str> = shared.with(|t| t.journal.events().map(|e| e.name).collect());
+        assert!(names.contains(&"snapshot"));
+        assert!(names.contains(&"compact"));
+        assert!(names.contains(&"recover"));
     }
 }

@@ -45,7 +45,7 @@ pub use disk::SimDisk;
 pub use engine::{Anomaly, CommitTap, DurableEngine, EngineConfig, RecoverReport};
 pub use record::{FrameError, WalRecord};
 
-use pmp_telemetry::{sync, Fnv64, Sink};
+use pmp_telemetry::{sync, DirtyMark, Fnv64, Sink};
 use pmp_wire::{Wire, WireError};
 use std::sync::Arc;
 
@@ -274,6 +274,12 @@ impl DurableHub {
     /// the sync that makes it durable.
     pub fn set_commit_tap(&self, tap: CommitTap) {
         self.inner.lock().set_commit_tap(tap);
+    }
+
+    /// Sets `mark` with every append (see
+    /// [`DurableEngine::set_append_mark`]).
+    pub fn set_append_mark(&self, mark: DirtyMark) {
+        self.inner.lock().set_append_mark(mark);
     }
 
     /// The committed WAL suffix from `since_seq` (see

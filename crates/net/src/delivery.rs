@@ -11,7 +11,8 @@
 use crate::clock::SimTime;
 use crate::node::NodeId;
 use pmp_telemetry::{CounterId, Shared, Subsystem};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Aggregate counters over a simulation run, read from the registry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +65,7 @@ pub struct DeliveryLog {
     telemetry: Shared,
     ids: Counters,
     /// Lazily-registered `net.channel.<name>.bytes` counters.
-    channel_bytes: HashMap<String, CounterId>,
+    channel_bytes: BTreeMap<String, CounterId>,
     logging: bool,
     log: Vec<Delivery>,
 }
@@ -85,7 +86,7 @@ impl DeliveryLog {
         DeliveryLog {
             telemetry: telemetry.clone(),
             ids,
-            channel_bytes: HashMap::new(),
+            channel_bytes: BTreeMap::new(),
             logging: false,
             log: Vec::new(),
         }
@@ -135,15 +136,18 @@ impl DeliveryLog {
         self.inc(self.ids.dropped_loss);
     }
 
+    /// Counts a delivery and journals it as a `net.deliver` event,
+    /// whose `"{from}->{to} {channel} {bytes}B"` detail the journal
+    /// renders only if it is read.
     pub(crate) fn record_delivery(
         &mut self,
         at: SimTime,
         from: NodeId,
         to: NodeId,
-        channel: &str,
+        channel: &Arc<str>,
         bytes: usize,
     ) {
-        let chan = match self.channel_bytes.get(channel) {
+        let chan = match self.channel_bytes.get(&**channel) {
             Some(&id) => id,
             None => {
                 let id = self
@@ -159,10 +163,13 @@ impl DeliveryLog {
         self.telemetry.with(|t| {
             t.registry.inc(delivered);
             t.registry.add(chan, bytes as u64);
-            t.journal.event(
+            t.journal.delivery(
                 Subsystem::Net,
                 "net.deliver",
-                format!("{}->{} {channel} {bytes}B", from.0, to.0),
+                from.0,
+                to.0,
+                Arc::clone(channel),
+                bytes as u64,
             );
         });
         if self.logging {
@@ -223,7 +230,7 @@ mod tests {
     use super::*;
 
     fn deliver(log: &mut DeliveryLog, channel: &str, bytes: usize) {
-        log.record_delivery(SimTime::ZERO, NodeId(0), NodeId(1), channel, bytes);
+        log.record_delivery(SimTime::ZERO, NodeId(0), NodeId(1), &Arc::from(channel), bytes);
     }
 
     #[test]
@@ -256,7 +263,7 @@ mod tests {
             t.journal
                 .events()
                 .filter(|e| e.name == "net.deliver")
-                .map(|e| e.detail.clone())
+                .map(|e| e.detail().into_owned())
                 .collect()
         });
         assert_eq!(details, ["0->1 x 3B", "0->1 y 10B", "0->1 x 4B"]);

@@ -146,9 +146,10 @@ impl PortBuf {
         self.cmds.is_empty()
     }
 
-    /// Takes the buffered effects, in issue order.
-    pub fn drain(&mut self) -> Vec<NetCmd> {
-        std::mem::take(&mut self.cmds)
+    /// Moves the buffered effects, in issue order, to the end of `out`;
+    /// the port keeps its buffer's capacity.
+    pub fn drain_into(&mut self, out: &mut Vec<NetCmd>) {
+        out.append(&mut self.cmds);
     }
 }
 
@@ -205,7 +206,8 @@ mod tests {
         clock.set(SimTime(900));
         let token = port.set_timer(NodeId(2), 1_000, "t");
         assert_eq!(token, (3u64 << PORT_TOKEN_SHIFT) | 1);
-        let cmds = port.drain();
+        let mut cmds = Vec::new();
+        port.drain_into(&mut cmds);
         assert_eq!(cmds.len(), 2);
         assert_eq!(cmds[0].at(), SimTime(500));
         assert_eq!(cmds[1].at(), SimTime(900));

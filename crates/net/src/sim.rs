@@ -9,7 +9,7 @@ use crate::node::{Incoming, NodeId, SimNode};
 use crate::port::{NetCmd, NetPort};
 use pmp_telemetry::{Shared, SimRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 /// One event routed to a node within an epoch, stamped with its
@@ -22,17 +22,47 @@ pub struct TimedIncoming {
     pub incoming: Incoming,
 }
 
-/// All events of one conservative lookahead window, partitioned by
-/// destination node. Produced by [`Simulator::drain_epoch`].
-#[derive(Debug)]
+/// All events of one conservative lookahead window, grouped by
+/// destination node. [`Simulator::drain_epoch`] refills one `Epoch`
+/// window after window, so its vectors are reused: the cost of a window
+/// follows the nodes that have events, not the nodes in the world.
+#[derive(Debug, Default)]
 pub struct Epoch {
     /// First event time of the window (inclusive).
     pub start: SimTime,
     /// Window end (exclusive): `min(start + lookahead, until + 1)`.
     pub end: SimTime,
-    /// Per-node event batches, indexed by `NodeId.0`. Within a batch
-    /// events are in global `(time, seq)` order.
-    pub batches: Vec<Vec<TimedIncoming>>,
+    /// The destinations that have events, in node order, each with its
+    /// batch. Within a batch events are in global `(time, seq)` order.
+    pub busy: Vec<(NodeId, Vec<TimedIncoming>)>,
+    /// Emptied batch vectors, handed out again to the next window's
+    /// destinations.
+    spare: Vec<Vec<TimedIncoming>>,
+    /// Per node, its position in `busy` while a window fills, else
+    /// [`Epoch::UNLISTED`].
+    slot: Vec<u32>,
+}
+
+impl Epoch {
+    const UNLISTED: u32 = u32::MAX;
+
+    /// Returns every batch vector to the spare pool, emptied.
+    fn recycle(&mut self) {
+        for (_, mut batch) in self.busy.drain(..) {
+            batch.clear();
+            self.spare.push(batch);
+        }
+    }
+
+    /// Appends one event to `node`'s batch, listing `node` on its first.
+    fn push(&mut self, node: NodeId, item: TimedIncoming) {
+        let slot = &mut self.slot[node.0 as usize];
+        if *slot == Epoch::UNLISTED {
+            *slot = self.busy.len() as u32;
+            self.busy.push((node, self.spare.pop().unwrap_or_default()));
+        }
+        self.busy[*slot as usize].1.push(item);
+    }
 }
 
 #[derive(Debug)]
@@ -114,16 +144,16 @@ pub struct Simulator {
     next_timer_token: u64,
     rng: SimRng,
     link: LinkModel,
-    partitions: HashSet<(NodeId, NodeId)>,
+    partitions: BTreeSet<(NodeId, NodeId)>,
     /// Wired backhaul segments (both directions): unicast sends between
     /// these pairs ignore radio range and are never lost, modelling the
     /// LAN that connects federated base stations. Partitions still cut
     /// them (a backhaul switch can fail too).
-    wired: HashSet<(NodeId, NodeId)>,
+    wired: BTreeSet<(NodeId, NodeId)>,
     /// Per-pair FIFO enforcement: a later send between the same two
     /// nodes never overtakes an earlier one (single-channel radio
     /// between one pair behaves like a FIFO link).
-    fifo: std::collections::HashMap<(NodeId, NodeId), SimTime>,
+    fifo: BTreeMap<(NodeId, NodeId), SimTime>,
     /// Delivery counters (in the telemetry registry) and the optional
     /// delivery log.
     pub deliveries: DeliveryLog,
@@ -147,9 +177,9 @@ impl Simulator {
             next_timer_token: 1,
             rng: SimRng::new(seed),
             link,
-            partitions: HashSet::new(),
-            wired: HashSet::new(),
-            fifo: std::collections::HashMap::new(),
+            partitions: BTreeSet::new(),
+            wired: BTreeSet::new(),
+            fifo: BTreeMap::new(),
             deliveries: DeliveryLog::new(&Shared::new()),
         }
     }
@@ -570,32 +600,40 @@ impl Simulator {
         self.link.base_latency_ns.max(1)
     }
 
-    /// Drains the next epoch: every queued event in
+    /// Drains the next epoch into `epoch`: every queued event in
     /// `[next_event_time, min(next_event_time + lookahead, until + 1))`,
-    /// partitioned by destination node. Returns `None` when the next
-    /// event lies beyond `until` (or the queue is idle).
+    /// grouped by destination node in [`Epoch::busy`]. The previous
+    /// window's batches are emptied and their vectors reused first.
+    /// Returns `false`, leaving `epoch` empty, when the next event lies
+    /// beyond `until` (or the queue is idle).
     ///
     /// Scheduler-side effects stay here and stay serial: events are
     /// routed exactly as [`Simulator::step`] routes them, at their own
     /// timestamps, and the global clock advances through the window.
     /// Node-side dispatch is the driver's job.
-    pub fn drain_epoch(&mut self, until: SimTime) -> Option<Epoch> {
-        let start = self.peek_next()?;
-        if start > until {
-            return None;
-        }
+    pub fn drain_epoch(&mut self, until: SimTime, epoch: &mut Epoch) -> bool {
+        epoch.recycle();
+        let Some(start) = self.peek_next().filter(|&start| start <= until) else {
+            return false;
+        };
         let end = start.plus(self.lookahead()).min(until.plus(1));
-        let mut batches: Vec<Vec<TimedIncoming>> =
-            (0..self.nodes.len()).map(|_| Vec::new()).collect();
+        (epoch.start, epoch.end) = (start, end);
+        if epoch.slot.len() < self.nodes.len() {
+            epoch.slot.resize(self.nodes.len(), Epoch::UNLISTED);
+        }
         while let Some(at) = self.peek_next() {
             if at >= end {
                 break;
             }
             if let Some((node, incoming)) = self.pop_event() {
-                batches[node.0 as usize].push(TimedIncoming { at, incoming });
+                epoch.push(node, TimedIncoming { at, incoming });
             }
         }
-        Some(Epoch { start, end, batches })
+        for (node, _) in &epoch.busy {
+            epoch.slot[node.0 as usize] = Epoch::UNLISTED;
+        }
+        epoch.busy.sort_unstable_by_key(|(node, _)| *node);
+        true
     }
 
     /// Replays buffered node effects against the scheduler, each at its
@@ -795,6 +833,35 @@ mod tests {
         assert_eq!(sim.drain_inbox(base).len(), 2, "loopback multicast");
         assert!(sim.drain_inbox(far).is_empty());
         assert!(sim.drain_inbox(wired).is_empty());
+    }
+
+    #[test]
+    fn an_epoch_lists_only_busy_destinations_in_node_order_and_reuses_its_buffers() {
+        let (mut sim, a, b) = world();
+        for i in 0..240 {
+            sim.add_node(format!("idle-{i}"), Position::new(5_000.0 + f64::from(i), 0.0), 1.0);
+        }
+        let c = sim.add_node("c", Position::new(20.0, 0.0), 50.0);
+        let mut epoch = Epoch::default();
+        assert!(sim.send(a, c, "x", vec![1]));
+        assert!(sim.drain_epoch(SimTime::from_secs(1), &mut epoch));
+        assert_eq!(epoch.busy.len(), 1, "one busy destination, one entry");
+        assert_eq!(epoch.busy[0].0, c);
+        let batch = epoch.busy[0].1.as_ptr();
+        // Sent to c first, then to b: listed in node order all the same,
+        // and the first batch vector is handed out again.
+        assert!(sim.send(a, c, "x", vec![2]));
+        assert!(sim.send(a, b, "x", vec![3]));
+        assert!(sim.drain_epoch(SimTime::from_secs(1), &mut epoch));
+        let listed: Vec<NodeId> = epoch.busy.iter().map(|(node, _)| *node).collect();
+        assert_eq!(listed, [b, c]);
+        assert!(epoch.busy.iter().any(|(_, items)| items.as_ptr() == batch));
+        assert!(epoch.busy.iter().all(|(_, items)| items.len() == 1));
+        // An idle queue empties the epoch and keeps every vector.
+        assert!(!sim.drain_epoch(SimTime::from_secs(1), &mut epoch));
+        assert!(epoch.busy.is_empty());
+        assert_eq!(epoch.spare.len(), 2);
+        assert!(epoch.slot.iter().all(|&slot| slot == Epoch::UNLISTED));
     }
 
     #[test]

@@ -63,7 +63,8 @@ fn run_until(sim: &mut Simulator, entry: Entry, until: SimTime) {
     match entry {
         Entry::Direct => sim.run_until(until),
         Entry::Barrier => {
-            while sim.drain_epoch(until).is_some() {}
+            let mut epoch = Epoch::default();
+            while sim.drain_epoch(until, &mut epoch) {}
             sim.run_until(until);
         }
     }

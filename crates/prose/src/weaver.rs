@@ -348,7 +348,14 @@ impl Prose {
     /// Records one weave/unweave operation into the VM's telemetry:
     /// wall-time latency histogram, the active-aspect gauge, and a
     /// journal event naming the aspect (or reason).
-    fn record_op(&self, vm: &mut Vm, histogram: &str, watch: Stopwatch, event: &str, detail: &str) {
+    fn record_op(
+        &self,
+        vm: &mut Vm,
+        histogram: &str,
+        watch: Stopwatch,
+        event: &'static str,
+        detail: &str,
+    ) {
         let active = self.rt.state.lock().woven.len() as i64;
         let t = vm.telemetry_mut();
         t.registry.record_elapsed(histogram, watch);

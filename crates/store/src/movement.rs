@@ -3,7 +3,7 @@
 use pmp_durable::crc::Crc32;
 use pmp_wire::{wire_struct, Wire, Writer};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One logged hardware action: which robot/device executed which
@@ -74,7 +74,7 @@ pub struct MovementStore {
     /// Each row's start offset in `bytes` and its issue time.
     pub(crate) rows: Vec<(usize, u64)>,
     /// Each robot's row ids, in insertion order.
-    by_robot: HashMap<String, Vec<RecordId>>,
+    by_robot: BTreeMap<String, Vec<RecordId>>,
     /// The CRC-32 state over the first `.0` bytes of `bytes`, extended
     /// by each snapshot's checksum (see `encoded_crc`), never by
     /// `append`.
@@ -157,9 +157,7 @@ impl MovementStore {
 
     /// The distinct robots seen, sorted.
     pub fn robots(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.by_robot.keys().cloned().collect();
-        names.sort();
-        names
+        self.by_robot.keys().cloned().collect()
     }
 
     /// A replay cursor over `robot`'s actions: yields each record with

@@ -129,8 +129,8 @@ pub fn to_json_lines(t: &Telemetry) -> String {
             e.seq,
             e.at,
             e.subsystem.name(),
-            json_escape(&e.name),
-            json_escape(&e.detail)
+            json_escape(e.name),
+            json_escape(&e.detail())
         );
     }
     out

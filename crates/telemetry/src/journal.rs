@@ -6,9 +6,16 @@
 //! verification) is traced as spans by `pmp-trace`, not here. The ring
 //! drops the oldest events once full and counts what it dropped, so a
 //! long scenario can run with a small cap.
+//!
+//! Most events the simulator journals are evicted unread, so a network
+//! delivery ([`Journal::delivery`]) keeps its fields and renders its
+//! detail text only when someone reads it ([`Event::detail`]).
 
 use crate::Clock;
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// The platform layer an event originates from: the `subsystem` field
 /// of exported events.
@@ -71,9 +78,52 @@ pub struct Event {
     /// Originating layer.
     pub subsystem: Subsystem,
     /// Event name, dot-scoped like metrics (`"midas.verify"`).
-    pub name: String,
-    /// Free-form detail (extension id, node, byte count, …).
-    pub detail: String,
+    pub name: &'static str,
+    detail: Detail,
+}
+
+/// What an event says beyond its name.
+#[derive(Clone, Debug)]
+enum Detail {
+    Text(String),
+    /// A network delivery, read as `"{from}->{to} {channel} {bytes}B"`.
+    Delivery {
+        from: u32,
+        to: u32,
+        channel: Arc<str>,
+        bytes: u64,
+    },
+}
+
+impl Event {
+    /// Free-form detail (extension id, node, byte count, …). A
+    /// delivery's text is rendered here, on read.
+    #[must_use]
+    pub fn detail(&self) -> Cow<'_, str> {
+        match &self.detail {
+            Detail::Text(text) => Cow::Borrowed(text),
+            Detail::Delivery { .. } => {
+                let mut out = String::new();
+                self.render_detail(&mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// Appends the detail text to `out`.
+    fn render_detail(&self, out: &mut String) {
+        match &self.detail {
+            Detail::Text(text) => out.push_str(text),
+            Detail::Delivery {
+                from,
+                to,
+                channel,
+                bytes,
+            } => {
+                let _ = write!(out, "{from}->{to} {channel} {bytes}B");
+            }
+        }
+    }
 }
 
 /// The ring-buffered event journal.
@@ -127,9 +177,9 @@ impl Journal {
     }
 
     /// Appends a point event.
-    pub fn event(&mut self, sub: Subsystem, name: impl Into<String>, detail: impl Into<String>) {
+    pub fn event(&mut self, sub: Subsystem, name: &'static str, detail: impl Into<String>) {
         let at = self.now();
-        self.push(at, sub, name.into(), detail.into());
+        self.push(at, sub, name, Detail::Text(detail.into()));
     }
 
     /// Appends a point event stamped with an explicit time instead of
@@ -137,17 +187,33 @@ impl Journal {
     /// per node cell during an epoch and merge them at the barrier in
     /// deterministic `(time, cell, seq)` order — each buffered event
     /// carries the cell-clock reading it was emitted at.
-    pub fn event_at(
-        &mut self,
-        at: u64,
-        sub: Subsystem,
-        name: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
-        self.push(at, sub, name.into(), detail.into());
+    pub fn event_at(&mut self, at: u64, sub: Subsystem, name: &'static str, detail: impl Into<String>) {
+        self.push(at, sub, name, Detail::Text(detail.into()));
     }
 
-    fn push(&mut self, at: u64, sub: Subsystem, name: String, detail: String) {
+    /// Appends a network delivery of `bytes` on `channel` from node
+    /// `from` to node `to`. The fields are kept as they are; the detail
+    /// reads `"{from}->{to} {channel} {bytes}B"` once rendered.
+    pub fn delivery(
+        &mut self,
+        sub: Subsystem,
+        name: &'static str,
+        from: u32,
+        to: u32,
+        channel: Arc<str>,
+        bytes: u64,
+    ) {
+        let at = self.now();
+        let detail = Detail::Delivery {
+            from,
+            to,
+            channel,
+            bytes,
+        };
+        self.push(at, sub, name, detail);
+    }
+
+    fn push(&mut self, at: u64, sub: Subsystem, name: &'static str, detail: Detail) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -202,6 +268,7 @@ impl Journal {
         let mut h = crate::digest::Fnv64::new();
         h.write_u64(self.seq);
         h.write_u64(self.dropped);
+        let mut detail = String::new();
         for e in &self.buf {
             h.write_u64(e.seq);
             h.write_u64(e.at);
@@ -209,8 +276,10 @@ impl Journal {
             h.write_u64(0);
             h.write_str(e.subsystem.name());
             h.write_u64(2);
-            h.write_str(&e.name);
-            h.write_str(&e.detail);
+            h.write_str(e.name);
+            detail.clear();
+            e.render_detail(&mut detail);
+            h.write_str(&detail);
         }
         h.finish()
     }
@@ -242,17 +311,30 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_counts_drops() {
+        const NAMES: [&str; 10] = ["e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"];
         let mut j = Journal::new(3);
-        for i in 0..10 {
-            j.event(Subsystem::Core, format!("e{i}"), "");
+        for name in NAMES {
+            j.event(Subsystem::Core, name, "");
         }
         assert_eq!(j.len(), 3);
         assert_eq!(j.dropped(), 7);
         assert_eq!(j.total(), 10);
-        let names: Vec<&str> = j.events().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = j.events().map(|e| e.name).collect();
         assert_eq!(names, vec!["e7", "e8", "e9"], "oldest evicted first");
         let seqs: Vec<u64> = j.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9], "sequence numbers survive eviction");
+    }
+
+    #[test]
+    fn a_delivery_renders_its_detail_on_read_and_digests_as_text() {
+        let mut stored = Journal::new(8);
+        stored.delivery(Subsystem::Net, "net.deliver", 3, 0, Arc::from("rpc"), 42);
+        let mut text = Journal::new(8);
+        text.event(Subsystem::Net, "net.deliver", "3->0 rpc 42B");
+        let e = stored.events().next().unwrap();
+        assert_eq!(e.name, "net.deliver");
+        assert_eq!(e.detail(), "3->0 rpc 42B");
+        assert_eq!(stored.digest(), text.digest());
     }
 
     #[test]

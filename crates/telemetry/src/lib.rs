@@ -38,6 +38,7 @@
 //! and `NetStats` are read back from it.
 
 pub mod digest;
+pub mod dirty;
 pub mod export;
 pub mod journal;
 pub mod registry;
@@ -47,6 +48,7 @@ pub mod stopwatch;
 pub mod sync;
 
 pub use digest::Fnv64;
+pub use dirty::{DirtyList, DirtyMark};
 pub use journal::{Event, Journal, Subsystem};
 pub use registry::{CounterId, GaugeId, Histogram, HistogramId, Registry, MISSES_COUNTER};
 pub use rng::SimRng;
@@ -184,13 +186,13 @@ impl Shared {
     }
 
     /// Appends a point event to the journal.
-    pub fn event(&self, sub: Subsystem, name: &str, detail: impl Into<String>) {
+    pub fn event(&self, sub: Subsystem, name: &'static str, detail: impl Into<String>) {
         self.inner.lock().journal.event(sub, name, detail);
     }
 
     /// Appends a point event with an explicit timestamp (barrier merge
     /// of buffered cell events; see [`sink::Sink`]).
-    pub fn event_at(&self, at: u64, sub: Subsystem, name: &str, detail: impl Into<String>) {
+    pub fn event_at(&self, at: u64, sub: Subsystem, name: &'static str, detail: impl Into<String>) {
         self.inner.lock().journal.event_at(at, sub, name, detail);
     }
 

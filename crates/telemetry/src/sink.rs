@@ -14,12 +14,15 @@
 //! components hold under both drivers — the serial driver uses the
 //! same buffering so the two are journal-identical by construction) or
 //! direct ([`Sink::direct`], how the storage engine's barrier-time
-//! events land in order between the cells' merged ones).
+//! events land in order between the cells' merged ones). A cell buffer
+//! sets its [`DirtyMark`] with every event, so the barrier's merge
+//! visits only the cells that buffered one.
 //!
 //! Every component holds a sink from construction. Until the platform
 //! attaches its cell's, that is [`Sink::default`], which records into a
 //! private registry and journal nothing reads.
 
+use crate::dirty::DirtyMark;
 use crate::journal::Subsystem;
 use crate::{sync, Clock, Shared};
 use std::sync::Arc;
@@ -33,7 +36,7 @@ pub struct PendingEvent {
     /// Originating layer.
     pub subsystem: Subsystem,
     /// Event name.
-    pub name: String,
+    pub name: &'static str,
     /// Free-form detail.
     pub detail: String,
 }
@@ -42,6 +45,7 @@ pub struct PendingEvent {
 struct Buffered {
     clock: Clock,
     pending: Arc<sync::Mutex<Vec<PendingEvent>>>,
+    mark: DirtyMark,
 }
 
 /// A component-facing handle on the platform telemetry: metrics pass
@@ -81,15 +85,17 @@ impl Sink {
     }
 
     /// A cell sink: metrics pass through, events buffer locally stamped
-    /// by `clock` until [`Sink::take_pending`]. Clones share one buffer
-    /// — hand clones to every component of the same cell.
+    /// by `clock` until [`Sink::drain_pending_into`], and each sets
+    /// `mark`. Clones share one buffer — hand clones to every component
+    /// of the same cell.
     #[must_use]
-    pub fn buffered(shared: &Shared, clock: Clock) -> Sink {
+    pub fn buffered(shared: &Shared, clock: Clock, mark: DirtyMark) -> Sink {
         Sink {
             shared: shared.clone(),
             buffered: Some(Buffered {
                 clock,
                 pending: Arc::new(sync::Mutex::new(Vec::new())),
+                mark,
             }),
         }
     }
@@ -124,35 +130,28 @@ impl Sink {
 
     /// Appends a point event: direct to the shared journal, or into the
     /// cell buffer stamped with the cell clock.
-    pub fn event(&self, sub: Subsystem, name: &str, detail: impl Into<String>) {
+    pub fn event(&self, sub: Subsystem, name: &'static str, detail: impl Into<String>) {
         match &self.buffered {
             None => self.shared.event(sub, name, detail),
-            Some(b) => b.pending.lock().push(PendingEvent {
-                at: (b.clock)(),
-                subsystem: sub,
-                name: name.to_string(),
-                detail: detail.into(),
-            }),
+            Some(b) => {
+                b.pending.lock().push(PendingEvent {
+                    at: (b.clock)(),
+                    subsystem: sub,
+                    name,
+                    detail: detail.into(),
+                });
+                b.mark.set();
+            }
         }
     }
 
-    /// Takes the buffered events in emission order (empty for a direct
-    /// sink). The driver merges them into the shared journal at the
-    /// epoch barrier.
-    #[must_use]
-    pub fn take_pending(&self) -> Vec<PendingEvent> {
-        match &self.buffered {
-            None => Vec::new(),
-            Some(b) => std::mem::take(&mut *b.pending.lock()),
-        }
-    }
-
-    /// `true` when the cell buffer holds no events.
-    #[must_use]
-    pub fn pending_is_empty(&self) -> bool {
-        match &self.buffered {
-            None => true,
-            Some(b) => b.pending.lock().is_empty(),
+    /// Moves the buffered events, in emission order, to the end of
+    /// `out` (nothing for a direct sink); the buffer keeps its capacity.
+    /// The driver merges them into the shared journal at the epoch
+    /// barrier.
+    pub fn drain_pending_into(&self, out: &mut Vec<PendingEvent>) {
+        if let Some(b) = &self.buffered {
+            out.append(&mut b.pending.lock());
         }
     }
 }
@@ -160,7 +159,14 @@ impl Sink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirtyList;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn take_pending(s: &Sink) -> Vec<PendingEvent> {
+        let mut out = Vec::new();
+        s.drain_pending_into(&mut out);
+        out
+    }
 
     #[test]
     fn direct_sink_passes_through() {
@@ -170,7 +176,7 @@ mod tests {
         s.event(Subsystem::Core, "e", "d");
         assert_eq!(shared.counter_value("a.b"), 1);
         assert_eq!(shared.with(|t| t.journal.len()), 1);
-        assert!(s.take_pending().is_empty());
+        assert!(take_pending(&s).is_empty());
     }
 
     #[test]
@@ -178,27 +184,32 @@ mod tests {
         let shared = Shared::new();
         let t = Arc::new(AtomicU64::new(7));
         let t2 = t.clone();
-        let s = Sink::buffered(&shared, Arc::new(move || t2.load(Ordering::Relaxed)));
+        let dirty = DirtyList::default();
+        let clock = Arc::new(move || t2.load(Ordering::Relaxed));
+        let s = Sink::buffered(&shared, clock, dirty.mark(4));
         s.inc("a.b");
         s.event(Subsystem::Midas, "e1", "");
         t.store(9, Ordering::Relaxed);
         s.event(Subsystem::Midas, "e2", "");
         assert_eq!(shared.counter_value("a.b"), 1, "metrics go direct");
         assert_eq!(shared.with(|t| t.journal.len()), 0, "events buffered");
-        let pending = s.take_pending();
+        let mut keys = Vec::new();
+        dirty.take(&mut keys);
+        assert_eq!(keys, [4], "the cell is listed once");
+        let pending = take_pending(&s);
         assert_eq!(pending.len(), 2);
         assert_eq!(pending[0].at, 7);
         assert_eq!(pending[1].at, 9);
-        assert!(s.pending_is_empty());
+        assert!(take_pending(&s).is_empty());
     }
 
     #[test]
     fn clones_share_one_buffer() {
         let shared = Shared::new();
-        let s = Sink::buffered(&shared, Arc::new(|| 0));
+        let s = Sink::buffered(&shared, Arc::new(|| 0), DirtyList::default().mark(0));
         let s2 = s.clone();
         s.event(Subsystem::Vm, "a", "");
         s2.event(Subsystem::Vm, "b", "");
-        assert_eq!(s.take_pending().len(), 2);
+        assert_eq!(take_pending(&s).len(), 2);
     }
 }

@@ -3,6 +3,7 @@
 use crate::ctx::TraceCtx;
 use crate::span::SpanRecord;
 use pmp_telemetry::sync::Mutex;
+use pmp_telemetry::DirtyMark;
 use std::sync::Arc;
 
 /// A pending first-interception watch: once the node's advice-dispatch
@@ -22,6 +23,8 @@ struct TracerInner {
     enabled: bool,
     finished: Vec<SpanRecord>,
     watches: Vec<InterceptWatch>,
+    /// Set with every span minted, so the barrier drains this tracer.
+    mark: Option<DirtyMark>,
 }
 
 /// The span factory owned by one node cell. Cloneable — clones share
@@ -41,6 +44,17 @@ impl Tracer {
     /// come back [`TraceCtx::NIL`] and nothing is recorded).
     #[must_use]
     pub fn new(node: u32) -> Tracer {
+        Tracer::with_mark(node, None)
+    }
+
+    /// A node cell's tracer: like [`Tracer::new`], and every span it
+    /// mints sets `mark`, so the epoch barrier knows to drain it.
+    #[must_use]
+    pub fn marked(node: u32, mark: DirtyMark) -> Tracer {
+        Tracer::with_mark(node, Some(mark))
+    }
+
+    fn with_mark(node: u32, mark: Option<DirtyMark>) -> Tracer {
         Tracer {
             inner: Arc::new(Mutex::new(TracerInner {
                 node,
@@ -48,6 +62,7 @@ impl Tracer {
                 enabled: false,
                 finished: Vec::new(),
                 watches: Vec::new(),
+                mark,
             })),
         }
     }
@@ -80,6 +95,9 @@ impl Tracer {
             detail: detail.to_string(),
         };
         inner.finished.push(rec);
+        if let Some(mark) = &inner.mark {
+            mark.set();
+        }
         TraceCtx { trace_id, span_id }
     }
 
@@ -194,6 +212,20 @@ mod tests {
         let c = t.child(TraceCtx::NIL, 5, "midas.verify", "");
         assert!(c.is_nil());
         assert!(t.drain().is_empty());
+    }
+
+    #[test]
+    fn a_marked_tracer_lists_its_cell_when_it_mints_a_span() {
+        let dirty = pmp_telemetry::DirtyList::default();
+        let t = Tracer::marked(5, dirty.mark(9));
+        let mut keys = Vec::new();
+        let _ = t.root(1, "rpc.call", "off");
+        dirty.take(&mut keys);
+        assert!(keys.is_empty(), "a disabled tracer mints nothing");
+        t.set_enabled(true);
+        let _ = t.root(2, "rpc.call", "on");
+        dirty.take(&mut keys);
+        assert_eq!(keys, [9]);
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl World {
             t.journal
                 .events()
                 .filter(|e| e.subsystem == Subsystem::Midas && e.name == event_name)
-                .map(|e| e.detail.clone())
+                .map(|e| e.detail().into_owned())
                 .collect()
         })
     }

@@ -1,10 +1,11 @@
-//! Determinism lint: a token ban over the crates whose code feeds the
-//! replayable digests (`trace_digest`, journal digest, WAL bytes).
-//! Cross-driver byte-equality is the platform's core testable claim,
-//! and the two ways it rots are wall-clock reads and hash-order
-//! iteration leaking into send/journal paths. `pmp-bench` is scanned
-//! too: its harness output is a checked artifact (CI diffs it against
-//! EXPERIMENTS.md), so it must repeat byte for byte.
+//! Determinism lint: a token ban over every crate under `crates/`
+//! except `pmp-telemetry`, which holds the one wall-clock read. Their
+//! code feeds the replayable digests (`trace_digest`, journal digest,
+//! WAL bytes) or a checked artifact (the harness output CI diffs
+//! against EXPERIMENTS.md, the pinned chaos sweep). Cross-driver
+//! byte-equality is the platform's core testable claim, and the two
+//! ways it rots are wall-clock reads and hash-order iteration leaking
+//! into send/journal paths.
 //!
 //! No non-comment line of those crates' non-test sources may name:
 //!
@@ -20,18 +21,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Crates whose state feeds trace/journal/WAL digests, plus
-/// `pmp-bench`, whose harness output is checked byte for byte.
-const CRATES: &[&str] = &[
-    "bench",
-    "core",
-    "midas",
-    "discovery",
-    "prose",
-    "tuplespace",
-    "trace",
-    "vm",
-];
+/// The crate that holds the one wall-clock read (`Stopwatch`) and the
+/// metric registry behind it; every other crate under `crates/` is
+/// scanned.
+const UNSCANNED: &str = "telemetry";
 
 /// Banned tokens, matched as substrings of non-comment code lines.
 const TOKENS: &[&str] = &[
@@ -79,9 +72,17 @@ fn scan(path: &str, text: &str) -> Vec<String> {
 #[test]
 fn digest_feeding_crates_are_free_of_nondeterminism_sources() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir() && !p.ends_with(UNSCANNED))
+        .collect();
+    crates.sort();
+    assert!(crates.len() > 1, "crates/ lists the workspace crates");
     let mut findings = Vec::new();
-    for krate in CRATES {
-        let dir = root.join("crates").join(krate).join("src");
+    for krate in crates {
+        let dir = krate.join("src");
         let mut files = Vec::new();
         rust_files(&dir, &mut files);
         assert!(!files.is_empty(), "no sources under {}", dir.display());

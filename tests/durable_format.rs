@@ -120,9 +120,10 @@ fn run(
         for e in t.journal.events() {
             if e.name == "snapshot" || e.name == "compact" {
                 checkpoints += usize::from(e.name == "snapshot");
+                let detail = e.detail();
                 journal.write(e.name.as_bytes());
-                journal.write_u64(e.detail.len() as u64);
-                journal.write(e.detail.as_bytes());
+                journal.write_u64(detail.len() as u64);
+                journal.write(detail.as_bytes());
             }
         }
     });
