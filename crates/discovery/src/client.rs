@@ -168,10 +168,12 @@ impl DiscoveryClient {
     }
 
     /// Registrars currently believed alive, as `(node, name)`, in node
-    /// order.
+    /// order: one the client has reported lost is listed again once it
+    /// is rediscovered.
     pub fn known_registrars(&self) -> Vec<(NodeId, String)> {
         self.registrars
             .iter()
+            .filter(|(_, k)| k.announced)
             .map(|(n, k)| (*n, k.name.clone()))
             .collect()
     }
@@ -412,5 +414,70 @@ impl DiscoveryClient {
                 events.push(DiscoveryEvent::RegistrarLost { node: *node });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Registrar;
+    use pmp_net::{Position, Simulator};
+
+    /// Steps the world to `until`, feeding the registrar and the
+    /// client; returns the client's events.
+    fn run(
+        sim: &mut Simulator,
+        (base, registrar): (NodeId, &mut Registrar),
+        client: &mut DiscoveryClient,
+        until: SimTime,
+    ) -> Vec<DiscoveryEvent> {
+        let robot = client.node;
+        let mut events = Vec::new();
+        while sim.peek_next().is_some_and(|t| t <= until) {
+            sim.step();
+            for inc in sim.drain_inbox(base) {
+                registrar.handle(sim, &inc);
+            }
+            for inc in sim.drain_inbox(robot) {
+                events.extend(client.handle(sim, &inc));
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn a_lost_registrar_is_not_known_until_it_is_rediscovered() {
+        let mut sim = Simulator::new(42);
+        let base = sim.add_node("base", Position::new(0.0, 0.0), 60.0);
+        let robot = sim.add_node("robot", Position::new(5.0, 0.0), 60.0);
+        let mut registrar = Registrar::new(base, "lookup:hall-a");
+        let mut client = DiscoveryClient::new(robot);
+        registrar.start(&mut sim);
+        client.start(&mut sim);
+        let known = |c: &DiscoveryClient| -> Vec<NodeId> {
+            c.known_registrars().into_iter().map(|(n, _)| n).collect()
+        };
+
+        let events = run(&mut sim, (base, &mut registrar), &mut client, SimTime::from_secs(3));
+        assert!(events.contains(&DiscoveryEvent::RegistrarDiscovered {
+            node: base,
+            name: "lookup:hall-a".into()
+        }));
+        assert_eq!(known(&client), [base]);
+
+        // Out of range for longer than the registrar timeout.
+        sim.move_node(robot, Position::new(1_000.0, 0.0));
+        let away = SimTime::from_secs(3).plus(2 * client.registrar_timeout_ns);
+        let events = run(&mut sim, (base, &mut registrar), &mut client, away);
+        assert!(events.contains(&DiscoveryEvent::RegistrarLost { node: base }));
+        assert!(known(&client).is_empty(), "a lost registrar is not listed");
+
+        // Back in range: rediscovered and listed again.
+        sim.move_node(robot, Position::new(5.0, 0.0));
+        let events = run(&mut sim, (base, &mut registrar), &mut client, away.plus(3_000_000_000));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, DiscoveryEvent::RegistrarDiscovered { node, .. } if *node == base)));
+        assert_eq!(known(&client), [base]);
     }
 }
