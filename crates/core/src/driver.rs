@@ -69,8 +69,8 @@ pub(crate) struct DirtyCells {
     pub(crate) events: DirtyList,
     /// Mobile outboxes that hold queued data.
     pub(crate) outboxes: DirtyList,
-    /// Base storage engines that appended to their WAL, and bases a
-    /// restart left with a checkpoint to check.
+    /// Base storage engines that appended to their WAL, and bases
+    /// handled out of band (`base_mut`, `restart_base`).
     pub(crate) wal: DirtyList,
 }
 
@@ -88,7 +88,13 @@ impl Cells {
     /// A fresh cell for `node` at `id`, marked on this set's lists. A
     /// base's store mark goes on the WAL list, a mobile's on the outbox
     /// list.
-    pub(crate) fn new_cell(&self, id: CellId, node: NodeId, now: SimTime, telemetry: &Shared) -> CellState {
+    pub(crate) fn new_cell(
+        &self,
+        id: CellId,
+        node: NodeId,
+        now: SimTime,
+        telemetry: &Shared,
+    ) -> CellState {
         let key = id.key();
         let store = match id {
             CellId::Base(_) => &self.dirty.wal,
@@ -97,7 +103,8 @@ impl Cells {
         let clock = ClockHandle::new();
         clock.set(now);
         let c = clock.clone();
-        let sink = Sink::buffered(telemetry, Arc::new(move || c.now().0), self.dirty.events.mark(key));
+        let events = self.dirty.events.mark(key);
+        let sink = Sink::buffered(telemetry, Arc::new(move || c.now().0), events);
         CellState {
             port: PortBuf::new(node, clock.clone()),
             clock,
@@ -143,7 +150,6 @@ pub(crate) struct CellState {
 }
 
 impl CellState {
-
     /// A `Fn() -> u64` view of the cell clock (VM/robot time source).
     pub(crate) fn clock_fn(&self) -> Arc<dyn Fn() -> u64 + Send + Sync> {
         let c = self.clock.clone();

@@ -1151,7 +1151,8 @@ fn drain_spans(
             CellId::Base(i) => {
                 let station = &mut bases[i];
                 if !station.crashed && !spans.is_empty() {
-                    station.note_flight_batch(spans.iter().cloned().map(FlightEntry::Span).collect());
+                    let entries = spans.iter().cloned().map(FlightEntry::Span).collect();
+                    station.note_flight_batch(entries);
                 }
             }
             CellId::Mobile(i) => {

@@ -21,6 +21,7 @@
 
 use crate::clock::{ClockHandle, SimTime};
 use crate::node::NodeId;
+use std::sync::Arc;
 
 /// What a protocol component may do to the network.
 pub trait NetPort {
@@ -58,7 +59,7 @@ pub enum NetCmd {
         /// Receiver.
         to: NodeId,
         /// Channel name.
-        channel: String,
+        channel: Arc<str>,
         /// Payload bytes.
         payload: Vec<u8>,
     },
@@ -69,7 +70,7 @@ pub enum NetCmd {
         /// Sender.
         from: NodeId,
         /// Channel name.
-        channel: String,
+        channel: Arc<str>,
         /// Payload bytes.
         payload: Vec<u8>,
     },
@@ -84,7 +85,7 @@ pub enum NetCmd {
         /// Delay from `at` to firing.
         delay_ns: u64,
         /// Tag echoed in the firing.
-        tag: String,
+        tag: Arc<str>,
     },
 }
 
@@ -96,6 +97,29 @@ impl NetCmd {
                 *at
             }
         }
+    }
+}
+
+/// Channel names and timer tags, each allocated once, so buffering or
+/// scheduling a message costs a reference count, not an allocation.
+/// Components use a handful of constant names; past [`Names::CAP`]
+/// distinct ones a name is allocated per use instead of kept.
+#[derive(Debug, Default)]
+pub(crate) struct Names(Vec<Arc<str>>);
+
+impl Names {
+    const CAP: usize = 64;
+
+    /// The shared copy of `name`.
+    pub(crate) fn get(&mut self, name: &str) -> Arc<str> {
+        if let Some(known) = self.0.iter().find(|known| ***known == *name) {
+            return Arc::clone(known);
+        }
+        let fresh: Arc<str> = Arc::from(name);
+        if self.0.len() < Names::CAP {
+            self.0.push(Arc::clone(&fresh));
+        }
+        fresh
     }
 }
 
@@ -117,6 +141,7 @@ pub struct PortBuf {
     token_base: u64,
     token_counter: u64,
     cmds: Vec<NetCmd>,
+    names: Names,
 }
 
 impl PortBuf {
@@ -128,6 +153,7 @@ impl PortBuf {
             token_base: (u64::from(node.0) + 1) << PORT_TOKEN_SHIFT,
             token_counter: 0,
             cmds: Vec::new(),
+            names: Names::default(),
         }
     }
 
@@ -163,7 +189,7 @@ impl NetPort for PortBuf {
             at: self.clock.now(),
             from,
             to,
-            channel: channel.to_string(),
+            channel: self.names.get(channel),
             payload,
         });
         true
@@ -173,7 +199,7 @@ impl NetPort for PortBuf {
         self.cmds.push(NetCmd::Broadcast {
             at: self.clock.now(),
             from,
-            channel: channel.to_string(),
+            channel: self.names.get(channel),
             payload,
         });
         0
@@ -187,7 +213,7 @@ impl NetPort for PortBuf {
             node,
             token,
             delay_ns,
-            tag: tag.to_string(),
+            tag: self.names.get(tag),
         });
         token
     }

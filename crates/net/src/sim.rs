@@ -6,7 +6,7 @@ use crate::delivery::{DeliveryLog, NetStats};
 use crate::geo::{Area, AreaId, Position};
 use crate::link::LinkModel;
 use crate::node::{Incoming, NodeId, SimNode};
-use crate::port::{NetCmd, NetPort};
+use crate::port::{Names, NetCmd, NetPort};
 use pmp_telemetry::{Shared, SimRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -154,6 +154,8 @@ pub struct Simulator {
     /// nodes never overtakes an earlier one (single-channel radio
     /// between one pair behaves like a FIFO link).
     fifo: BTreeMap<(NodeId, NodeId), SimTime>,
+    /// Channel names and timer tags of the direct calls.
+    names: Names,
     /// Delivery counters (in the telemetry registry) and the optional
     /// delivery log.
     pub deliveries: DeliveryLog,
@@ -180,6 +182,7 @@ impl Simulator {
             partitions: BTreeSet::new(),
             wired: BTreeSet::new(),
             fifo: BTreeMap::new(),
+            names: Names::default(),
             deliveries: DeliveryLog::new(&Shared::new()),
         }
     }
@@ -366,12 +369,14 @@ impl Simulator {
     /// (in range and not lost); the receiver must *still* be in range at
     /// delivery time.
     pub fn send(&mut self, from: NodeId, to: NodeId, channel: &str, payload: Vec<u8>) -> bool {
+        let channel = self.names.get(channel);
         self.schedule_send(self.now(), from, to, channel, payload)
     }
 
     /// Broadcasts to every node currently in radio range; returns the
     /// number of copies queued.
     pub fn broadcast(&mut self, from: NodeId, channel: &str, payload: Vec<u8>) -> usize {
+        let channel = self.names.get(channel);
         self.schedule_broadcast(self.now(), from, channel, payload)
     }
 
@@ -380,6 +385,7 @@ impl Simulator {
     pub fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &str) -> u64 {
         let token = self.next_timer_token;
         self.next_timer_token += 1;
+        let tag = self.names.get(tag);
         self.schedule_timer(self.now(), node, token, delay_ns, tag);
         token
     }
@@ -396,7 +402,7 @@ impl Simulator {
         at: SimTime,
         from: NodeId,
         to: NodeId,
-        channel: &str,
+        channel: Arc<str>,
         payload: Vec<u8>,
     ) -> bool {
         self.deliveries.record_sent();
@@ -405,7 +411,7 @@ impl Simulator {
             return false;
         }
         let wired = self.wired.contains(&(from, to));
-        self.schedule_copy(at, from, to, wired, Arc::from(channel), payload)
+        self.schedule_copy(at, from, to, wired, channel, payload)
     }
 
     /// Schedules a broadcast issued at `at`: one radio copy per node in
@@ -414,7 +420,7 @@ impl Simulator {
         &mut self,
         at: SimTime,
         from: NodeId,
-        channel: &str,
+        channel: Arc<str>,
         payload: Vec<u8>,
     ) -> usize {
         self.deliveries.record_broadcast();
@@ -423,7 +429,6 @@ impl Simulator {
             .into_iter()
             .filter(|&to| self.reaches(from, to, false))
             .collect();
-        let channel: Arc<str> = Arc::from(channel);
         let mut queued = 0;
         for to in targets {
             if self.schedule_copy(at, from, to, false, channel.clone(), payload.clone()) {
@@ -475,20 +480,20 @@ impl Simulator {
     }
 
     /// Schedules a timer armed at `at` under a token the caller holds.
-    fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64, delay_ns: u64, tag: &str) {
+    fn schedule_timer(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        token: u64,
+        delay_ns: u64,
+        tag: Arc<str>,
+    ) {
         // A sub-lookahead delay armed inside a drained window could
         // point behind the clock; clamp to "now" so it stays monotonic
         // (documented divergence — every real timer in the platform is
         // orders of magnitude above the lookahead).
         let fire_at = at.plus(delay_ns).max(self.now());
-        self.push(
-            fire_at,
-            Pending::TimerFire {
-                node,
-                token,
-                tag: Arc::from(tag),
-            },
-        );
+        self.push(fire_at, Pending::TimerFire { node, token, tag });
     }
 
     // ------------------------------------------------------------------
@@ -652,7 +657,7 @@ impl Simulator {
                     channel,
                     payload,
                 } => {
-                    self.schedule_send(at, from, to, &channel, payload);
+                    self.schedule_send(at, from, to, channel, payload);
                 }
                 NetCmd::Broadcast {
                     at,
@@ -660,7 +665,7 @@ impl Simulator {
                     channel,
                     payload,
                 } => {
-                    self.schedule_broadcast(at, from, &channel, payload);
+                    self.schedule_broadcast(at, from, channel, payload);
                 }
                 NetCmd::Timer {
                     at,
@@ -668,7 +673,7 @@ impl Simulator {
                     token,
                     delay_ns,
                     tag,
-                } => self.schedule_timer(at, node, token, delay_ns, &tag),
+                } => self.schedule_timer(at, node, token, delay_ns, tag),
             }
         }
     }

@@ -14,7 +14,7 @@
 //! cached checksum over the rows added since the last snapshot instead
 //! of reading all of them again.
 
-use crate::movement::{MovementRecord, MovementStore, RecordId};
+use crate::movement::{MovementRecord, MovementStore};
 use pmp_durable::crc::Crc32;
 use pmp_durable::{DurableError, Store};
 use pmp_wire::{Reader, Writer};
@@ -73,9 +73,9 @@ impl Store for MovementStore {
         restored
             .rows
             .reserve_exact(len.min(r.remaining() / MIN_RECORD_BYTES));
-        for id in 0..len {
+        for _ in 0..len {
             let start = r.pos() - body;
-            let robot = r.read_str()?;
+            r.read_str()?; // robot
             r.read_str()?; // device
             r.read_str()?; // command
             for _ in 0..r.get_len()? {
@@ -84,7 +84,6 @@ impl Store for MovementStore {
             let issued_at = r.get_u64()?;
             r.get_u64()?; // duration_ns
             restored.rows.push((start, issued_at));
-            restored.index(robot, RecordId(id as u64));
         }
         r.finish()?;
         restored.bytes.put_raw(&bytes[body..]);

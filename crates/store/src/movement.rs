@@ -1,8 +1,8 @@
 //! Movement records and the movement store (Fig. 6's data model).
 
 use pmp_durable::crc::Crc32;
-use pmp_wire::{wire_struct, Wire, Writer};
-use std::cell::Cell;
+use pmp_wire::{wire_struct, Reader, Wire, Writer};
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -73,8 +73,10 @@ pub struct MovementStore {
     pub(crate) bytes: Writer,
     /// Each row's start offset in `bytes` and its issue time.
     pub(crate) rows: Vec<(usize, u64)>,
-    /// Each robot's row ids, in insertion order.
-    by_robot: BTreeMap<String, Vec<RecordId>>,
+    /// Each robot's row ids, in insertion order. Derived from the rows
+    /// on first read, so a restore indexes nothing, and kept current by
+    /// [`MovementStore::append`] once built.
+    by_robot: OnceCell<BTreeMap<String, Vec<RecordId>>>,
     /// The CRC-32 state over the first `.0` bytes of `bytes`, extended
     /// by each snapshot's checksum (see `encoded_crc`), never by
     /// `append`.
@@ -93,18 +95,34 @@ impl MovementStore {
         let id = RecordId(self.rows.len() as u64);
         self.rows.push((self.bytes.len(), record.issued_at));
         record.encode(&mut self.bytes);
-        self.index(&record.robot, id);
+        if let Some(index) = self.by_robot.get_mut() {
+            Self::index(index, &record.robot, id);
+        }
         id
     }
 
-    /// Adds `id` to `robot`'s index entry.
-    pub(crate) fn index(&mut self, robot: &str, id: RecordId) {
-        match self.by_robot.get_mut(robot) {
+    /// Adds `id` to `robot`'s entry of `index`.
+    fn index(index: &mut BTreeMap<String, Vec<RecordId>>, robot: &str, id: RecordId) {
+        match index.get_mut(robot) {
             Some(ids) => ids.push(id),
             None => {
-                self.by_robot.insert(robot.to_owned(), vec![id]);
+                index.insert(robot.to_owned(), vec![id]);
             }
         }
+    }
+
+    /// The per-robot index, built from the rows on first use.
+    fn robot_index(&self) -> &BTreeMap<String, Vec<RecordId>> {
+        self.by_robot.get_or_init(|| {
+            let mut index = BTreeMap::new();
+            for i in 0..self.rows.len() {
+                let robot = Reader::new(self.row(i))
+                    .read_str()
+                    .expect("rows are checked when they come in");
+                Self::index(&mut index, robot, RecordId(i as u64));
+            }
+            index
+        })
     }
 
     /// Total records.
@@ -131,7 +149,7 @@ impl MovementStore {
     /// canonical encoding (exactly `pmp_wire::to_bytes` of the record),
     /// without decoding them.
     pub fn rows_of(&self, robot: &str) -> impl Iterator<Item = (u64, &[u8])> + '_ {
-        self.by_robot
+        self.robot_index()
             .get(robot)
             .into_iter()
             .flatten()
@@ -157,7 +175,7 @@ impl MovementStore {
 
     /// The distinct robots seen, sorted.
     pub fn robots(&self) -> Vec<String> {
-        self.by_robot.keys().cloned().collect()
+        self.robot_index().keys().cloned().collect()
     }
 
     /// A replay cursor over `robot`'s actions: yields each record with

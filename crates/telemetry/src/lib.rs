@@ -190,12 +190,6 @@ impl Shared {
         self.inner.lock().journal.event(sub, name, detail);
     }
 
-    /// Appends a point event with an explicit timestamp (barrier merge
-    /// of buffered cell events; see [`sink::Sink`]).
-    pub fn event_at(&self, at: u64, sub: Subsystem, name: &'static str, detail: impl Into<String>) {
-        self.inner.lock().journal.event_at(at, sub, name, detail);
-    }
-
     /// Stable digest of the journal (see [`Journal::digest`]).
     #[must_use]
     pub fn journal_digest(&self) -> u64 {
