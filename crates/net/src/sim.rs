@@ -415,7 +415,10 @@ impl Simulator {
     }
 
     /// Schedules a broadcast issued at `at`: one radio copy per node in
-    /// radio reach (wired segments carry no broadcasts).
+    /// radio reach (wired segments carry no broadcasts), in node order,
+    /// so the copies draw from the radio RNG in that order. Each target
+    /// is queued once the next one is found; the last takes `payload`
+    /// itself.
     fn schedule_broadcast(
         &mut self,
         at: SimTime,
@@ -424,16 +427,19 @@ impl Simulator {
         payload: Vec<u8>,
     ) -> usize {
         self.deliveries.record_broadcast();
-        let targets: Vec<NodeId> = self
-            .node_ids()
-            .into_iter()
-            .filter(|&to| self.reaches(from, to, false))
-            .collect();
         let mut queued = 0;
-        for to in targets {
-            if self.schedule_copy(at, from, to, false, channel.clone(), payload.clone()) {
-                queued += 1;
+        let mut held: Option<NodeId> = None;
+        for to in (0..self.nodes.len() as u32).map(NodeId) {
+            if !self.reaches(from, to, false) {
+                continue;
             }
+            if let Some(prev) = held.replace(to) {
+                let (c, p) = (channel.clone(), payload.clone());
+                queued += usize::from(self.schedule_copy(at, from, prev, false, c, p));
+            }
+        }
+        if let Some(last) = held {
+            queued += usize::from(self.schedule_copy(at, from, last, false, channel, payload));
         }
         queued
     }
