@@ -18,28 +18,33 @@
 
 use crate::lattice::{analyze_method, AbsVal};
 use pmp_prose::{PortableClass, PortableMethod};
-use std::collections::BTreeSet;
+use pmp_vm::op::Op;
+use std::collections::BTreeMap;
 
 /// Returns the names of `class`'s methods whose hook checks may be
-/// hoisted, in sorted order.
+/// hoisted, in sorted order. A name shared by several methods is judged
+/// by its first.
 pub fn hoistable_methods(class: &PortableClass) -> Vec<String> {
-    let mut candidates: BTreeSet<&str> =
-        class.methods.iter().map(|m| m.name.as_str()).collect();
+    // Each method's own checks, once: the sibling methods it calls, or
+    // no entry when it fails on its own.
+    let mut seen = BTreeMap::new();
+    for m in &class.methods {
+        seen.entry(m.name.as_str())
+            .or_insert_with(|| sibling_calls(class, m));
+    }
+    let mut candidates: BTreeMap<&str, Vec<&str>> = seen
+        .into_iter()
+        .filter_map(|(name, calls)| Some((name, calls?)))
+        .collect();
+    // Greatest fixpoint: drop every candidate that calls a non-candidate.
     loop {
         let demoted: Vec<&str> = candidates
             .iter()
-            .filter(|name| {
-                let m = class
-                    .methods
-                    .iter()
-                    .find(|m| m.name == **name)
-                    .expect("candidate from class");
-                !method_ok(class, m, &candidates)
-            })
-            .copied()
+            .filter(|(_, calls)| calls.iter().any(|c| !candidates.contains_key(c)))
+            .map(|(name, _)| *name)
             .collect();
         if demoted.is_empty() {
-            return candidates.iter().map(|s| (*s).to_string()).collect();
+            return candidates.into_keys().map(str::to_string).collect();
         }
         for d in demoted {
             candidates.remove(d);
@@ -47,14 +52,24 @@ pub fn hoistable_methods(class: &PortableClass) -> Vec<String> {
     }
 }
 
-fn method_ok(class: &PortableClass, m: &PortableMethod, candidates: &BTreeSet<&str>) -> bool {
-    use pmp_vm::op::Op;
+/// The sibling methods `m` calls, or `None` when `m` cannot be hoisted
+/// whatever its siblings are. A scan of the ops rules out handlers,
+/// `Sys`, `Throw` and calls into other classes before the abstract
+/// interpreter runs; the interpreter then proves each field access and
+/// instance call lands on the aspect instance itself.
+fn sibling_calls<'c>(class: &PortableClass, m: &'c PortableMethod) -> Option<Vec<&'c str>> {
     if !m.body.handlers.is_empty() {
-        return false; // a catch would be a suppressed join point
+        return None; // a catch would be a suppressed join point
     }
-    let Some(states) = analyze_method(&m.body, m.params.len()) else {
-        return false;
-    };
+    let ruled_out = m.body.ops.iter().any(|op| match op {
+        Op::Sys { .. } | Op::Throw(_) => true,
+        Op::CallDirect { class: c, .. } | Op::CallStatic { class: c, .. } => *c != class.name,
+        _ => false,
+    });
+    if ruled_out {
+        return None;
+    }
+    let states = analyze_method(&m.body, m.params.len())?;
     // Receiver of an op popping `argc + 1` sits at stack[len - 1 - argc].
     let recv_is_self = |pc: usize, argc: usize| {
         states[pc].as_ref().is_some_and(|s| {
@@ -64,23 +79,26 @@ fn method_ok(class: &PortableClass, m: &PortableMethod, candidates: &BTreeSet<&s
                 .is_some_and(|i| s.stack[i] == AbsVal::SelfRef)
         })
     };
-    m.body.ops.iter().enumerate().all(|(pc, op)| match op {
-        Op::Sys { .. } | Op::Throw(_) => false,
-        Op::GetField { .. } => recv_is_self(pc, 0),
-        Op::PutField { .. } => recv_is_self(pc, 1),
-        Op::CallV { method, argc } => {
-            recv_is_self(pc, *argc as usize) && candidates.contains(method.as_str())
+    let mut calls = Vec::new();
+    for (pc, op) in m.body.ops.iter().enumerate() {
+        let ok = match op {
+            Op::GetField { .. } => recv_is_self(pc, 0),
+            Op::PutField { .. } => recv_is_self(pc, 1),
+            Op::CallV { method, argc } | Op::CallDirect { method, argc, .. } => {
+                calls.push(method.as_str());
+                recv_is_self(pc, *argc as usize)
+            }
+            Op::CallStatic { method, .. } => {
+                calls.push(method.as_str());
+                true
+            }
+            _ => true,
+        };
+        if !ok {
+            return None;
         }
-        Op::CallDirect { class: c, method, argc } => {
-            *c == class.name
-                && recv_is_self(pc, *argc as usize)
-                && candidates.contains(method.as_str())
-        }
-        Op::CallStatic { class: c, method, .. } => {
-            *c == class.name && candidates.contains(method.as_str())
-        }
-        _ => true,
-    })
+    }
+    Some(calls)
 }
 
 #[cfg(test)]
@@ -171,6 +189,40 @@ mod tests {
                 ],
             ),
             method("quiet", vec![Op::Ret]),
+        ]);
+        assert_eq!(hoistable_methods(&c), vec!["quiet"]);
+    }
+
+    #[test]
+    fn demotion_crosses_rounds_through_a_call_chain() {
+        // `outer` is pure itself and calls `inner`, also pure itself,
+        // which calls `noisy`: each drop lets the next one happen.
+        let call = |callee: &str| {
+            vec![
+                Op::Load(0),
+                Op::CallV {
+                    method: callee.into(),
+                    argc: 0,
+                },
+                Op::Pop,
+                Op::Ret,
+            ]
+        };
+        let c = class(vec![
+            method("outer", call("inner")),
+            method("inner", call("noisy")),
+            method(
+                "noisy",
+                vec![
+                    Op::Sys {
+                        name: "print".into(),
+                        argc: 0,
+                    },
+                    Op::Pop,
+                    Op::Ret,
+                ],
+            ),
+            method("quiet", call("quiet")),
         ]);
         assert_eq!(hoistable_methods(&c), vec!["quiet"]);
     }
