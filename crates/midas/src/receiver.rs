@@ -1,8 +1,19 @@
 //! The adaptation service each mobile node carries (paper Fig. 2b):
 //! advertises the node, accepts signed extensions, weaves them with
 //! PROSE, tracks their leases, and withdraws them autonomously.
+//!
+//! An upgrade is one gated step. A successor, delivered by a
+//! [`MidasMsg::Replace`] or as a newer version in a
+//! [`MidasMsg::Deliver`], passes the signature check, the static
+//! analysis gate, the version check and the dependency check before its
+//! predecessor is touched. Only then is the predecessor unwoven, and the
+//! successor woven in the same step: the implicit dependencies the
+//! successor still requires stay woven, and a same-id successor takes
+//! over the predecessor's dependents. A successor refused at any check
+//! leaves the node as it was; one waiting for a dependency leaves the
+//! predecessor running until it can install.
 
-use crate::package::{ExtensionPackage, SignedExtension};
+use crate::package::{ExtensionMeta, ExtensionPackage, SignedExtension};
 use crate::policy::ReceiverPolicy;
 use crate::proto::{MidasMsg, ACK_RELEASED, ACK_UNKNOWN_GRANT, CHANNEL};
 use pmp_analyze::{perms, termination, verifier};
@@ -75,9 +86,16 @@ struct Installed {
     dependents: BTreeSet<String>,
 }
 
+/// A verified delivery waiting for one of its `requires`.
 #[derive(Debug)]
 struct PendingInstall {
     ext: SignedExtension,
+    /// The successor's dependencies, kept so a retry need not decode
+    /// the package to see whether they are all installed.
+    requires: Vec<String>,
+    /// The `old_id` of a [`MidasMsg::Replace`]; it stays woven while
+    /// the successor waits.
+    replaces: Option<String>,
     lease_ns: u64,
     grant: u64,
     from: NodeId,
@@ -278,7 +296,7 @@ impl AdaptationService {
                 lease_ns,
                 grant,
             } => {
-                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx);
+                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx, None);
                 self.retry_pending(sim, vm, prose);
             }
             MidasMsg::LeaseRenew { grant } => {
@@ -317,10 +335,8 @@ impl AdaptationService {
                 lease_ns,
                 grant,
             } => {
-                if self.installed.contains_key(&old_id) {
-                    self.uninstall(sim, vm, prose, &old_id, "replaced by newer policy", true);
-                }
-                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx);
+                let replaces = Some(old_id);
+                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx, replaces);
                 self.retry_pending(sim, vm, prose);
             }
             MidasMsg::GrantTransfer {
@@ -523,6 +539,16 @@ impl AdaptationService {
         Ok(())
     }
 
+    /// Admits and installs one delivered extension, replacing
+    /// `replaces` (a [`MidasMsg::Replace`]'s `old_id`) or an older
+    /// version of its own id. Checks come first, in order: signature,
+    /// the static analysis gate, the version, then the dependencies. A
+    /// failed check nacks and touches nothing; a missing dependency is
+    /// requested from `from` and the delivery waits in `pending`, its
+    /// predecessor still woven. Only a delivery that passes every check
+    /// unweaves its predecessors ([`AdaptationService::swap_out`]) and
+    /// is woven in their place within this one call, so no dispatch
+    /// ever runs between the two.
     #[allow(clippy::too_many_arguments)]
     fn try_install(
         &mut self,
@@ -534,6 +560,7 @@ impl AdaptationService {
         lease_ns: u64,
         grant: u64,
         ctx: TraceCtx,
+        replaces: Option<String>,
     ) {
         // 1. Trust and integrity (paper §3.2: verification of the
         //    originator before insertion). `verify_ns` is recorded on
@@ -578,6 +605,7 @@ impl AdaptationService {
         }
 
         // 3. Version check: same or newer only.
+        let mut upgrade = false;
         if let Some(existing) = self.installed.get_mut(&id) {
             if existing.version > pkg.meta.version {
                 self.nack(sim, from, &id, grant, "version downgrade refused".into(), ctx);
@@ -597,12 +625,12 @@ impl AdaptationService {
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
                 return;
             }
-            // Newer version: replace in place.
-            self.uninstall(sim, vm, prose, &id, "upgraded", true);
+            upgrade = true;
         }
 
         // 4. Implicit dependencies must be present (paper: the session
-        //    management extension is automatically added first).
+        //    management extension is automatically added first). The
+        //    predecessor keeps running while the successor waits.
         let missing: Vec<String> = pkg
             .meta
             .requires
@@ -622,6 +650,8 @@ impl AdaptationService {
             }
             self.pending.push(PendingInstall {
                 ext,
+                requires: pkg.meta.requires,
+                replaces,
                 lease_ns,
                 grant,
                 from,
@@ -630,7 +660,22 @@ impl AdaptationService {
             return;
         }
 
-        // 5. Weave under the sandbox: requested ∩ policy cap.
+        // 5. Every check passed: unweave the predecessors, a `Replace`'s
+        //    `old_id` first, then the older version of this id.
+        let reason = if replaces.is_some() {
+            "replaced by newer policy"
+        } else {
+            "upgraded"
+        };
+        let mut inherited = BTreeSet::new();
+        if let Some(old_id) = replaces.filter(|old| *old != id) {
+            inherited = self.swap_out(sim, vm, prose, &old_id, reason, from, &pkg.meta);
+        }
+        if upgrade {
+            inherited.extend(self.swap_out(sim, vm, prose, &id, reason, from, &pkg.meta));
+        }
+
+        // 6. Weave under the sandbox: requested ∩ policy cap.
         let perms = self.policy.effective(&signer, &pkg.meta.permissions);
         let aspect: Aspect = pkg.aspect.clone().into();
         let watch = Stopwatch::start();
@@ -643,76 +688,86 @@ impl AdaptationService {
             .child(verify_ctx, sim.now().0, "midas.weave", &detail);
         self.telemetry
             .event(Subsystem::Midas, "midas.weave", detail);
-        match woven {
-            Ok(aspect_id) => {
-                // 6. Pass 4 of the gate — interference against the
-                //    aspects already active, read off the live
-                //    dispatch tables the weave just updated.
-                if let Err((pass, detail)) =
-                    self.check_interference(vm, prose, &pkg, aspect_id)
-                {
+        // 7. Pass 4 of the gate — interference against the aspects
+        //    already active, read off the live dispatch tables the
+        //    weave just updated.
+        let installed = match woven {
+            Ok(aspect_id) => match self.check_interference(vm, prose, &pkg, aspect_id) {
+                Ok(()) => Ok(aspect_id),
+                Err((pass, detail)) => {
                     self.telemetry.inc("midas.analyze.rejected");
                     self.telemetry.event(
                         Subsystem::Midas,
                         "midas.analyze",
                         format!("{id} REJECTED by {pass}: {detail}"),
                     );
-                    self.nack(sim, from, &id, grant, format!("analysis: {pass}: {detail}"), ctx);
-                    return;
+                    Err(format!("analysis: {pass}: {detail}"))
                 }
-                // Hook-check hoisting: recompute which advice methods
-                // the purity analysis proves can never need a join
-                // point of their own, and elide their JIT stub checks.
-                // Recomputed locally from the shipped class — the
-                // receiver never trusts the base's optimization report.
-                for m in pmp_analyze::opt::hoist::hoistable_methods(&pkg.aspect.class) {
-                    if vm.hoist_hooks(&pkg.aspect.class.name, &m) {
-                        self.telemetry.inc("midas.receiver.hoisted");
-                    }
+            },
+            Err(e) => Err(format!("weave failed: {e}")),
+        };
+        let aspect_id = match installed {
+            Ok(aspect_id) => aspect_id,
+            Err(reason) => {
+                // The predecessors are gone: what relied on them goes
+                // too, and so does an implicit dependency left unused.
+                self.nack(sim, from, &id, grant, reason, ctx);
+                for d in inherited {
+                    let why = format!("dependency {id} removed");
+                    self.uninstall(sim, vm, prose, &d, &why, true);
                 }
-                // Arm the first-interception watch: the next advice
-                // dispatch past this baseline closes the adaptation's
-                // span tree with a `midas.intercept` leaf.
-                if !weave_ctx.is_nil() {
-                    self.tracer
-                        .watch_interception(weave_ctx, &id, vm.stats().advice_dispatches);
-                }
-                for dep in &pkg.meta.requires {
-                    if let Some(d) = self.installed.get_mut(dep) {
-                        d.dependents.insert(id.clone());
-                    }
-                }
-                self.installed.insert(
-                    id.clone(),
-                    Installed {
-                        version: pkg.meta.version,
-                        aspect_id,
-                        grant,
-                        base: from,
-                        lease: Lease::grant(sim.now(), lease_ns),
-                        implicit: pkg.meta.implicit,
-                        requires: pkg.meta.requires.clone(),
-                        dependents: BTreeSet::new(),
-                    },
-                );
-                self.telemetry.inc("midas.receiver.installed");
-                self.events.push(ReceiverEvent::Installed {
-                    ext_id: id.clone(),
-                    version: pkg.meta.version,
-                    base: from,
-                });
-                let msg = MidasMsg::Ack {
-                    ext_id: id,
-                    grant,
-                    ok: true,
-                    reason: String::new(),
-                };
-                sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
+                self.release(sim, vm, prose, &id, &pkg.meta.requires, &[]);
+                return;
             }
-            Err(e) => {
-                self.nack(sim, from, &id, grant, format!("weave failed: {e}"), ctx);
+        };
+        // Hook-check hoisting: recompute which advice methods the
+        // purity analysis proves can never need a join point of their
+        // own, and elide their JIT stub checks. Recomputed locally from
+        // the shipped class — the receiver never trusts the base's
+        // optimization report.
+        for m in pmp_analyze::opt::hoist::hoistable_methods(&pkg.aspect.class) {
+            if vm.hoist_hooks(&pkg.aspect.class.name, &m) {
+                self.telemetry.inc("midas.receiver.hoisted");
             }
         }
+        // Arm the first-interception watch: the next advice dispatch
+        // past this baseline closes the adaptation's span tree with a
+        // `midas.intercept` leaf.
+        if !weave_ctx.is_nil() {
+            self.tracer
+                .watch_interception(weave_ctx, &id, vm.stats().advice_dispatches);
+        }
+        for dep in &pkg.meta.requires {
+            if let Some(d) = self.installed.get_mut(dep) {
+                d.dependents.insert(id.clone());
+            }
+        }
+        self.installed.insert(
+            id.clone(),
+            Installed {
+                version: pkg.meta.version,
+                aspect_id,
+                grant,
+                base: from,
+                lease: Lease::grant(sim.now(), lease_ns),
+                implicit: pkg.meta.implicit,
+                requires: pkg.meta.requires,
+                dependents: inherited,
+            },
+        );
+        self.telemetry.inc("midas.receiver.installed");
+        self.events.push(ReceiverEvent::Installed {
+            ext_id: id.clone(),
+            version: pkg.meta.version,
+            base: from,
+        });
+        let msg = MidasMsg::Ack {
+            ext_id: id,
+            grant,
+            ok: true,
+            reason: String::new(),
+        };
+        sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
     }
 
     fn retry_pending(&mut self, sim: &mut dyn NetPort, vm: &mut Vm, prose: &Prose) {
@@ -723,14 +778,7 @@ impl AdaptationService {
                 .pending
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| {
-                    p.ext.open().map_or(true, |pkg| {
-                        pkg.meta
-                            .requires
-                            .iter()
-                            .all(|d| self.installed.contains_key(d))
-                    })
-                })
+                .filter(|(_, p)| p.requires.iter().all(|d| self.installed.contains_key(d)))
                 .map(|(i, _)| i)
                 .collect();
             if ready.is_empty() {
@@ -738,16 +786,58 @@ impl AdaptationService {
             }
             for idx in ready.into_iter().rev() {
                 let p = self.pending.remove(idx);
-                self.try_install(sim, vm, prose, p.from, p.ext, p.lease_ns, p.grant, p.ctx);
+                self.try_install(
+                    sim, vm, prose, p.from, p.ext, p.lease_ns, p.grant, p.ctx, p.replaces,
+                );
             }
+        }
+    }
+
+    /// Unweaves `old_id` for a successor (`succ`, shipped by `from`)
+    /// that has passed every check, and returns the dependents the
+    /// successor takes over. A same-id successor takes them all; a
+    /// different id cascades them, since they name `old_id`. The
+    /// implicit dependencies `succ` requires stay woven; any other left
+    /// without a dependent is released. `from` gets no release notice
+    /// for a same-id predecessor it granted: shipping the successor
+    /// already replaced that grant at the base.
+    #[allow(clippy::too_many_arguments)]
+    fn swap_out(
+        &mut self,
+        sim: &mut dyn NetPort,
+        vm: &mut Vm,
+        prose: &Prose,
+        old_id: &str,
+        reason: &str,
+        from: NodeId,
+        succ: &ExtensionMeta,
+    ) -> BTreeSet<String> {
+        let Some(mut old) = self.installed.remove(old_id) else {
+            return BTreeSet::new();
+        };
+        let dependents = std::mem::take(&mut old.dependents);
+        let same_id = old_id == succ.id;
+        if !same_id {
+            for d in &dependents {
+                let why = format!("dependency {old_id} removed");
+                self.uninstall(sim, vm, prose, d, &why, true);
+            }
+        }
+        let notify = !(same_id && old.base == from);
+        self.retire(sim, vm, prose, old_id, old, reason, notify, &succ.requires);
+        if same_id {
+            dependents
+        } else {
+            BTreeSet::new()
         }
     }
 
     /// Withdraws an extension: dependents are cascaded first, PROSE
     /// unweaves with a shutdown notification, implicit dependencies
-    /// with no remaining dependents are removed too, and the granting
-    /// base is told the grant was released (so it stops renewing and
-    /// does not redeliver).
+    /// with no remaining dependents are removed too, and, with
+    /// `notify_base`, the granting base is told the grant was released
+    /// (so it stops renewing and does not redeliver). An upgrade does
+    /// not come here: it goes through [`AdaptationService::swap_out`].
     #[allow(clippy::too_many_arguments)]
     fn uninstall(
         &mut self,
@@ -778,6 +868,24 @@ impl AdaptationService {
         let Some(inst) = self.installed.remove(ext_id) else {
             return;
         };
+        self.retire(sim, vm, prose, ext_id, inst, reason, notify_base, &[]);
+    }
+
+    /// The end every withdrawal shares, once `inst` is out of the
+    /// table: unweave, the release notice, the `Removed` event, then
+    /// [`AdaptationService::release`] of its dependencies but `keep`.
+    #[allow(clippy::too_many_arguments)]
+    fn retire(
+        &mut self,
+        sim: &mut dyn NetPort,
+        vm: &mut Vm,
+        prose: &Prose,
+        ext_id: &str,
+        inst: Installed,
+        reason: &str,
+        notify_base: bool,
+        keep: &[String],
+    ) {
         let _ = prose.unweave(vm, inst.aspect_id, reason);
         if notify_base {
             // Deliberate removal: tell the base to stop renewing this
@@ -797,16 +905,29 @@ impl AdaptationService {
             ext_id: ext_id.to_string(),
             reason: reason.to_string(),
         });
-        // Release implicit dependencies.
-        for dep in &inst.requires {
-            let remove_dep = match self.installed.get_mut(dep) {
+        self.release(sim, vm, prose, ext_id, &inst.requires, keep);
+    }
+
+    /// Drops `dependent` from each of `requires` and withdraws an
+    /// implicit one left with no dependent, unless `keep` names it.
+    fn release(
+        &mut self,
+        sim: &mut dyn NetPort,
+        vm: &mut Vm,
+        prose: &Prose,
+        dependent: &str,
+        requires: &[String],
+        keep: &[String],
+    ) {
+        for dep in requires {
+            let orphaned = match self.installed.get_mut(dep) {
                 Some(d) => {
-                    d.dependents.remove(ext_id);
+                    d.dependents.remove(dependent);
                     d.implicit && d.dependents.is_empty()
                 }
                 None => false,
             };
-            if remove_dep {
+            if orphaned && !keep.contains(dep) {
                 self.uninstall(sim, vm, prose, dep, "no longer required", true);
             }
         }
