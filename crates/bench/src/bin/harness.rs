@@ -457,7 +457,69 @@ fn e9_security() {
     let (mut vm, obj) = ping_vm(PingMode::ScriptAdvice);
     ping_once(&mut vm, &obj); // no permissions needed by nop
     println!("| sandboxed script advice executes under empty permissions | true |");
+
+    // Upgrades in place. A `Replace` travels unauthenticated (only the
+    // package inside is signed): a stranger in range sends one carrying
+    // an access control that would let `intruder` in.
+    const ACCESS: &str = "ext/access-control";
+    let stranger = w
+        .platform
+        .add_device("mallory", pmp_net::Position::new(35.0, 30.0), 80.0, Default::default())
+        .expect("device construction");
+    let forged = pmp_extensions::access_control::package(
+        "* DrawingService.*(..)",
+        &["operator:1", "intruder"],
+        2,
+    );
+    let msg = pmp_midas::MidasMsg::Replace {
+        old_id: ACCESS.into(),
+        ext: SignedExtension::seal("mallory", &mallory, &forged),
+        lease_ns: 4 * SEC,
+        grant: 1,
+    };
+    // The untraced envelope: a nil trace context, 16 zero bytes, ahead
+    // of the message.
+    let mut payload = vec![0u8; 16];
+    payload.extend(pmp_wire::to_bytes(&msg));
+    let (from, to) = (w.platform.node(stranger).node, w.platform.node(w.robot).node);
+    w.platform.sim.send(from, to, pmp_midas::CHANNEL, payload);
+    w.platform.pump(20 * SEC);
+    let forged_refused = w.platform.node(w.robot).receiver.is_installed(ACCESS)
+        && !w.platform.node(w.robot).events.iter().any(|e| {
+            matches!(e, pmp_midas::ReceiverEvent::Removed { ext_id, .. } if ext_id == ACCESS)
+        })
+        && !call_as(&mut w, "intruder");
+    println!("| a forged successor leaves the installed version running | {forged_refused} |");
+    // The hall narrows its policy to operator 1: probe as `intruder`
+    // every 50 µs of simulated time while the upgrade travels.
+    let narrowed =
+        pmp_extensions::access_control::package("* DrawingService.*(..)", &["operator:1"], 2);
+    w.platform.publish_extension(w.base_a, &narrowed);
+    let mut let_through = 0;
+    for _ in 0..200 {
+        w.platform.pump(50_000);
+        if call_as(&mut w, "intruder") {
+            let_through += 1;
+        }
+    }
+    println!("| calls let through during an access-control upgrade (200 probes) | {let_through} |");
+    let session = pmp_extensions::session::package("* DrawingService.*(..)", 2);
+    w.platform.publish_extension(w.base_a, &session);
+    w.platform.pump(20 * SEC);
+    let kept = w.platform.node(w.robot).receiver.is_installed(ACCESS) && !call_as(&mut w, "intruder");
+    println!("| upgrading session keeps access control | {kept} |");
     println!();
+}
+
+/// Calls `DrawingService.position` on the robot's VM as `caller`;
+/// `true` if the call went through.
+fn call_as(w: &mut pmp_core::scenario::ProductionHalls, caller: &str) -> bool {
+    let node = w.platform.node_mut(w.robot);
+    *node.wiring.caller.lock() = caller.into();
+    let svc = node.services["DrawingService"].clone();
+    let result = node.vm.call("DrawingService", "position", svc, vec![]);
+    node.wiring.caller.lock().clear();
+    result.is_ok()
 }
 
 /// E14 — DESIGN.md §12: the chaos harness's seeded scenarios stay
