@@ -462,9 +462,10 @@ fn e9_security() {
     // package inside is signed): a stranger in range sends one carrying
     // an access control that would let `intruder` in.
     const ACCESS: &str = "ext/access-control";
+    let near_robot = pmp_net::Position::new(35.0, 30.0);
     let stranger = w
         .platform
-        .add_device("mallory", pmp_net::Position::new(35.0, 30.0), 80.0, Default::default())
+        .add_device("mallory", near_robot, 80.0, Default::default())
         .expect("device construction");
     let forged = pmp_extensions::access_control::package(
         "* DrawingService.*(..)",
@@ -481,14 +482,17 @@ fn e9_security() {
     // of the message.
     let mut payload = vec![0u8; 16];
     payload.extend(pmp_wire::to_bytes(&msg));
-    let (from, to) = (w.platform.node(stranger).node, w.platform.node(w.robot).node);
+    let from = w.platform.node(stranger).node;
+    let to = w.platform.node(w.robot).node;
     w.platform.sim.send(from, to, pmp_midas::CHANNEL, payload);
     w.platform.pump(20 * SEC);
-    let forged_refused = w.platform.node(w.robot).receiver.is_installed(ACCESS)
-        && !w.platform.node(w.robot).events.iter().any(|e| {
-            matches!(e, pmp_midas::ReceiverEvent::Removed { ext_id, .. } if ext_id == ACCESS)
-        })
-        && !call_as(&mut w, "intruder");
+    let robot = w.platform.node(w.robot);
+    let removed = robot
+        .events
+        .iter()
+        .any(|e| matches!(e, pmp_midas::ReceiverEvent::Removed { ext_id, .. } if ext_id == ACCESS));
+    let forged_refused =
+        robot.receiver.is_installed(ACCESS) && !removed && !call_as(&mut w, "intruder");
     println!("| a forged successor leaves the installed version running | {forged_refused} |");
     // The hall narrows its policy to operator 1: probe as `intruder`
     // every 50 µs of simulated time while the upgrade travels.
@@ -506,7 +510,8 @@ fn e9_security() {
     let session = pmp_extensions::session::package("* DrawingService.*(..)", 2);
     w.platform.publish_extension(w.base_a, &session);
     w.platform.pump(20 * SEC);
-    let kept = w.platform.node(w.robot).receiver.is_installed(ACCESS) && !call_as(&mut w, "intruder");
+    let kept =
+        w.platform.node(w.robot).receiver.is_installed(ACCESS) && !call_as(&mut w, "intruder");
     println!("| upgrading session keeps access control | {kept} |");
     println!();
 }

@@ -326,7 +326,8 @@ impl AdaptationService {
             }
             MidasMsg::Revoke { ext_id, reason } => {
                 if self.installed.contains_key(&ext_id) {
-                    self.uninstall(sim, vm, prose, &ext_id, &format!("revoked: {reason}"), true);
+                    let why = format!("revoked: {reason}");
+                    self.uninstall(sim, vm, prose, &ext_id, &why, true, &[]);
                 }
             }
             MidasMsg::Replace {
@@ -714,9 +715,14 @@ impl AdaptationService {
                 self.nack(sim, from, &id, grant, reason, ctx);
                 for d in inherited {
                     let why = format!("dependency {id} removed");
-                    self.uninstall(sim, vm, prose, &d, &why, true);
+                    self.uninstall(sim, vm, prose, &d, &why, true, &[]);
                 }
-                self.release(sim, vm, prose, &id, &pkg.meta.requires, &[]);
+                for dep in &pkg.meta.requires {
+                    let installed = self.installed.get(dep);
+                    if installed.is_some_and(|d| d.implicit && d.dependents.is_empty()) {
+                        self.uninstall(sim, vm, prose, dep, "no longer required", true, &[]);
+                    }
+                }
                 return;
             }
         };
@@ -795,12 +801,11 @@ impl AdaptationService {
 
     /// Unweaves `old_id` for a successor (`succ`, shipped by `from`)
     /// that has passed every check, and returns the dependents the
-    /// successor takes over. A same-id successor takes them all; a
-    /// different id cascades them, since they name `old_id`. The
-    /// implicit dependencies `succ` requires stay woven; any other left
-    /// without a dependent is released. `from` gets no release notice
-    /// for a same-id predecessor it granted: shipping the successor
-    /// already replaced that grant at the base.
+    /// successor takes over: a same-id successor takes them all, while
+    /// a different id cascades them, since they name `old_id`. Nothing
+    /// `succ` requires is released. `from` gets no release notice for a
+    /// same-id predecessor it granted: shipping the successor already
+    /// replaced that grant at the base.
     #[allow(clippy::too_many_arguments)]
     fn swap_out(
         &mut self,
@@ -812,32 +817,26 @@ impl AdaptationService {
         from: NodeId,
         succ: &ExtensionMeta,
     ) -> BTreeSet<String> {
-        let Some(mut old) = self.installed.remove(old_id) else {
+        let Some(old) = self.installed.get_mut(old_id) else {
             return BTreeSet::new();
         };
-        let dependents = std::mem::take(&mut old.dependents);
         let same_id = old_id == succ.id;
-        if !same_id {
-            for d in &dependents {
-                let why = format!("dependency {old_id} removed");
-                self.uninstall(sim, vm, prose, d, &why, true);
-            }
-        }
-        let notify = !(same_id && old.base == from);
-        self.retire(sim, vm, prose, old_id, old, reason, notify, &succ.requires);
-        if same_id {
-            dependents
+        let inherited = if same_id {
+            std::mem::take(&mut old.dependents)
         } else {
             BTreeSet::new()
-        }
+        };
+        let notify = !(same_id && old.base == from);
+        self.uninstall(sim, vm, prose, old_id, reason, notify, &succ.requires);
+        inherited
     }
 
     /// Withdraws an extension: dependents are cascaded first, PROSE
     /// unweaves with a shutdown notification, implicit dependencies
-    /// with no remaining dependents are removed too, and, with
-    /// `notify_base`, the granting base is told the grant was released
-    /// (so it stops renewing and does not redeliver). An upgrade does
-    /// not come here: it goes through [`AdaptationService::swap_out`].
+    /// with no remaining dependents are removed too unless `keep` names
+    /// them, and, with `notify_base`, the granting base is told the
+    /// grant was released (so it stops renewing and does not
+    /// redeliver).
     #[allow(clippy::too_many_arguments)]
     fn uninstall(
         &mut self,
@@ -847,6 +846,7 @@ impl AdaptationService {
         ext_id: &str,
         reason: &str,
         notify_base: bool,
+        keep: &[String],
     ) {
         let Some(inst) = self.installed.get(ext_id) else {
             return;
@@ -863,29 +863,12 @@ impl AdaptationService {
                 &d,
                 &format!("dependency {ext_id} removed"),
                 notify_base,
+                keep,
             );
         }
         let Some(inst) = self.installed.remove(ext_id) else {
             return;
         };
-        self.retire(sim, vm, prose, ext_id, inst, reason, notify_base, &[]);
-    }
-
-    /// The end every withdrawal shares, once `inst` is out of the
-    /// table: unweave, the release notice, the `Removed` event, then
-    /// [`AdaptationService::release`] of its dependencies but `keep`.
-    #[allow(clippy::too_many_arguments)]
-    fn retire(
-        &mut self,
-        sim: &mut dyn NetPort,
-        vm: &mut Vm,
-        prose: &Prose,
-        ext_id: &str,
-        inst: Installed,
-        reason: &str,
-        notify_base: bool,
-        keep: &[String],
-    ) {
         let _ = prose.unweave(vm, inst.aspect_id, reason);
         if notify_base {
             // Deliberate removal: tell the base to stop renewing this
@@ -905,30 +888,17 @@ impl AdaptationService {
             ext_id: ext_id.to_string(),
             reason: reason.to_string(),
         });
-        self.release(sim, vm, prose, ext_id, &inst.requires, keep);
-    }
-
-    /// Drops `dependent` from each of `requires` and withdraws an
-    /// implicit one left with no dependent, unless `keep` names it.
-    fn release(
-        &mut self,
-        sim: &mut dyn NetPort,
-        vm: &mut Vm,
-        prose: &Prose,
-        dependent: &str,
-        requires: &[String],
-        keep: &[String],
-    ) {
-        for dep in requires {
-            let orphaned = match self.installed.get_mut(dep) {
+        // Release implicit dependencies.
+        for dep in &inst.requires {
+            let remove_dep = match self.installed.get_mut(dep) {
                 Some(d) => {
-                    d.dependents.remove(dependent);
-                    d.implicit && d.dependents.is_empty()
+                    d.dependents.remove(ext_id);
+                    d.implicit && d.dependents.is_empty() && !keep.contains(dep)
                 }
                 None => false,
             };
-            if orphaned && !keep.contains(dep) {
-                self.uninstall(sim, vm, prose, dep, "no longer required", true);
+            if remove_dep {
+                self.uninstall(sim, vm, prose, dep, "no longer required", true, keep);
             }
         }
     }
@@ -947,7 +917,7 @@ impl AdaptationService {
             .collect();
         for id in expired {
             self.telemetry.inc("midas.receiver.lease_expiries");
-            self.uninstall(sim, vm, prose, &id, "lease expired", false);
+            self.uninstall(sim, vm, prose, &id, "lease expired", false, &[]);
         }
     }
 }

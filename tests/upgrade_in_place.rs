@@ -3,9 +3,11 @@
 //!
 //! The world is one hall: a base whose catalog holds session management
 //! and an access control that allows only `operator:1`, and one robot.
-//! Each test upgrades something on the adapted robot and checks that no
-//! call from `intruder` gets through while it happens, and that the
-//! upgrade costs what one delivery costs.
+//! Each test upgrades something on the adapted robot: with a forged
+//! successor, during an access-control upgrade, across a session
+//! upgrade, and with a successor that fails to weave. The calls it
+//! makes as `intruder` must all be denied, and an access-control upgrade
+//! must cost one delivery and one signature check.
 
 use pmp::core::{BaseId, MobId, Platform};
 use pmp::crypto::KeyPair;
