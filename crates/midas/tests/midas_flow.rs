@@ -718,6 +718,91 @@ fn missing_dependency_is_requested_and_resolved() {
     assert!(pos("hall-a/session") < pos("hall-a/access-control"));
 }
 
+#[test]
+fn a_successor_waiting_for_a_dependency_keeps_its_predecessor_woven() {
+    let mut w = world();
+    let v1 = package(
+        "hall-a/policy",
+        1,
+        vec![],
+        false,
+        monitoring_aspect("PolicyW_v1"),
+    );
+    let session = package(
+        "hall-a/session",
+        1,
+        vec![],
+        true,
+        noop_aspect("session", "SessionW1"),
+    );
+    let (s1, s_session) = (w.seal(&v1), w.seal(&session));
+    w.base.catalog.put(s1);
+    w.base.catalog.put(s_session);
+    w.pump(5_000_000_000);
+    assert!(w.receiver.is_installed("hall-a/policy"));
+    assert!(
+        !w.receiver.is_installed("hall-a/session"),
+        "nothing requires session yet"
+    );
+
+    // v2 requires the session the robot does not hold: it waits for it.
+    let v2 = package(
+        "hall-a/policy",
+        2,
+        vec!["hall-a/session".into()],
+        false,
+        noop_aspect("policy", "PolicyW_v2"),
+    );
+    let s2 = w.seal(&v2);
+    w.base.update_extension(&mut w.sim, s2);
+    // One event at a time, until the robot asks for session.
+    let requested = |w: &World| {
+        w.receiver_events
+            .iter()
+            .any(|e| matches!(e, ReceiverEvent::DependencyRequested { .. }))
+    };
+    for _ in 0..1_000 {
+        if requested(&w) {
+            break;
+        }
+        let next = w.sim.peek_next().expect("timers keep the world running");
+        w.pump(next.0 - w.sim.now().0);
+    }
+    assert!(requested(&w), "v2 asked for session");
+    assert!(!w.receiver.is_installed("hall-a/session"));
+    let motor = w.vm.new_object("Motor").unwrap();
+    w.vm.call("Motor", "rotate", motor.clone(), vec![Value::Int(1)])
+        .unwrap();
+    assert_eq!(
+        w.vm.take_output(),
+        vec!["Motor.rotate".to_string()],
+        "v1 still intercepts while v2 waits"
+    );
+
+    // Session arrives, v2 replaces v1, and v1 was removed only then.
+    w.pump(3_000_000_000);
+    let at = |pred: &dyn Fn(&ReceiverEvent) -> bool| {
+        w.receiver_events
+            .iter()
+            .position(pred)
+            .expect("event present")
+    };
+    let session_in =
+        at(&|e| matches!(e, ReceiverEvent::Installed { ext_id, .. } if ext_id == "hall-a/session"));
+    let v1_out =
+        at(&|e| matches!(e, ReceiverEvent::Removed { ext_id, .. } if ext_id == "hall-a/policy"));
+    let v2_in = at(&|e| matches!(e, ReceiverEvent::Installed { version: 2, .. }));
+    assert!(
+        session_in < v1_out && v1_out < v2_in,
+        "{:?}",
+        w.receiver_events
+    );
+    assert!(w.receiver.is_installed("hall-a/session"));
+    w.vm.call("Motor", "rotate", motor, vec![Value::Int(2)])
+        .unwrap();
+    assert!(w.vm.take_output().is_empty(), "v2 is a no-op");
+}
+
 /// A replica base on its own node, wired to the world's base.
 struct Peer {
     node: NodeId,

@@ -80,6 +80,18 @@ fn installed_version(p: &Platform, robot: MobId, id: &str) -> Option<u32> {
     })
 }
 
+/// The robot's `Removed` events, as (id, reason), in order.
+fn removals(p: &Platform, robot: MobId) -> Vec<(&str, &str)> {
+    p.node(robot)
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ReceiverEvent::Removed { ext_id, reason } => Some((ext_id.as_str(), reason.as_str())),
+            _ => None,
+        })
+        .collect()
+}
+
 fn counter(p: &Platform, name: &str) -> u64 {
     p.telemetry().lock().registry.counter_value(name)
 }
@@ -177,15 +189,10 @@ fn upgrading_session_keeps_access_control() {
         vec![ACCESS.to_string(), SESSION.to_string()]
     );
     assert_eq!(installed_version(&p, robot, SESSION), Some(2));
-    let removed: Vec<(&str, &str)> = node
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            ReceiverEvent::Removed { ext_id, reason } => Some((ext_id.as_str(), reason.as_str())),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(removed, vec![(SESSION, "replaced by newer policy")]);
+    assert_eq!(
+        removals(&p, robot),
+        vec![(SESSION, "replaced by newer policy")]
+    );
     assert!(!call_succeeds(&mut p, robot, "intruder"));
     assert!(call_succeeds(&mut p, robot, "operator:1"));
 }
@@ -211,23 +218,15 @@ fn an_access_control_upgrade_costs_one_delivery_and_one_verify() {
             .any(|e| matches!(e, ReceiverEvent::DependencyRequested { .. })),
         "no dependency requested: {events:?}"
     );
-    let removed: Vec<(&str, &str)> = events
-        .iter()
-        .filter_map(|e| match e {
-            ReceiverEvent::Removed { ext_id, reason } => Some((ext_id.as_str(), reason.as_str())),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(removed, vec![(ACCESS, "replaced by newer policy")]);
+    assert_eq!(
+        removals(&p, robot),
+        vec![(ACCESS, "replaced by newer policy")]
+    );
 }
 
-/// A successor that passes the gate but fails to weave (its `init`
-/// throws) is nacked; its predecessor is gone, so the implicit session
-/// it left without a dependent is released too.
-#[test]
-fn a_successor_that_fails_to_weave_leaves_no_orphaned_dependency() {
-    let (mut p, base, robot) = guarded_world(35);
-    let mut pkg = access_control(2);
+/// `pkg` with an `init` that throws: it passes the gate and fails to
+/// weave.
+fn with_throwing_init(mut pkg: ExtensionPackage) -> ExtensionPackage {
     let mut init = MethodBuilder::new();
     init.op(Op::Const(Const::Str("boom".into())))
         .op(Op::Throw("Boom".into()));
@@ -237,7 +236,16 @@ fn a_successor_that_fails_to_weave_leaves_no_orphaned_dependency() {
         ret: "void".into(),
         body: init.build(),
     });
-    let sealed = p.base(base).seal(&pkg);
+    pkg
+}
+
+/// A successor that passes the gate but fails to weave is nacked; its
+/// predecessor is gone, so the implicit session it left without a
+/// dependent is released too.
+#[test]
+fn a_successor_that_fails_to_weave_leaves_no_orphaned_dependency() {
+    let (mut p, base, robot) = guarded_world(35);
+    let sealed = p.base(base).seal(&with_throwing_init(access_control(2)));
     let (robot_node, base_node) = (p.node(robot).node, p.base(base).node);
     p.sim.deliveries.set_logging(true);
     p.publish_sealed(base, sealed);
@@ -266,4 +274,30 @@ fn a_successor_that_fails_to_weave_leaves_no_orphaned_dependency() {
     // ends the same way.
     p.pump(10 * SEC);
     assert!(p.node(robot).receiver.installed_ids().is_empty());
+}
+
+/// A session successor that fails to weave after its predecessor was
+/// swapped out takes the dependents it inherited with it: nothing is
+/// left requiring a session that is gone.
+#[test]
+fn a_dependency_that_fails_to_weave_cascades_its_dependents() {
+    let (mut p, base, robot) = guarded_world(36);
+    let sealed = p.base(base).seal(&with_throwing_init(session(2)));
+    p.publish_sealed(base, sealed);
+    p.pump(100 * MS);
+
+    let node = p.node(robot);
+    assert!(node.events.iter().any(|e| matches!(
+        e,
+        ReceiverEvent::Rejected { ext_id, reason } if ext_id == SESSION && reason.starts_with("weave failed")
+    )));
+    assert!(node.receiver.installed_ids().is_empty());
+    let session_removed = format!("dependency {SESSION} removed");
+    assert_eq!(
+        removals(&p, robot),
+        vec![
+            (SESSION, "replaced by newer policy"),
+            (ACCESS, session_removed.as_str()),
+        ]
+    );
 }
