@@ -315,13 +315,7 @@ impl AdaptationService {
                     // The base believes we hold this grant but we do not
                     // (its outage outlived our leases, or the delivery
                     // was lost). Tell it so it redelivers.
-                    let msg = MidasMsg::Ack {
-                        ext_id: String::new(),
-                        grant,
-                        ok: false,
-                        reason: ACK_UNKNOWN_GRANT.into(),
-                    };
-                    sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
+                    self.ack(sim, from, "", grant, Some(ACK_UNKNOWN_GRANT), ctx);
                 }
             }
             MidasMsg::Revoke { ext_id, reason } => {
@@ -369,13 +363,7 @@ impl AdaptationService {
                         // lost delivery, or the lease lapsed en route):
                         // ask the adopting base to redeliver under its
                         // fresh grant.
-                        let msg = MidasMsg::Ack {
-                            ext_id,
-                            grant: new,
-                            ok: false,
-                            reason: ACK_UNKNOWN_GRANT.into(),
-                        };
-                        sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
+                        self.ack(sim, from, &ext_id, new, Some(ACK_UNKNOWN_GRANT), ctx);
                     }
                 }
                 if !rebound.is_empty() {
@@ -398,7 +386,27 @@ impl AdaptationService {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Answers `to` about `grant`: `failure` is `None` for an installed
+    /// extension, else why it was refused, released or is not held
+    /// here.
+    fn ack(
+        &self,
+        sim: &mut dyn NetPort,
+        to: NodeId,
+        ext_id: &str,
+        grant: u64,
+        failure: Option<&str>,
+        ctx: TraceCtx,
+    ) {
+        let msg = MidasMsg::Ack {
+            ext_id: ext_id.to_string(),
+            grant,
+            ok: failure.is_none(),
+            reason: failure.unwrap_or_default().to_string(),
+        };
+        sim.send(self.node, to, CHANNEL, ctx.wrap(&msg));
+    }
+
     fn nack(
         &mut self,
         sim: &mut dyn NetPort,
@@ -409,17 +417,11 @@ impl AdaptationService {
         ctx: TraceCtx,
     ) {
         self.telemetry.inc("midas.receiver.rejected");
+        self.ack(sim, to, ext_id, grant, Some(&reason), ctx);
         self.events.push(ReceiverEvent::Rejected {
             ext_id: ext_id.to_string(),
-            reason: reason.clone(),
-        });
-        let msg = MidasMsg::Ack {
-            ext_id: ext_id.to_string(),
-            grant,
-            ok: false,
             reason,
-        };
-        sim.send(self.node, to, CHANNEL, ctx.wrap(&msg));
+        });
     }
 
     /// Runs the static passes of the admission gate (bytecode
@@ -617,13 +619,7 @@ impl AdaptationService {
                 existing.grant = grant;
                 existing.lease = Lease::grant(sim.now(), lease_ns);
                 existing.base = from;
-                let msg = MidasMsg::Ack {
-                    ext_id: id,
-                    grant,
-                    ok: true,
-                    reason: String::new(),
-                };
-                sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
+                self.ack(sim, from, &id, grant, None, ctx);
                 return;
             }
             upgrade = true;
@@ -767,13 +763,7 @@ impl AdaptationService {
             version: pkg.meta.version,
             base: from,
         });
-        let msg = MidasMsg::Ack {
-            ext_id: id,
-            grant,
-            ok: true,
-            reason: String::new(),
-        };
-        sim.send(self.node, from, CHANNEL, ctx.wrap(&msg));
+        self.ack(sim, from, &id, grant, None, ctx);
     }
 
     fn retry_pending(&mut self, sim: &mut dyn NetPort, vm: &mut Vm, prose: &Prose) {
@@ -875,13 +865,8 @@ impl AdaptationService {
             // grant (best-effort; silently lost if out of range). Lease
             // expiries do NOT notify — if the base is in fact alive, its
             // next renewal triggers redelivery instead.
-            let msg = MidasMsg::Ack {
-                ext_id: ext_id.to_string(),
-                grant: inst.grant,
-                ok: false,
-                reason: ACK_RELEASED.into(),
-            };
-            sim.send(self.node, inst.base, CHANNEL, TraceCtx::NIL.wrap(&msg));
+            let released = Some(ACK_RELEASED);
+            self.ack(sim, inst.base, ext_id, inst.grant, released, TraceCtx::NIL);
         }
         self.telemetry.inc("midas.receiver.removed");
         self.events.push(ReceiverEvent::Removed {
