@@ -458,7 +458,7 @@ fn e9_security() {
     ping_once(&mut vm, &obj); // no permissions needed by nop
     println!("| sandboxed script advice executes under empty permissions | true |");
 
-    // Upgrades in place. A `Replace` travels unauthenticated (only the
+    // Upgrades in place. A delivery travels unauthenticated (only the
     // package inside is signed): a stranger in range sends one carrying
     // an access control that would let `intruder` in.
     const ACCESS: &str = "ext/access-control";
@@ -472,8 +472,7 @@ fn e9_security() {
         &["operator:1", "intruder"],
         2,
     );
-    let msg = pmp_midas::MidasMsg::Replace {
-        old_id: ACCESS.into(),
+    let msg = pmp_midas::MidasMsg::Deliver {
         ext: SignedExtension::seal("mallory", &mallory, &forged),
         lease_ns: 4 * SEC,
         grant: 1,

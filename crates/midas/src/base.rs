@@ -1,5 +1,5 @@
 //! The extension base: discovers adaptation services, distributes
-//! signed extensions, keeps their leases alive, revokes and replaces
+//! signed extensions, keeps their leases alive, upgrades and revokes
 //! them, and hands roaming nodes off to neighbour bases (paper §3.2).
 
 use crate::catalog::Catalog;
@@ -572,10 +572,11 @@ impl ExtensionBase {
         count
     }
 
-    /// Installs (or upgrades) an extension in the catalog and pushes a
-    /// [`MidasMsg::Replace`] to every adapted node that already holds an
-    /// older instance — this is how "the local policy evolves" reaches
-    /// robots already in the hall.
+    /// Installs (or upgrades) an extension in the catalog and ships it,
+    /// as a [`MidasMsg::Deliver`] under a fresh grant, to every present
+    /// node that holds a grant for its id — this is how "the local
+    /// policy evolves" reaches robots already in the hall. A receiver
+    /// that holds an older version upgrades it in place.
     pub fn update_extension(&mut self, sim: &mut dyn NetPort, ext: SignedExtension) {
         self.update_extension_traced(sim, ext, TraceCtx::NIL);
     }
@@ -605,20 +606,7 @@ impl ExtensionBase {
             .map(|(name, a)| (name.clone(), a.node))
             .collect();
         for (name, node) in targets {
-            let grant = self.fresh_grant();
-            let msg = MidasMsg::Replace {
-                old_id: id.clone(),
-                ext: ext.clone(),
-                lease_ns: self.lease_ns,
-                grant,
-            };
-            let ship = self.note_ship(sim, &id, node);
-            self.send(sim, node, &msg, ship);
-            self.commit_op(BaseWalOp::GrantSet {
-                name,
-                ext_id: id.clone(),
-                grant,
-            });
+            self.ship(sim, node, &id, ext.clone(), Some(&name));
         }
     }
 
@@ -997,7 +985,6 @@ impl ExtensionBase {
             MidasMsg::Deliver { .. }
             | MidasMsg::LeaseRenew { .. }
             | MidasMsg::Revoke { .. }
-            | MidasMsg::Replace { .. }
             | MidasMsg::GrantTransfer { .. } => {}
         }
     }

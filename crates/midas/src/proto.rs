@@ -56,18 +56,6 @@ pub enum MidasMsg {
         /// Why (surfaced to the extension's shutdown procedure).
         reason: String,
     },
-    /// Base → receiver: atomically replace `old_id` with a new
-    /// extension (local policy evolved).
-    Replace {
-        /// The id being replaced.
-        old_id: String,
-        /// The replacement.
-        ext: SignedExtension,
-        /// Lease duration for the replacement (ns).
-        lease_ns: u64,
-        /// Grant id for the replacement.
-        grant: u64,
-    },
     /// Receiver → base: a delivered extension requires `ext_id` but it
     /// is not installed; please deliver it.
     RequestDep {
@@ -147,7 +135,7 @@ wire_enum!(MidasMsg {
     1 => Ack { ext_id: String, grant: u64, ok: bool, reason: String },
     2 => LeaseRenew { grant: u64 },
     3 => Revoke { ext_id: String, reason: String },
-    4 => Replace { old_id: String, ext: SignedExtension, lease_ns: u64, grant: u64 },
+    // Tag 4 is reserved: the retired Replace; an upgrade is a newer Deliver.
     5 => RequestDep { ext_id: String },
     // Tag 6 is reserved: the retired ids-only `RoamingHandoff`.
     7 => HandoffState {
@@ -220,12 +208,6 @@ mod tests {
                 ext_id: "m".into(),
                 reason: "policy change".into(),
             },
-            MidasMsg::Replace {
-                old_id: "m".into(),
-                ext: signed(),
-                lease_ns: 9,
-                grant: 3,
-            },
             MidasMsg::RequestDep {
                 ext_id: "session".into(),
             },
@@ -268,7 +250,7 @@ mod tests {
 
     #[test]
     fn reserved_tags_are_rejected_with_their_offset() {
-        for tag in [6, 11, 13, 14] {
+        for tag in [4, 6, 11, 13, 14] {
             assert_eq!(
                 pmp_wire::from_bytes::<MidasMsg>(&[tag]),
                 Err(WireError::InvalidTag {

@@ -2,16 +2,16 @@
 //! advertises the node, accepts signed extensions, weaves them with
 //! PROSE, tracks their leases, and withdraws them autonomously.
 //!
-//! An upgrade is one gated step. A successor, delivered by a
-//! [`MidasMsg::Replace`] or as a newer version in a
-//! [`MidasMsg::Deliver`], passes the signature check, the static
-//! analysis gate, the version check and the dependency check before its
-//! predecessor is touched. Only then is the predecessor unwoven, and the
-//! successor woven in the same step: the implicit dependencies the
-//! successor still requires stay woven, and a same-id successor takes
-//! over the predecessor's dependents. A successor refused at any check
-//! leaves the node as it was; one waiting for a dependency leaves the
-//! predecessor running until it can install.
+//! An upgrade is one gated step. A successor, a [`MidasMsg::Deliver`]
+//! of a newer version of an id the node holds, passes the signature
+//! check, the static analysis gate, the version check and the dependency
+//! check before its predecessor is touched. Only then is the predecessor
+//! unwoven, and the successor woven in the same step: the implicit
+//! dependencies the successor still requires stay woven, and the
+//! successor takes over the predecessor's dependents. A successor
+//! refused at any check leaves the node as it was; one waiting for a
+//! dependency leaves the predecessor running until it can install. No
+//! message names an extension other than the one it carries.
 
 use crate::package::{ExtensionMeta, ExtensionPackage, SignedExtension};
 use crate::policy::ReceiverPolicy;
@@ -93,9 +93,6 @@ struct PendingInstall {
     /// The successor's dependencies, kept so a retry need not decode
     /// the package to see whether they are all installed.
     requires: Vec<String>,
-    /// The `old_id` of a [`MidasMsg::Replace`]; it stays woven while
-    /// the successor waits.
-    replaces: Option<String>,
     lease_ns: u64,
     grant: u64,
     from: NodeId,
@@ -296,7 +293,7 @@ impl AdaptationService {
                 lease_ns,
                 grant,
             } => {
-                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx, None);
+                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx);
                 self.retry_pending(sim, vm, prose);
             }
             MidasMsg::LeaseRenew { grant } => {
@@ -323,16 +320,6 @@ impl AdaptationService {
                     let why = format!("revoked: {reason}");
                     self.uninstall(sim, vm, prose, &ext_id, &why, true, &[]);
                 }
-            }
-            MidasMsg::Replace {
-                old_id,
-                ext,
-                lease_ns,
-                grant,
-            } => {
-                let replaces = Some(old_id);
-                self.try_install(sim, vm, prose, from, ext, lease_ns, grant, ctx, replaces);
-                self.retry_pending(sim, vm, prose);
             }
             MidasMsg::GrantTransfer {
                 node_name,
@@ -542,16 +529,15 @@ impl AdaptationService {
         Ok(())
     }
 
-    /// Admits and installs one delivered extension, replacing
-    /// `replaces` (a [`MidasMsg::Replace`]'s `old_id`) or an older
-    /// version of its own id. Checks come first, in order: signature,
+    /// Admits and installs one delivered extension, replacing an older
+    /// version of its id. Checks come first, in order: signature,
     /// the static analysis gate, the version, then the dependencies. A
     /// failed check nacks and touches nothing; a missing dependency is
     /// requested from `from` and the delivery waits in `pending`, its
     /// predecessor still woven. Only a delivery that passes every check
-    /// unweaves its predecessors ([`AdaptationService::swap_out`]) and
-    /// is woven in their place within this one call, so no dispatch
-    /// ever runs between the two.
+    /// unweaves its predecessor ([`AdaptationService::swap_out`]) and
+    /// is woven in its place within this one call, so no dispatch ever
+    /// runs between the two.
     #[allow(clippy::too_many_arguments)]
     fn try_install(
         &mut self,
@@ -563,7 +549,6 @@ impl AdaptationService {
         lease_ns: u64,
         grant: u64,
         ctx: TraceCtx,
-        replaces: Option<String>,
     ) {
         // 1. Trust and integrity (paper §3.2: verification of the
         //    originator before insertion). `verify_ns` is recorded on
@@ -608,7 +593,6 @@ impl AdaptationService {
         }
 
         // 3. Version check: same or newer only.
-        let mut upgrade = false;
         if let Some(existing) = self.installed.get_mut(&id) {
             if existing.version > pkg.meta.version {
                 self.nack(sim, from, &id, grant, "version downgrade refused".into(), ctx);
@@ -622,7 +606,6 @@ impl AdaptationService {
                 self.ack(sim, from, &id, grant, None, ctx);
                 return;
             }
-            upgrade = true;
         }
 
         // 4. Implicit dependencies must be present (paper: the session
@@ -648,7 +631,6 @@ impl AdaptationService {
             self.pending.push(PendingInstall {
                 ext,
                 requires: pkg.meta.requires,
-                replaces,
                 lease_ns,
                 grant,
                 from,
@@ -657,20 +639,8 @@ impl AdaptationService {
             return;
         }
 
-        // 5. Every check passed: unweave the predecessors, a `Replace`'s
-        //    `old_id` first, then the older version of this id.
-        let reason = if replaces.is_some() {
-            "replaced by newer policy"
-        } else {
-            "upgraded"
-        };
-        let mut inherited = BTreeSet::new();
-        if let Some(old_id) = replaces.filter(|old| *old != id) {
-            inherited = self.swap_out(sim, vm, prose, &old_id, reason, from, &pkg.meta);
-        }
-        if upgrade {
-            inherited.extend(self.swap_out(sim, vm, prose, &id, reason, from, &pkg.meta));
-        }
+        // 5. Every check passed: unweave the older version of this id.
+        let inherited = self.swap_out(sim, vm, prose, from, &pkg.meta);
 
         // 6. Weave under the sandbox: requested ∩ policy cap.
         let perms = self.policy.effective(&signer, &pkg.meta.permissions);
@@ -706,8 +676,8 @@ impl AdaptationService {
         let aspect_id = match installed {
             Ok(aspect_id) => aspect_id,
             Err(reason) => {
-                // The predecessors are gone: what relied on them goes
-                // too, and so does an implicit dependency left unused.
+                // The predecessor is gone: what relied on it goes too,
+                // and so does an implicit dependency left unused.
                 self.nack(sim, from, &id, grant, reason, ctx);
                 for d in inherited {
                     let why = format!("dependency {id} removed");
@@ -782,42 +752,32 @@ impl AdaptationService {
             }
             for idx in ready.into_iter().rev() {
                 let p = self.pending.remove(idx);
-                self.try_install(
-                    sim, vm, prose, p.from, p.ext, p.lease_ns, p.grant, p.ctx, p.replaces,
-                );
+                self.try_install(sim, vm, prose, p.from, p.ext, p.lease_ns, p.grant, p.ctx);
             }
         }
     }
 
-    /// Unweaves `old_id` for a successor (`succ`, shipped by `from`)
-    /// that has passed every check, and returns the dependents the
-    /// successor takes over: a same-id successor takes them all, while
-    /// a different id cascades them, since they name `old_id`. Nothing
-    /// `succ` requires is released. `from` gets no release notice for a
-    /// same-id predecessor it granted: shipping the successor already
-    /// replaced that grant at the base.
-    #[allow(clippy::too_many_arguments)]
+    /// Unweaves the installed version of `succ.id` for a successor,
+    /// shipped by `from`, that has passed every check, and returns the
+    /// predecessor's dependents, which the successor takes over.
+    /// Nothing `succ` requires is released. Only a base other than
+    /// `from` gets a release notice: shipping the successor already
+    /// replaced the predecessor's grant at `from`.
     fn swap_out(
         &mut self,
         sim: &mut dyn NetPort,
         vm: &mut Vm,
         prose: &Prose,
-        old_id: &str,
-        reason: &str,
         from: NodeId,
         succ: &ExtensionMeta,
     ) -> BTreeSet<String> {
-        let Some(old) = self.installed.get_mut(old_id) else {
+        let Some(old) = self.installed.get_mut(&succ.id) else {
             return BTreeSet::new();
         };
-        let same_id = old_id == succ.id;
-        let inherited = if same_id {
-            std::mem::take(&mut old.dependents)
-        } else {
-            BTreeSet::new()
-        };
-        let notify = !(same_id && old.base == from);
-        self.uninstall(sim, vm, prose, old_id, reason, notify, &succ.requires);
+        let inherited = std::mem::take(&mut old.dependents);
+        let notify = old.base != from;
+        let reason = "replaced by newer policy";
+        self.uninstall(sim, vm, prose, &succ.id, reason, notify, &succ.requires);
         inherited
     }
 

@@ -5,7 +5,8 @@
 //! and an access control that allows only `operator:1`, and one robot.
 //! Each test upgrades something on the adapted robot: with a forged
 //! successor, during an access-control upgrade, across a session
-//! upgrade, and with a successor that fails to weave. The calls it
+//! upgrade, and with a successor that fails to weave; one replays a
+//! package the hall signed. The calls it
 //! makes as `intruder` must all be denied, and an access-control upgrade
 //! must cost one delivery and one signature check.
 
@@ -101,13 +102,10 @@ fn samples(p: &Platform, name: &str) -> u64 {
     t.registry.histogram_by_name(name).map_or(0, |h| h.count())
 }
 
-/// A successor that fails the signature check leaves the node as it
-/// was. A `Replace` travels unauthenticated (only the package inside is
-/// signed), so any node in range can send one: here a stranger's forged
-/// access control that would let `intruder` in.
-#[test]
-fn a_forged_successor_leaves_the_installed_version_running() {
-    let (mut p, _, robot) = guarded_world(31);
+/// Sends `msg` to the robot from a stranger in range. MIDAS messages
+/// travel unauthenticated (only a package inside is signed), so any
+/// node can send one.
+fn send_as_stranger(p: &mut Platform, robot: MobId, msg: &MidasMsg) {
     let stranger = p
         .add_device(
             "mallory",
@@ -116,20 +114,28 @@ fn a_forged_successor_leaves_the_installed_version_running() {
             ReceiverPolicy::new(),
         )
         .expect("device construction");
+    let (from, to) = (p.node(stranger).node, p.node(robot).node);
+    p.sim.send(from, to, CHANNEL, TraceCtx::NIL.wrap(msg));
+}
+
+/// A successor that fails the signature check leaves the node as it
+/// was: here a stranger's forged access control that would let
+/// `intruder` in.
+#[test]
+fn a_forged_successor_leaves_the_installed_version_running() {
+    let (mut p, _, robot) = guarded_world(31);
     let key = KeyPair::from_seed(b"mallory");
     let forged = pmp::extensions::access_control::package(
         "* DrawingService.*(..)",
         &["operator:1", "intruder"],
         2,
     );
-    let msg = MidasMsg::Replace {
-        old_id: ACCESS.into(),
+    let msg = MidasMsg::Deliver {
         ext: SignedExtension::seal("mallory", &key, &forged),
         lease_ns: 4 * SEC,
         grant: 1,
     };
-    let (from, to) = (p.node(stranger).node, p.node(robot).node);
-    p.sim.send(from, to, CHANNEL, TraceCtx::NIL.wrap(&msg));
+    send_as_stranger(&mut p, robot, &msg);
     p.pump(SEC);
 
     let node = p.node(robot);
@@ -152,6 +158,36 @@ fn a_forged_successor_leaves_the_installed_version_running() {
             .any(|e| matches!(e, ReceiverEvent::Removed { .. })),
         "nothing removed: {:?}",
         node.events
+    );
+    assert!(!call_succeeds(&mut p, robot, "intruder"));
+    assert!(call_succeeds(&mut p, robot, "operator:1"));
+}
+
+/// A delivery names only the extension it carries: a stranger that
+/// replays a package the hall signed, for an id the robot does not
+/// hold, adds that extension and removes nothing.
+#[test]
+fn a_replayed_package_removes_nothing() {
+    let (mut p, base, robot) = guarded_world(37);
+    let heard = p
+        .base(base)
+        .seal(&pmp::extensions::geofence::package(0, 0, 10, 10, 1));
+    let msg = MidasMsg::Deliver {
+        ext: heard,
+        lease_ns: 4 * SEC,
+        grant: 1,
+    };
+    send_as_stranger(&mut p, robot, &msg);
+    p.pump(20 * SEC);
+
+    let receiver = &p.node(robot).receiver;
+    assert!(receiver.is_installed(ACCESS) && receiver.is_installed(SESSION));
+    let removed = removals(&p, robot);
+    assert!(
+        removed
+            .iter()
+            .all(|(id, _)| ![ACCESS, SESSION].contains(id)),
+        "{removed:?}"
     );
     assert!(!call_succeeds(&mut p, robot, "intruder"));
     assert!(call_succeeds(&mut p, robot, "operator:1"));

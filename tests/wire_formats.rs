@@ -392,15 +392,6 @@ fn midas_msg_format_is_pinned() {
                 "030b6578742f62696c6c696e6706706f6c696379",
             ),
             (
-                MidasMsg::Replace {
-                    old_id: s("ext/billing"),
-                    ext: signed(&[4, 5]),
-                    lease_ns: 1_000,
-                    grant: 8,
-                },
-                "040b6578742f62696c6c696e6706626173653a61020405efcdab89674523012a00000000000000e8030000000000000800000000000000",
-            ),
-            (
                 MidasMsg::RequestDep {
                     ext_id: s("ext/session"),
                 },
@@ -452,9 +443,9 @@ fn midas_msg_format_is_pinned() {
             ),
         ],
     );
-    // The retired `RoamingHandoff`, `CatalogPull`, `LeaseSync` and
-    // `StreamDelta` keep their tags.
-    for tag in [6, 11, 13, 14] {
+    // The retired `Replace`, `RoamingHandoff`, `CatalogPull`,
+    // `LeaseSync` and `StreamDelta` keep their tags.
+    for tag in [4, 6, 11, 13, 14] {
         assert!(unassigned.contains(&tag), "tag {tag} is reserved");
     }
 }
