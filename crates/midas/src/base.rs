@@ -221,23 +221,6 @@ impl ExtensionBase {
         self.telemetry = sink;
     }
 
-    /// Records an extension leaving the base toward `to` (the "ship"
-    /// stage of the sign→ship→verify→weave distribution trail), and
-    /// mints the `midas.ship` span under the extension's publish root.
-    /// Returns the context the shipped message must carry.
-    fn note_ship(&self, sim: &dyn NetPort, ext_id: &str, to: NodeId) -> TraceCtx {
-        let detail = format!("{ext_id} -> n{}", to.0);
-        let parent = self
-            .publish_ctx
-            .get(ext_id)
-            .copied()
-            .unwrap_or(TraceCtx::NIL);
-        let ctx = self.tracer.child(parent, sim.now().0, "midas.ship", &detail);
-        self.telemetry.inc("midas.base.delivered");
-        self.telemetry.event(Subsystem::Midas, "midas.ship", detail);
-        ctx
-    }
-
     /// Overrides the extension lease duration (ns).
     pub fn set_lease(&mut self, lease_ns: u64) {
         self.lease_ns = lease_ns;
@@ -454,18 +437,7 @@ impl ExtensionBase {
             self.send(sim, node, &msg, TraceCtx::NIL);
         }
         // Deliver only what the local catalog adds on top.
-        let mut delivered = 0;
-        for id in self.catalog.delivery_order() {
-            if grants.contains_key(&id) {
-                continue;
-            }
-            let Some(ext) = self.catalog.get(&id).cloned() else {
-                continue;
-            };
-            let grant = self.ship(sim, node, &id, ext, None);
-            grants.insert(id, grant);
-            delivered += 1;
-        }
+        let delivered = self.ship_missing(sim, node, &mut grants, None);
         self.commit_op(BaseWalOp::NodeAdapted {
             name: name.to_string(),
             node: node.0,
@@ -526,7 +498,9 @@ impl ExtensionBase {
     /// Delivers extension `id` (`ext`) to `to` under a fresh grant
     /// and returns it. With `holder`, the grant is logged as that
     /// node's `GrantSet` before the send; without, the caller logs it
-    /// in the node's `NodeAdapted`.
+    /// in the node's `NodeAdapted`. The send is the "ship" stage of the
+    /// sign→ship→verify→weave distribution trail: it carries a
+    /// `midas.ship` span minted under the extension's publish root.
     fn ship(
         &mut self,
         sim: &mut dyn NetPort,
@@ -548,22 +522,46 @@ impl ExtensionBase {
             lease_ns: self.lease_ns,
             grant,
         };
-        let ctx = self.note_ship(sim, id, to);
+        let detail = format!("{id} -> n{}", to.0);
+        let parent = self.publish_ctx.get(id).copied().unwrap_or(TraceCtx::NIL);
+        let ctx = self
+            .tracer
+            .child(parent, sim.now().0, "midas.ship", &detail);
+        self.telemetry.inc("midas.base.delivered");
+        self.telemetry.event(Subsystem::Midas, "midas.ship", detail);
         self.send(sim, to, &msg, ctx);
         grant
     }
 
-    fn deliver_catalog(&mut self, sim: &mut dyn NetPort, node: NodeId, node_name: &str) -> usize {
-        let order = self.catalog.delivery_order();
-        let mut grants = BTreeMap::new();
-        let mut count = 0;
-        for id in order {
-            if let Some(ext) = self.catalog.get(&id).cloned() {
-                let grant = self.ship(sim, node, &id, ext, None);
-                grants.insert(id, grant);
-                count += 1;
+    /// Ships `to`, in delivery order, every catalog extension `grants`
+    /// holds no grant for, adding each new grant to `grants`. With
+    /// `holder`, each grant is also logged as that node's `GrantSet`.
+    /// Returns how many were shipped.
+    fn ship_missing(
+        &mut self,
+        sim: &mut dyn NetPort,
+        to: NodeId,
+        grants: &mut BTreeMap<String, u64>,
+        holder: Option<&str>,
+    ) -> usize {
+        let mut shipped = 0;
+        for id in self.catalog.delivery_order() {
+            if grants.contains_key(&id) {
+                continue;
             }
+            let Some(ext) = self.catalog.get(&id).cloned() else {
+                continue;
+            };
+            let grant = self.ship(sim, to, &id, ext, holder);
+            grants.insert(id, grant);
+            shipped += 1;
         }
+        shipped
+    }
+
+    fn deliver_catalog(&mut self, sim: &mut dyn NetPort, node: NodeId, node_name: &str) -> usize {
+        let mut grants = BTreeMap::new();
+        let count = self.ship_missing(sim, node, &mut grants, None);
         self.commit_op(BaseWalOp::NodeAdapted {
             name: node_name.to_string(),
             node: node.0,
@@ -808,23 +806,14 @@ impl ExtensionBase {
         }
         if merged {
             // Replicated policy reaches robots already here.
-            let names: Vec<String> = self
+            let present: Vec<(String, NodeId, BTreeMap<String, u64>)> = self
                 .adapted
                 .iter()
                 .filter(|(_, a)| a.present)
-                .map(|(n, _)| n.clone())
+                .map(|(n, a)| (n.clone(), a.node, a.grants.clone()))
                 .collect();
-            for name in names {
-                let node = self.adapted[&name].node;
-                for id in self.catalog.delivery_order() {
-                    if self.adapted[&name].grants.contains_key(&id) {
-                        continue;
-                    }
-                    let Some(ext) = self.catalog.get(&id).cloned() else {
-                        continue;
-                    };
-                    self.ship(sim, node, &id, ext, Some(&name));
-                }
+            for (name, node, mut grants) in present {
+                self.ship_missing(sim, node, &mut grants, Some(&name));
             }
         }
     }
