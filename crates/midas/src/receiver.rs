@@ -10,8 +10,11 @@
 //! dependencies the successor still requires stay woven, and the
 //! successor takes over the predecessor's dependents. A successor
 //! refused at any check leaves the node as it was; one waiting for a
-//! dependency leaves the predecessor running until it can install. No
-//! message names an extension other than the one it carries.
+//! dependency leaves the predecessor running until it can install.
+//! Either way, when the successor came from the base holding the
+//! predecessor's lease, the predecessor takes the successor's grant,
+//! the one that base now renews. No message names an extension other
+//! than the one it carries.
 
 use crate::package::{ExtensionMeta, ExtensionPackage, SignedExtension};
 use crate::policy::ReceiverPolicy;
@@ -19,7 +22,7 @@ use crate::proto::{MidasMsg, ACK_RELEASED, ACK_UNKNOWN_GRANT, CHANNEL};
 use pmp_analyze::{perms, termination, verifier};
 use pmp_analyze::{AnalysisReport, AnalyzeOptions, Severity, SysPerm};
 use pmp_discovery::{DiscoveryClient, DiscoveryEvent, Lease, ServiceItem};
-use pmp_net::{Incoming, NetPort, NodeId};
+use pmp_net::{Incoming, NetPort, NodeId, SimTime};
 use pmp_prose::{Aspect, AspectId, Prose, WeaveOptions};
 use pmp_telemetry::{Sink, Stopwatch, Subsystem};
 use pmp_trace::{TraceCtx, Traced, Tracer};
@@ -532,12 +535,13 @@ impl AdaptationService {
     /// Admits and installs one delivered extension, replacing an older
     /// version of its id. Checks come first, in order: signature,
     /// the static analysis gate, the version, then the dependencies. A
-    /// failed check nacks and touches nothing; a missing dependency is
-    /// requested from `from` and the delivery waits in `pending`, its
-    /// predecessor still woven. Only a delivery that passes every check
-    /// unweaves its predecessor ([`AdaptationService::swap_out`]) and
-    /// is woven in its place within this one call, so no dispatch ever
-    /// runs between the two.
+    /// failed check nacks and touches nothing but the predecessor's
+    /// grant ([`AdaptationService::keep_leased`]); a missing dependency
+    /// is requested from `from` and the delivery waits in `pending`,
+    /// its predecessor still woven and leased. Only a delivery that
+    /// passes every check unweaves its predecessor
+    /// ([`AdaptationService::swap_out`]) and is woven in its place
+    /// within this one call, so no dispatch ever runs between the two.
     #[allow(clippy::too_many_arguments)]
     fn try_install(
         &mut self,
@@ -567,6 +571,7 @@ impl AdaptationService {
                 self.tracer.child(ctx, sim.now().0, "midas.verify", &detail);
                 self.telemetry
                     .event(Subsystem::Midas, "midas.verify", detail);
+                self.keep_leased(sim.now(), from, &id, grant, lease_ns);
                 self.nack(sim, from, &id, grant, reason, ctx);
                 return;
             }
@@ -576,6 +581,7 @@ impl AdaptationService {
         let verify_ctx = self.tracer.child(ctx, sim.now().0, "midas.verify", &detail);
         self.telemetry
             .event(Subsystem::Midas, "midas.verify", detail);
+        self.keep_leased(sim.now(), from, &id, grant, lease_ns);
 
         // 2. Static analysis (the admission gate): a valid signature
         //    says who shipped the code, not that the code is safe to
@@ -734,6 +740,18 @@ impl AdaptationService {
             base: from,
         });
         self.ack(sim, from, &id, grant, None, ctx);
+    }
+
+    /// A delivery of `id` from the base that holds the installed
+    /// version's lease replaced that grant at the base, which renews
+    /// only the delivery's grant from then on. So the installed version
+    /// takes the delivery's grant and lease: it stays leased while the
+    /// delivery is refused or waits for a dependency.
+    fn keep_leased(&mut self, now: SimTime, from: NodeId, id: &str, grant: u64, lease_ns: u64) {
+        if let Some(inst) = self.installed.get_mut(id).filter(|i| i.base == from) {
+            inst.grant = grant;
+            inst.lease = Lease::grant(now, lease_ns);
+        }
     }
 
     fn retry_pending(&mut self, sim: &mut dyn NetPort, vm: &mut Vm, prose: &Prose) {

@@ -193,6 +193,68 @@ fn a_replayed_package_removes_nothing() {
     assert!(call_succeeds(&mut p, robot, "operator:1"));
 }
 
+/// A successor its base ships but the robot refuses keeps the
+/// predecessor leased: the base renews only the successor's grant from
+/// then on, and the predecessor took that grant, so nothing lapses and
+/// nothing is shipped again.
+#[test]
+fn a_refused_successor_keeps_its_predecessor_leased() {
+    let (mut p, base, robot) = guarded_world(38);
+    let key = KeyPair::from_seed(b"mallory");
+    let forged = pmp::extensions::access_control::package(
+        "* DrawingService.*(..)",
+        &["operator:1", "intruder"],
+        2,
+    );
+    p.publish_sealed(base, SignedExtension::seal("mallory", &key, &forged));
+    p.pump(SEC);
+    let delivered = counter(&p, "midas.base.delivered");
+    p.pump(20 * SEC);
+
+    let node = p.node(robot);
+    assert!(node.events.iter().any(|e| matches!(
+        e,
+        ReceiverEvent::Rejected { ext_id, .. } if ext_id == ACCESS
+    )));
+    assert_eq!(
+        node.receiver.installed_ids(),
+        vec![ACCESS.to_string(), SESSION.to_string()]
+    );
+    assert_eq!(removals(&p, robot), vec![]);
+    assert_eq!(
+        counter(&p, "midas.base.delivered"),
+        delivered,
+        "nothing shipped again"
+    );
+    assert!(!call_succeeds(&mut p, robot, "intruder"));
+    assert!(call_succeeds(&mut p, robot, "operator:1"));
+}
+
+/// A successor waiting for a dependency that no catalog holds keeps its
+/// predecessor, and the session the predecessor requires, leased.
+#[test]
+fn a_waiting_successor_keeps_its_predecessor_leased() {
+    let (mut p, base, robot) = guarded_world(39);
+    let mut v2 = access_control(2);
+    v2.meta.requires.push("ext/audit".into());
+    p.publish_extension(base, &v2);
+    p.pump(20 * SEC);
+
+    let node = p.node(robot);
+    assert!(node.events.iter().any(|e| matches!(
+        e,
+        ReceiverEvent::DependencyRequested { ext_id } if ext_id == "ext/audit"
+    )));
+    assert_eq!(
+        node.receiver.installed_ids(),
+        vec![ACCESS.to_string(), SESSION.to_string()]
+    );
+    assert_eq!(installed_version(&p, robot, ACCESS), None, "v2 still waits");
+    assert_eq!(removals(&p, robot), vec![]);
+    assert!(!call_succeeds(&mut p, robot, "intruder"));
+    assert!(call_succeeds(&mut p, robot, "operator:1"));
+}
+
 /// An access-control upgrade swaps the two versions in one step: a call
 /// between any two events of the upgrade meets one of them.
 #[test]
