@@ -319,7 +319,8 @@ impl AdaptationService {
                 }
             }
             MidasMsg::Revoke { ext_id, reason } => {
-                if self.installed.contains_key(&ext_id) {
+                // Only the base that holds the lease may withdraw it.
+                if self.lease_holder(&ext_id) == Some(from) {
                     let why = format!("revoked: {reason}");
                     self.uninstall(sim, vm, prose, &ext_id, &why, true, &[]);
                 }

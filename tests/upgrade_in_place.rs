@@ -3,12 +3,13 @@
 //!
 //! The world is one hall: a base whose catalog holds session management
 //! and an access control that allows only `operator:1`, and one robot.
-//! Each test upgrades something on the adapted robot: with a forged
+//! Most tests upgrade something on the adapted robot: with a forged
 //! successor, during an access-control upgrade, across a session
-//! upgrade, and with a successor that fails to weave; one replays a
-//! package the hall signed. The calls it
-//! makes as `intruder` must all be denied, and an access-control upgrade
-//! must cost one delivery and one signature check.
+//! upgrade, and with a successor that is refused, waits or fails to
+//! weave. Others send what a stranger in range can: a replayed package
+//! the hall signed, or a `Revoke`. The calls each test makes as
+//! `intruder` must all be denied, and an access-control upgrade must
+//! cost one delivery and one signature check.
 
 use pmp::core::{BaseId, MobId, Platform};
 use pmp::crypto::KeyPair;
@@ -189,6 +190,27 @@ fn a_replayed_package_removes_nothing() {
             .all(|(id, _)| ![ACCESS, SESSION].contains(id)),
         "{removed:?}"
     );
+    assert!(!call_succeeds(&mut p, robot, "intruder"));
+    assert!(call_succeeds(&mut p, robot, "operator:1"));
+}
+
+/// Only the base that holds an extension's lease may revoke it: a
+/// stranger's `Revoke` of access control removes nothing.
+#[test]
+fn a_strangers_revoke_removes_nothing() {
+    let (mut p, _, robot) = guarded_world(40);
+    let msg = MidasMsg::Revoke {
+        ext_id: ACCESS.into(),
+        reason: "forged".into(),
+    };
+    send_as_stranger(&mut p, robot, &msg);
+    p.pump(20 * SEC);
+
+    assert_eq!(
+        p.node(robot).receiver.installed_ids(),
+        vec![ACCESS.to_string(), SESSION.to_string()]
+    );
+    assert_eq!(removals(&p, robot), vec![]);
     assert!(!call_succeeds(&mut p, robot, "intruder"));
     assert!(call_succeeds(&mut p, robot, "operator:1"));
 }
