@@ -485,7 +485,8 @@ impl Platform {
     }
 
     /// Seals `pkg` with `base`'s authority and adds it to the catalog;
-    /// nodes already adapted receive a live replacement
+    /// nodes already holding its id receive it as a newer delivery and
+    /// upgrade in place
     /// ([`pmp_midas::base::ExtensionBase::update_extension`]).
     pub fn publish_extension(&mut self, base: BaseId, pkg: &pmp_midas::ExtensionPackage) {
         // Weave-time optimization at the base, between admission and

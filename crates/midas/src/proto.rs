@@ -18,10 +18,16 @@ pub const ACK_RELEASED: &str = "released";
 /// a fresh grant.
 pub const ACK_UNKNOWN_GRANT: &str = "unknown grant";
 
-/// A MIDAS protocol message.
+/// A MIDAS protocol message. Each one names only the extension it
+/// carries: an upgrade is a [`MidasMsg::Deliver`] of a newer version of
+/// an id the node holds, and no message tells a receiver to remove
+/// anything else. Messages are unauthenticated (only packages are
+/// signed), so a receiver honours a [`MidasMsg::Revoke`] only from the
+/// base that holds the extension's lease.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MidasMsg {
-    /// Base → receiver: install this extension under a lease.
+    /// Base → receiver: install this extension under a lease, or
+    /// upgrade to it from an older version of its id.
     Deliver {
         /// The signed extension.
         ext: SignedExtension,
@@ -49,7 +55,8 @@ pub enum MidasMsg {
         /// The grant to refresh.
         grant: u64,
     },
-    /// Base → receiver: withdraw an extension now.
+    /// Base → receiver: withdraw an extension now. Honoured only from
+    /// the base holding the extension's lease.
     Revoke {
         /// The extension id.
         ext_id: String,
