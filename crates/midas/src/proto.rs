@@ -18,12 +18,11 @@ pub const ACK_RELEASED: &str = "released";
 /// a fresh grant.
 pub const ACK_UNKNOWN_GRANT: &str = "unknown grant";
 
-/// A MIDAS protocol message. Each one names only the extension it
-/// carries: an upgrade is a [`MidasMsg::Deliver`] of a newer version of
-/// an id the node holds, and no message tells a receiver to remove
-/// anything else. Messages are unauthenticated (only packages are
-/// signed), so a receiver honours a [`MidasMsg::Revoke`] only from the
-/// base that holds the extension's lease.
+/// A MIDAS protocol message. An upgrade is a [`MidasMsg::Deliver`] of
+/// a newer version of an id the node holds, so no delivery can name
+/// another extension to remove. Messages are unauthenticated (only
+/// packages are signed), so a receiver honours a [`MidasMsg::Revoke`]
+/// only from the base that holds the extension's lease.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MidasMsg {
     /// Base → receiver: install this extension under a lease, or
